@@ -36,7 +36,6 @@ from .harmonic_core import (
 
 __all__ = [
     "BellExpansion",
-    "BetaValue",
     "beta_F",
     "beta_F_sum",
     "alt_power_sum",
@@ -153,20 +152,6 @@ def bell_expansion(r: int) -> BellExpansion:
             _expansion_cache.setdefault(k + 1, BellExpansion(k + 1, ordered))
             terms = ordered
         return _expansion_cache[r]
-
-
-@dataclass(frozen=True)
-class BetaValue:
-    """F_n(x) together with the parameters that produced it."""
-
-    n: int
-    x: Fraction
-    value: Fraction
-
-    @classmethod
-    def compute(cls, n: int, x: RationalLike) -> "BetaValue":
-        x = Fraction(x)
-        return cls(n=n, x=x, value=beta_F(n, x))
 
 
 def beta_F(n: int, x: RationalLike) -> Fraction:

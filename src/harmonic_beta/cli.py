@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -29,30 +28,7 @@ from .reporting import (
 )
 from .series_lab import EXACT_N_MAX, SeriesEstimate
 
-__all__ = ["RunConfig", "run", "main"]
-
-THREADS_ENV = "HARMONIC_ID_THREADS"
-
-
-@dataclass
-class RunConfig:
-    """One parsed invocation: every accepted flag set maps to one operation."""
-
-    command: str
-    params: dict = field(default_factory=dict)
-    output_format: str = "text"
-    output_path: str | None = None
-
-    @classmethod
-    def from_namespace(cls, args: argparse.Namespace) -> "RunConfig":
-        skip = {"command", "format", "out"}
-        params = {k: v for k, v in vars(args).items() if k not in skip}
-        return cls(
-            command=args.command,
-            params=params,
-            output_format=args.format,
-            output_path=args.out,
-        )
+__all__ = ["run", "main"]
 
 
 def _rational(text: str) -> Fraction:
@@ -64,6 +40,13 @@ def _rational(text: str) -> Fraction:
 
 def _rational_list(text: str) -> list[Fraction]:
     return [_rational(piece) for piece in text.split(",")]
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,8 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
             "fixture-fail",
         ],
     )
-    verify.add_argument("--n-max", type=int, default=50)
-    verify.add_argument("--r-max", type=int, default=6)
+    verify.add_argument("--n-max", type=_count, default=50)
+    verify.add_argument("--r-max", type=_count, default=6)
     verify.add_argument(
         "--x",
         type=_rational_list,
@@ -163,14 +146,13 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    config = RunConfig.from_namespace(args)
     handler: Callable[[argparse.Namespace, argparse.ArgumentParser], tuple[int, str]]
     handler = {
         "compute": _run_compute,
         "verify": _run_verify,
         "series": _run_series,
         "oracle": _run_oracle,
-    }[config.command]
+    }[args.command]
     try:
         code, text = handler(args, parser)
     except SystemExit as exc:  # parser.error() inside a handler
@@ -182,8 +164,8 @@ def run(argv: Sequence[str]) -> int:
     except (ArithmeticError, float_oracle.QuadratureError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    if config.output_path:
-        with open(config.output_path, "w") as handle:
+    if args.out:
+        with open(args.out, "w") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -291,23 +273,11 @@ def _scalar_output(args, name: str, params: dict, value: Fraction) -> str:
 # -- verify -------------------------------------------------------------------
 
 
-def _worker_cap() -> int | None:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return None
-
-
 def _run_verify(args, parser) -> tuple[int, str]:
     xs = args.x
     target = args.target
     if target == "all":
-        reports = identity_suite.run_all(
-            n_max=args.n_max, r_max=args.r_max, x_samples=xs, max_workers=_worker_cap()
-        )
+        reports = identity_suite.run_all(n_max=args.n_max, r_max=args.r_max, x_samples=xs)
     elif target == "fixture-fail":
         reports = identity_suite.deliberate_mismatch_check(args.n_max)
     elif target == "thm2.2":

@@ -15,13 +15,14 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 RationalLike = Union[Fraction, int]
 
 __all__ = [
     "DomainError",
     "HarmonicVector",
+    "HarmonicNumerators",
     "BernoulliTable",
     "parse_rational",
     "format_rational",
@@ -45,7 +46,10 @@ def parse_rational(text: str) -> Fraction:
     """Parse the canonical ``"p/q"`` form (sign on p only, no decimals)."""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise DomainError(f"not a p/q rational: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise DomainError(f"zero denominator: {text!r}") from None
 
 
 def format_rational(value: RationalLike) -> str:
@@ -114,21 +118,66 @@ class HarmonicVector:
         return self.values[alpha - 1]
 
 
+class HarmonicNumerators:
+    """Running H_k(x, 1..order) as integer numerators over one denominator.
+
+    With x = p/q in lowest terms every base k + x + 1 equals d_k/q for the
+    positive integer d_k = q(k+1) + p.  For L = lcm(d_0..d_k),
+
+        H_k(x, alpha) = q**alpha * numerators[alpha-1] / L**alpha,
+
+    so each step is integer-only, with a single gcd against the small new
+    base.  The state starts empty (every sum 0); the first :meth:`advance`
+    takes in d_0, and each later one the next base.
+    """
+
+    def __init__(self, x: RationalLike, order: int) -> None:
+        if order < 1:
+            raise DomainError(f"harmonic rows require order >= 1, got order={order}")
+        self.x = _check_shift(x)
+        self.order = order
+        self.q = self.x.denominator
+        self._d = self.x.numerator + self.q  # d_0
+        self.L = 1
+        self.numerators = [0] * order
+
+    def advance(self) -> int:
+        """Move k -> k+1; returns the factor g by which L grew (1 if none)."""
+        d = self._d
+        g = d // math.gcd(self.L, d)
+        self.L *= g
+        c = self.L // d
+        c_pow = 1
+        g_pow = 1
+        for i in range(self.order):
+            c_pow *= c
+            g_pow *= g
+            self.numerators[i] = self.numerators[i] * g_pow + c_pow
+        self._d = d + self.q
+        return g
+
+    def values(self) -> tuple[Fraction, ...]:
+        """(H_k(x,1), ..., H_k(x,order)) as reduced Fractions."""
+        out: list[Fraction] = []
+        q_pow = 1
+        L_pow = 1
+        for numerator in self.numerators:
+            q_pow *= self.q
+            L_pow *= self.L
+            out.append(Fraction(q_pow * numerator, L_pow))
+        return tuple(out)
+
+
 def harmonic_vector(n: int, x: RationalLike, r: int) -> HarmonicVector:
     """All of H_n(x,1)..H_n(x,r) in one pass over the shared bases k+x+1."""
     if n < 0:
         raise DomainError(f"harmonic_vector requires n >= 0, got n={n}")
     if r < 1:
         raise DomainError(f"harmonic_vector requires r >= 1, got r={r}")
-    x = _check_shift(x)
-    totals = [Fraction(0)] * r
-    for k in range(n + 1):
-        inv = Fraction(1, 1) / (k + x + 1)
-        power = inv
-        for i in range(r):
-            totals[i] += power
-            power *= inv
-    return HarmonicVector(n=n, x=x, values=tuple(totals))
+    rows = HarmonicNumerators(x, r)
+    for _ in range(n + 1):
+        rows.advance()
+    return HarmonicVector(n=n, x=rows.x, values=rows.values())
 
 
 @dataclass(frozen=True)
@@ -167,8 +216,3 @@ def zeta_even_coefficient(n: int) -> Fraction:
     b = bernoulli_table(2 * n)[2 * n]
     sign = 1 if n % 2 == 1 else -1
     return sign * b * Fraction(2 ** (2 * n), 2 * math.factorial(2 * n))
-
-
-def as_fraction_sequence(values: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-    """Normalize a sequence of ints/Fractions to a Fraction tuple."""
-    return tuple(Fraction(v) for v in values)

@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .beta_engine import alt_power_sum, beta_F, beta_F_sum, derivative_F
 from .harmonic_core import (
     DomainError,
+    HarmonicNumerators,
     RationalLike,
     binomial,
     harmonic_function,
@@ -175,21 +176,17 @@ def _harmonic_rows(
 
     Built incrementally so that whole-row checks stay quadratic overall.
     """
-    x = Fraction(x)
-    if x <= -1:
-        raise DomainError(f"requires x > -1, got x={x}")
+    rows = HarmonicNumerators(x, order)
+    x = rows.x
     h: list[list[Fraction]] = [[] for _ in range(order)]
     f: list[Fraction] = []
-    totals = [Fraction(0)] * order
     f_val = Fraction(1)
     for k in range(n_max + 1):
+        rows.advance()
         inv = 1 / (x + k + 1)
         f_val *= k * inv if k else inv
-        power = Fraction(1)
-        for alpha in range(order):
-            power *= inv
-            totals[alpha] += power
-            h[alpha].append(totals[alpha])
+        for alpha, value in enumerate(rows.values()):
+            h[alpha].append(value)
         f.append(f_val)
     return h, f
 
@@ -483,32 +480,18 @@ def run_all(
     n_max: int = 50,
     r_max: int = 6,
     x_samples: Sequence[RationalLike] = DEFAULT_X_SAMPLES,
-    max_workers: int | None = None,
     inversion_count: int = 1000,
 ) -> list[IdentityReport]:
-    """Run every check group, optionally fanning groups out across threads.
-
-    Results are merged in deterministic sorted order regardless of worker
-    scheduling.  Grid points are independent; the only shared state is the
-    write-once expansion cache.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
+    """Run every check group in turn and merge the reports in sorted order."""
     xs = [Fraction(x) for x in x_samples]
-    jobs: list[Callable[[], list[IdentityReport]]] = [
-        lambda: check_theorem_2_2(n_max, xs),
-        lambda: check_theorem_2_3(n_max, xs),
-        lambda: check_theorem_2_5(n_max, xs),
-        lambda: check_theorem_2_6_finite(r_max, min(n_max, 30), xs),
-        lambda: check_lemma_a(min(n_max, 40), r_max, xs),
-        lambda: check_beta_equality(n_max, xs),
-        lambda: check_inversion(count=inversion_count, n_max=n_max),
-    ]
-    if max_workers is None or max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(lambda job: job(), jobs))
-    else:
-        results = [job() for job in jobs]
-    merged = [report for group in results for report in group]
+    merged = (
+        check_theorem_2_2(n_max, xs)
+        + check_theorem_2_3(n_max, xs)
+        + check_theorem_2_5(n_max, xs)
+        + check_theorem_2_6_finite(r_max, min(n_max, 30), xs)
+        + check_lemma_a(min(n_max, 40), r_max, xs)
+        + check_beta_equality(n_max, xs)
+        + check_inversion(count=inversion_count, n_max=n_max)
+    )
     merged.sort(key=IdentityReport.sort_key)
     return merged

@@ -29,6 +29,7 @@ from typing import Mapping, Union
 from .beta_engine import alt_power_sum, bell_expansion
 from .harmonic_core import (
     DomainError,
+    HarmonicNumerators,
     RationalLike,
     binomial,
     format_rational,
@@ -288,36 +289,6 @@ def _checkpoint_lattice(n_max: int) -> set[int]:
     return points
 
 
-class _HarmonicNumerators:
-    """H_m^(alpha) for alpha = 1..order as integer numerators over L**alpha.
-
-    L is lcm(1..m); the state starts at m = 1 and advances one index at a
-    time.  All updates are integer-only; the single gcd per step is against
-    the small new index.
-    """
-
-    def __init__(self, order: int) -> None:
-        self.order = order
-        self.m = 1
-        self.L = 1
-        self.p = [1] * order  # p[i] is the numerator of H_m^(i+1) over L**(i+1)
-
-    def advance(self) -> int:
-        """Move m -> m+1; returns the factor g by which L grew (1 if none)."""
-        m_new = self.m + 1
-        g = m_new // math.gcd(self.L, m_new)
-        self.L *= g
-        q = self.L // m_new
-        q_pow = 1
-        g_pow = 1
-        for i in range(self.order):
-            q_pow *= q
-            g_pow *= g
-            self.p[i] = self.p[i] * g_pow + q_pow
-        self.m = m_new
-        return g
-
-
 def _poly_weight(poly_terms: PolyTerms) -> int:
     weights = {
         sum((i + 1) * e for i, e in enumerate(exponents))
@@ -429,7 +400,9 @@ def _log_weight_series(
                 if n == N:
                     partial = snap
     else:
-        state = _HarmonicNumerators(order)
+        # at x = 0, row k holds H_{k+1}^(alpha) over L = lcm(1..k+1)
+        state = HarmonicNumerators(0, order)
+        state.advance()
         max_exp = _max_exponents(
             order, poly_terms, *([crosscheck_terms] if crosscheck_terms else [])
         )
@@ -438,7 +411,7 @@ def _log_weight_series(
             g = state.advance()
             if g != 1:
                 acc *= g ** (weight + 1)
-            powers = _power_tables(state.p, max_exp)
+            powers = _power_tables(state.numerators, max_exp)
             value = _evaluate_int_poly(poly_terms, powers)
             if crosscheck_terms is not None:
                 other = _evaluate_int_poly(crosscheck_terms, powers)
@@ -589,22 +562,14 @@ def _derivative_route_terms(r: int, x: Fraction, count: int) -> list[Fraction]:
     """
     expansions = [bell_expansion(j) for j in range(r + 1)]
     fact = [math.factorial(j) for j in range(r + 2)]
-    h: list[Fraction] = []
-    base = 1 / (x + 1)
-    power = Fraction(1)
-    for _ in range(r + 2):
-        power *= base
-        h.append(power)
-    f_k = base  # F_0(x)
+    rows = HarmonicNumerators(x, r + 1)
+    f_k = 1 / (x + 1)  # F_0(x)
     out: list[Fraction] = []
     for k in range(count):
+        rows.advance()
         if k > 0:
-            inv = 1 / (x + k + 1)
-            f_k *= k * inv
-            power = Fraction(1)
-            for alpha in range(r + 2):
-                power *= inv
-                h[alpha] += power
+            f_k *= k / (x + k + 1)
+        h = rows.values()
         derivs = [expansions[j].evaluate(h) * f_k for j in range(r + 1)]
         acc = Fraction(0)
         for l in range(r + 1):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from harmonic_beta.beta_engine import (
     BellExpansion,
-    BetaValue,
     alt_power_sum,
     bell_expansion,
     beta_F,
@@ -41,11 +40,6 @@ class TestBetaF:
             beta_F(2, -1)
         with pytest.raises(DomainError):
             beta_F(2, Fraction(-101, 100))
-
-    def test_beta_value_carrier(self):
-        bv = BetaValue.compute(3, Fraction(1, 2))
-        assert bv.n == 3 and bv.x == Fraction(1, 2)
-        assert bv.value == beta_F(3, Fraction(1, 2))
 
 
 class TestBetaFSum:

@@ -1,24 +1,12 @@
+import hashlib
 import json
 import os
 from fractions import Fraction
 
 import pytest
 
-from harmonic_beta.cli import RunConfig, build_parser, run
+from harmonic_beta.cli import run
 from harmonic_beta.reporting import format_float
-
-
-class TestRunConfig:
-    def test_from_namespace(self):
-        args = build_parser().parse_args(
-            ["series", "zeta", "--N", "10", "--s", "2", "--format", "csv", "--out", "x.csv"]
-        )
-        config = RunConfig.from_namespace(args)
-        assert config.command == "series"
-        assert config.output_format == "csv"
-        assert config.output_path == "x.csv"
-        assert config.params["N"] == 10 and config.params["s"] == 2
-        assert "format" not in config.params and "out" not in config.params
 
 
 def invoke(capsys, *argv):
@@ -101,6 +89,20 @@ class TestArgumentValidation:
         assert code == 2
         assert "x > -1" in err
 
+    def test_zero_denominator_exits_two(self, capsys):
+        code, out, err = invoke(capsys, "verify", "thm2.2", "--x", "1/0")
+        assert code == 2 and out == ""
+        assert "zero denominator" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("verify", "thm2.2", "--n-max", "-1"), ("verify", "thm2.6", "--r-max", "-1")],
+    )
+    def test_negative_sweep_bound_exits_two(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "must be >= 0" in err
+
 
 class TestVerifyCommand:
     def test_small_verify_passes(self, capsys):
@@ -180,6 +182,16 @@ class TestVerifyCommand:
         entries = [json.loads(line) for line in out.strip().splitlines()]
         assert all(e["status"] == "pass" for e in entries)
         assert len(entries) > 2000
+
+    def test_small_sweep_matches_recorded_digest(self, capsys):
+        # recorded digest of this invocation's stdout; any change to a
+        # verdict, a witness or the byte format alters it
+        code, out, _ = invoke(
+            capsys, "verify", "all", "--n-max", "8", "--r-max", "3", "--x", "0,1/2,-49/100"
+        )
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "f7085c69a685ca27941cecca3e87eec06dc02cb0f90ced63fc333448f7e4a512"
 
     def test_worker_cap_env_does_not_change_output(self, capsys, monkeypatch):
         args = ("verify", "all", "--n-max", "4", "--r-max", "1", "--x", "0")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from harmonic_beta.harmonic_core import (
     DomainError,
+    HarmonicNumerators,
     bernoulli_table,
     binomial,
     format_rational,
@@ -115,6 +116,43 @@ class TestHarmonicVector:
             assert vec.value(alpha) == harmonic_function(n, x, alpha)
 
 
+class TestHarmonicNumerators:
+    def test_starts_empty(self):
+        rows = HarmonicNumerators(Fraction(1, 2), 3)
+        assert rows.L == 1
+        assert rows.values() == (0, 0, 0)
+
+    def test_order_zero_rejected(self):
+        with pytest.raises(DomainError):
+            HarmonicNumerators(0, 0)
+
+    def test_domain_boundary_rejected(self):
+        with pytest.raises(DomainError):
+            HarmonicNumerators(-1, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 30),
+        st.fractions(min_value=Fraction(-99, 100), max_value=3, max_denominator=100),
+        st.integers(1, 8),
+    )
+    def test_every_row_matches_direct_sum(self, n, x, order):
+        rows = HarmonicNumerators(x, order)
+        bases_lcm = 1
+        for k in range(n + 1):
+            rows.advance()
+            bases_lcm = math.lcm(bases_lcm, x.denominator * (k + 1) + x.numerator)
+            assert rows.L == bases_lcm
+            expected = tuple(harmonic_function(k, x, a) for a in range(1, order + 1))
+            assert rows.values() == expected
+
+    def test_advance_returns_growth_factor(self):
+        rows = HarmonicNumerators(0, 1)
+        growth = [rows.advance() for _ in range(6)]  # bases 1..6
+        assert growth == [1, 2, 3, 2, 5, 1]
+        assert rows.L == 60
+
+
 def _akiyama_tanigawa(n: int) -> list[Fraction]:
     """Independent route to the Bernoulli numbers ("second" kind: B1 = +1/2)."""
     row = [Fraction(0)] * (n + 1)
@@ -184,7 +222,9 @@ class TestRationalText:
         assert parse_rational("-1/30") == Fraction(-1, 30)
         assert parse_rational("5") == Fraction(5)
 
-    @pytest.mark.parametrize("bad", ["0.5", "1e3", "1/-2", " 1/2", "1/2 ", "a/b", ""])
+    @pytest.mark.parametrize(
+        "bad", ["0.5", "1e3", "1/-2", " 1/2", "1/2 ", "a/b", "", "1/0", "-3/00"]
+    )
     def test_rejects_non_canonical(self, bad):
         with pytest.raises(DomainError):
             parse_rational(bad)

@@ -246,8 +246,16 @@ class TestRunAll:
         assert keys == sorted(keys)
 
     def test_single_worker_gives_same_reports(self):
-        kwargs = dict(n_max=4, r_max=1, x_samples=[Fraction(0)], inversion_count=25)
-        parallel = run_all(max_workers=4, **kwargs)
-        serial = run_all(max_workers=1, **kwargs)
+        xs = [Fraction(0)]
+        groups = (
+            check_theorem_2_2(4, xs)
+            + check_theorem_2_3(4, xs)
+            + check_theorem_2_5(4, xs)
+            + check_theorem_2_6_finite(1, 4, xs)
+            + check_lemma_a(4, 1, xs)
+            + check_beta_equality(4, xs)
+            + check_inversion(count=25, n_max=4)
+        )
+        merged = run_all(n_max=4, r_max=1, x_samples=xs, inversion_count=25)
         strip = lambda rs: [(r.identity_id, tuple(sorted(r.params.items())), r.status) for r in rs]
-        assert strip(parallel) == strip(serial)
+        assert strip(merged) == strip(sorted(groups, key=IdentityReport.sort_key))
