@@ -41,6 +41,7 @@ __all__ = [
     "alt_power_sum",
     "bell_expansion",
     "derivative_F",
+    "derivative_from_harmonics",
 ]
 
 Monomial = tuple[int, ...]
@@ -192,6 +193,20 @@ def alt_power_sum(n: int, x: RationalLike, r: int) -> Fraction:
     return total
 
 
+def derivative_from_harmonics(
+    r: int, harmonics: Sequence[RationalLike], base: RationalLike
+) -> Fraction:
+    """(-1)**r * G_r(h_1..h_r) * base, with h_alpha = harmonics[alpha-1].
+
+    Given H_n(x, 1..r) and F_n(x) this is F_n^(r)(x); it is the single place
+    that combines the expansion, the harmonic values and F.
+    """
+    if r == 0:
+        return Fraction(base)
+    value = bell_expansion(r).evaluate(harmonics) * base
+    return -value if r % 2 else value
+
+
 def derivative_F(n: int, x: RationalLike, r: int) -> Fraction:
     """Exact r-th derivative of F_n at x.
 
@@ -203,7 +218,4 @@ def derivative_F(n: int, x: RationalLike, r: int) -> Fraction:
     base = beta_F(n, x)
     if r == 0:
         return base
-    expansion = bell_expansion(r)
-    hvec = harmonic_vector(n, x, r)
-    value = expansion.evaluate(hvec) * base
-    return -value if r % 2 else value
+    return derivative_from_harmonics(r, harmonic_vector(n, x, r).values, base)

@@ -49,8 +49,18 @@ def _count(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose errors are the one line ``prog: error: message``.
+
+    ``add_subparsers`` builds every subparser with this class too.
+    """
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="harmonic-beta",
         description=(
             "Exact generalized harmonic numbers, the beta-integral family and its "
@@ -275,6 +285,9 @@ def _scalar_output(args, name: str, params: dict, value: Fraction) -> str:
 
 def _run_verify(args, parser) -> tuple[int, str]:
     xs = args.x
+    for x in xs:
+        if x <= -1:
+            raise DomainError(f"requires x > -1, got x={x}")
     target = args.target
     if target == "all":
         reports = identity_suite.run_all(n_max=args.n_max, r_max=args.r_max, x_samples=xs)

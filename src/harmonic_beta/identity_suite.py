@@ -13,6 +13,7 @@ JSON/CSV reports and by the CLI.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
@@ -20,14 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .beta_engine import alt_power_sum, beta_F, beta_F_sum, derivative_F
+from .beta_engine import alt_power_sum, beta_F, beta_F_sum, derivative_from_harmonics
 from .harmonic_core import (
     DomainError,
     HarmonicNumerators,
     RationalLike,
     binomial,
-    harmonic_function,
     harmonic_number,
+    harmonic_vector,
 )
 
 __all__ = [
@@ -89,17 +90,16 @@ def binomial_inverse(sequence: Sequence[RationalLike]) -> list[Fraction]:
     """Alternating binomial transform b_n = sum(C(n,k)*(-1)**k*a_k).
 
     The transform is an involution: applying it twice returns the input.
-    Output entry n depends only on input entries 0..n.
+    Output entry n depends only on input entries 0..n.  Computed as
+    b_n = (-1)**n * Delta**n a_0 on the integer numerators over the common
+    denominator D, so each step of the difference table is int subtraction.
     """
-    values = [Fraction(v) for v in sequence]
+    denom = math.lcm(*(v.denominator for v in sequence))
+    row = [v.numerator * (denom // v.denominator) for v in sequence]
     out: list[Fraction] = []
-    for n in range(len(values)):
-        acc = Fraction(0)
-        sign = 1
-        for k in range(n + 1):
-            acc += sign * binomial(n, k) * values[k]
-            sign = -sign
-        out.append(acc)
+    for n in range(len(row)):
+        out.append(Fraction(-row[0] if n % 2 else row[0], denom))
+        row = [b - a for a, b in zip(row, row[1:])]
     return out
 
 
@@ -163,10 +163,6 @@ def _poly_r3(h1: Fraction, h2: Fraction, h3: Fraction) -> Fraction:
 
 def _poly_r4(h1: Fraction, h2: Fraction, h3: Fraction, h4: Fraction) -> Fraction:
     return 6 * h4 + 8 * h3 * h1 + 3 * h2 * h2 + 6 * h1 * h1 * h2 + h1 ** 4
-
-
-def _h(n: int, x: RationalLike, alpha: int) -> Fraction:
-    return harmonic_function(n, x, alpha)
 
 
 def _harmonic_rows(
@@ -348,20 +344,54 @@ def check_theorem_2_5(
     return reports
 
 
+def _derivative_rows(
+    n_max: int, x: RationalLike, r_max: int
+) -> list[tuple[tuple[Fraction, ...], list[Fraction]]]:
+    """Row n = ((H_n(x,1), ..., H_n(x,r_max+1)), [F_n^(0)(x), ..., F_n^(r_max)(x)]).
+
+    One harmonic pass serves every n <= n_max; the derivatives come from the
+    formula :func:`derivative_F` uses.
+    """
+    h, f = _harmonic_rows(n_max, x, r_max + 1)
+    return [
+        (harmonics, [derivative_from_harmonics(j, harmonics, base) for j in range(r_max + 1)])
+        for harmonics, base in zip(zip(*h), f)
+    ]
+
+
+def _rows_per_x(n_max: int, r_max: int) -> Callable[[Fraction], list]:
+    """x -> _derivative_rows(n_max, x, r_max), built on first use.
+
+    Building lazily inside the evaluators keeps an out-of-domain x a
+    skipped report of :func:`generic_check`, as for the other evaluators.
+    """
+    return functools.cache(lambda x: _derivative_rows(n_max, x, r_max))
+
+
+def _mixed_sum(
+    harmonics: Sequence[Fraction], derivatives: Sequence[Fraction], r: int
+) -> Fraction:
+    """(-1)^r/(r+1)! * sum_l C(r,l) l! (-1)^l harmonics[l] derivatives[r-l]."""
+    acc = Fraction(0)
+    fact_l = 1
+    for l in range(r + 1):
+        term = binomial(r, l) * fact_l * harmonics[l] * derivatives[r - l]
+        acc += -term if l % 2 else term
+        fact_l *= l + 1
+    result = acc / math.factorial(r + 1)
+    return -result if r % 2 else result
+
+
 def mixed_derivative_form(n: int, x: RationalLike, r: int) -> Fraction:
     """(-1)^r/(r+1)! * sum_l C(r,l) l! (-1)^l H_n(x,l+1) F_n^(r-l)(x), exact.
 
     The general finite identity states this equals alt_power_sum(n, x, r+2);
     the derivative values substitute the log-moment integrals exactly.
     """
-    acc = Fraction(0)
-    fact_l = 1
-    for l in range(r + 1):
-        term = binomial(r, l) * fact_l * _h(n, x, l + 1) * derivative_F(n, x, r - l)
-        acc += -term if l % 2 else term
-        fact_l *= l + 1
-    result = acc / math.factorial(r + 1)
-    return -result if r % 2 else result
+    harmonics = harmonic_vector(n, x, r + 1).values
+    base = beta_F(n, x)
+    derivatives = [derivative_from_harmonics(j, harmonics, base) for j in range(r + 1)]
+    return _mixed_sum(harmonics, derivatives, r)
 
 
 def check_theorem_2_6_finite(
@@ -376,10 +406,11 @@ def check_theorem_2_6_finite(
         for x in x_samples
         for n in range(n_max + 1)
     ]
+    rows = _rows_per_x(n_max, r_max)
     return generic_check(
         "thm2.6-finite",
         lambda n, x, r: alt_power_sum(n, x, r + 2),
-        mixed_derivative_form,
+        lambda n, x, r: _mixed_sum(*rows(x)[n], r),
         grid,
     )
 
@@ -408,9 +439,8 @@ def check_lemma_a(
         value = math.factorial(r) * alt_power_sum(n, x, r + 1)
         return -value if r % 2 else value
 
-    return generic_check(
-        "lemma-a", lambda n, x, r: derivative_F(n, x, r), rhs, grid
-    )
+    rows = _rows_per_x(n_max, r_max)
+    return generic_check("lemma-a", lambda n, x, r: rows(x)[n][1][r], rhs, grid)
 
 
 def check_inversion(

@@ -103,6 +103,30 @@ class TestArgumentValidation:
         assert code == 2 and out == ""
         assert "must be >= 0" in err
 
+    @pytest.mark.parametrize("target", ["thm2.2", "thm2.6", "lemma-a", "beta-eq", "all"])
+    def test_out_of_domain_x_exits_two(self, capsys, target):
+        code, out, err = invoke(
+            capsys, "verify", target, "--x=0,-1", "--n-max", "2", "--r-max", "0",
+            "--format", "text",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: requires x > -1, got x=-1\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compute", "F", "--n", "1", "--x", "0.5"),
+            ("verify", "thm2.2", "--n-max", "-1"),
+            ("compute", "dF", "--n", "2"),
+            ("frobnicate",),
+        ],
+    )
+    def test_usage_error_is_one_line(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert "usage:" not in err and ": error: " in err
+
 
 class TestVerifyCommand:
     def test_small_verify_passes(self, capsys):

@@ -1,16 +1,18 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmonic_beta.beta_engine import alt_power_sum, beta_F, beta_F_sum
-from harmonic_beta.harmonic_core import DomainError, harmonic_number
+from harmonic_beta.beta_engine import alt_power_sum, beta_F, beta_F_sum, derivative_F
+from harmonic_beta.harmonic_core import DomainError, harmonic_function, harmonic_number
 from harmonic_beta.identity_suite import (
     FAIL,
     PASS,
     SKIPPED,
     IdentityReport,
+    _derivative_rows,
     binomial_inverse,
     check_beta_equality,
     check_inversion,
@@ -28,6 +30,24 @@ from harmonic_beta.identity_suite import (
 rational_seqs = st.lists(
     st.fractions(max_denominator=50, min_value=-50, max_value=50), max_size=32
 )
+
+mixed_seqs = st.lists(
+    st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=10**6)),
+    max_size=40,
+)
+
+SHARED_ROW_XS = (Fraction(0), Fraction(1, 2), Fraction(7, 3), Fraction(-49, 100))
+
+
+def _direct_binomial_inverse(seq):
+    """Reference route: b_n = sum(C(n,k) * (-1)**k * a_k) term by term."""
+    return [
+        sum(
+            (math.comb(n, k) * (-1) ** k * Fraction(seq[k]) for k in range(n + 1)),
+            Fraction(0),
+        )
+        for n in range(len(seq))
+    ]
 
 
 class TestBinomialInverse:
@@ -53,6 +73,18 @@ class TestBinomialInverse:
         longer = binomial_inverse(list(seq) + [extra])
         shorter = binomial_inverse(seq)
         assert longer[: len(seq)] == shorter
+
+    @given(mixed_seqs)
+    def test_matches_direct_sum(self, seq):
+        assert binomial_inverse(seq) == _direct_binomial_inverse(seq)
+
+    def test_thm25_forward_row_matches_direct_sum(self):
+        # the eq28 forward row G_4(H) F = F^(4) near the x = -1 boundary
+        x = Fraction(-49, 100)
+        forward = [derivative_F(k, x, 4) for k in range(51)]
+        inverted = binomial_inverse(forward)
+        assert inverted == _direct_binomial_inverse(forward)
+        assert inverted == [24 / (x + n + 1) ** 5 for n in range(51)]
 
     def test_duality_forward_to_inverted(self):
         forward = [harmonic_number(k + 1, 1) / (k + 1) for k in range(20)]
@@ -183,6 +215,20 @@ class TestTheorem25:
         assert all(r.status == PASS for r in reports)
 
 
+class TestDerivativeRows:
+    @pytest.mark.parametrize("x", SHARED_ROW_XS)
+    def test_entries_match_direct_routes(self, x):
+        rows = _derivative_rows(12, x, 6)
+        assert len(rows) == 13
+        for n, (harmonics, derivatives) in enumerate(rows):
+            assert list(harmonics) == [harmonic_function(n, x, a) for a in range(1, 8)]
+            assert derivatives == [derivative_F(n, x, j) for j in range(7)]
+
+    def test_out_of_domain_x_raises(self):
+        with pytest.raises(DomainError):
+            _derivative_rows(2, Fraction(-1), 0)
+
+
 class TestTheorem26Finite:
     def test_base_case_reduces_to_first_order_form(self):
         for n in range(10):
@@ -210,6 +256,15 @@ class TestOtherChecks:
     def test_lemma_a(self):
         reports = check_lemma_a(10, 4, [Fraction(0), Fraction(1, 2)])
         assert all(r.status == PASS for r in reports)
+
+    def test_out_of_domain_x_is_skipped(self):
+        # the shared rows are built inside generic_check, so a bad x skips
+        for reports in (
+            check_theorem_2_6_finite(1, 2, [Fraction(-1)]),
+            check_lemma_a(2, 1, [Fraction(-1)]),
+        ):
+            assert len(reports) == 6
+            assert all(r.status == SKIPPED for r in reports)
 
     def test_inversion_check(self):
         reports = check_inversion(count=50, max_len=24, n_max=15)
