@@ -30,7 +30,6 @@ from .harmonic_core import (
     DomainError,
     HarmonicVector,
     RationalLike,
-    binomial,
     harmonic_vector,
 )
 
@@ -177,7 +176,12 @@ def beta_F_sum(n: int, x: RationalLike) -> Fraction:
 
 
 def alt_power_sum(n: int, x: RationalLike, r: int) -> Fraction:
-    """sum(C(n,k) * (-1)**k / (x+k+1)**r, k = 0..n), exact."""
+    """sum(C(n,k) * (-1)**k / (x+k+1)**r, k = 0..n), exact.
+
+    With x = p/q term k is C(n,k) * (-1)**k * q**r / d_k**r for the positive
+    integer d_k = q(k+1) + p, so the integer numerators are summed over
+    D**r, D = lcm(d_0..d_n), and reduced once.
+    """
     if n < 0:
         raise DomainError(f"alt_power_sum requires n >= 0, got n={n}")
     if r < 1:
@@ -185,12 +189,16 @@ def alt_power_sum(n: int, x: RationalLike, r: int) -> Fraction:
     x = Fraction(x)
     if x <= -1:
         raise DomainError(f"alt_power_sum requires x > -1, got x={x}")
-    total = Fraction(0)
-    sign = 1
-    for k in range(n + 1):
-        total += sign * binomial(n, k) / (x + k + 1) ** r
-        sign = -sign
-    return total
+    p, q = x.numerator, x.denominator
+    bases = [q * (k + 1) + p for k in range(n + 1)]
+    D = math.lcm(*bases)
+    total = 0
+    c = 1  # C(n, k)
+    for k, d in enumerate(bases):
+        term = c * (D // d) ** r
+        total += -term if k % 2 else term
+        c = c * (n - k) // (k + 1)
+    return Fraction(q**r * total, D**r)
 
 
 def derivative_from_harmonics(

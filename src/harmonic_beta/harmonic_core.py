@@ -128,7 +128,8 @@ class HarmonicNumerators:
 
     so each step is integer-only, with a single gcd against the small new
     base.  The state starts empty (every sum 0); the first :meth:`advance`
-    takes in d_0, and each later one the next base.
+    takes in d_0, and each later one the next base.  :meth:`fold` takes in
+    a run of following bases at once, kept as a second state.
     """
 
     def __init__(self, x: RationalLike, order: int) -> None:
@@ -154,6 +155,32 @@ class HarmonicNumerators:
             g_pow *= g
             self.numerators[i] = self.numerators[i] * g_pow + c_pow
         self._d = d + self.q
+        return g
+
+    def fold(self, block: HarmonicNumerators) -> int:
+        """Add the rows of ``block``, which continues where this state stops.
+
+        ``block`` must have the same order and start at the next base: its
+        shift is x + k for this state's k advances, so its bases are
+        d_k, d_{k+1}, ...  Afterwards this state is where advancing through
+        every base ``block`` took in would have left it.  Returns the factor
+        by which L grew (1 if none).
+        """
+        if block.order != self.order or block.x != Fraction(self._d, self.q) - 1:
+            raise DomainError(
+                "fold requires a block of the same order that starts at the next base"
+            )
+        L = math.lcm(self.L, block.L)
+        g = L // self.L
+        h = L // block.L
+        g_pow = 1
+        h_pow = 1
+        for i in range(self.order):
+            g_pow *= g
+            h_pow *= h
+            self.numerators[i] = self.numerators[i] * g_pow + block.numerators[i] * h_pow
+        self.L = L
+        self._d = block._d
         return g
 
     def values(self) -> tuple[Fraction, ...]:

@@ -11,15 +11,20 @@ through a running minimum over a fixed checkpoint lattice (powers of two and
 three halves thereof), which makes bracket width provably non-increasing
 in N.
 
-Exact accumulation works over the natural common denominator: with
-L = lcm(1..n+1), every weight-w monomial in the harmonic numbers is an
-integer over L**w, and 1/(n(n+1)) = 1/n - 1/(n+1) keeps each whole term an
-integer over L**(w+1).  That turns the hot loop into pure integer
-arithmetic with a single reduction per reported value.
+Exact accumulation of a log-weight series of weight w keeps the partial
+sum as one integer over L**(w+1), L = lcm(1..n+1), and takes the terms in
+blocks of at most 64 that end at every checkpoint.  In a block [a, b] each
+H^(alpha)_{n+1} is H^(alpha)_a plus the block's own running sum from a+1
+to n+1, so P(H_{n+1}, ...) expands by the binomial theorem into a few
+products H_a**f * R_f(block sums).  The sums of every R_f(...)/(n(n+1))
+over the block run on small integers over powers of a * lcm(a+1..b+1);
+the large numerators of H_a**f are multiplied in once per block.  Each
+checkpoint costs one reduction.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,6 +54,9 @@ __all__ = [
 
 #: Largest N for which the CLI runs exact rational accumulation by default.
 EXACT_N_MAX = 10_000
+
+# Most terms one block of the exact log-weight sum takes in.
+_BLOCK = 64
 
 Monomial = tuple[int, ...]
 PolyTerms = Mapping[Monomial, int]
@@ -309,6 +317,38 @@ def _max_generator(poly_terms: PolyTerms) -> int:
     return top
 
 
+def _normalised(poly_terms: PolyTerms) -> dict[Monomial, int]:
+    """The same polynomial with trailing zero exponents stripped and no zero coefficients."""
+    out: dict[Monomial, int] = {}
+    for exponents, coeff in poly_terms.items():
+        key = tuple(exponents)
+        while key and not key[-1]:
+            key = key[:-1]
+        out[key] = out.get(key, 0) + coeff
+    return {key: coeff for key, coeff in out.items() if coeff}
+
+
+def _shift_expansion(
+    poly_terms: PolyTerms, order: int
+) -> dict[Monomial, dict[Monomial, int]]:
+    """P(h + d) = sum_f h**f * R_f(d) by the binomial theorem; maps f to R_f.
+
+    Exponent tuples have length ``order``.  R_f is weight-homogeneous of
+    weight w - weight(f) in the generators d.
+    """
+    out: dict[Monomial, dict[Monomial, int]] = {}
+    for exponents, coeff in _normalised(poly_terms).items():
+        padded = exponents + (0,) * (order - len(exponents))
+        for f in itertools.product(*(range(e + 1) for e in padded)):
+            c = coeff
+            for e, fe in zip(padded, f):
+                c *= math.comb(e, fe)
+            rest = tuple(e - fe for e, fe in zip(padded, f))
+            row = out.setdefault(f, {})
+            row[rest] = row.get(rest, 0) + c
+    return out
+
+
 def _evaluate_int_poly(
     poly_terms: PolyTerms, powers: list[list[int]]
 ) -> int:
@@ -347,6 +387,61 @@ def _max_exponents(order: int, *polys: PolyTerms) -> list[int]:
     return tops
 
 
+def _log_weight_partials(poly_terms: PolyTerms, stops: list[int]) -> list[Fraction]:
+    """sum(P(H_{n+1},...)/(n(n+1)), n = 1..m) exactly, for each m in ``stops``.
+
+    ``poly_terms`` is weight-homogeneous of weight w >= 1 and ``stops`` is
+    ascending.  The terms are taken in blocks [a, b] that end at every stop
+    and hold at most _BLOCK terms.  In a block H_{n+1} = H_a + delta(n),
+    with delta the block rows (HarmonicNumerators at shift a), so
+    P(H_{n+1}) = sum_f H_a**f * R_f(delta(n)).  Each
+    sum_n R_f(delta(n))/(n(n+1)) runs on small integers over
+    a * lcm(a+1..n+1)**(w_f+1); the large numerators of H_a**f enter once
+    per block, when the block is folded into the base rows.
+    """
+    weight = _poly_weight(poly_terms)
+    order = _max_generator(poly_terms)
+    parts = [
+        (f, weight - sum((i + 1) * e for i, e in enumerate(f)), rest)
+        for f, rest in _shift_expansion(poly_terms, order).items()
+    ]
+    # P's largest exponent of each generator bounds both f and the rest
+    max_exp = _max_exponents(order, _normalised(poly_terms))
+    base = HarmonicNumerators(0, order)
+    base.advance()  # row 1: H_1
+    acc = 0  # the partial sum so far, over base.L ** (weight + 1)
+    out: list[Fraction] = []
+    a = 1
+    for stop in stops:
+        while a <= stop:
+            b = min(stop, a + _BLOCK - 1)
+            block = HarmonicNumerators(a, order)
+            sums = [0] * len(parts)  # part i over a * block.L ** (w_f + 1)
+            for n in range(a, b + 1):
+                g = block.advance()
+                if g != 1:
+                    sums = [s * g ** (w_f + 1) for s, (_, w_f, _) in zip(sums, parts)]
+                unit = a * block.L
+                diff = unit // n - unit // (n + 1)
+                powers = _power_tables(block.numerators, max_exp)
+                for i, (_, _, rest) in enumerate(parts):
+                    sums[i] += _evaluate_int_poly(rest, powers) * diff
+            base_powers = _power_tables(base.numerators, max_exp)
+            g = base.fold(block)
+            h = base.L // block.L
+            # the block's sum is a polynomial in the old base numerators: the
+            # coefficient of H_a**f is s/(a * block.L**(w_f+1)), put over the
+            # new base.L**(weight+1) like acc
+            block_poly = {
+                f: g ** (weight - w_f) * (s * h ** (w_f + 1) // a)
+                for (f, w_f, _), s in zip(parts, sums)
+            }
+            acc = acc * g ** (weight + 1) + _evaluate_int_poly(block_poly, base_powers)
+            a = b + 1
+        out.append(Fraction(acc, base.L ** (weight + 1)))
+    return out
+
+
 def _log_weight_series(
     target_id: str,
     poly_terms: PolyTerms,
@@ -360,18 +455,18 @@ def _log_weight_series(
     """sum(sign * scale * P(H_{n+1},...)/(n(n+1)), n = 1..N) with tail bracket.
 
     ``poly_terms`` must be weight-homogeneous with non-negative coefficients.
-    When ``crosscheck_terms`` is given, both polynomials are evaluated on the
-    same harmonic numerators at every n and must agree exactly; a mismatch
-    raises ArithmeticError.
+    When ``crosscheck_terms`` is given it must be the same polynomial (after
+    normalising exponent tuples and dropping zero coefficients); otherwise
+    ArithmeticError is raised before any term is summed.  Equal polynomials
+    agree at every n, so this is at least as strict as comparing the two
+    routes term by term.
     """
     if N < 1:
         raise DomainError(f"series requires N >= 1, got N={N}")
+    if crosscheck_terms is not None and _normalised(crosscheck_terms) != _normalised(poly_terms):
+        raise ArithmeticError(f"{target_id}: term routes disagree")
     weight = _poly_weight(poly_terms)
     order = _max_generator(poly_terms)
-    if crosscheck_terms is not None:
-        if _poly_weight(crosscheck_terms) != weight:
-            raise ValueError("crosscheck polynomial has a different weight")
-        order = max(order, _max_generator(crosscheck_terms))
     d_coeffs = _log_moment_coefficients(poly_terms, scale)
 
     if float_mode:
@@ -382,50 +477,24 @@ def _log_weight_series(
         )
 
     lattice = _checkpoint_lattice(N)
-    candidates: list[tuple[Fraction, Fraction]] = []  # (partial_M, raw_M)
-    partial: Fraction | None = None
-
+    stops = sorted(lattice | {N})
     if weight == 0:
         # constant numerator: term is c/(n(n+1)), no harmonic state needed
         constant = sum(poly_terms.values())
-        if crosscheck_terms is not None and sum(crosscheck_terms.values()) != constant:
-            raise ArithmeticError(f"{target_id}: term routes disagree")
         running = Fraction(0)
+        partials: list[Fraction] = []
         for n in range(1, N + 1):
             running += Fraction(constant, n) - Fraction(constant, n + 1)
             if n in lattice or n == N:
-                snap = running * scale
-                if n in lattice:
-                    candidates.append((snap, _raw_tail_bound(d_coeffs, n)))
-                if n == N:
-                    partial = snap
+                partials.append(running)
     else:
-        # at x = 0, row k holds H_{k+1}^(alpha) over L = lcm(1..k+1)
-        state = HarmonicNumerators(0, order)
-        state.advance()
-        max_exp = _max_exponents(
-            order, poly_terms, *([crosscheck_terms] if crosscheck_terms else [])
-        )
-        acc = 0
-        for n in range(1, N + 1):
-            g = state.advance()
-            if g != 1:
-                acc *= g ** (weight + 1)
-            powers = _power_tables(state.numerators, max_exp)
-            value = _evaluate_int_poly(poly_terms, powers)
-            if crosscheck_terms is not None:
-                other = _evaluate_int_poly(crosscheck_terms, powers)
-                if other != value:
-                    raise ArithmeticError(f"{target_id}: term routes disagree at n={n}")
-            acc += value * (state.L // n - state.L // (n + 1))
-            if n in lattice or n == N:
-                snap = Fraction(acc, state.L ** (weight + 1)) * scale
-                if n in lattice:
-                    candidates.append((snap, _raw_tail_bound(d_coeffs, n)))
-                if n == N:
-                    partial = snap
-    assert partial is not None
-    envelope = min(part + raw for part, raw in candidates)
+        partials = _log_weight_partials(poly_terms, stops)
+    envelope = min(
+        p * scale + _raw_tail_bound(d_coeffs, n)
+        for n, p in zip(stops, partials)
+        if n in lattice
+    )
+    partial = partials[-1] * scale
     width = envelope - partial
     return _signed_estimate(target_id, N, partial, True, width, sign, claimed_limit)
 
@@ -519,8 +588,9 @@ def corollary_2_4_partial(variant: str, N: int, float_mode: bool = False) -> Ser
     """Partial sum of a displayed harmonic-polynomial series over n(n+1).
 
     Variants ``r3``/``r4``/``r5`` claim the limits 3!, 4!, 5!.  The display
-    numerator is hard-coded and checked term-by-term against the generic
-    recursion route ((r-1)! times the lemma_c_partial terms).
+    numerator is hard-coded and must be the same polynomial as the generic
+    recursion route G_{r-1} ((r-1)! times the lemma_c_partial terms); that
+    is checked exactly, once, before any term is summed.
     """
     if variant not in _COROLLARY_DISPLAYS:
         raise DomainError(
@@ -528,14 +598,13 @@ def corollary_2_4_partial(variant: str, N: int, float_mode: bool = False) -> Ser
         )
     display, limit = _COROLLARY_DISPLAYS[variant]
     r = int(variant[1:])
-    recursion_route = bell_expansion(r - 1).terms if not float_mode else None
     return _log_weight_series(
         target_id=f"cor2.4-{variant}",
         poly_terms=display,
         scale=Fraction(1),
         N=N,
         claimed_limit=Fraction(limit),
-        crosscheck_terms=recursion_route,
+        crosscheck_terms=bell_expansion(r - 1).terms,
         float_mode=float_mode,
     )
 
@@ -605,8 +674,8 @@ def theorem_2_6_series(
     shifted power sum and is bracketed exactly like it.
 
     The second estimate is the x = 0 series with claimed limit
-    (-1)**r (r+2)!, evaluated through the recursion route and cross-checked
-    term-by-term against the product-rule route.
+    (-1)**r (r+2)!, evaluated through the recursion route, which must be
+    the same polynomial as the product-rule route.
     """
     if r < 0:
         raise DomainError(f"theorem_2_6_series requires r >= 0, got r={r}")
@@ -638,7 +707,7 @@ def theorem_2_6_series(
         N=N,
         claimed_limit=Fraction(sign * math.factorial(r + 2)),
         sign=sign,
-        crosscheck_terms=None if float_mode else _leibniz_route_terms(r),
+        crosscheck_terms=_leibniz_route_terms(r),
         float_mode=float_mode,
     )
     return base, eq32

@@ -3,7 +3,7 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonic_beta.beta_engine import (
@@ -85,6 +85,22 @@ class TestAltPowerSum:
     @given(st.integers(0, 40), x_values, st.integers(1, 6))
     def test_positive(self, n, x, r):
         assert alt_power_sum(n, x, r) > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 60),
+        st.integers(1, 10**6).flatmap(
+            lambda q: st.tuples(st.integers(-q + 1, 4 * q), st.just(q))
+        ),
+        st.integers(1, 8),
+    )
+    def test_matches_direct_binomial_sum(self, n, pq, r):
+        x = Fraction(*pq)
+        direct = sum(
+            (Fraction((-1) ** k * math.comb(n, k)) / (x + k + 1) ** r for k in range(n + 1)),
+            Fraction(0),
+        )
+        assert alt_power_sum(n, x, r) == direct
 
 
 class TestBellExpansion:

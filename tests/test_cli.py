@@ -1,10 +1,13 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import harmonic_beta
 from harmonic_beta.cli import run
 from harmonic_beta.reporting import format_float
 
@@ -63,6 +66,18 @@ class TestComputeCommand:
     def test_zeta_even(self, capsys):
         code, out, _ = invoke(capsys, "compute", "zeta-even", "--n", "1")
         assert code == 0 and out == "1/6 * pi^2\n"
+
+    def test_module_entry_point(self):
+        src = os.path.dirname(os.path.dirname(harmonic_beta.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "harmonic_beta", "compute", "H", "--n", "3", "--alpha", "1"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "11/6\n", "")
 
     def test_missing_flag_is_usage_error(self, capsys):
         code, _, err = invoke(capsys, "compute", "dF", "--n", "2")

@@ -152,6 +152,39 @@ class TestHarmonicNumerators:
         assert growth == [1, 2, 3, 2, 5, 1]
         assert rows.L == 60
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 20),
+        st.integers(0, 20),
+        st.fractions(min_value=Fraction(-99, 100), max_value=3, max_denominator=100),
+        st.integers(1, 6),
+    )
+    def test_fold_equals_advancing_through_the_block(self, k, m, x, order):
+        rows = HarmonicNumerators(x, order)
+        whole = HarmonicNumerators(x, order)
+        for _ in range(k):
+            rows.advance()
+            whole.advance()
+        block = HarmonicNumerators(x + k, order)
+        for _ in range(m):
+            block.advance()
+        L_before = whole.L
+        for _ in range(m):
+            whole.advance()
+        assert rows.fold(block) * L_before == whole.L
+        assert (rows.L, rows.numerators) == (whole.L, whole.numerators)
+        rows.advance()
+        whole.advance()
+        assert rows.values() == whole.values()
+
+    def test_fold_rejects_a_block_that_does_not_continue(self):
+        rows = HarmonicNumerators(Fraction(1, 2), 2)
+        rows.advance()
+        with pytest.raises(DomainError):
+            rows.fold(HarmonicNumerators(Fraction(1, 2), 2))  # starts at d_0 again
+        with pytest.raises(DomainError):
+            rows.fold(HarmonicNumerators(Fraction(3, 2), 3))  # wrong order
+
 
 def _akiyama_tanigawa(n: int) -> list[Fraction]:
     """Independent route to the Bernoulli numbers ("second" kind: B1 = +1/2)."""

@@ -1,7 +1,10 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmonic_beta.beta_engine import alt_power_sum, bell_expansion
 from harmonic_beta.harmonic_core import DomainError, harmonic_number
@@ -15,7 +18,40 @@ from harmonic_beta.series_lab import (
     multi_integral_exact,
     theorem_2_6_series,
 )
-from harmonic_beta.series_lab import _leibniz_route_terms, _raw_tail_bound
+from harmonic_beta.series_lab import (
+    _COROLLARY_DISPLAYS,
+    _checkpoint_lattice,
+    _leibniz_route_terms,
+    _log_weight_partials,
+    _log_weight_series,
+    _raw_tail_bound,
+)
+
+POLYNOMIALS = [dict(bell_expansion(r).terms) for r in range(1, 6)] + [
+    dict(display) for display, _ in _COROLLARY_DISPLAYS.values()
+]
+
+
+def reference_partials(poly, stops):
+    """The per-term loop: sum P(H_{n+1}, ...)/(n(n+1)) one Fraction term at a time."""
+    order = max(len(exponents) for exponents in poly)
+    h = [Fraction(1)] * order  # H_{n+1}^{(alpha)}, starts at n = 0
+    running = Fraction(0)
+    out = []
+    for n in range(1, stops[-1] + 1):
+        m = n + 1
+        for alpha in range(order):
+            h[alpha] += Fraction(1, m ** (alpha + 1))
+        value = Fraction(0)
+        for exponents, coeff in poly.items():
+            term = Fraction(coeff)
+            for alpha, e in enumerate(exponents):
+                term *= h[alpha] ** e
+            value += term
+        running += value / (n * (n + 1))
+        if n in stops:
+            out.append(running)
+    return out
 
 
 class TestHurwitzPartial:
@@ -121,6 +157,35 @@ class TestLemmaCPartial:
         assert est.exact is False
         assert abs(est.partial - 2.0) < 0.01
         assert est.contains_claim()
+
+
+class TestBlockAccumulation:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(POLYNOMIALS),
+        st.one_of(st.sampled_from([63, 64, 65, 128, 129]), st.integers(1, 400)),
+    )
+    def test_matches_per_term_loop_at_every_stop(self, poly, N):
+        stops = sorted(_checkpoint_lattice(N) | {N})
+        assert _log_weight_partials(poly, stops) == reference_partials(poly, stops)
+
+    def test_changed_crosscheck_coefficient_fails_before_summing(self):
+        terms = dict(bell_expansion(3).terms)
+        changed = dict(terms)
+        changed[(1, 1, 0)] += 1
+        start = time.perf_counter()
+        with pytest.raises(ArithmeticError, match="lemma-c\\(r=4\\): term routes disagree"):
+            _log_weight_series(
+                "lemma-c(r=4)", terms, Fraction(1, 6), 10_000, Fraction(4),
+                crosscheck_terms=changed,
+            )
+        assert time.perf_counter() - start < 1.0
+
+    def test_crosscheck_ignores_padding_and_zero_coefficients(self):
+        terms = dict(bell_expansion(2).terms)  # h1^2 + h2
+        padded = {(2, 0, 0): 1, (0, 1, 0): 1, (1, 0, 0): 0}
+        est = _log_weight_series("g2", terms, Fraction(1), 50, None, crosscheck_terms=padded)
+        assert est.partial == _log_weight_series("g2", terms, Fraction(1), 50, None).partial
 
 
 class TestCorollary24Partial:
