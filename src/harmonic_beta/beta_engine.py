@@ -28,8 +28,10 @@ from typing import Mapping, Sequence
 
 from .harmonic_core import (
     DomainError,
+    HarmonicNumerators,
     HarmonicVector,
     RationalLike,
+    binomial,
     harmonic_vector,
 )
 
@@ -41,6 +43,9 @@ __all__ = [
     "bell_expansion",
     "derivative_F",
     "derivative_from_harmonics",
+    "derivative_rows",
+    "harmonic_rows",
+    "mixed_sum",
 ]
 
 Monomial = tuple[int, ...]
@@ -213,6 +218,62 @@ def derivative_from_harmonics(
         return Fraction(base)
     value = bell_expansion(r).evaluate(harmonics) * base
     return -value if r % 2 else value
+
+
+def harmonic_rows(
+    n_max: int, x: RationalLike, order: int
+) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """h[alpha-1][k] = H_k(x, alpha) and f[k] = F_k(x) for k = 0..n_max.
+
+    Built incrementally so that whole-row checks stay quadratic overall.
+    """
+    rows = HarmonicNumerators(x, order)
+    x = rows.x
+    h: list[list[Fraction]] = [[] for _ in range(order)]
+    f: list[Fraction] = []
+    f_val = Fraction(1)
+    for k in range(n_max + 1):
+        rows.advance()
+        inv = 1 / (x + k + 1)
+        f_val *= k * inv if k else inv
+        for alpha, value in enumerate(rows.values()):
+            h[alpha].append(value)
+        f.append(f_val)
+    return h, f
+
+
+def derivative_rows(
+    n_max: int, x: RationalLike, r_max: int
+) -> list[tuple[tuple[Fraction, ...], list[Fraction]]]:
+    """Row n = ((H_n(x,1), ..., H_n(x,r_max+1)), [F_n^(0)(x), ..., F_n^(r_max)(x)]).
+
+    One harmonic pass serves every n <= n_max; the derivatives come from the
+    formula :func:`derivative_F` uses.
+    """
+    h, f = harmonic_rows(n_max, x, r_max + 1)
+    return [
+        (harmonics, [derivative_from_harmonics(j, harmonics, base) for j in range(r_max + 1)])
+        for harmonics, base in zip(zip(*h), f)
+    ]
+
+
+def mixed_sum(
+    harmonics: Sequence[Fraction], derivatives: Sequence[Fraction], r: int
+) -> Fraction:
+    """(-1)^r/(r+1)! * sum_l C(r,l) l! (-1)^l harmonics[l] derivatives[r-l].
+
+    With the entries of a :func:`derivative_rows` row this is the mixed
+    harmonic/derivative side of the general-order finite identity (Theorem
+    2.6), which states that it equals alt_power_sum(n, x, r+2).
+    """
+    acc = Fraction(0)
+    fact_l = 1
+    for l in range(r + 1):
+        term = binomial(r, l) * fact_l * harmonics[l] * derivatives[r - l]
+        acc += -term if l % 2 else term
+        fact_l *= l + 1
+    result = acc / math.factorial(r + 1)
+    return -result if r % 2 else result
 
 
 def derivative_F(n: int, x: RationalLike, r: int) -> Fraction:

@@ -83,18 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run identity sweeps, report pass/fail")
     verify.add_argument(
-        "target",
-        choices=[
-            "thm2.2",
-            "thm2.3",
-            "thm2.5",
-            "thm2.6",
-            "lemma-a",
-            "beta-eq",
-            "inversion",
-            "all",
-            "fixture-fail",
-        ],
+        "target", choices=[*identity_suite.CHECK_GROUPS, "all", "fixture-fail"]
     )
     verify.add_argument("--n-max", type=_count, default=50)
     verify.add_argument("--r-max", type=_count, default=6)
@@ -175,8 +164,12 @@ def run(argv: Sequence[str]) -> int:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code
@@ -288,27 +281,12 @@ def _run_verify(args, parser) -> tuple[int, str]:
     for x in xs:
         if x <= -1:
             raise DomainError(f"requires x > -1, got x={x}")
-    target = args.target
-    if target == "all":
-        reports = identity_suite.run_all(n_max=args.n_max, r_max=args.r_max, x_samples=xs)
-    elif target == "fixture-fail":
+    if args.target == "all":
+        reports = identity_suite.run_all(args.n_max, args.r_max, xs)
+    elif args.target == "fixture-fail":
         reports = identity_suite.deliberate_mismatch_check(args.n_max)
-    elif target == "thm2.2":
-        reports = identity_suite.check_theorem_2_2(args.n_max, xs)
-    elif target == "thm2.3":
-        reports = identity_suite.check_theorem_2_3(args.n_max, xs)
-    elif target == "thm2.5":
-        reports = identity_suite.check_theorem_2_5(args.n_max, xs)
-    elif target == "thm2.6":
-        reports = identity_suite.check_theorem_2_6_finite(args.r_max, args.n_max, xs)
-    elif target == "lemma-a":
-        reports = identity_suite.check_lemma_a(args.n_max, args.r_max, xs)
-    elif target == "beta-eq":
-        reports = identity_suite.check_beta_equality(args.n_max, xs)
-    elif target == "inversion":
-        reports = identity_suite.check_inversion(n_max=args.n_max)
     else:
-        raise AssertionError(target)
+        reports = identity_suite.CHECK_GROUPS[args.target](args.n_max, args.r_max, xs)
     reports.sort(key=IdentityReport.sort_key)
     failed = sum(1 for r in reports if r.status == identity_suite.FAIL)
     return (1 if failed else 0), _render_reports(args, reports)

@@ -21,18 +21,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .beta_engine import alt_power_sum, beta_F, beta_F_sum, derivative_from_harmonics
+from .beta_engine import (
+    alt_power_sum,
+    beta_F,
+    beta_F_sum,
+    derivative_from_harmonics,
+    derivative_rows,
+    harmonic_rows,
+    mixed_sum,
+)
 from .harmonic_core import (
     DomainError,
-    HarmonicNumerators,
     RationalLike,
-    binomial,
     harmonic_number,
     harmonic_vector,
 )
 
 __all__ = [
     "IdentityReport",
+    "CHECK_GROUPS",
     "DEFAULT_X_SAMPLES",
     "binomial_inverse",
     "generic_check",
@@ -165,28 +172,6 @@ def _poly_r4(h1: Fraction, h2: Fraction, h3: Fraction, h4: Fraction) -> Fraction
     return 6 * h4 + 8 * h3 * h1 + 3 * h2 * h2 + 6 * h1 * h1 * h2 + h1 ** 4
 
 
-def _harmonic_rows(
-    n_max: int, x: RationalLike, order: int
-) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """h[alpha-1][k] = H_k(x, alpha) and f[k] = F_k(x) for k = 0..n_max.
-
-    Built incrementally so that whole-row checks stay quadratic overall.
-    """
-    rows = HarmonicNumerators(x, order)
-    x = rows.x
-    h: list[list[Fraction]] = [[] for _ in range(order)]
-    f: list[Fraction] = []
-    f_val = Fraction(1)
-    for k in range(n_max + 1):
-        rows.advance()
-        inv = 1 / (x + k + 1)
-        f_val *= k * inv if k else inv
-        for alpha, value in enumerate(rows.values()):
-            h[alpha].append(value)
-        f.append(f_val)
-    return h, f
-
-
 def _indexed(values: Sequence[Fraction]) -> Evaluator:
     return lambda n, **_ignored: values[n]
 
@@ -203,7 +188,7 @@ def check_theorem_2_2(
     """
     reports: list[IdentityReport] = []
     for x in [Fraction(v) for v in x_samples]:
-        h, f = _harmonic_rows(n_max, x, 1)
+        h, f = harmonic_rows(n_max, x, 1)
         forward = [h[0][k] * f[k] for k in range(n_max + 1)]
         reports += generic_check(
             "eq15",
@@ -218,7 +203,7 @@ def check_theorem_2_2(
             lambda n, x: 1 / (Fraction(x) + n + 1) ** 2,
             _grid_nx(n_max, [x]),
         )
-    h0, _ = _harmonic_rows(n_max, 0, 1)
+    h0, _ = harmonic_rows(n_max, 0, 1)
     forward0 = [h0[0][k] / (k + 1) for k in range(n_max + 1)]
     reports += generic_check(
         "eq16",
@@ -249,7 +234,7 @@ def check_theorem_2_3(
     """
     reports: list[IdentityReport] = []
     for x in [Fraction(v) for v in x_samples]:
-        h, f = _harmonic_rows(n_max, x, 3)
+        h, f = harmonic_rows(n_max, x, 3)
         d2 = [_poly_r2(h[0][k], h[1][k]) * f[k] for k in range(n_max + 1)]
         d3 = [_poly_r3(h[0][k], h[1][k], h[2][k]) * f[k] for k in range(n_max + 1)]
         reports += generic_check(
@@ -278,7 +263,7 @@ def check_theorem_2_3(
             lambda n, x: 1 / (Fraction(x) + n + 1) ** 4,
             _grid_nx(n_max, [x]),
         )
-    h0, _ = _harmonic_rows(n_max, 0, 3)
+    h0, _ = harmonic_rows(n_max, 0, 3)
     reports += generic_check(
         "thm2.3c",
         lambda n: 2 * alt_power_sum(n, 0, 3),
@@ -306,7 +291,7 @@ def check_theorem_2_5(
     """
     reports: list[IdentityReport] = []
     for x in [Fraction(v) for v in x_samples]:
-        h, f = _harmonic_rows(n_max, x, 4)
+        h, f = harmonic_rows(n_max, x, 4)
         d4 = [
             _poly_r4(h[0][k], h[1][k], h[2][k], h[3][k]) * f[k]
             for k in range(n_max + 1)
@@ -324,7 +309,7 @@ def check_theorem_2_5(
             lambda n, x: 1 / (Fraction(x) + n + 1) ** 5,
             _grid_nx(n_max, [x]),
         )
-    h0, _ = _harmonic_rows(n_max, 0, 4)
+    h0, _ = harmonic_rows(n_max, 0, 4)
     display0 = [
         _poly_r4(h0[0][k], h0[1][k], h0[2][k], h0[3][k]) / (k + 1)
         for k in range(n_max + 1)
@@ -344,42 +329,13 @@ def check_theorem_2_5(
     return reports
 
 
-def _derivative_rows(
-    n_max: int, x: RationalLike, r_max: int
-) -> list[tuple[tuple[Fraction, ...], list[Fraction]]]:
-    """Row n = ((H_n(x,1), ..., H_n(x,r_max+1)), [F_n^(0)(x), ..., F_n^(r_max)(x)]).
-
-    One harmonic pass serves every n <= n_max; the derivatives come from the
-    formula :func:`derivative_F` uses.
-    """
-    h, f = _harmonic_rows(n_max, x, r_max + 1)
-    return [
-        (harmonics, [derivative_from_harmonics(j, harmonics, base) for j in range(r_max + 1)])
-        for harmonics, base in zip(zip(*h), f)
-    ]
-
-
 def _rows_per_x(n_max: int, r_max: int) -> Callable[[Fraction], list]:
-    """x -> _derivative_rows(n_max, x, r_max), built on first use.
+    """x -> derivative_rows(n_max, x, r_max), built on first use.
 
     Building lazily inside the evaluators keeps an out-of-domain x a
     skipped report of :func:`generic_check`, as for the other evaluators.
     """
-    return functools.cache(lambda x: _derivative_rows(n_max, x, r_max))
-
-
-def _mixed_sum(
-    harmonics: Sequence[Fraction], derivatives: Sequence[Fraction], r: int
-) -> Fraction:
-    """(-1)^r/(r+1)! * sum_l C(r,l) l! (-1)^l harmonics[l] derivatives[r-l]."""
-    acc = Fraction(0)
-    fact_l = 1
-    for l in range(r + 1):
-        term = binomial(r, l) * fact_l * harmonics[l] * derivatives[r - l]
-        acc += -term if l % 2 else term
-        fact_l *= l + 1
-    result = acc / math.factorial(r + 1)
-    return -result if r % 2 else result
+    return functools.cache(lambda x: derivative_rows(n_max, x, r_max))
 
 
 def mixed_derivative_form(n: int, x: RationalLike, r: int) -> Fraction:
@@ -391,7 +347,7 @@ def mixed_derivative_form(n: int, x: RationalLike, r: int) -> Fraction:
     harmonics = harmonic_vector(n, x, r + 1).values
     base = beta_F(n, x)
     derivatives = [derivative_from_harmonics(j, harmonics, base) for j in range(r + 1)]
-    return _mixed_sum(harmonics, derivatives, r)
+    return mixed_sum(harmonics, derivatives, r)
 
 
 def check_theorem_2_6_finite(
@@ -410,7 +366,7 @@ def check_theorem_2_6_finite(
     return generic_check(
         "thm2.6-finite",
         lambda n, x, r: alt_power_sum(n, x, r + 2),
-        lambda n, x, r: _mixed_sum(*rows(x)[n], r),
+        lambda n, x, r: mixed_sum(*rows(x)[n], r),
         grid,
     )
 
@@ -495,33 +451,32 @@ def deliberate_mismatch_check(n_max: int = 10) -> list[IdentityReport]:
     )
 
 
-CHECK_GROUPS: dict[str, Callable[..., list[IdentityReport]]] = {
-    "thm2.2": check_theorem_2_2,
-    "thm2.3": check_theorem_2_3,
-    "thm2.5": check_theorem_2_5,
-    "thm2.6": check_theorem_2_6_finite,
-    "lemma-a": check_lemma_a,
-    "beta-eq": check_beta_equality,
-    "inversion": check_inversion,
+#: The check groups by ``verify`` target, each called as (n_max, r_max, xs).
+#: This is the one list of groups: the CLI choices and :func:`run_all` read it.
+CHECK_GROUPS: dict[str, Callable[[int, int, Sequence[Fraction]], list[IdentityReport]]] = {
+    "thm2.2": lambda n_max, r_max, xs: check_theorem_2_2(n_max, xs),
+    "thm2.3": lambda n_max, r_max, xs: check_theorem_2_3(n_max, xs),
+    "thm2.5": lambda n_max, r_max, xs: check_theorem_2_5(n_max, xs),
+    "thm2.6": lambda n_max, r_max, xs: check_theorem_2_6_finite(r_max, n_max, xs),
+    "lemma-a": lambda n_max, r_max, xs: check_lemma_a(n_max, r_max, xs),
+    "beta-eq": lambda n_max, r_max, xs: check_beta_equality(n_max, xs),
+    "inversion": lambda n_max, r_max, xs: check_inversion(n_max=n_max),
 }
+
+#: Ceilings :func:`run_all` puts on n_max for the groups whose cost grows
+#: fastest in n; a single-group call is not capped.
+_RUN_ALL_N_CAPS: dict[str, int] = {"thm2.6": 30, "lemma-a": 40}
 
 
 def run_all(
     n_max: int = 50,
     r_max: int = 6,
     x_samples: Sequence[RationalLike] = DEFAULT_X_SAMPLES,
-    inversion_count: int = 1000,
 ) -> list[IdentityReport]:
     """Run every check group in turn and merge the reports in sorted order."""
     xs = [Fraction(x) for x in x_samples]
-    merged = (
-        check_theorem_2_2(n_max, xs)
-        + check_theorem_2_3(n_max, xs)
-        + check_theorem_2_5(n_max, xs)
-        + check_theorem_2_6_finite(r_max, min(n_max, 30), xs)
-        + check_lemma_a(min(n_max, 40), r_max, xs)
-        + check_beta_equality(n_max, xs)
-        + check_inversion(count=inversion_count, n_max=n_max)
-    )
+    merged: list[IdentityReport] = []
+    for name, group in CHECK_GROUPS.items():
+        merged += group(min(n_max, _RUN_ALL_N_CAPS.get(name, n_max)), r_max, xs)
     merged.sort(key=IdentityReport.sort_key)
     return merged

@@ -31,15 +31,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Union
 
-from .beta_engine import alt_power_sum, bell_expansion
+from .beta_engine import alt_power_sum, bell_expansion, derivative_rows, mixed_sum
 from .harmonic_core import (
     DomainError,
     HarmonicNumerators,
     RationalLike,
-    binomial,
     format_rational,
     zeta_even_coefficient,
 )
+from .identity_suite import binomial_inverse
 
 __all__ = [
     "EXACT_N_MAX",
@@ -57,6 +57,9 @@ EXACT_N_MAX = 10_000
 
 # Most terms one block of the exact log-weight sum takes in.
 _BLOCK = 64
+
+# How many leading eq31 inner terms theorem_2_6_series inverts back.
+_INVERSION_CHECK_CAP = 128
 
 Monomial = tuple[int, ...]
 PolyTerms = Mapping[Monomial, int]
@@ -622,56 +625,23 @@ def _leibniz_route_terms(r: int) -> PolyTerms:
     return out
 
 
-def _derivative_route_terms(r: int, x: Fraction, count: int) -> list[Fraction]:
-    """b_k for k < count: the mixed harmonic/derivative form of the finite
-    identity, evaluated incrementally (shared harmonic state, F recurrence).
-
-    Each b_k is checked exactly against the direct alternating power sum;
-    a mismatch raises ArithmeticError.
-    """
-    expansions = [bell_expansion(j) for j in range(r + 1)]
-    fact = [math.factorial(j) for j in range(r + 2)]
-    rows = HarmonicNumerators(x, r + 1)
-    f_k = 1 / (x + 1)  # F_0(x)
-    out: list[Fraction] = []
-    for k in range(count):
-        rows.advance()
-        if k > 0:
-            f_k *= k / (x + k + 1)
-        h = rows.values()
-        derivs = [expansions[j].evaluate(h) * f_k for j in range(r + 1)]
-        acc = Fraction(0)
-        for l in range(r + 1):
-            # (-1)^l from the harmonic derivative, (-1)^(r-l) from F^(r-l)
-            term = math.comb(r, l) * fact[l] * h[l] * derivs[r - l]
-            acc += term
-        b_k = acc / fact[r + 1]
-        direct = alt_power_sum(k, x, r + 2)
-        if b_k != direct:
-            raise ArithmeticError(
-                f"derivative route disagrees with direct summation at k={k}"
-            )
-        out.append(b_k)
-    return out
-
-
 def theorem_2_6_series(
     r: int,
     x: RationalLike,
     N: int,
     float_mode: bool = False,
     term_check_cap: int | None = None,
-    inversion_check_cap: int = 128,
 ) -> tuple[SeriesEstimate, SeriesEstimate]:
     """The two infinite forms of the general-order identity.
 
     The first estimate is the double sum whose inner bracket, by the finite
     identity, collapses term-by-term to 1/(n+x+1)**(r+2).  In exact mode the
-    collapse is verified index by index (derivative route against direct
-    alternating summation, for every index below ``term_check_cap``, default
-    all of them) and the binomial inversion is additionally re-done head-on
-    for n below ``inversion_check_cap``; the partial sum then equals the
-    shifted power sum and is bracketed exactly like it.
+    collapse is verified index by index (the mixed harmonic/derivative form
+    over :func:`derivative_rows` against direct alternating summation, for
+    every index below ``term_check_cap``, default all of them), and the
+    binomial transform of the first 128 checked terms must give back
+    1/(n+x+1)**(r+2); the partial sum then equals the shifted power sum and
+    is bracketed exactly like it.
 
     The second estimate is the x = 0 series with claimed limit
     (-1)**r (r+2)!, evaluated through the recursion route, which must be
@@ -688,14 +658,15 @@ def theorem_2_6_series(
     eq31_id = f"eq31(r={r},x={format_rational(x)})"
     if not float_mode:
         checked = N if term_check_cap is None else min(N, term_check_cap)
-        inner = _derivative_route_terms(r, x, checked)
-        for n in range(min(checked, inversion_check_cap)):
-            recovered = Fraction(0)
-            s = 1
-            for k in range(n + 1):
-                recovered += s * binomial(n, k) * inner[k]
-                s = -s
-            if recovered != 1 / (x + n + 1) ** (r + 2):
+        inner = [mixed_sum(*row, r) for row in derivative_rows(checked - 1, x, r)]
+        for k, b_k in enumerate(inner):
+            if b_k != alt_power_sum(k, x, r + 2):
+                raise ArithmeticError(
+                    f"derivative route disagrees with direct summation at k={k}"
+                )
+        recovered = binomial_inverse(inner[:_INVERSION_CHECK_CAP])
+        for n, value in enumerate(recovered):
+            if value != 1 / (x + n + 1) ** (r + 2):
                 raise ArithmeticError(f"{eq31_id}: inversion mismatch at n={n}")
     base = hurwitz_partial(x, r + 2, N, float_mode=float_mode, target_id=eq31_id)
 

@@ -1,14 +1,21 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import harmonic_beta
-from harmonic_beta.cli import run
+from harmonic_beta.cli import build_parser, run
+from harmonic_beta.identity_suite import CHECK_GROUPS
 from harmonic_beta.reporting import format_float
 
 
@@ -326,3 +333,142 @@ class TestFloatFormatting:
     def test_round_trips(self):
         for value in (1.0, 0.1, 2 / 3, 1e-12, 123456.789):
             assert float(format_float(value)) == value
+
+
+class TestOutputFile:
+    def test_missing_directory_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x"
+        code, out, err = invoke(
+            capsys, "compute", "H", "--n", "3", "--alpha", "1", "--out", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {path}: No such file or directory\n"
+        assert not path.parent.exists()
+
+    def test_directory_as_path_exits_two(self, capsys, tmp_path):
+        code, out, err = invoke(
+            capsys, "verify", "thm2.2", "--n-max", "2", "--out", str(tmp_path)
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+
+
+def _verify_choices() -> list[str]:
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    verify = commands.choices["verify"]
+    return next(a for a in verify._actions if a.dest == "target").choices
+
+
+def _count_ids(out: str) -> dict[str, int]:
+    counts: dict[str, int] = {}
+    for line in out.splitlines():
+        identity_id = json.loads(line)["identity_id"]
+        counts[identity_id] = counts.get(identity_id, 0) + 1
+    return counts
+
+
+class TestCheckGroupTable:
+    def test_verify_choices_come_from_the_table(self):
+        assert list(CHECK_GROUPS) == [
+            "thm2.2", "thm2.3", "thm2.5", "thm2.6", "lemma-a", "beta-eq", "inversion"
+        ]
+        assert _verify_choices() == [*CHECK_GROUPS, "all", "fixture-fail"]
+
+    @pytest.mark.parametrize(
+        "target, identity_id, count",
+        [("thm2.6", "thm2.6-finite", 33), ("lemma-a", "lemma-a", 43)],
+    )
+    def test_single_group_is_not_capped(self, capsys, target, identity_id, count):
+        n_max = count - 1
+        code, out, _ = invoke(
+            capsys, "verify", target, "--n-max", str(n_max), "--r-max", "0", "--x", "0"
+        )
+        assert code == 0
+        assert _count_ids(out) == {identity_id: count}
+
+    def test_all_caps_thm26_and_lemma_a(self, capsys):
+        code, out, _ = invoke(
+            capsys, "verify", "all", "--n-max", "42", "--r-max", "0", "--x", "0"
+        )
+        assert code == 0
+        counts = _count_ids(out)
+        assert (counts["thm2.6-finite"], counts["lemma-a"]) == (31, 41)
+        assert counts["beta-eq"] == 43 and counts["inversion"] == 1000
+
+
+# -- CLI property test: every argv ends in 0, 1 or 2 without a traceback -------
+
+_X = st.sampled_from(["0", "1/2", "7/3", "-49/100", "-1", "-2", "1/0", "0.5"])
+
+
+def _int(hi: int):
+    """Small values up to ``hi`` plus the bad spellings -1, 1/0 and 0.5."""
+    return st.one_of(st.integers(0, hi).map(str), st.sampled_from(["-1", "1/0", "0.5"]))
+
+
+_N, _BIG_N, _R, _SAMPLES = _int(12), _int(300), _int(4), _int(1000)
+
+_SUBCOMMANDS = {
+    "compute": (
+        st.sampled_from(["H", "F", "dF", "bell", "bernoulli", "zeta-even"]),
+        {"--n": _N, "--x": _X, "--alpha": _R, "--r": _R, "--N": _N},
+        (),
+    ),
+    "verify": (
+        st.sampled_from([*_verify_choices(), "bogus"]),
+        {
+            "--n-max": _N,
+            "--r-max": _R,
+            "--x": st.lists(_X, min_size=1, max_size=2).map(",".join),
+        },
+        (),
+    ),
+    "series": (
+        st.sampled_from(["zeta", "lemma-c", "cor2.4-r3", "cor2.4-r4", "cor2.4-r5", "eq32"]),
+        {"--N": _BIG_N, "--x": _X, "--s": _R, "--r": _R},
+        ("--float",),
+    ),
+    "oracle": (
+        st.sampled_from(["quad", "mc"]),
+        {"--n": _N, "--m": _R, "--x": _X, "--r": _R, "--samples": _SAMPLES, "--seed": _N},
+        (),
+    ),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    positional, valued, switches = _SUBCOMMANDS[command]
+    argv = [command, draw(positional)]
+    valued = dict(valued, **{"--format": st.sampled_from(["text", "json", "csv"])})
+    for flag, values in valued.items():
+        # --n-max is always given: its default of 50 is not a small value
+        if flag == "--n-max" or draw(st.booleans()):
+            value = draw(values)
+            # "--x=-1" and "--x -1" both parse; "--x -1/2" is a usage error
+            argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    argv += [flag for flag in (*switches, "--timings") if draw(st.booleans())]
+    out = draw(st.sampled_from([None, "file", "missing-dir", "dir"]))
+    return argv, out
+
+
+class TestCliProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_argv())
+    def test_exit_code_and_no_traceback(self, case):
+        argv, out = case
+        with tempfile.TemporaryDirectory() as tmp:
+            if out is not None:
+                target = {
+                    "file": os.path.join(tmp, "out.txt"),
+                    "missing-dir": os.path.join(tmp, "missing", "out.txt"),
+                    "dir": tmp,
+                }[out]
+                argv = [*argv, "--out", target]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = run(argv)
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in stderr.getvalue()

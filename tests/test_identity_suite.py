@@ -5,14 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmonic_beta.beta_engine import alt_power_sum, beta_F, beta_F_sum, derivative_F
+from harmonic_beta.beta_engine import (
+    alt_power_sum,
+    beta_F,
+    beta_F_sum,
+    derivative_F,
+    derivative_rows,
+)
 from harmonic_beta.harmonic_core import DomainError, harmonic_function, harmonic_number
 from harmonic_beta.identity_suite import (
     FAIL,
     PASS,
     SKIPPED,
+    CHECK_GROUPS,
     IdentityReport,
-    _derivative_rows,
     binomial_inverse,
     check_beta_equality,
     check_inversion,
@@ -218,7 +224,7 @@ class TestTheorem25:
 class TestDerivativeRows:
     @pytest.mark.parametrize("x", SHARED_ROW_XS)
     def test_entries_match_direct_routes(self, x):
-        rows = _derivative_rows(12, x, 6)
+        rows = derivative_rows(12, x, 6)
         assert len(rows) == 13
         for n, (harmonics, derivatives) in enumerate(rows):
             assert list(harmonics) == [harmonic_function(n, x, a) for a in range(1, 8)]
@@ -226,7 +232,7 @@ class TestDerivativeRows:
 
     def test_out_of_domain_x_raises(self):
         with pytest.raises(DomainError):
-            _derivative_rows(2, Fraction(-1), 0)
+            derivative_rows(2, Fraction(-1), 0)
 
 
 class TestTheorem26Finite:
@@ -290,17 +296,14 @@ class TestStandardSweepInvariant:
 
 class TestRunAll:
     def test_small_run_all_sorted_and_green(self):
-        reports = run_all(
-            n_max=6,
-            r_max=2,
-            x_samples=[Fraction(0), Fraction(1, 2)],
-            inversion_count=40,
-        )
+        reports = run_all(n_max=6, r_max=2, x_samples=[Fraction(0), Fraction(1, 2)])
         assert all(r.status == PASS for r in reports)
         keys = [r.sort_key() for r in reports]
         assert keys == sorted(keys)
 
     def test_single_worker_gives_same_reports(self):
+        # run_all is the sorted concatenation of the table's seven groups,
+        # and each table entry calls its check with the same arguments
         xs = [Fraction(0)]
         groups = (
             check_theorem_2_2(4, xs)
@@ -309,8 +312,12 @@ class TestRunAll:
             + check_theorem_2_6_finite(1, 4, xs)
             + check_lemma_a(4, 1, xs)
             + check_beta_equality(4, xs)
-            + check_inversion(count=25, n_max=4)
+            + check_inversion(n_max=4)
         )
-        merged = run_all(n_max=4, r_max=1, x_samples=xs, inversion_count=25)
+        table = [report for group in CHECK_GROUPS.values() for report in group(4, 1, xs)]
+        merged = run_all(n_max=4, r_max=1, x_samples=xs)
         strip = lambda rs: [(r.identity_id, tuple(sorted(r.params.items())), r.status) for r in rs]
-        assert strip(merged) == strip(sorted(groups, key=IdentityReport.sort_key))
+        expected = strip(sorted(groups, key=IdentityReport.sort_key))
+        assert len(CHECK_GROUPS) == 7
+        assert strip(merged) == expected
+        assert strip(sorted(table, key=IdentityReport.sort_key)) == expected

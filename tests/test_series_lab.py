@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harmonic_beta import series_lab
 from harmonic_beta.beta_engine import alt_power_sum, bell_expansion
+from harmonic_beta.cli import run
+from harmonic_beta.identity_suite import binomial_inverse
 from harmonic_beta.harmonic_core import DomainError, harmonic_number
 from harmonic_beta.series_lab import (
     EXACT_N_MAX,
@@ -269,6 +272,35 @@ class TestTheorem26Series:
         assert eq32.tail_high == 0
         assert eq32.tail_low < 0
         assert eq32.contains_claim()
+
+    @staticmethod
+    def _assert_eq31_check_fails(capsys, message):
+        with pytest.raises(ArithmeticError) as raised:
+            theorem_2_6_series(1, 0, 50)
+        assert str(raised.value) == message
+        assert run(["series", "eq32", "--r", "1", "--N", "50"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"check failed: {message}\n")
+        # with no term checked there is nothing to compare
+        theorem_2_6_series(1, 0, 50, term_check_cap=0)
+
+    def test_eq31_term_mismatch_fails(self, capsys, monkeypatch):
+        def corrupted(n, x, r):
+            value = alt_power_sum(n, x, r)
+            return value + 1 if n == 7 else value
+
+        monkeypatch.setattr(series_lab, "alt_power_sum", corrupted)
+        self._assert_eq31_check_fails(
+            capsys, "derivative route disagrees with direct summation at k=7"
+        )
+
+    def test_eq31_inversion_mismatch_fails(self, capsys, monkeypatch):
+        def corrupted(sequence):
+            out = binomial_inverse(sequence)
+            return [v + 1 if n == 5 else v for n, v in enumerate(out)]
+
+        monkeypatch.setattr(series_lab, "binomial_inverse", corrupted)
+        self._assert_eq31_check_fails(capsys, "eq31(r=1,x=0): inversion mismatch at n=5")
 
     def test_leibniz_route_matches_recursion_route_symbolically(self):
         for r in range(7):
