@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import sys
 from fractions import Fraction
 from typing import Any, Iterable
 
@@ -28,10 +27,6 @@ __all__ = [
 ]
 
 CSV_COLUMNS = ["identity_id", "n", "x", "r", "status", "lhs", "rhs", "elapsed_ms"]
-
-# Exact partial sums at desk scale overflow the default int->str guard.
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(2_000_000)
 
 
 def format_float(value: float) -> str:

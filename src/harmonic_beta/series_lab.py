@@ -20,6 +20,14 @@ products H_a**f * R_f(block sums).  The sums of every R_f(...)/(n(n+1))
 over the block run on small integers over powers of a * lcm(a+1..b+1);
 the large numerators of H_a**f are multiplied in once per block.  Each
 checkpoint costs one reduction.
+
+Float mode (the CLI's ``--float``) computes the same terms in binary64 with
+numpy, a chunk of n at a time, and sums them with one ``math.fsum``.  Only
+correctly rounded + - * / and cumulative sums are used, and every term is
+positive, so an a-priori bound on the roundings along any term's path
+gives a rational radius around the float sum (Higham, *Accuracy and
+Stability of Numerical Algorithms*, ch. 3-4).  The reported bracket then
+encloses the rounding error as well as the tail.
 """
 
 from __future__ import annotations
@@ -29,7 +37,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Union
+from typing import Iterator, Mapping, Union
+
+import numpy as np
 
 from .beta_engine import alt_power_sum, bell_expansion, derivative_rows, mixed_sum
 from .harmonic_core import (
@@ -61,8 +71,45 @@ _BLOCK = 64
 # How many leading eq31 inner terms theorem_2_6_series inverts back.
 _INVERSION_CHECK_CAP = 128
 
+# Most n one float-mode chunk holds; bounds the memory of float mode.
+_CHUNK = 1 << 14
+
+# Integers below this are exact binary64 values.
+_FLOAT_INT_LIMIT = 1 << 53
+
+# Float mode admits only inputs whose intermediates stay within
+# [2**-_FLOAT_LOW_BITS, 2**_FLOAT_HIGH_BITS], inside the normal binary64
+# range, so that every rounding error is relative.
+_FLOAT_LOW_BITS = 1000
+_FLOAT_HIGH_BITS = 960
+
 Monomial = tuple[int, ...]
 PolyTerms = Mapping[Monomial, int]
+
+
+@lru_cache(maxsize=None)
+def _pi_bounds() -> tuple[Fraction, Fraction]:
+    """Rationals low < pi < high with high - low < 2**-200, by Machin's formula.
+
+    pi = 16 atan(1/5) - 4 atan(1/239).  Each arctangent series alternates
+    with terms of decreasing size, so a partial sum lies within its first
+    omitted term of the limit; summing until that term is below 2**-208
+    leaves an error of at most 20 * 2**-208 on each side.
+    """
+
+    def atan_inverse(x: int) -> tuple[Fraction, Fraction]:
+        total, k = Fraction(0), 0
+        while True:
+            term = Fraction(1, (2 * k + 1) * x ** (2 * k + 1))
+            if term < Fraction(1, 1 << 208):
+                return total, term
+            total += -term if k % 2 else term
+            k += 1
+
+    a, err_a = atan_inverse(5)
+    b, err_b = atan_inverse(239)
+    mid, err = 16 * a - 4 * b, 16 * err_a + 4 * err_b
+    return mid - err, mid + err
 
 
 @dataclass(frozen=True)
@@ -72,8 +119,11 @@ class PiPower:
     coeff: Fraction
     exponent: int
 
-    def to_float(self) -> float:
-        return float(self.coeff) * math.pi**self.exponent
+    def enclosure(self) -> tuple[Fraction, Fraction]:
+        """Rational bounds on coeff * pi**exponent (exponent >= 0)."""
+        low, high = _pi_bounds()
+        ends = (self.coeff * low**self.exponent, self.coeff * high**self.exponent)
+        return min(ends), max(ends)
 
 
 ClaimedLimit = Union[Fraction, PiPower, None]
@@ -91,40 +141,33 @@ class SeriesEstimate:
     tail_high: Fraction
     claimed_limit: ClaimedLimit = None
 
+    def bounds(self) -> tuple[Fraction, Fraction]:
+        """Bracket endpoints partial + tail_low and partial + tail_high, exactly."""
+        partial = Fraction(self.partial)
+        return partial + self.tail_low, partial + self.tail_high
+
     def bracket(self) -> tuple[float, float]:
-        """Bracket endpoints as floats."""
-        if self.exact:
-            return (
-                float(self.partial + self.tail_low),
-                float(self.partial + self.tail_high),
-            )
-        return (
-            self.partial + float(self.tail_low),
-            self.partial + float(self.tail_high),
-        )
+        """Bracket endpoints rounded to floats."""
+        low, high = self.bounds()
+        return float(low), float(high)
 
     def width(self) -> Fraction:
         return self.tail_high - self.tail_low
 
-    def contains_claim(self, edge_tol: float = 1e-12) -> bool | None:
+    def contains_claim(self) -> bool | None:
         """Whether the bracket contains the claimed limit; None when no claim.
 
-        Rational claims against exact partials are decided exactly; pi-power
-        claims are compared in floating point with ``edge_tol`` slack at the
-        bracket edges.
+        Decided in rationals: a pi-power claim counts as contained only when
+        its whole enclosure (:func:`_pi_bounds`) lies inside the bracket.
         """
         if self.claimed_limit is None:
             return None
+        low, high = self.bounds()
         if isinstance(self.claimed_limit, PiPower):
-            lo, hi = self.bracket()
-            value = self.claimed_limit.to_float()
-            return lo - edge_tol <= value <= hi + edge_tol
-        if self.exact:
-            lo = self.partial + self.tail_low
-            hi = self.partial + self.tail_high
-            return lo <= self.claimed_limit <= hi
-        lo, hi = self.bracket()
-        return lo - edge_tol <= float(self.claimed_limit) <= hi + edge_tol
+            claim_low, claim_high = self.claimed_limit.enclosure()
+        else:
+            claim_low = claim_high = Fraction(self.claimed_limit)
+        return low <= claim_low and claim_high <= high
 
     def to_json_dict(self) -> dict:
         out: dict = {
@@ -153,7 +196,8 @@ def hurwitz_partial(
 ) -> SeriesEstimate:
     """Partial sum of sum(1/(n+x+1)**s, n >= 0) with an integral-test bracket.
 
-    tail in [1/((s-1)(N+x+1)**(s-1)), 1/((s-1)(N+x)**(s-1))].
+    tail in [1/((s-1)(N+x+1)**(s-1)), 1/((s-1)(N+x)**(s-1))].  In float mode
+    the bracket also encloses the rounding error (:func:`_hurwitz_ball`).
     """
     x = Fraction(x)
     if x <= -1:
@@ -165,26 +209,23 @@ def hurwitz_partial(
     if target_id is None:
         target_id = f"zeta(x={format_rational(x)},s={s})"
 
-    if float_mode:
-        acc = _NeumaierSum()
-        fx = float(x)
-        for n in range(N):
-            acc.add((n + fx + 1.0) ** -s)
-        partial: Fraction | float = acc.total()
-    else:
-        terms = [1 / (x + n + 1) ** s for n in range(N)]
-        partial = _tree_sum(terms)
-
     tail_low = 1 / (Fraction(s - 1) * (N + x + 1) ** (s - 1))
     tail_high = 1 / (Fraction(s - 1) * (N + x) ** (s - 1))
     claimed: ClaimedLimit = None
     if x == 0 and s % 2 == 0:
         claimed = PiPower(zeta_even_coefficient(s // 2), s)
+    if float_mode:
+        total, radius = _hurwitz_ball(x, s, N)
+        return _ball_estimate(
+            target_id, N, total, radius, scale=1, tail_low=tail_low, tail_high=tail_high,
+            sign=1, claimed_limit=claimed,
+        )
+    terms = [1 / (x + n + 1) ** s for n in range(N)]
     return SeriesEstimate(
         target_id=target_id,
         N=N,
-        partial=partial,
-        exact=not float_mode,
+        partial=_tree_sum(terms),
+        exact=True,
         tail_low=tail_low,
         tail_high=tail_high,
         claimed_limit=claimed,
@@ -204,23 +245,77 @@ def _tree_sum(terms: list[Fraction]) -> Fraction:
     return layer[0]
 
 
-class _NeumaierSum:
-    """Compensated floating accumulation (fixed order, deterministic)."""
+# -- float mode: binary64 sums with a rigorous radius -------------------------
 
-    def __init__(self) -> None:
-        self._sum = 0.0
-        self._comp = 0.0
 
-    def add(self, value: float) -> None:
-        t = self._sum + value
-        if abs(self._sum) >= abs(value):
-            self._comp += (self._sum - t) + value
-        else:
-            self._comp += (value - t) + self._sum
-        self._sum = t
+def _fsum_ball(chunks: Iterator[np.ndarray], K: int) -> tuple[float, Fraction]:
+    """One correctly rounded fsum of positive terms, and its rounding radius.
 
-    def total(self) -> float:
-        return self._sum + self._comp
+    ``K`` bounds the roundings on any term's path, the fsum's included.  With
+    u = 2**-53 and gamma_K = K*u/(1 - K*u), each computed term is its true
+    value times some 1 + theta, |theta| <= gamma_K; as every term is positive
+    the float sum S~ is the true sum S times some factor in
+    [1 - gamma_K, 1 + gamma_K], so |S - S~| <= gamma_K/(1 - gamma_K) * S~
+    = K * S~/(2**53 - 2K), which is the returned radius.
+    """
+    total = math.fsum(itertools.chain.from_iterable(chunk.tolist() for chunk in chunks))
+    return total, Fraction(total) * K / (_FLOAT_INT_LIMIT - 2 * K)
+
+
+def _ball_estimate(
+    target_id: str,
+    N: int,
+    total: float,
+    radius: Fraction,
+    scale: Fraction | int,
+    tail_low: Fraction,
+    tail_high: Fraction,
+    sign: int,
+    claimed_limit: ClaimedLimit,
+) -> SeriesEstimate:
+    """The float-mode estimate of sign * scale * (total +- radius) plus a tail in
+    [tail_low, tail_high]; the tails are measured from the reported float."""
+    center = Fraction(total) * scale
+    low = center - radius * scale + tail_low
+    high = center + radius * scale + tail_high
+    if sign < 0:
+        center, low, high = -center, -high, -low
+    partial = float(center)
+    return SeriesEstimate(
+        target_id, N, partial, False, low - Fraction(partial), high - Fraction(partial),
+        claimed_limit,
+    )
+
+
+def _hurwitz_ball(x: Fraction, s: int, N: int, chunk: int = _CHUNK) -> tuple[float, Fraction]:
+    """sum((q/(q(n+1)+p))**s, n = 0..N-1) for x = p/q, as (float sum, radius).
+
+    The denominators d = q(n+1)+p are exact binary64 integers, q/d is one
+    rounding and its s-th power s - 1 more; with the fsum, K = s + 1.
+    Rejects inputs where d reaches 2**53 or a term could leave
+    [2**-1000, 2**960].
+    """
+    p, q = x.numerator, x.denominator
+    top = q * (N + 1) + p
+    if top >= _FLOAT_INT_LIMIT:
+        raise DomainError(f"float mode requires q(N+1)+p < 2**53, got {top}")
+    # largest ratio d/q and q/d as powers of two, rounded up
+    if s * (top.bit_length() - q.bit_length() + 1) > _FLOAT_LOW_BITS or (
+        p < 0 and s * (q.bit_length() - (q + p).bit_length() + 1) > _FLOAT_HIGH_BITS
+    ):
+        raise DomainError(
+            f"float mode: (1/(n+x+1))**{s} leaves the normal float range for x={x}, N={N}"
+        )
+
+    def chunks() -> Iterator[np.ndarray]:
+        for a in range(0, N, chunk):
+            t = q / (q * np.arange(a + 1, min(a + chunk, N) + 1, dtype=np.float64) + p)
+            term = t.copy()
+            for _ in range(s - 1):
+                term *= t
+            yield term
+
+    return _fsum_ball(chunks(), s + 1)
 
 
 # -- tail machinery for the log-weight series ---------------------------------
@@ -473,10 +568,10 @@ def _log_weight_series(
     d_coeffs = _log_moment_coefficients(poly_terms, scale)
 
     if float_mode:
-        partial_f = _float_log_weight_partial(poly_terms, scale, N, order)
+        total, radius = _log_weight_ball(poly_terms, N)
         width = _raw_tail_bound(d_coeffs, N)
-        return _signed_estimate(
-            target_id, N, partial_f, False, width, sign, claimed_limit
+        return _ball_estimate(
+            target_id, N, total, radius, scale, Fraction(0), width, sign, claimed_limit
         )
 
     lattice = _checkpoint_lattice(N)
@@ -499,55 +594,96 @@ def _log_weight_series(
     )
     partial = partials[-1] * scale
     width = envelope - partial
-    return _signed_estimate(target_id, N, partial, True, width, sign, claimed_limit)
+    return _signed_estimate(target_id, N, partial, width, sign, claimed_limit)
 
 
-def _float_log_weight_partial(
-    poly_terms: PolyTerms, scale: Fraction, N: int, order: int
-) -> float:
-    h = [0.0] * (order + 1)  # h[alpha] tracks H_{m}^{(alpha)}, m = n+1
-    for alpha in range(1, order + 1):
-        h[alpha] = 1.0
-    acc = _NeumaierSum()
-    fscale = float(scale)
-    for n in range(1, N + 1):
-        m = n + 1
-        inv = 1.0 / m
-        p = inv
-        for alpha in range(1, order + 1):
-            h[alpha] += p
-            p *= inv
-        value = 0.0
-        for exponents, coeff in poly_terms.items():
-            prod = float(coeff)
-            for idx, e in enumerate(exponents):
-                if e:
-                    prod *= h[idx + 1] ** e
-            value += prod
-        acc.add(fscale * value / (n * (n + 1)))
-    return acc.total()
+def _log_weight_ball(
+    poly_terms: PolyTerms, N: int, chunk: int = _CHUNK
+) -> tuple[float, Fraction]:
+    """sum(P(H_{n+1},...)/(n(n+1)), n = 1..N) in binary64, as (float sum, radius).
+
+    The roundings on a term's path, with m = n+1 <= N+1 and P of weight w:
+    1/m**alpha is one division and alpha - 1 products (alpha roundings);
+    H^(alpha)_m = 1 + sum of those over 2..m is a running sum continued across
+    chunks, at most m additions on any summand's path (in-chunk cumsum, then
+    one addition of the carry per chunk boundary), so a factor h_alpha has at
+    most alpha + m <= alpha + N + 1 roundings.  A monomial c * prod h**e is
+    sum(e) <= w products of factors whose alpha sum to w, so at most
+    w + sum(e) * (N + 1) + sum(e) <= w * (N + 3) roundings; adding the
+    monomials costs #monomials - 1, the division by the exact n(n+1) one more
+    and the fsum one: K = w * (N + 3) + #monomials + 1.
+
+    Rejects a coefficient outside [1, 2**53), n(n+1) reaching 2**53, and
+    inputs where 1/m**order or the sum could leave the normal float range.
+    """
+    monomials = _normalised(poly_terms)
+    weight = _poly_weight(monomials)
+    order = _max_generator(monomials)
+    for coeff in monomials.values():
+        if not 0 < coeff < _FLOAT_INT_LIMIT:
+            raise DomainError(f"float mode requires coefficients in [1, 2**53), got {coeff}")
+    if N * (N + 1) >= _FLOAT_INT_LIMIT:
+        raise DomainError(f"float mode requires N(N+1) < 2**53, got N={N}")
+    # H_{N+1} <= 1 + ln(N+1) < bits + 1, so every monomial is below
+    # coeff * (bits + 1)**weight and the whole sum below N times their total
+    bits = (N + 1).bit_length()
+    if order * bits > _FLOAT_LOW_BITS or (
+        N.bit_length() + sum(monomials.values()).bit_length()
+        + weight * (bits + 1).bit_length() > _FLOAT_HIGH_BITS
+    ):
+        raise DomainError(
+            f"float mode: a weight-{weight} term leaves the normal float range at N={N}"
+        )
+
+    def chunks() -> Iterator[np.ndarray]:
+        carry = [1.0] * order  # H_1^(alpha)
+        for a in range(1, N + 1, chunk):
+            n = np.arange(a, min(a + chunk - 1, N) + 1, dtype=np.float64)
+            m = n + 1.0
+            inverse = 1.0 / m
+            power = inverse
+            h = []
+            for alpha in range(order):
+                if alpha:
+                    power = power * inverse
+                row = np.cumsum(power)
+                row += carry[alpha]
+                carry[alpha] = row[-1]
+                h.append(row)
+            value = None
+            for exponents, coeff in monomials.items():
+                product = np.full(n.shape, float(coeff))
+                for alpha, e in enumerate(exponents):
+                    for _ in range(e):
+                        product *= h[alpha]
+                value = product if value is None else value + product
+            yield value / (n * m)
+
+    return _fsum_ball(chunks(), weight * (N + 3) + len(monomials) + 1)
 
 
 def _signed_estimate(
     target_id: str,
     N: int,
-    partial: Fraction | float,
-    exact: bool,
+    partial: Fraction,
     width: Fraction,
     sign: int,
     claimed_limit: ClaimedLimit,
 ) -> SeriesEstimate:
     if sign >= 0:
-        return SeriesEstimate(
-            target_id, N, partial, exact, Fraction(0), width, claimed_limit
-        )
-    flipped = -partial if exact else -float(partial)
-    return SeriesEstimate(
-        target_id, N, flipped, exact, -width, Fraction(0), claimed_limit
-    )
+        return SeriesEstimate(target_id, N, partial, True, Fraction(0), width, claimed_limit)
+    return SeriesEstimate(target_id, N, -partial, True, -width, Fraction(0), claimed_limit)
 
 
 # -- the concrete series targets ----------------------------------------------
+
+
+def _bell_terms(k: int, float_mode: bool) -> PolyTerms:
+    """G_k's terms.  Float mode stops at k = 19 before building anything:
+    G_k holds (k-1)! * h_k, and 19! >= 2**53."""
+    if float_mode and k >= 20:
+        raise DomainError(f"float mode requires coefficients below 2**53; G_{k} has {k - 1}!")
+    return bell_expansion(k).terms
 
 
 def lemma_c_partial(r: int, N: int, float_mode: bool = False) -> SeriesEstimate:
@@ -559,10 +695,9 @@ def lemma_c_partial(r: int, N: int, float_mode: bool = False) -> SeriesEstimate:
     """
     if r < 1:
         raise DomainError(f"lemma_c_partial requires r >= 1, got r={r}")
-    expansion = bell_expansion(r - 1)
     return _log_weight_series(
         target_id=f"lemma-c(r={r})",
-        poly_terms=expansion.terms,
+        poly_terms=_bell_terms(r - 1, float_mode),
         scale=Fraction(1, math.factorial(r - 1)),
         N=N,
         claimed_limit=Fraction(r),
@@ -673,7 +808,7 @@ def theorem_2_6_series(
     sign = -1 if r % 2 else 1
     eq32 = _log_weight_series(
         target_id=f"eq32(r={r})",
-        poly_terms=bell_expansion(r + 1).terms,
+        poly_terms=_bell_terms(r + 1, float_mode),
         scale=Fraction(1),
         N=N,
         claimed_limit=Fraction(sign * math.factorial(r + 2)),

@@ -407,7 +407,9 @@ def _int(hi: int):
     return st.one_of(st.integers(0, hi).map(str), st.sampled_from(["-1", "1/0", "0.5"]))
 
 
-_N, _BIG_N, _R, _SAMPLES = _int(12), _int(300), _int(4), _int(1000)
+_N, _R, _SAMPLES = _int(12), _int(4), _int(1000)
+# up to 300, or 20000: float mode with --float, a usage error without
+_BIG_N = st.one_of(_int(300), st.just("20000"))
 
 _SUBCOMMANDS = {
     "compute": (
@@ -454,6 +456,33 @@ def _argv(draw):
     return argv, out
 
 
+# Float-mode inputs past the documented caps, one per case; every other flag is valid.
+_FLOAT_CAPS = {
+    "zeta": [
+        ("--x", "1/4503599627370496"),  # q(N+1)+p >= 2**53
+        ("--s", "80"),  # 1/(n+1)**80 leaves the normal range
+    ],
+    "lemma-c": [
+        ("--r", "21"),  # G_20 holds the coefficient 19! >= 2**53
+        ("--N", "100000000"),  # N(N+1) >= 2**53
+    ],
+    "cor2.4-r5": [("--N", "100000000")],
+    "eq32": [("--r", "19")],
+}
+
+
+@st.composite
+def _float_cap_argv(draw):
+    target = draw(st.sampled_from(sorted(_FLOAT_CAPS)))
+    values = {"--N": "20000", "--s": "2", "--r": "2"}
+    flag, value = draw(st.sampled_from(_FLOAT_CAPS[target]))
+    values[flag] = value
+    argv = ["series", target, "--float"]
+    for flag, value in values.items():
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv + ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
+
+
 class TestCliProperty:
     @settings(max_examples=60, deadline=None)
     @given(case=_argv())
@@ -472,3 +501,103 @@ class TestCliProperty:
                 code = run(argv)
         assert code in (0, 1, 2), (argv, code)
         assert "Traceback" not in stderr.getvalue()
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=_float_cap_argv())
+    def test_float_caps_exit_two_with_one_line(self, case):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run(case)
+        assert (code, stdout.getvalue()) == (2, ""), case
+        assert stderr.getvalue().startswith("error: float mode")
+        assert stderr.getvalue().count("\n") == 1
+
+
+# -- one parser per process ----------------------------------------------------
+
+
+def _fresh_processes(argvs: list[list[str]]) -> list[tuple[int, str, str]]:
+    """Each argv run by ``python -m harmonic_beta`` in its own new process."""
+    src = os.path.dirname(os.path.dirname(harmonic_beta.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "harmonic_beta", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        for argv in argvs
+    ]
+    results = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=120)
+        results.append((proc.returncode, out, err))
+    return results
+
+
+def _in_process(argv: list[str]) -> tuple[int, str, str]:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = run(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+class TestOneParserPerProcess:
+    ARGVS = [
+        ["verify", "thm2.2", "--n-max", "3", "--x=0,1/2", "--format", "text"],
+        ["series", "zeta", "--s", "2", "--N", "40", "--format", "text"],
+        ["oracle", "quad", "--n", "2", "--m", "1", "--x", "1/2"],
+        # the default --x after an explicit one
+        ["verify", "thm2.2", "--n-max", "2", "--format", "text"],
+        ["compute", "F", "--x", "0.5"],
+        ["series", "lemma-c", "--r", "2", "--N", "20000", "--float"],
+    ]
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_interleaved_runs_print_what_fresh_processes_print(self):
+        expected = _fresh_processes(self.ARGVS)
+        assert [code for code, _, _ in expected] == [0, 0, 0, 0, 2, 0]
+        for argvs in (self.ARGVS, self.ARGVS[::-1]):
+            got = [_in_process(argv) for argv in argvs]
+            assert got == [expected[self.ARGVS.index(argv)] for argv in argvs]
+
+
+# -- the int->str digit limit is the caller's ----------------------------------
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int->str digit limit"
+)
+class TestIntDigitLimit:
+    def test_import_leaves_the_limit_unchanged(self):
+        src = os.path.dirname(os.path.dirname(harmonic_beta.__file__))
+        code = (
+            "import sys; before = sys.get_int_max_str_digits(); "
+            "import harmonic_beta, harmonic_beta.cli, harmonic_beta.reporting; "
+            "print(before == sys.get_int_max_str_digits())"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "True\n")
+
+    def test_run_prints_long_partials_and_restores_the_limit(self):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # the interpreter's default
+        try:
+            code, out, err = _in_process(["series", "lemma-c", "--r", "4", "--N", "10000"])
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(before)
+        assert (code, err) == (0, "")
+        # recorded when the limit was still raised at import
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "cdf2d75a3d8c32d57812a65ce8fe934d4b57323e2cba4a45136ebd037662b444"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -22,17 +23,28 @@ from harmonic_beta.series_lab import (
     theorem_2_6_series,
 )
 from harmonic_beta.series_lab import (
+    _CHUNK,
     _COROLLARY_DISPLAYS,
     _checkpoint_lattice,
+    _hurwitz_ball,
     _leibniz_route_terms,
+    _log_moment_coefficients,
+    _log_weight_ball,
     _log_weight_partials,
     _log_weight_series,
+    _pi_bounds,
     _raw_tail_bound,
 )
 
 POLYNOMIALS = [dict(bell_expansion(r).terms) for r in range(1, 6)] + [
     dict(display) for display, _ in _COROLLARY_DISPLAYS.values()
 ]
+
+# pi to 100 decimals, truncated: PI_100 < pi < PI_100 + 10**-100
+PI_100 = Fraction(
+    "3.1415926535897932384626433832795028841971693993751058209749445923"
+    "078164062862089986280348253421170679"
+)
 
 
 def reference_partials(poly, stops):
@@ -108,6 +120,38 @@ class TestHurwitzPartial:
         assert est.exact is False
         assert isinstance(est.partial, float)
         assert est.contains_claim()
+
+
+class TestRationalVerdicts:
+    def test_pi_claim_just_outside_is_not_contained(self):
+        est = hurwitz_partial(0, 2, 1000)
+        claim_low, claim_high = est.claimed_limit.enclosure()
+        # 1e-13 relative lies within a 1e-12 float slack; only rationals reject it
+        high = claim_low * (1 - Fraction(1, 10**13))
+        outside = dataclasses.replace(est, tail_high=high - est.partial)
+        assert outside.contains_claim() is False
+        high = claim_high * (1 + Fraction(1, 10**13))
+        inside = dataclasses.replace(est, tail_high=high - est.partial)
+        assert inside.contains_claim() is True
+
+    def test_rational_claim_just_outside_float_bracket_is_not_contained(self):
+        est = lemma_c_partial(2, 20_000, float_mode=True)
+        assert est.contains_claim() is True
+        high = 2 * (1 - Fraction(1, 10**13))
+        outside = dataclasses.replace(est, tail_high=high - Fraction(est.partial))
+        assert outside.contains_claim() is False
+
+    def test_bounds_enclose_pi_within_2_pow_minus_200(self):
+        low, high = _pi_bounds()
+        assert 0 < high - low <= Fraction(1, 2**200)
+        # both ends must be consistent with the first 100 decimals
+        assert low < PI_100 + Fraction(1, 10**100) and PI_100 < high
+
+    def test_pi_power_enclosure(self):
+        low, high = _pi_bounds()
+        assert PiPower(Fraction(1, 90), 4).enclosure() == (low**4 / 90, high**4 / 90)
+        assert PiPower(Fraction(-2), 3).enclosure() == (-2 * high**3, -2 * low**3)
+        assert PiPower(Fraction(5), 0).enclosure() == (5, 5)
 
 
 class TestLemmaCPartial:
@@ -189,6 +233,118 @@ class TestBlockAccumulation:
         padded = {(2, 0, 0): 1, (0, 1, 0): 1, (1, 0, 0): 0}
         est = _log_weight_series("g2", terms, Fraction(1), 50, None, crosscheck_terms=padded)
         assert est.partial == _log_weight_series("g2", terms, Fraction(1), 50, None).partial
+
+
+@st.composite
+def _chunk_and_n(draw):
+    """A chunk size and N <= 2000, with N at the chunk size -1, +0 and +1 drawn explicitly."""
+    chunk = draw(st.sampled_from([1, 2, 37, 256, 1999]))
+    near = st.sampled_from([chunk - 1, chunk, chunk + 1]).filter(lambda n: n >= 1)
+    return chunk, draw(st.one_of(near, st.integers(1, 2000)))
+
+
+_BALL_POLYNOMIALS = POLYNOMIALS + [dict(bell_expansion(6).terms)]
+
+
+class TestFloatBall:
+    """Float mode's ball must enclose the exact partial sum."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(_BALL_POLYNOMIALS), _chunk_and_n())
+    def test_log_weight_ball_encloses_exact_sum(self, poly, chunk_n):
+        chunk, N = chunk_n
+        total, radius = _log_weight_ball(poly, N, chunk)
+        exact = _log_weight_partials(poly, [N])[0]
+        assert abs(exact - Fraction(total)) <= radius
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 100).flatmap(
+            lambda q: st.tuples(st.integers(-q + 1, 3 * q), st.just(q))
+        ),
+        st.integers(2, 8),
+        _chunk_and_n(),
+    )
+    def test_hurwitz_ball_encloses_exact_sum(self, pq, s, chunk_n):
+        x = Fraction(*pq)
+        chunk, N = chunk_n
+        total, radius = _hurwitz_ball(x, s, N, chunk)
+        exact = hurwitz_partial(x, s, N)
+        assert abs(exact.partial - Fraction(total)) <= radius
+        low, high = hurwitz_partial(x, s, N, float_mode=True).bounds()
+        exact_low, exact_high = exact.bounds()
+        assert low <= exact_low and exact_high <= high
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(st.sampled_from(_BALL_POLYNOMIALS), st.just(1)),
+            # eq32 for r = 0..3: G_{r+1} with sign (-1)**r
+            st.integers(0, 3).map(lambda r: (dict(bell_expansion(r + 1).terms), (-1) ** r)),
+        ),
+        st.integers(1, 2000),
+    )
+    def test_estimate_brackets_exact_partial_and_tail(self, poly_sign, N):
+        poly, sign = poly_sign
+        scale = Fraction(1, 3)
+        est = _log_weight_series("t", poly, scale, N, None, sign=sign, float_mode=True)
+        exact = sign * scale * _log_weight_partials(poly, [N])[0]
+        tail = sign * _raw_tail_bound(_log_moment_coefficients(poly, scale), N)
+        low, high = est.bounds()
+        assert low <= min(exact, exact + tail) and max(exact, exact + tail) <= high
+
+    def test_encloses_across_the_default_chunk(self):
+        stops = [_CHUNK - 1, _CHUNK, _CHUNK + 1]
+        powers = [hurwitz_partial(1, 3, stops[0]).partial]  # sum of 1/(n+2)**3, n < N
+        for N in stops[1:]:
+            powers.append(powers[-1] + Fraction(1, (N + 1) ** 3))
+        for N, value in zip(stops, powers):
+            total, radius = _hurwitz_ball(Fraction(1), 3, N)
+            assert abs(value - Fraction(total)) <= radius
+        for N, value in zip(stops, _log_weight_partials({(1,): 1}, stops)):
+            total, radius = _log_weight_ball({(1,): 1}, N)
+            assert abs(value - Fraction(total)) <= radius
+
+    def test_radius_is_the_derived_bound(self):
+        u = Fraction(1, 2**53)
+
+        def gamma_ratio(K):
+            gamma = K * u / (1 - K * u)
+            return gamma / (1 - gamma)
+
+        display = _COROLLARY_DISPLAYS["r5"][0]  # weight 4, five monomials
+        N = 1000
+        total, radius = _log_weight_ball(display, N)
+        assert radius == gamma_ratio(4 * (N + 3) + 5 + 1) * Fraction(total)
+        total, radius = _hurwitz_ball(Fraction(1, 2), 5, N)
+        assert radius == gamma_ratio(5 + 1) * Fraction(total)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: _log_weight_ball({(1,): 1}, 94_906_266),  # N(N+1) >= 2**53
+            lambda: _log_weight_ball({(1,): 2**53}, 10),  # coefficient
+            lambda: _log_weight_ball({(0,) * 59 + (1,): 1}, 10**6),  # 1/m**60 underflows
+            lambda: _log_weight_ball({(400,): 1}, 10**6),  # h_1**400 overflows
+            lambda: _hurwitz_ball(Fraction(1, 2**52), 2, 2),  # q(N+1)+p >= 2**53
+            lambda: _hurwitz_ball(Fraction(0), 80, 20_000),  # 1/n**80 underflows
+            lambda: _hurwitz_ball(Fraction(-999, 1000), 100, 1),  # 1000**100 overflows
+            lambda: lemma_c_partial(21, 20_000, float_mode=True),  # G_20 holds 19!
+        ],
+    )
+    def test_inputs_past_the_float_caps_are_rejected(self, call):
+        with pytest.raises(DomainError, match="float mode"):
+            call()
+
+    def test_large_r_is_rejected_before_its_expansion_is_built(self, monkeypatch):
+        def unbuilt(k):
+            raise AssertionError(f"built G_{k}")
+
+        monkeypatch.setattr(series_lab, "bell_expansion", unbuilt)
+        with pytest.raises(DomainError, match="float mode"):
+            lemma_c_partial(1000, 20_000, float_mode=True)
+        with pytest.raises(DomainError, match="float mode"):
+            theorem_2_6_series(19, 0, 20_000, float_mode=True)
 
 
 class TestCorollary24Partial:
