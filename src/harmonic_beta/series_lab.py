@@ -287,18 +287,19 @@ def _ball_estimate(
     )
 
 
-def _hurwitz_ball(x: Fraction, s: int, N: int, chunk: int = _CHUNK) -> tuple[float, Fraction]:
+def _hurwitz_ball(x: Fraction, s: int, N: int) -> tuple[float, Fraction]:
     """sum((q/(q(n+1)+p))**s, n = 0..N-1) for x = p/q, as (float sum, radius).
 
-    The denominators d = q(n+1)+p are exact binary64 integers, q/d is one
-    rounding and its s-th power s - 1 more; with the fsum, K = s + 1.
-    Rejects inputs where d reaches 2**53 or a term could leave
-    [2**-1000, 2**960].
+    The products q(n+1) and the denominators d = q(n+1)+p are exact binary64
+    integers.  t = q/d is one rounding, t(1 + delta); its s-th power by
+    s - 1 products is t**s * (1 + delta)**s times s - 1 further factors, so
+    2s - 1 roundings, and with the fsum K = 2s.  Rejects inputs where q(N+1)
+    or d reaches 2**53 or a term could leave [2**-1000, 2**960].
     """
     p, q = x.numerator, x.denominator
-    top = q * (N + 1) + p
+    top = q * (N + 1) + max(p, 0)
     if top >= _FLOAT_INT_LIMIT:
-        raise DomainError(f"float mode requires q(N+1)+p < 2**53, got {top}")
+        raise DomainError(f"float mode requires q(N+1)+max(p,0) < 2**53, got {top}")
     # largest ratio d/q and q/d as powers of two, rounded up
     if s * (top.bit_length() - q.bit_length() + 1) > _FLOAT_LOW_BITS or (
         p < 0 and s * (q.bit_length() - (q + p).bit_length() + 1) > _FLOAT_HIGH_BITS
@@ -308,6 +309,7 @@ def _hurwitz_ball(x: Fraction, s: int, N: int, chunk: int = _CHUNK) -> tuple[flo
         )
 
     def chunks() -> Iterator[np.ndarray]:
+        chunk = _CHUNK
         for a in range(0, N, chunk):
             t = q / (q * np.arange(a + 1, min(a + chunk, N) + 1, dtype=np.float64) + p)
             term = t.copy()
@@ -315,7 +317,7 @@ def _hurwitz_ball(x: Fraction, s: int, N: int, chunk: int = _CHUNK) -> tuple[flo
                 term *= t
             yield term
 
-    return _fsum_ball(chunks(), s + 1)
+    return _fsum_ball(chunks(), 2 * s)
 
 
 # -- tail machinery for the log-weight series ---------------------------------
@@ -597,21 +599,21 @@ def _log_weight_series(
     return _signed_estimate(target_id, N, partial, width, sign, claimed_limit)
 
 
-def _log_weight_ball(
-    poly_terms: PolyTerms, N: int, chunk: int = _CHUNK
-) -> tuple[float, Fraction]:
+def _log_weight_ball(poly_terms: PolyTerms, N: int) -> tuple[float, Fraction]:
     """sum(P(H_{n+1},...)/(n(n+1)), n = 1..N) in binary64, as (float sum, radius).
 
     The roundings on a term's path, with m = n+1 <= N+1 and P of weight w:
-    1/m**alpha is one division and alpha - 1 products (alpha roundings);
-    H^(alpha)_m = 1 + sum of those over 2..m is a running sum continued across
-    chunks, at most m additions on any summand's path (in-chunk cumsum, then
-    one addition of the carry per chunk boundary), so a factor h_alpha has at
-    most alpha + m <= alpha + N + 1 roundings.  A monomial c * prod h**e is
-    sum(e) <= w products of factors whose alpha sum to w, so at most
-    w + sum(e) * (N + 1) + sum(e) <= w * (N + 3) roundings; adding the
-    monomials costs #monomials - 1, the division by the exact n(n+1) one more
-    and the fsum one: K = w * (N + 3) + #monomials + 1.
+    1/m is one rounding and 1/m**alpha is its alpha-th power by alpha - 1
+    products, so (1 + delta)**alpha times alpha - 1 factors: 2*alpha - 1
+    roundings.  H^(alpha)_m = 1 + sum of those over 2..m is a running sum
+    continued across chunks, at most m additions on any summand's path
+    (in-chunk cumsum, then one addition of the carry per chunk boundary), so
+    a factor h_alpha has at most 2*alpha - 1 + m <= 2*alpha + N roundings.  A
+    monomial c * prod h**e is sum(e) products of factors whose alpha sum to
+    w, so at most 2w + sum(e) * N + sum(e) = 2w + sum(e) * (N + 1) roundings,
+    and sum(e) <= w bounds that by w * (N + 3).  Adding the monomials costs
+    #monomials - 1, the division by the exact n(n+1) one more and the fsum
+    one: K = w * (N + 3) + #monomials + 1.
 
     Rejects a coefficient outside [1, 2**53), n(n+1) reaching 2**53, and
     inputs where 1/m**order or the sum could leave the normal float range.
@@ -636,6 +638,7 @@ def _log_weight_ball(
         )
 
     def chunks() -> Iterator[np.ndarray]:
+        chunk = _CHUNK
         carry = [1.0] * order  # H_1^(alpha)
         for a in range(1, N + 1, chunk):
             n = np.arange(a, min(a + chunk - 1, N) + 1, dtype=np.float64)

@@ -253,7 +253,9 @@ class TestFloatBall:
     @given(st.sampled_from(_BALL_POLYNOMIALS), _chunk_and_n())
     def test_log_weight_ball_encloses_exact_sum(self, poly, chunk_n):
         chunk, N = chunk_n
-        total, radius = _log_weight_ball(poly, N, chunk)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series_lab, "_CHUNK", chunk)
+            total, radius = _log_weight_ball(poly, N)
         exact = _log_weight_partials(poly, [N])[0]
         assert abs(exact - Fraction(total)) <= radius
 
@@ -268,7 +270,9 @@ class TestFloatBall:
     def test_hurwitz_ball_encloses_exact_sum(self, pq, s, chunk_n):
         x = Fraction(*pq)
         chunk, N = chunk_n
-        total, radius = _hurwitz_ball(x, s, N, chunk)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series_lab, "_CHUNK", chunk)
+            total, radius = _hurwitz_ball(x, s, N)
         exact = hurwitz_partial(x, s, N)
         assert abs(exact.partial - Fraction(total)) <= radius
         low, high = hurwitz_partial(x, s, N, float_mode=True).bounds()
@@ -317,7 +321,20 @@ class TestFloatBall:
         total, radius = _log_weight_ball(display, N)
         assert radius == gamma_ratio(4 * (N + 3) + 5 + 1) * Fraction(total)
         total, radius = _hurwitz_ball(Fraction(1, 2), 5, N)
-        assert radius == gamma_ratio(5 + 1) * Fraction(total)
+        assert radius == gamma_ratio(2 * 5) * Fraction(total)
+
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_hurwitz_radius_covers_near_worst_case_roundings(self, N):
+        # x = (q-1)/q puts the first t = q/(q(n+1)+p) and its powers just above
+        # powers of 1/2, where a rounding's relative error can come close to
+        # 2**-53; for q = 6231 and s = 8 the error is over 12 such units, more
+        # than a radius with K = s + 1 = 9 covers
+        q, s = 6231, 8
+        total, radius = _hurwitz_ball(Fraction(q - 1, q), s, N)
+        exact = sum(Fraction(q, q * (n + 1) + q - 1) ** s for n in range(N))
+        error = abs(exact - Fraction(total))
+        assert error > 12 * Fraction(total) / 2**53
+        assert error <= radius
 
     @pytest.mark.parametrize(
         "call",
@@ -327,6 +344,8 @@ class TestFloatBall:
             lambda: _log_weight_ball({(0,) * 59 + (1,): 1}, 10**6),  # 1/m**60 underflows
             lambda: _log_weight_ball({(400,): 1}, 10**6),  # h_1**400 overflows
             lambda: _hurwitz_ball(Fraction(1, 2**52), 2, 2),  # q(N+1)+p >= 2**53
+            # q(N+1) = 2**53 + 1 is not a float although q(N+1)+p < 2**53
+            lambda: _hurwitz_ball(Fraction(1 - 3002399751580331, 3002399751580331), 2, 2),
             lambda: _hurwitz_ball(Fraction(0), 80, 20_000),  # 1/n**80 underflows
             lambda: _hurwitz_ball(Fraction(-999, 1000), 100, 1),  # 1000**100 overflows
             lambda: lemma_c_partial(21, 20_000, float_mode=True),  # G_20 holds 19!
