@@ -16,6 +16,18 @@ The recursion mirrors repeated differentiation: each derivative multiplies by
 -alpha*h_{alpha+1}.  Equivalently G_r is the complete Bell polynomial
 evaluated at (0!*h_1, 1!*h_2, ..., (r-1)!*h_r); the recursion above is the
 normative definition here.
+
+Every monomial of G_r has weight sum(alpha*e_alpha) = r.  With x = p/q,
+:class:`~harmonic_beta.harmonic_core.HarmonicNumerators` keeps
+H_n(x, alpha) = q**alpha * N_alpha / L**alpha on integer numerators N_alpha,
+so the weight cancels out of every monomial:
+
+    G_r(H_n(x,1), ..., H_n(x,r)) = (q/L)**r * G_r(N_1, ..., N_r).
+
+:func:`derivative_F` and :func:`derivative_rows` evaluate G_r(N) in integers
+and build one reduced Fraction per derivative.  :meth:`BellExpansion.evaluate`
+substitutes Fraction values directly; it is the reference route the tests
+compare them with.
 """
 
 from __future__ import annotations
@@ -24,7 +36,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .harmonic_core import (
     DomainError,
@@ -32,7 +44,6 @@ from .harmonic_core import (
     HarmonicVector,
     RationalLike,
     binomial,
-    harmonic_vector,
 )
 
 __all__ = [
@@ -42,7 +53,6 @@ __all__ = [
     "alt_power_sum",
     "bell_expansion",
     "derivative_F",
-    "derivative_from_harmonics",
     "derivative_rows",
     "harmonic_rows",
     "mixed_sum",
@@ -206,18 +216,70 @@ def alt_power_sum(n: int, x: RationalLike, r: int) -> Fraction:
     return Fraction(q**r * total, D**r)
 
 
-def derivative_from_harmonics(
-    r: int, harmonics: Sequence[RationalLike], base: RationalLike
-) -> Fraction:
-    """(-1)**r * G_r(h_1..h_r) * base, with h_alpha = harmonics[alpha-1].
+def _power_tables(values: Sequence[int], max_exponents: Sequence[int]) -> list[list[int]]:
+    """tables[i][e] = values[i]**e for e = 0..max_exponents[i]."""
+    tables: list[list[int]] = []
+    for value, top in zip(values, max_exponents):
+        row = [1]
+        acc = 1
+        for _ in range(top):
+            acc *= value
+            row.append(acc)
+        tables.append(row)
+    return tables
 
-    Given H_n(x, 1..r) and F_n(x) this is F_n^(r)(x); it is the single place
-    that combines the expansion, the harmonic values and F.
+
+def _evaluate_int_poly(poly_terms: Mapping[Monomial, int], powers: list[list[int]]) -> int:
+    """Evaluate an integer polynomial given per-generator power tables."""
+    total = 0
+    for exponents, coeff in poly_terms.items():
+        prod = coeff
+        for idx, e in enumerate(exponents):
+            if e:
+                prod *= powers[idx][e]
+        total += prod
+    return total
+
+
+def _derivatives(
+    state: HarmonicNumerators, base: Fraction, orders: Sequence[int]
+) -> list[Fraction]:
+    """F^(j) for each j in ``orders``, given ``state`` at n and base = F_n(x).
+
+    F^(j) = (-1)**j * (q/L)**j * G_j(N_1..N_j) * F_n: one integer
+    polynomial and one reduced Fraction per order.
     """
-    if r == 0:
-        return Fraction(base)
-    value = bell_expansion(r).evaluate(harmonics) * base
-    return -value if r % 2 else value
+    top = max(orders)
+    powers = _power_tables(
+        state.numerators[:top], [top // alpha for alpha in range(1, top + 1)]
+    )
+    out: list[Fraction] = []
+    for j in orders:
+        if j == 0:
+            out.append(base)
+            continue
+        numerator = state.q**j * _evaluate_int_poly(bell_expansion(j).terms, powers)
+        numerator *= -base.numerator if j % 2 else base.numerator
+        out.append(Fraction(numerator, state.L**j * base.denominator))
+    return out
+
+
+def _harmonic_states(
+    n_max: int, x: RationalLike, order: int
+) -> Iterator[tuple[HarmonicNumerators, Fraction]]:
+    """Yield (state, F_k(x)) for k = 0..n_max; ``state`` holds H_k(x, 1..order).
+
+    The one F_k recurrence, F_k = F_{k-1} * k/(x+k+1), beside one harmonic
+    pass; the same state object is yielded each time, advanced in place.
+    """
+    state = HarmonicNumerators(x, order)
+    x = state.x
+    f_val = Fraction(1)
+    for k in range(n_max + 1):
+        state.advance()
+        inv = 1 / (x + k + 1)
+        f_val *= k * inv if k else inv
+        yield state, f_val
 
 
 def harmonic_rows(
@@ -227,16 +289,10 @@ def harmonic_rows(
 
     Built incrementally so that whole-row checks stay quadratic overall.
     """
-    rows = HarmonicNumerators(x, order)
-    x = rows.x
     h: list[list[Fraction]] = [[] for _ in range(order)]
     f: list[Fraction] = []
-    f_val = Fraction(1)
-    for k in range(n_max + 1):
-        rows.advance()
-        inv = 1 / (x + k + 1)
-        f_val *= k * inv if k else inv
-        for alpha, value in enumerate(rows.values()):
+    for state, f_val in _harmonic_states(n_max, x, order):
+        for alpha, value in enumerate(state.values()):
             h[alpha].append(value)
         f.append(f_val)
     return h, f
@@ -248,12 +304,12 @@ def derivative_rows(
     """Row n = ((H_n(x,1), ..., H_n(x,r_max+1)), [F_n^(0)(x), ..., F_n^(r_max)(x)]).
 
     One harmonic pass serves every n <= n_max; the derivatives come from the
-    formula :func:`derivative_F` uses.
+    integer evaluation :func:`derivative_F` uses.
     """
-    h, f = harmonic_rows(n_max, x, r_max + 1)
+    orders = range(r_max + 1)
     return [
-        (harmonics, [derivative_from_harmonics(j, harmonics, base) for j in range(r_max + 1)])
-        for harmonics, base in zip(zip(*h), f)
+        (state.values(), _derivatives(state, base, orders))
+        for state, base in _harmonic_states(n_max, x, r_max + 1)
     ]
 
 
@@ -279,7 +335,8 @@ def mixed_sum(
 def derivative_F(n: int, x: RationalLike, r: int) -> Fraction:
     """Exact r-th derivative of F_n at x.
 
-    Computed as (-1)**r * G_r(H_n(x,1),...,H_n(x,r)) * F_n(x); agrees with
+    Computed as (-1)**r * G_r(H_n(x,1),...,H_n(x,r)) * F_n(x), with G_r
+    evaluated on the integer numerators of the harmonic sums; agrees with
     r! * (-1)**r * alt_power_sum(n, x, r+1) for every n, x, r.
     """
     if r < 0:
@@ -287,4 +344,7 @@ def derivative_F(n: int, x: RationalLike, r: int) -> Fraction:
     base = beta_F(n, x)
     if r == 0:
         return base
-    return derivative_from_harmonics(r, harmonic_vector(n, x, r).values, base)
+    state = HarmonicNumerators(x, r)
+    for _ in range(n + 1):
+        state.advance()
+    return _derivatives(state, base, [r])[0]

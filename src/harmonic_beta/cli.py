@@ -36,6 +36,9 @@ __all__ = ["run", "main"]
 # digits, beyond Python's default int->str guard; ``run`` lifts it this far.
 _INT_MAX_STR_DIGITS = 2_000_000
 
+# Largest --r ``compute bell`` and ``compute dF`` accept (G_30 has 5,604 monomials).
+_COMPUTE_R_MAX = 30
+
 
 def _rational(text: str) -> Fraction:
     try:
@@ -244,11 +247,13 @@ def _run_compute(args, parser) -> tuple[int, str]:
     if what == "dF":
         _require(parser, args.n is not None, "compute dF requires --n")
         _require(parser, args.r is not None, "compute dF requires --r")
+        _check_compute_r(what, args.r)
         x = args.x if args.x is not None else Fraction(0)
         value = beta_engine.derivative_F(args.n, x, args.r)
         return 0, _scalar_output(args, "dF", {"n": args.n, "x": x, "r": args.r}, value)
     if what == "bell":
         _require(parser, args.r is not None, "compute bell requires --r")
+        _check_compute_r(what, args.r)
         expansion = beta_engine.bell_expansion(args.r)
         if args.format == "json":
             payload = {
@@ -277,6 +282,13 @@ def _run_compute(args, parser) -> tuple[int, str]:
             return 0, dumps({"coeff": coeff, "pi_power": 2 * args.n}) + "\n"
         return 0, f"{format_rational(coeff)} * pi^{2 * args.n}\n"
     raise AssertionError(what)
+
+
+def _check_compute_r(what: str, r: int) -> None:
+    """``compute bell/dF`` build G_r, which has p(r) monomials; refuse r past
+    the cap before building anything."""
+    if r > _COMPUTE_R_MAX:
+        raise DomainError(f"compute {what} caps --r at {_COMPUTE_R_MAX}, got {r}")
 
 
 def _scalar_output(args, name: str, params: dict, value: Fraction) -> str:
@@ -317,27 +329,17 @@ def _run_verify(args, parser) -> tuple[int, str]:
         reports = identity_suite.deliberate_mismatch_check(args.n_max)
     else:
         reports = identity_suite.CHECK_GROUPS[args.target](args.n_max, args.r_max, xs)
-    reports.sort(key=IdentityReport.sort_key)
+    if args.target != "all":  # run_all returns its reports sorted
+        reports.sort(key=IdentityReport.sort_key)
     failed = sum(1 for r in reports if r.status == identity_suite.FAIL)
     return (1 if failed else 0), _render_reports(args, reports)
 
 
 def _render_reports(args, reports: list[IdentityReport]) -> str:
-    if not getattr(args, "timings", False):
-        reports = [
-            IdentityReport(
-                identity_id=r.identity_id,
-                params=r.params,
-                status=r.status,
-                witness=r.witness,
-                reason=r.reason,
-                elapsed_ms=0,
-                oracle=r.oracle,
-            )
-            for r in reports
-        ]
+    # without --timings every elapsed_ms prints as 0
+    timings = getattr(args, "timings", False)
     if args.format == "csv":
-        return reports_to_csv(reports)
+        return reports_to_csv(reports, timings=timings)
     if args.format == "text":
         lines = []
         for report in reports:
@@ -357,7 +359,7 @@ def _render_reports(args, reports: list[IdentityReport]) -> str:
         passed = sum(1 for r in reports if r.passed)
         lines.append(f"{passed}/{len(reports)} passed")
         return "\n".join(lines) + "\n"
-    return "\n".join(dumps(identity_report_dict(r)) for r in reports) + "\n"
+    return "\n".join(dumps(identity_report_dict(r, timings=timings)) for r in reports) + "\n"
 
 
 # -- series -------------------------------------------------------------------

@@ -125,6 +125,15 @@ def log_moment_quadrature(n: int, m: int, x: RationalLike) -> QuadratureResult:
     )
 
 
+def _row_products(u: np.ndarray) -> np.ndarray:
+    """u.prod(axis=1), bit for bit: the columns multiplied left to right,
+    in place in one new array."""
+    out = u[:, 0].copy()
+    for j in range(1, u.shape[1]):
+        out *= u[:, j]
+    return out
+
+
 def cube_monte_carlo(
     n: int, r: int, samples: int, seed: int
 ) -> MonteCarloResult:
@@ -152,7 +161,10 @@ def cube_monte_carlo(
             np.random.Philox(np.random.SeedSequence(entropy=entropy, spawn_key=(batch,)))
         )
         u = rng.random((count, r))
-        values = (1.0 - u.prod(axis=1)) ** n
+        # in place, so no batch holds a second array of the products
+        values = _row_products(u)
+        np.subtract(1.0, values, out=values)
+        values **= n
         total += float(values.sum())
         total_sq += float((values * values).sum())
         done += count

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass
@@ -25,17 +26,11 @@ from .beta_engine import (
     alt_power_sum,
     beta_F,
     beta_F_sum,
-    derivative_from_harmonics,
     derivative_rows,
     harmonic_rows,
     mixed_sum,
 )
-from .harmonic_core import (
-    DomainError,
-    RationalLike,
-    harmonic_number,
-    harmonic_vector,
-)
+from .harmonic_core import DomainError, RationalLike, harmonic_number
 
 __all__ = [
     "IdentityReport",
@@ -93,6 +88,19 @@ class IdentityReport:
         )
 
 
+def _difference_table(row: list[int]) -> list[int]:
+    """(-1)**n * Delta**n row[0] for n = 0..len(row)-1, in integers.
+
+    Each pass replaces the row by its negated first differences
+    row[i] - row[i+1], so entry 0 after n passes is (-1)**n * Delta**n row[0].
+    """
+    out: list[int] = []
+    while row:
+        out.append(row[0])
+        row = list(map(operator.sub, row, row[1:]))
+    return out
+
+
 def binomial_inverse(sequence: Sequence[RationalLike]) -> list[Fraction]:
     """Alternating binomial transform b_n = sum(C(n,k)*(-1)**k*a_k).
 
@@ -103,11 +111,7 @@ def binomial_inverse(sequence: Sequence[RationalLike]) -> list[Fraction]:
     """
     denom = math.lcm(*(v.denominator for v in sequence))
     row = [v.numerator * (denom // v.denominator) for v in sequence]
-    out: list[Fraction] = []
-    for n in range(len(row)):
-        out.append(Fraction(-row[0] if n % 2 else row[0], denom))
-        row = [b - a for a, b in zip(row, row[1:])]
-    return out
+    return [Fraction(b, denom) for b in _difference_table(row)]
 
 
 Evaluator = Callable[..., Fraction]
@@ -342,12 +346,12 @@ def mixed_derivative_form(n: int, x: RationalLike, r: int) -> Fraction:
     """(-1)^r/(r+1)! * sum_l C(r,l) l! (-1)^l H_n(x,l+1) F_n^(r-l)(x), exact.
 
     The general finite identity states this equals alt_power_sum(n, x, r+2);
-    the derivative values substitute the log-moment integrals exactly.
+    the derivative values substitute the log-moment integrals exactly.  Reads
+    row n of :func:`derivative_rows`, the table the thm2.6 sweep checks.
     """
-    harmonics = harmonic_vector(n, x, r + 1).values
-    base = beta_F(n, x)
-    derivatives = [derivative_from_harmonics(j, harmonics, base) for j in range(r + 1)]
-    return mixed_sum(harmonics, derivatives, r)
+    if n < 0:
+        raise DomainError(f"mixed_derivative_form requires n >= 0, got n={n}")
+    return mixed_sum(*derivative_rows(n, x, r)[n], r)
 
 
 def check_theorem_2_6_finite(
@@ -413,12 +417,18 @@ def check_inversion(
     for trial in range(count):
         start = time.perf_counter()
         length = rng.randint(0, max_len)
-        seq = [
-            Fraction(rng.randint(-999, 999), rng.randint(1, 99)) for _ in range(length)
-        ]
-        roundtrip = binomial_inverse(binomial_inverse(seq))
+        pairs = [(rng.randint(-999, 999), rng.randint(1, 99)) for _ in range(length)]
+        # the round trip on the integer row over D = lcm of the denominators
+        denom = math.lcm(*(q for _, q in pairs))
+        row = [p * (denom // q) for p, q in pairs]
+        roundtrip = _difference_table(_difference_table(row))
         witness = next(
-            ((a, b) for a, b in zip(roundtrip, seq) if a != b), None
+            (
+                (Fraction(a, denom), Fraction(p, q))
+                for a, b, (p, q) in zip(roundtrip, row, pairs)
+                if a != b
+            ),
+            None,
         )
         elapsed = int((time.perf_counter() - start) * 1000)
         reports.append(

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable
 
 from .harmonic_core import format_rational
@@ -52,9 +52,10 @@ def _emit(obj: Any, out: list[str]) -> None:
     elif obj is False:
         out.append("false")
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        # what json.dumps does for a str, without its dispatch
+        out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, Fraction):
-        out.append(json.dumps(format_rational(obj)))
+        out.append(encode_basestring_ascii(format_rational(obj)))
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
@@ -64,7 +65,7 @@ def _emit(obj: Any, out: list[str]) -> None:
         for i, (key, value) in enumerate(obj.items()):
             if i:
                 out.append(", ")
-            out.append(json.dumps(str(key)))
+            out.append(encode_basestring_ascii(str(key)))
             out.append(": ")
             _emit(value, out)
         out.append("}")
@@ -79,8 +80,11 @@ def _emit(obj: Any, out: list[str]) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def identity_report_dict(report: IdentityReport) -> dict:
-    """JSON shape for one report: fixed key order, params as n/x/r."""
+def identity_report_dict(report: IdentityReport, timings: bool = True) -> dict:
+    """JSON shape for one report: fixed key order, params as n/x/r.
+
+    With ``timings=False`` elapsed_ms is 0, so the output is byte-stable.
+    """
     params: dict[str, Any] = {}
     if "n" in report.params:
         params["n"] = int(report.params["n"])
@@ -102,11 +106,12 @@ def identity_report_dict(report: IdentityReport) -> dict:
         out["reason"] = report.reason
     if report.oracle is not None:
         out["oracle"] = report.oracle
-    out["elapsed_ms"] = report.elapsed_ms
+    out["elapsed_ms"] = report.elapsed_ms if timings else 0
     return out
 
 
-def reports_to_csv(reports: Iterable[IdentityReport]) -> str:
+def reports_to_csv(reports: Iterable[IdentityReport], timings: bool = True) -> str:
+    """One CSV row per report; with ``timings=False`` elapsed_ms is 0."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -121,7 +126,7 @@ def reports_to_csv(reports: Iterable[IdentityReport]) -> str:
                 report.status,
                 format_rational(witness[0]) if witness else "",
                 format_rational(witness[1]) if witness else "",
-                report.elapsed_ms,
+                report.elapsed_ms if timings else 0,
             ]
         )
     return buffer.getvalue()

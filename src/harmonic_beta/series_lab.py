@@ -41,7 +41,14 @@ from typing import Iterator, Mapping, Union
 
 import numpy as np
 
-from .beta_engine import alt_power_sum, bell_expansion, derivative_rows, mixed_sum
+from .beta_engine import (
+    _evaluate_int_poly,
+    _power_tables,
+    alt_power_sum,
+    bell_expansion,
+    derivative_rows,
+    mixed_sum,
+)
 from .harmonic_core import (
     DomainError,
     HarmonicNumerators,
@@ -52,6 +59,7 @@ from .harmonic_core import (
 from .identity_suite import binomial_inverse
 
 __all__ = [
+    "EXACT_BELL_MAX",
     "EXACT_N_MAX",
     "PiPower",
     "SeriesEstimate",
@@ -64,6 +72,10 @@ __all__ = [
 
 #: Largest N for which the CLI runs exact rational accumulation by default.
 EXACT_N_MAX = 10_000
+
+#: Highest Bell order G_k an exact-mode log-weight series sums: lemma-c needs
+#: G_{r-1} and eq32 G_{r+1}.  The cost grows about 1.8x per order.
+EXACT_BELL_MAX = 9
 
 # Most terms one block of the exact log-weight sum takes in.
 _BLOCK = 64
@@ -449,34 +461,6 @@ def _shift_expansion(
     return out
 
 
-def _evaluate_int_poly(
-    poly_terms: PolyTerms, powers: list[list[int]]
-) -> int:
-    """Evaluate an integer polynomial given per-generator power tables."""
-    total = 0
-    for exponents, coeff in poly_terms.items():
-        prod = coeff
-        for idx, e in enumerate(exponents):
-            if e:
-                prod *= powers[idx][e]
-        total += prod
-    return total
-
-
-def _power_tables(
-    values: list[int], max_exponents: list[int]
-) -> list[list[int]]:
-    tables: list[list[int]] = []
-    for value, top in zip(values, max_exponents):
-        row = [1]
-        acc = 1
-        for _ in range(top):
-            acc *= value
-            row.append(acc)
-        tables.append(row)
-    return tables
-
-
 def _max_exponents(order: int, *polys: PolyTerms) -> list[int]:
     tops = [0] * order
     for poly in polys:
@@ -682,10 +666,19 @@ def _signed_estimate(
 
 
 def _bell_terms(k: int, float_mode: bool) -> PolyTerms:
-    """G_k's terms.  Float mode stops at k = 19 before building anything:
-    G_k holds (k-1)! * h_k, and 19! >= 2**53."""
+    """G_k's terms, refused before anything is built past each mode's cap.
+
+    Float mode stops at k = 19: G_k holds (k-1)! * h_k, and 19! >= 2**53.
+    Exact mode stops at k = EXACT_BELL_MAX, which bounds the time and memory
+    of the block shift expansion and of the big-integer sums."""
     if float_mode and k >= 20:
         raise DomainError(f"float mode requires coefficients below 2**53; G_{k} has {k - 1}!")
+    if not float_mode and k > EXACT_BELL_MAX:
+        raise DomainError(
+            f"exact mode sums G_k only up to k = {EXACT_BELL_MAX} "
+            f"(lemma-c --r <= {EXACT_BELL_MAX + 1}, eq32 --r <= {EXACT_BELL_MAX - 1}); "
+            f"got G_{k}"
+        )
     return bell_expansion(k).terms
 
 
@@ -792,6 +785,7 @@ def theorem_2_6_series(
         raise DomainError(f"theorem_2_6_series requires x > -1, got x={x}")
     if N < 1:
         raise DomainError(f"theorem_2_6_series requires N >= 1, got N={N}")
+    eq32_terms = _bell_terms(r + 1, float_mode)  # refuses a capped r before any work
 
     eq31_id = f"eq31(r={r},x={format_rational(x)})"
     if not float_mode:
@@ -811,7 +805,7 @@ def theorem_2_6_series(
     sign = -1 if r % 2 else 1
     eq32 = _log_weight_series(
         target_id=f"eq32(r={r})",
-        poly_terms=_bell_terms(r + 1, float_mode),
+        poly_terms=eq32_terms,
         scale=Fraction(1),
         N=N,
         claimed_limit=Fraction(sign * math.factorial(r + 2)),

@@ -13,6 +13,7 @@ from harmonic_beta.beta_engine import (
     beta_F,
     beta_F_sum,
     derivative_F,
+    derivative_rows,
 )
 from harmonic_beta.harmonic_core import DomainError, harmonic_function, harmonic_vector
 
@@ -255,3 +256,23 @@ class TestDerivativeF:
         hvec = harmonic_vector(n, x, r)
         expected = -expansion.evaluate(hvec) * beta_F(n, x)
         assert derivative_F(n, x, r) == expected
+
+
+@st.composite
+def _shifts(draw):
+    """x = p/q > -1 with q up to 10**6."""
+    q = draw(st.integers(1, 10**6))
+    return Fraction(draw(st.integers(-q + 1, 4 * q)), q)
+
+
+class TestIntegerBellEvaluation:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 40), x=_shifts(), r=st.integers(0, 8))
+    def test_integer_route_equals_fraction_evaluation(self, n, x, r):
+        # G_r(H) = (q/L)**r * G_r(N) on the integer numerators; the reference
+        # substitutes the Fraction values of direct sums into G_r
+        harmonics = [harmonic_function(n, x, a) for a in range(1, r + 1)]
+        expected = bell_expansion(r).evaluate(harmonics) * beta_F(n, x)
+        expected = -expected if r % 2 else expected
+        assert derivative_F(n, x, r) == expected
+        assert derivative_rows(n, x, r)[n][1][r] == expected

@@ -239,6 +239,30 @@ class TestVerifyCommand:
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "f7085c69a685ca27941cecca3e87eec06dc02cb0f90ced63fc333448f7e4a512"
 
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                "oracle mc --n 1 --r 2 --samples 10000000 --seed 42",
+                "a7083072c94d5698d257ed096bbd8a1ffe2111f48632b5b2fe25c7155e6a76d6",
+            ),
+            (
+                "oracle mc --n 3 --r 2 --samples 10000000 --seed 11",
+                "f83dec71df7210b6796568c162a3276da0c93cf288de935f55ff9c55bf141439",
+            ),
+            (
+                "oracle mc --n 5 --r 3 --samples 10000000 --seed 7",
+                "3ca6d363b033ae3336c048c381933f6ac103b5f3b6c00792c12e544e35e6de5d",
+            ),
+        ],
+    )
+    def test_monte_carlo_matches_recorded_digest(self, capsys, argv, digest):
+        # recorded with the u.prod(axis=1) kernel; the in-place column
+        # product must give the same sums bit for bit
+        code, out, _ = invoke(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_worker_cap_env_does_not_change_output(self, capsys, monkeypatch):
         args = ("verify", "all", "--n-max", "4", "--r-max", "1", "--x", "0")
         monkeypatch.setenv("HARMONIC_ID_THREADS", "1")
@@ -408,13 +432,16 @@ def _int(hi: int):
 
 
 _N, _R, _SAMPLES = _int(12), _int(4), _int(1000)
+# --r of compute and series also at and just past each documented cap:
+# compute bell/dF 30, exact lemma-c 10 (G_9), exact eq32 8 (G_9)
+_CAP_R = st.one_of(_R, st.sampled_from(["8", "9", "10", "11", "30", "31"]))
 # up to 300, or 20000: float mode with --float, a usage error without
 _BIG_N = st.one_of(_int(300), st.just("20000"))
 
 _SUBCOMMANDS = {
     "compute": (
         st.sampled_from(["H", "F", "dF", "bell", "bernoulli", "zeta-even"]),
-        {"--n": _N, "--x": _X, "--alpha": _R, "--r": _R, "--N": _N},
+        {"--n": _N, "--x": _X, "--alpha": _R, "--r": _CAP_R, "--N": _N},
         (),
     ),
     "verify": (
@@ -428,7 +455,7 @@ _SUBCOMMANDS = {
     ),
     "series": (
         st.sampled_from(["zeta", "lemma-c", "cor2.4-r3", "cor2.4-r4", "cor2.4-r5", "eq32"]),
-        {"--N": _BIG_N, "--x": _X, "--s": _R, "--r": _R},
+        {"--N": _BIG_N, "--x": _X, "--s": _R, "--r": _CAP_R},
         ("--float",),
     ),
     "oracle": (
@@ -483,6 +510,23 @@ def _float_cap_argv(draw):
     return argv + ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
 
 
+# Exact-mode and compute caps: (argv at the cap, the same argv one past it).
+_R_CAPS = [
+    (["series", "lemma-c", "--r", "10", "--N", "40"], "11"),
+    (["series", "eq32", "--r", "8", "--N", "40"], "9"),
+    (["compute", "bell", "--r", "30"], "31"),
+    (["compute", "dF", "--n", "3", "--x", "1/2", "--r", "30"], "31"),
+]
+
+
+@st.composite
+def _past_cap_argv(draw):
+    argv, past = draw(st.sampled_from(_R_CAPS))
+    argv = list(argv)
+    argv[argv.index("--r") + 1] = draw(st.sampled_from([past, str(int(past) + 7), "1000"]))
+    return argv + ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
+
+
 class TestCliProperty:
     @settings(max_examples=60, deadline=None)
     @given(case=_argv())
@@ -511,6 +555,18 @@ class TestCliProperty:
         assert (code, stdout.getvalue()) == (2, ""), case
         assert stderr.getvalue().startswith("error: float mode")
         assert stderr.getvalue().count("\n") == 1
+
+    @settings(max_examples=20, deadline=None)
+    @given(argv=_past_cap_argv())
+    def test_r_caps_exit_two_with_one_line(self, argv):
+        code, out, err = _in_process(argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in _R_CAPS])
+    def test_r_at_cap_runs(self, argv):
+        code, out, err = _in_process(argv)
+        assert (code, err) == (0, "") and out, argv
 
 
 # -- one parser per process ----------------------------------------------------

@@ -1,10 +1,15 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from harmonic_beta.beta_engine import derivative_F
 from harmonic_beta.float_oracle import (
+    _row_products,
     EVALUATION_CAP,
     cube_monte_carlo,
     log_moment_quadrature,
@@ -94,3 +99,24 @@ class TestCubeMonteCarlo:
         a = cube_monte_carlo(2, 2, big, 5)
         b = cube_monte_carlo(2, 2, big, 5)
         assert a == b
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        u=st.integers(1, 8).flatmap(
+            lambda r: st.one_of(
+                # batches as cube_monte_carlo draws them, and arbitrary [0, 1) values
+                st.tuples(st.integers(1, 5000), st.integers(0, 2**32)).map(
+                    lambda rows_seed: np.random.Generator(
+                        np.random.Philox(rows_seed[1])
+                    ).random((rows_seed[0], r))
+                ),
+                hnp.arrays(
+                    np.float64,
+                    st.tuples(st.integers(1, 300), st.just(r)),
+                    elements=st.floats(0.0, 1.0, exclude_max=True),
+                ),
+            )
+        )
+    )
+    def test_row_products_match_numpy_prod(self, u):
+        assert np.array_equal(_row_products(u), u.prod(axis=1))

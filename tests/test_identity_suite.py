@@ -1,12 +1,15 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harmonic_beta import identity_suite
 from harmonic_beta.beta_engine import (
     alt_power_sum,
+    bell_expansion,
     beta_F,
     beta_F_sum,
     derivative_F,
@@ -229,6 +232,13 @@ class TestDerivativeRows:
         for n, (harmonics, derivatives) in enumerate(rows):
             assert list(harmonics) == [harmonic_function(n, x, a) for a in range(1, 8)]
             assert derivatives == [derivative_F(n, x, j) for j in range(7)]
+            # derivative_F shares the integer evaluator; the Fraction
+            # substitution into G_j over direct sums is the independent route
+            base = beta_F(n, x)
+            direct = [harmonic_function(n, x, a) for a in range(1, 7)]
+            for j, value in enumerate(derivatives):
+                expected = bell_expansion(j).evaluate(direct) * base
+                assert value == (-expected if j % 2 else expected)
 
     def test_out_of_domain_x_raises(self):
         with pytest.raises(DomainError):
@@ -277,6 +287,40 @@ class TestOtherChecks:
         assert all(r.status == PASS for r in reports)
         ids = {r.identity_id for r in reports}
         assert ids == {"inversion", "inversion-duality"}
+
+    def test_inversion_check_fails_on_a_perturbed_transform(self, monkeypatch):
+        original = identity_suite._difference_table
+
+        def perturbed(row):
+            out = original(row)
+            if len(out) > 3:
+                out[3] += 1
+            return out
+
+        monkeypatch.setattr(identity_suite, "_difference_table", perturbed)
+        reports = check_inversion(count=40, max_len=24, n_max=15)
+        failed = [r for r in reports if r.status == FAIL]
+        assert {r.identity_id for r in failed} == {"inversion", "inversion-duality"}
+        for report in failed:
+            lhs, rhs = report.witness
+            assert type(lhs) is Fraction and type(rhs) is Fraction
+            assert math.gcd(lhs.numerator, lhs.denominator) == 1
+            assert math.gcd(rhs.numerator, rhs.denominator) == 1
+        # Over D = lcm(q) the perturbed round trip is row - C(i, 3) + [i == 3],
+        # so a trial fails iff it has an entry 4, and its witness is
+        # (a_4 - 4/D, a_4): the same stream of (p, q) predicts it.
+        rng = random.Random(20240601)
+        trials = [r for r in reports if r.identity_id == "inversion"]
+        for report in trials:
+            length = rng.randint(0, 24)
+            pairs = [(rng.randint(-999, 999), rng.randint(1, 99)) for _ in range(length)]
+            if length > 4:
+                denom = math.lcm(*(q for _, q in pairs))
+                a_4 = Fraction(*pairs[4])
+                assert report.status == FAIL
+                assert report.witness == (a_4 - Fraction(4, denom), a_4)
+            else:
+                assert report.status == PASS and report.witness is None
 
 
 class TestStandardSweepInvariant:

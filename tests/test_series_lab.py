@@ -13,6 +13,7 @@ from harmonic_beta.cli import run
 from harmonic_beta.identity_suite import binomial_inverse
 from harmonic_beta.harmonic_core import DomainError, harmonic_number
 from harmonic_beta.series_lab import (
+    EXACT_BELL_MAX,
     EXACT_N_MAX,
     PiPower,
     SeriesEstimate,
@@ -364,6 +365,20 @@ class TestFloatBall:
             lemma_c_partial(1000, 20_000, float_mode=True)
         with pytest.raises(DomainError, match="float mode"):
             theorem_2_6_series(19, 0, 20_000, float_mode=True)
+
+    def test_exact_mode_caps_the_bell_order_before_any_work(self, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError(f"work started: {args}")
+
+        monkeypatch.setattr(series_lab, "bell_expansion", unbuilt)
+        monkeypatch.setattr(series_lab, "derivative_rows", unbuilt)
+        for call in (
+            lambda: lemma_c_partial(EXACT_BELL_MAX + 2, 10),  # G_10
+            lambda: lemma_c_partial(1000, 10),
+            lambda: theorem_2_6_series(EXACT_BELL_MAX, 0, 10),  # G_10
+        ):
+            with pytest.raises(DomainError, match="exact mode"):
+                call()
 
 
 class TestCorollary24Partial:
