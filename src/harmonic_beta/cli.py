@@ -36,8 +36,13 @@ __all__ = ["run", "main"]
 # digits, beyond Python's default int->str guard; ``run`` lifts it this far.
 _INT_MAX_STR_DIGITS = 2_000_000
 
-# Largest --r ``compute bell`` and ``compute dF`` accept (G_30 has 5,604 monomials).
-_COMPUTE_R_MAX = 30
+# Largest value of each (quantity, flag) ``compute`` accepts, refused before
+# any work; README lists the time of each worst allowed run.  G_30 has 5,604
+# monomials; zeta-even --n needs B_2n, so it stops at half the bernoulli cap.
+_COMPUTE_CAPS = {
+    ("H", "n"): 2000, ("F", "n"): 10_000, ("dF", "n"): 100, ("dF", "r"): 30,
+    ("bell", "r"): 30, ("bernoulli", "N"): 400, ("zeta-even", "n"): 200,
+}
 
 
 def _rational(text: str) -> Fraction:
@@ -110,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     series = sub.add_parser("series", help="bracketed partial sums of series targets")
     series.add_argument(
         "target",
-        choices=["zeta", "lemma-c", "cor2.4-r3", "cor2.4-r4", "cor2.4-r5", "eq32"],
+        choices=["zeta", "lemma-c", "cor2.4-r3", "cor2.4-r4", "cor2.4-r5", "eq31", "eq32"],
     )
     series.add_argument("--N", type=int, required=True)
     series.add_argument("--x", type=_rational, default=Fraction(0))
@@ -230,6 +235,10 @@ def _require(parser: argparse.ArgumentParser, condition: bool, message: str) -> 
 
 def _run_compute(args, parser) -> tuple[int, str]:
     what = args.what
+    for (quantity, flag), cap in _COMPUTE_CAPS.items():
+        value = getattr(args, flag)
+        if quantity == what and value is not None and value > cap:
+            raise DomainError(f"compute {what} caps --{flag} at {cap}, got {value}")
     if what == "H":
         _require(parser, args.n is not None, "compute H requires --n")
         if args.x is None:
@@ -247,13 +256,11 @@ def _run_compute(args, parser) -> tuple[int, str]:
     if what == "dF":
         _require(parser, args.n is not None, "compute dF requires --n")
         _require(parser, args.r is not None, "compute dF requires --r")
-        _check_compute_r(what, args.r)
         x = args.x if args.x is not None else Fraction(0)
         value = beta_engine.derivative_F(args.n, x, args.r)
         return 0, _scalar_output(args, "dF", {"n": args.n, "x": x, "r": args.r}, value)
     if what == "bell":
         _require(parser, args.r is not None, "compute bell requires --r")
-        _check_compute_r(what, args.r)
         expansion = beta_engine.bell_expansion(args.r)
         if args.format == "json":
             payload = {
@@ -282,13 +289,6 @@ def _run_compute(args, parser) -> tuple[int, str]:
             return 0, dumps({"coeff": coeff, "pi_power": 2 * args.n}) + "\n"
         return 0, f"{format_rational(coeff)} * pi^{2 * args.n}\n"
     raise AssertionError(what)
-
-
-def _check_compute_r(what: str, r: int) -> None:
-    """``compute bell/dF`` build G_r, which has p(r) monomials; refuse r past
-    the cap before building anything."""
-    if r > _COMPUTE_R_MAX:
-        raise DomainError(f"compute {what} caps --r at {_COMPUTE_R_MAX}, got {r}")
 
 
 def _scalar_output(args, name: str, params: dict, value: Fraction) -> str:
@@ -373,21 +373,21 @@ def _run_series(args, parser) -> tuple[int, str]:
             "pass --float to sum in binary64 with a rigorous rounding radius"
         )
     target = args.target
+    if target in ("lemma-c", "eq31", "eq32"):
+        _require(parser, args.r is not None, f"series {target} requires --r")
     if target == "zeta":
         _require(parser, args.s is not None, "series zeta requires --s")
         estimate = series_lab.hurwitz_partial(args.x, args.s, args.N, float_mode)
     elif target == "lemma-c":
-        _require(parser, args.r is not None, "series lemma-c requires --r")
         estimate = series_lab.lemma_c_partial(args.r, args.N, float_mode)
     elif target.startswith("cor2.4-"):
         estimate = series_lab.corollary_2_4_partial(
             target.removeprefix("cor2.4-"), args.N, float_mode
         )
+    elif target == "eq31":
+        estimate = series_lab.eq31_series(args.r, args.x, args.N, float_mode)
     elif target == "eq32":
-        _require(parser, args.r is not None, "series eq32 requires --r")
-        _, estimate = series_lab.theorem_2_6_series(
-            args.r, Fraction(0), args.N, float_mode, term_check_cap=min(args.N, 512)
-        )
+        estimate = series_lab.eq32_series(args.r, args.N, float_mode)
     else:
         raise AssertionError(target)
     contained = estimate.contains_claim()

@@ -66,7 +66,8 @@ __all__ = [
     "hurwitz_partial",
     "lemma_c_partial",
     "corollary_2_4_partial",
-    "theorem_2_6_series",
+    "eq31_series",
+    "eq32_series",
     "multi_integral_exact",
 ]
 
@@ -80,8 +81,15 @@ EXACT_BELL_MAX = 9
 # Most terms one block of the exact log-weight sum takes in.
 _BLOCK = 64
 
-# How many leading eq31 inner terms theorem_2_6_series inverts back.
+# How many leading eq31 inner terms eq31_series checks, and how many of
+# those it inverts back.
+_TERM_CHECK_CAP = 512
 _INVERSION_CHECK_CAP = 128
+
+# Largest r eq31_series takes, the exact eq32 cap.  The checks grow slowly in r
+# and fast in the size of x = p/q: r = 8, N = 10**4 took 3.1 s at x = 0 and
+# 59 s at x = -49/100.
+_EQ31_R_MAX = EXACT_BELL_MAX - 1
 
 # Most n one float-mode chunk holds; bounds the memory of float mode.
 _CHUNK = 1 << 14
@@ -563,14 +571,9 @@ def _log_weight_series(
     lattice = _checkpoint_lattice(N)
     stops = sorted(lattice | {N})
     if weight == 0:
-        # constant numerator: term is c/(n(n+1)), no harmonic state needed
+        # constant numerator c: the terms c/(n(n+1)) telescope to c*m/(m+1)
         constant = sum(poly_terms.values())
-        running = Fraction(0)
-        partials: list[Fraction] = []
-        for n in range(1, N + 1):
-            running += Fraction(constant, n) - Fraction(constant, n + 1)
-            if n in lattice or n == N:
-                partials.append(running)
+        partials = [constant * Fraction(m, m + 1) for m in stops]
     else:
         partials = _log_weight_partials(poly_terms, stops)
     envelope = min(
@@ -756,56 +759,52 @@ def _leibniz_route_terms(r: int) -> PolyTerms:
     return out
 
 
-def theorem_2_6_series(
-    r: int,
-    x: RationalLike,
-    N: int,
-    float_mode: bool = False,
-    term_check_cap: int | None = None,
-) -> tuple[SeriesEstimate, SeriesEstimate]:
-    """The two infinite forms of the general-order identity.
+def eq31_series(r: int, x: RationalLike, N: int, float_mode: bool = False) -> SeriesEstimate:
+    """The double-sum form of the general-order identity, eq. (31).
 
-    The first estimate is the double sum whose inner bracket, by the finite
-    identity, collapses term-by-term to 1/(n+x+1)**(r+2).  In exact mode the
-    collapse is verified index by index (the mixed harmonic/derivative form
-    over :func:`derivative_rows` against direct alternating summation, for
-    every index below ``term_check_cap``, default all of them), and the
-    binomial transform of the first 128 checked terms must give back
-    1/(n+x+1)**(r+2); the partial sum then equals the shifted power sum and
-    is bracketed exactly like it.
-
-    The second estimate is the x = 0 series with claimed limit
-    (-1)**r (r+2)!, evaluated through the recursion route, which must be
-    the same polynomial as the product-rule route.
+    By the finite identity its inner binomial sum collapses term by term to
+    1/(n+x+1)**(r+2).  The collapse is verified index by index for the first
+    _TERM_CHECK_CAP indices (the mixed harmonic/derivative form over
+    :func:`derivative_rows` against direct alternating summation), and the
+    binomial transform of the first _INVERSION_CHECK_CAP checked terms must
+    give back 1/(n+x+1)**(r+2).  The checks do not grow with N, so they run
+    in both modes.  The partial sum then equals the shifted power sum and is
+    bracketed like it; for x = 0 and even r the claim is zeta(r+2) as a
+    power of pi.
     """
-    if r < 0:
-        raise DomainError(f"theorem_2_6_series requires r >= 0, got r={r}")
+    if not 0 <= r <= _EQ31_R_MAX:
+        raise DomainError(f"eq31_series requires 0 <= r <= {_EQ31_R_MAX}, got r={r}")
     x = Fraction(x)
     if x <= -1:
-        raise DomainError(f"theorem_2_6_series requires x > -1, got x={x}")
+        raise DomainError(f"eq31_series requires x > -1, got x={x}")
     if N < 1:
-        raise DomainError(f"theorem_2_6_series requires N >= 1, got N={N}")
-    eq32_terms = _bell_terms(r + 1, float_mode)  # refuses a capped r before any work
+        raise DomainError(f"eq31_series requires N >= 1, got N={N}")
+    target_id = f"eq31(r={r},x={format_rational(x)})"
+    rows = derivative_rows(min(N, _TERM_CHECK_CAP) - 1, x, r)
+    inner = [mixed_sum(*row, r) for row in rows]
+    for k, b_k in enumerate(inner):
+        if b_k != alt_power_sum(k, x, r + 2):
+            raise ArithmeticError(f"derivative route disagrees with direct summation at k={k}")
+    for n, value in enumerate(binomial_inverse(inner[:_INVERSION_CHECK_CAP])):
+        if value != 1 / (x + n + 1) ** (r + 2):
+            raise ArithmeticError(f"{target_id}: inversion mismatch at n={n}")
+    return hurwitz_partial(x, r + 2, N, float_mode, target_id=target_id)
 
-    eq31_id = f"eq31(r={r},x={format_rational(x)})"
-    if not float_mode:
-        checked = N if term_check_cap is None else min(N, term_check_cap)
-        inner = [mixed_sum(*row, r) for row in derivative_rows(checked - 1, x, r)]
-        for k, b_k in enumerate(inner):
-            if b_k != alt_power_sum(k, x, r + 2):
-                raise ArithmeticError(
-                    f"derivative route disagrees with direct summation at k={k}"
-                )
-        recovered = binomial_inverse(inner[:_INVERSION_CHECK_CAP])
-        for n, value in enumerate(recovered):
-            if value != 1 / (x + n + 1) ** (r + 2):
-                raise ArithmeticError(f"{eq31_id}: inversion mismatch at n={n}")
-    base = hurwitz_partial(x, r + 2, N, float_mode=float_mode, target_id=eq31_id)
 
+def eq32_series(r: int, N: int, float_mode: bool = False) -> SeriesEstimate:
+    """The x = 0 log-weight form of the general-order identity, eq. (32).
+
+    sum((-1)**r * G_{r+1}(H_{n+1},...)/(n(n+1)), n >= 1) with claimed limit
+    (-1)**r (r+2)!.  The terms come from the recursion route G_{r+1}, which
+    must be the same polynomial as the product-rule route.
+    """
+    if r < 0:
+        raise DomainError(f"eq32_series requires r >= 0, got r={r}")
+    poly_terms = _bell_terms(r + 1, float_mode)  # refuses a capped r before any work
     sign = -1 if r % 2 else 1
-    eq32 = _log_weight_series(
+    return _log_weight_series(
         target_id=f"eq32(r={r})",
-        poly_terms=eq32_terms,
+        poly_terms=poly_terms,
         scale=Fraction(1),
         N=N,
         claimed_limit=Fraction(sign * math.factorial(r + 2)),
@@ -813,7 +812,6 @@ def theorem_2_6_series(
         crosscheck_terms=_leibniz_route_terms(r),
         float_mode=float_mode,
     )
-    return base, eq32
 
 
 def multi_integral_exact(n: int, r: int) -> Fraction:

@@ -20,10 +20,11 @@ from harmonic_beta.identity_suite import (
 )
 from harmonic_beta.series_lab import (
     corollary_2_4_partial,
+    eq31_series,
+    eq32_series,
     hurwitz_partial,
     lemma_c_partial,
     multi_integral_exact,
-    theorem_2_6_series,
 )
 
 X_SWEEP = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(7, 3))
@@ -101,13 +102,14 @@ def test_criterion_05_inversion_involution():
 
 
 def test_criterion_06_series_limits_bracketed():
+    eq31_series(2, 0, 10_000)  # the eq31 term checks; raises on a mismatch
     targets = [
         lemma_c_partial(2, 10_000),  # claims 2
         corollary_2_4_partial("r3", 10_000),  # claims 3!
         corollary_2_4_partial("r4", 10_000),  # claims 4!
         corollary_2_4_partial("r5", 10_000),  # claims 5!
         lemma_c_partial(4, 10_000),  # the general claim, order 4
-        theorem_2_6_series(2, 0, 10_000, term_check_cap=512)[1],  # claims (+1)(2+2)!
+        eq32_series(2, 10_000),  # claims (+1)(2+2)!
     ]
     ok = True
     for est in targets:

@@ -263,14 +263,6 @@ class TestVerifyCommand:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    def test_worker_cap_env_does_not_change_output(self, capsys, monkeypatch):
-        args = ("verify", "all", "--n-max", "4", "--r-max", "1", "--x", "0")
-        monkeypatch.setenv("HARMONIC_ID_THREADS", "1")
-        _, serial, _ = invoke(capsys, *args)
-        monkeypatch.setenv("HARMONIC_ID_THREADS", "4")
-        _, parallel, _ = invoke(capsys, *args)
-        assert serial == parallel
-
 
 class TestSeriesCommand:
     def test_zeta_json(self, capsys):
@@ -291,6 +283,15 @@ class TestSeriesCommand:
             code, out, _ = invoke(capsys, "series", target, "--N", "60")
             assert code == 0
             assert json.loads(out)["claimed_limit"] == claim
+
+    def test_eq31(self, capsys):
+        code, out, _ = invoke(capsys, "series", "eq31", "--r", "2", "--x", "1/2", "--N", "100")
+        assert code == 0
+        data = json.loads(out)
+        assert data["target_id"] == "eq31(r=2,x=1/2)"
+        assert "claimed_limit" not in data
+        code, out, _ = invoke(capsys, "series", "eq31", "--r", "2", "--N", "100")
+        assert (code, json.loads(out)["claimed_limit"]) == (0, {"coeff": "1/90", "pi_power": 4})
 
     def test_eq32(self, capsys):
         code, out, _ = invoke(capsys, "series", "eq32", "--r", "1", "--N", "150")
@@ -315,6 +316,7 @@ class TestSeriesCommand:
     def test_missing_required_flags(self, capsys):
         assert invoke(capsys, "series", "zeta", "--N", "10")[0] == 2
         assert invoke(capsys, "series", "lemma-c", "--N", "10")[0] == 2
+        assert invoke(capsys, "series", "eq31", "--N", "10")[0] == 2
         assert invoke(capsys, "series", "eq32", "--N", "10")[0] == 2
 
 
@@ -433,15 +435,20 @@ def _int(hi: int):
 
 _N, _R, _SAMPLES = _int(12), _int(4), _int(1000)
 # --r of compute and series also at and just past each documented cap:
-# compute bell/dF 30, exact lemma-c 10 (G_9), exact eq32 8 (G_9)
+# compute bell/dF 30, exact lemma-c 10 (G_9), eq31 and exact eq32 8 (G_9)
 _CAP_R = st.one_of(_R, st.sampled_from(["8", "9", "10", "11", "30", "31"]))
+# compute --n and --N also at and just past each cap: dF 100, zeta-even 200,
+# bernoulli 400, H 2000, F 10000
+_CAP_N = st.one_of(
+    _N, st.sampled_from(["100", "101", "200", "201", "400", "401", "2000", "2001", "10000", "10001"])
+)
 # up to 300, or 20000: float mode with --float, a usage error without
 _BIG_N = st.one_of(_int(300), st.just("20000"))
 
 _SUBCOMMANDS = {
     "compute": (
         st.sampled_from(["H", "F", "dF", "bell", "bernoulli", "zeta-even"]),
-        {"--n": _N, "--x": _X, "--alpha": _R, "--r": _CAP_R, "--N": _N},
+        {"--n": _CAP_N, "--x": _X, "--alpha": _R, "--r": _CAP_R, "--N": _CAP_N},
         (),
     ),
     "verify": (
@@ -454,7 +461,9 @@ _SUBCOMMANDS = {
         (),
     ),
     "series": (
-        st.sampled_from(["zeta", "lemma-c", "cor2.4-r3", "cor2.4-r4", "cor2.4-r5", "eq32"]),
+        st.sampled_from(
+            ["zeta", "lemma-c", "cor2.4-r3", "cor2.4-r4", "cor2.4-r5", "eq31", "eq32"]
+        ),
         {"--N": _BIG_N, "--x": _X, "--s": _R, "--r": _CAP_R},
         ("--float",),
     ),
@@ -510,20 +519,28 @@ def _float_cap_argv(draw):
     return argv + ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
 
 
-# Exact-mode and compute caps: (argv at the cap, the same argv one past it).
-_R_CAPS = [
-    (["series", "lemma-c", "--r", "10", "--N", "40"], "11"),
-    (["series", "eq32", "--r", "8", "--N", "40"], "9"),
-    (["compute", "bell", "--r", "30"], "31"),
-    (["compute", "dF", "--n", "3", "--x", "1/2", "--r", "30"], "31"),
+# Exact-mode, eq31 and compute caps: (argv at the cap, the capped flag, its
+# first value past the cap).
+_CAPS = [
+    (["series", "lemma-c", "--r", "10", "--N", "40"], "--r", "11"),
+    (["series", "eq32", "--r", "8", "--N", "40"], "--r", "9"),
+    (["compute", "bell", "--r", "30"], "--r", "31"),
+    (["compute", "dF", "--n", "3", "--x", "1/2", "--r", "30"], "--r", "31"),
+    (["series", "eq31", "--r", "8", "--N", "40"], "--r", "9"),
+    (["compute", "H", "--n", "2000", "--x", "1/2"], "--n", "2001"),
+    (["compute", "F", "--n", "10000", "--x", "1/2"], "--n", "10001"),
+    (["compute", "dF", "--n", "100", "--x", "1/2", "--r", "2"], "--n", "101"),
+    (["compute", "bernoulli", "--N", "400"], "--N", "401"),
+    (["compute", "zeta-even", "--n", "200"], "--n", "201"),
 ]
 
 
 @st.composite
 def _past_cap_argv(draw):
-    argv, past = draw(st.sampled_from(_R_CAPS))
+    argv, flag, past = draw(st.sampled_from(_CAPS))
     argv = list(argv)
-    argv[argv.index("--r") + 1] = draw(st.sampled_from([past, str(int(past) + 7), "1000"]))
+    values = [past, str(int(past) + 7), str(100 * int(past))]
+    argv[argv.index(flag) + 1] = draw(st.sampled_from(values))
     return argv + ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
 
 
@@ -563,7 +580,7 @@ class TestCliProperty:
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("argv", [argv for argv, _ in _R_CAPS])
+    @pytest.mark.parametrize("argv", [argv for argv, _, _ in _CAPS])
     def test_r_at_cap_runs(self, argv):
         code, out, err = _in_process(argv)
         assert (code, err) == (0, "") and out, argv

@@ -18,14 +18,17 @@ from harmonic_beta.series_lab import (
     PiPower,
     SeriesEstimate,
     corollary_2_4_partial,
+    eq31_series,
+    eq32_series,
     hurwitz_partial,
     lemma_c_partial,
     multi_integral_exact,
-    theorem_2_6_series,
 )
 from harmonic_beta.series_lab import (
     _CHUNK,
     _COROLLARY_DISPLAYS,
+    _EQ31_R_MAX,
+    _TERM_CHECK_CAP,
     _checkpoint_lattice,
     _hurwitz_ball,
     _leibniz_route_terms,
@@ -161,6 +164,25 @@ class TestLemmaCPartial:
             est = lemma_c_partial(1, N)
             assert est.partial == 1 - Fraction(1, N + 1)
         assert lemma_c_partial(1, 100_000).partial == 1 - Fraction(1, 100_001)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 64, 65, 10_000])
+    @pytest.mark.parametrize("constant", [1, 3])
+    def test_weight_zero_closed_form_matches_per_term_loop(self, N, constant):
+        # a constant numerator (lemma-c r = 1 sums G_0 = 1): the closed form
+        # c*m/(m+1) against one term at a time at every stop, which the
+        # published width takes its envelope over
+        poly = {(): constant}
+        est = _log_weight_series("c", poly, Fraction(1), N, None)
+        lattice = _checkpoint_lattice(N)
+        stops = sorted(lattice | {N})
+        refs = reference_partials(poly, stops)
+        d_coeffs = _log_moment_coefficients(poly, Fraction(1))
+        envelope = min(
+            p + _raw_tail_bound(d_coeffs, n) for n, p in zip(stops, refs) if n in lattice
+        )
+        assert (est.partial, est.tail_high) == (refs[-1], envelope - refs[-1])
+        if constant == 1:
+            assert lemma_c_partial(1, N).bounds() == est.bounds()
 
     def test_terms_match_direct_route(self):
         # sum over n of (1/n) * alt_power_sum(n,0,r), assembled independently
@@ -364,7 +386,7 @@ class TestFloatBall:
         with pytest.raises(DomainError, match="float mode"):
             lemma_c_partial(1000, 20_000, float_mode=True)
         with pytest.raises(DomainError, match="float mode"):
-            theorem_2_6_series(19, 0, 20_000, float_mode=True)
+            eq32_series(19, 20_000, float_mode=True)
 
     def test_exact_mode_caps_the_bell_order_before_any_work(self, monkeypatch):
         def unbuilt(*args):
@@ -375,7 +397,7 @@ class TestFloatBall:
         for call in (
             lambda: lemma_c_partial(EXACT_BELL_MAX + 2, 10),  # G_10
             lambda: lemma_c_partial(1000, 10),
-            lambda: theorem_2_6_series(EXACT_BELL_MAX, 0, 10),  # G_10
+            lambda: eq32_series(EXACT_BELL_MAX, 10),  # G_10
         ):
             with pytest.raises(DomainError, match="exact mode"):
                 call()
@@ -430,33 +452,39 @@ class TestCorollary24Partial:
 
 class TestTheorem26Series:
     def test_r0_reduces_to_zeta2(self):
-        eq31, eq32 = theorem_2_6_series(0, 0, 200)
+        eq31 = eq31_series(0, 0, 200)
         assert isinstance(eq31.claimed_limit, PiPower)
         assert eq31.claimed_limit.coeff == Fraction(1, 6)
         assert eq31.claimed_limit.exponent == 2
         lo, hi = eq31.bracket()
         assert lo <= math.pi**2 / 6 <= hi
         # the x = 0 series claims 2! * ... = (0+2)! = 2
-        assert eq32.claimed_limit == 2
+        assert eq32_series(0, 200).claimed_limit == 2
 
     def test_eq31_partial_equals_power_sum_after_term_checks(self):
-        eq31, _ = theorem_2_6_series(1, 0, 1000)
-        assert eq31.partial == hurwitz_partial(0, 3, 1000).partial
+        eq31 = eq31_series(1, 0, 1000)
+        assert eq31 == dataclasses.replace(hurwitz_partial(0, 3, 1000), target_id="eq31(r=1,x=0)")
 
     def test_eq31_general_x(self):
         x = Fraction(1, 2)
-        eq31, _ = theorem_2_6_series(1, x, 120)
+        eq31 = eq31_series(1, x, 120)
         assert eq31.partial == hurwitz_partial(x, 3, 120).partial
         assert eq31.claimed_limit is None
 
+    def test_eq31_float_mode_is_the_float_power_sum(self):
+        eq31 = eq31_series(2, 0, 20_000, float_mode=True)
+        assert eq31 == dataclasses.replace(
+            hurwitz_partial(0, 4, 20_000, float_mode=True), target_id="eq31(r=2,x=0)"
+        )
+
     def test_eq32_even_r(self):
-        _, eq32 = theorem_2_6_series(2, 0, 600, term_check_cap=64)
+        eq32 = eq32_series(2, 600)
         assert eq32.claimed_limit == 24
         assert eq32.partial < 24
         assert eq32.contains_claim()
 
     def test_eq32_odd_r_negative_series(self):
-        _, eq32 = theorem_2_6_series(1, 0, 600, term_check_cap=64)
+        eq32 = eq32_series(1, 600)
         assert eq32.claimed_limit == -6
         assert eq32.partial > -6  # partial sums decrease toward the limit
         assert eq32.tail_high == 0
@@ -465,14 +493,16 @@ class TestTheorem26Series:
 
     @staticmethod
     def _assert_eq31_check_fails(capsys, message):
-        with pytest.raises(ArithmeticError) as raised:
-            theorem_2_6_series(1, 0, 50)
-        assert str(raised.value) == message
-        assert run(["series", "eq32", "--r", "1", "--N", "50"]) == 1
+        for float_mode in (False, True):  # the checks do not depend on the mode
+            with pytest.raises(ArithmeticError) as raised:
+                eq31_series(1, 0, 20_000 if float_mode else 50, float_mode)
+            assert str(raised.value) == message
+        assert run(["series", "eq31", "--r", "1", "--N", "50"]) == 1
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"check failed: {message}\n")
-        # with no term checked there is nothing to compare
-        theorem_2_6_series(1, 0, 50, term_check_cap=0)
+        # eq32 shares neither route
+        assert run(["series", "eq32", "--r", "1", "--N", "50"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_eq31_term_mismatch_fails(self, capsys, monkeypatch):
         def corrupted(n, x, r):
@@ -492,15 +522,37 @@ class TestTheorem26Series:
         monkeypatch.setattr(series_lab, "binomial_inverse", corrupted)
         self._assert_eq31_check_fails(capsys, "eq31(r=1,x=0): inversion mismatch at n=5")
 
+    def test_eq31_checks_stop_at_the_cap(self, monkeypatch):
+        checked = []
+
+        def counted(n, x, r):
+            checked.append(n)
+            return alt_power_sum(n, x, r)
+
+        monkeypatch.setattr(series_lab, "alt_power_sum", counted)
+        eq31_series(0, 0, 30)
+        eq31_series(0, 0, 10_000)
+        assert checked == list(range(30)) + list(range(_TERM_CHECK_CAP))
+
     def test_leibniz_route_matches_recursion_route_symbolically(self):
         for r in range(7):
             assert _leibniz_route_terms(r) == dict(bell_expansion(r + 1).terms)
 
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            theorem_2_6_series(-1, 0, 10)
-        with pytest.raises(DomainError):
-            theorem_2_6_series(1, -2, 10)
+    def test_domain(self, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError(f"work started: {args}")
+
+        monkeypatch.setattr(series_lab, "derivative_rows", unbuilt)
+        monkeypatch.setattr(series_lab, "bell_expansion", unbuilt)
+        for call in (
+            lambda: eq31_series(-1, 0, 10),
+            lambda: eq31_series(_EQ31_R_MAX + 1, 0, 10),
+            lambda: eq31_series(1, -2, 10),
+            lambda: eq31_series(1, 0, 0),
+            lambda: eq32_series(-1, 10),
+        ):
+            with pytest.raises(DomainError):
+                call()
 
 
 class TestMultiIntegralExact:
