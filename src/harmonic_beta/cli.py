@@ -40,8 +40,8 @@ _INT_MAX_STR_DIGITS = 2_000_000
 # any work; README lists the time of each worst allowed run.  G_30 has 5,604
 # monomials; zeta-even --n needs B_2n, so it stops at half the bernoulli cap.
 _COMPUTE_CAPS = {
-    ("H", "n"): 2000, ("F", "n"): 10_000, ("dF", "n"): 100, ("dF", "r"): 30,
-    ("bell", "r"): 30, ("bernoulli", "N"): 400, ("zeta-even", "n"): 200,
+    ("H", "n"): 2000, ("H", "alpha"): 30, ("F", "n"): 10_000, ("dF", "n"): 100,
+    ("dF", "r"): 30, ("bell", "r"): 30, ("bernoulli", "N"): 400, ("zeta-even", "n"): 200,
 }
 
 

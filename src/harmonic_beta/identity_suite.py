@@ -164,6 +164,10 @@ def _grid_n(n_max: int) -> list[dict]:
 # -- display polynomials with their literal coefficients ---------------------
 
 
+def _poly_r1(h1: Fraction) -> Fraction:
+    return h1
+
+
 def _poly_r2(h1: Fraction, h2: Fraction) -> Fraction:
     return h2 + h1 * h1
 
@@ -180,157 +184,93 @@ def _indexed(values: Sequence[Fraction]) -> Evaluator:
     return lambda n, **_ignored: values[n]
 
 
+#: A display family row: (s, display, forward id, inverted id, x=0 forward
+#: id, x=0 inverted id or None).  The forward form states
+#: alt_power_sum(n,x,s) == display(H_n(x,1), ..., H_n(x,s-1)) F_n(x) / (s-1)!,
+#: the inverted form binomial_inverse(display*F)[n] / (s-1)! == 1/(n+x+1)^s,
+#: and the x = 0 forms put F_n(0) = 1/(n+1).
+_DisplayRow = tuple[int, Evaluator, str, str, str, str | None]
+
+#: The display families of Theorems 2.2, 2.3 and 2.5, by ``verify`` target.
+_DISPLAY_FAMILIES: dict[str, tuple[_DisplayRow, ...]] = {
+    "thm2.2": ((2, _poly_r1, "eq15", "thm2.2a", "eq16", "thm2.2b"),),
+    "thm2.3": (
+        (3, _poly_r2, "thm2.3a", "eq20", "thm2.3c", None),
+        (4, _poly_r3, "thm2.3b", "eq21", "thm2.3d", None),
+    ),
+    "thm2.5": ((5, _poly_r4, "eq28", "thm2.5a", "eq29", "thm2.5b"),),
+}
+
+
+def _display_forms(
+    forms: Sequence[tuple[int, Evaluator, str, str | None]],
+    x: Fraction,
+    h: list[list[Fraction]],
+    weight: Sequence[Fraction],
+    grid: list[dict],
+) -> list[IdentityReport]:
+    """Each (s, display, forward id, inverted id) forward form, then each inverted one.
+
+    A failing forward point's witness is (alt_power_sum, display side / (s-1)!).
+    """
+    reports: list[IdentityReport] = []
+    sides = []
+    for s, display, forward_id, _ in forms:
+        side = [display(*hk) * w for hk, w in zip(zip(*h[: s - 1]), weight)]
+        sides.append(side)
+        reports += generic_check(
+            forward_id,
+            lambda n, **_ignored: alt_power_sum(n, x, s),
+            _indexed([v / math.factorial(s - 1) for v in side]),
+            grid,
+        )
+    for (s, _, _, inverted_id), side in zip(forms, sides):
+        if inverted_id is not None:
+            reports += generic_check(
+                inverted_id,
+                _indexed([v / math.factorial(s - 1) for v in binomial_inverse(side)]),
+                lambda n, **_ignored: 1 / (x + n + 1) ** s,
+                grid,
+            )
+    return reports
+
+
+def _check_display_family(
+    rows: Sequence[_DisplayRow], n_max: int, x_samples: Sequence[RationalLike]
+) -> list[IdentityReport]:
+    """The forms of every row at each x from one harmonic pass, then the x = 0 forms."""
+    order = max(row[0] for row in rows) - 1
+    reports: list[IdentityReport] = []
+    for x in [Fraction(v) for v in x_samples]:
+        h, f = harmonic_rows(n_max, x, order)
+        reports += _display_forms([row[:4] for row in rows], x, h, f, _grid_nx(n_max, [x]))
+    h0, _ = harmonic_rows(n_max, 0, order)
+    weight0 = [Fraction(1, k + 1) for k in range(n_max + 1)]
+    reports += _display_forms(
+        [row[:2] + row[4:] for row in rows], Fraction(0), h0, weight0, _grid_n(n_max)
+    )
+    return reports
+
+
 def check_theorem_2_2(
     n_max: int = 50, x_samples: Sequence[RationalLike] = DEFAULT_X_SAMPLES
 ) -> list[IdentityReport]:
-    """First-order family: forward forms and their binomial inversions.
-
-    eq15     : alt_power_sum(n,x,2) == H_n(x,1)*F_n(x)
-    eq16     : alt_power_sum(n,0,2) == H_{n+1}/(n+1)
-    thm2.2a  : sum C(n,k)(-1)^k H_k(x,1) F_k(x) == 1/(n+x+1)^2
-    thm2.2b  : sum C(n,k)(-1)^k H_{k+1}/(k+1) == 1/(n+1)^2
-    """
-    reports: list[IdentityReport] = []
-    for x in [Fraction(v) for v in x_samples]:
-        h, f = harmonic_rows(n_max, x, 1)
-        forward = [h[0][k] * f[k] for k in range(n_max + 1)]
-        reports += generic_check(
-            "eq15",
-            lambda n, x: alt_power_sum(n, x, 2),
-            lambda n, x, _row=forward: _row[n],
-            _grid_nx(n_max, [x]),
-        )
-        inverted = binomial_inverse(forward)
-        reports += generic_check(
-            "thm2.2a",
-            lambda n, x, _row=inverted: _row[n],
-            lambda n, x: 1 / (Fraction(x) + n + 1) ** 2,
-            _grid_nx(n_max, [x]),
-        )
-    h0, _ = harmonic_rows(n_max, 0, 1)
-    forward0 = [h0[0][k] / (k + 1) for k in range(n_max + 1)]
-    reports += generic_check(
-        "eq16",
-        lambda n: alt_power_sum(n, 0, 2),
-        _indexed(forward0),
-        _grid_n(n_max),
-    )
-    reports += generic_check(
-        "thm2.2b",
-        _indexed(binomial_inverse(forward0)),
-        lambda n: Fraction(1, (n + 1) ** 2),
-        _grid_n(n_max),
-    )
-    return reports
+    """First-order family: eq15, its inversion thm2.2a, and their x = 0 forms eq16, thm2.2b."""
+    return _check_display_family(_DISPLAY_FAMILIES["thm2.2"], n_max, x_samples)
 
 
 def check_theorem_2_3(
     n_max: int = 50, x_samples: Sequence[RationalLike] = DEFAULT_X_SAMPLES
 ) -> list[IdentityReport]:
-    """Second/third-order family.
-
-    thm2.3a  : (H_n(x,2)+H_n(x,1)^2) F_n(x) == 2! alt_power_sum(n,x,3)
-    thm2.3b  : (2H_n(x,3)+3H_n(x,1)H_n(x,2)+H_n(x,1)^3) F_n(x) == 3! aps(n,x,4)
-    thm2.3c  : x=0 form of thm2.3a
-    thm2.3d  : x=0 form of thm2.3b
-    eq20     : inverted thm2.3a == 1/(x+n+1)^3
-    eq21     : inverted thm2.3b == 1/(x+n+1)^4
-    """
-    reports: list[IdentityReport] = []
-    for x in [Fraction(v) for v in x_samples]:
-        h, f = harmonic_rows(n_max, x, 3)
-        d2 = [_poly_r2(h[0][k], h[1][k]) * f[k] for k in range(n_max + 1)]
-        d3 = [_poly_r3(h[0][k], h[1][k], h[2][k]) * f[k] for k in range(n_max + 1)]
-        reports += generic_check(
-            "thm2.3a",
-            lambda n, x, _row=d2: _row[n],
-            lambda n, x: 2 * alt_power_sum(n, x, 3),
-            _grid_nx(n_max, [x]),
-        )
-        reports += generic_check(
-            "thm2.3b",
-            lambda n, x, _row=d3: _row[n],
-            lambda n, x: 6 * alt_power_sum(n, x, 4),
-            _grid_nx(n_max, [x]),
-        )
-        inv2 = binomial_inverse(d2)
-        inv3 = binomial_inverse(d3)
-        reports += generic_check(
-            "eq20",
-            lambda n, x, _row=inv2: _row[n] / 2,
-            lambda n, x: 1 / (Fraction(x) + n + 1) ** 3,
-            _grid_nx(n_max, [x]),
-        )
-        reports += generic_check(
-            "eq21",
-            lambda n, x, _row=inv3: _row[n] / 6,
-            lambda n, x: 1 / (Fraction(x) + n + 1) ** 4,
-            _grid_nx(n_max, [x]),
-        )
-    h0, _ = harmonic_rows(n_max, 0, 3)
-    reports += generic_check(
-        "thm2.3c",
-        lambda n: 2 * alt_power_sum(n, 0, 3),
-        lambda n: _poly_r2(h0[0][n], h0[1][n]) / (n + 1),
-        _grid_n(n_max),
-    )
-    reports += generic_check(
-        "thm2.3d",
-        lambda n: 6 * alt_power_sum(n, 0, 4),
-        lambda n: _poly_r3(h0[0][n], h0[1][n], h0[2][n]) / (n + 1),
-        _grid_n(n_max),
-    )
-    return reports
+    """Second/third-order family: thm2.3a/b, their inversions eq20/eq21, x = 0 forms thm2.3c/d."""
+    return _check_display_family(_DISPLAY_FAMILIES["thm2.3"], n_max, x_samples)
 
 
 def check_theorem_2_5(
     n_max: int = 50, x_samples: Sequence[RationalLike] = DEFAULT_X_SAMPLES
 ) -> list[IdentityReport]:
-    """Fourth-order family.
-
-    eq28     : alt_power_sum(n,x,5) == (weight-4 display)(n,x) F_n(x) / 4!
-    eq29     : x=0 form of eq28
-    thm2.5a  : inverted eq28 == 1/(n+x+1)^5
-    thm2.5b  : inverted eq29 == 1/(n+1)^5
-    """
-    reports: list[IdentityReport] = []
-    for x in [Fraction(v) for v in x_samples]:
-        h, f = harmonic_rows(n_max, x, 4)
-        d4 = [
-            _poly_r4(h[0][k], h[1][k], h[2][k], h[3][k]) * f[k]
-            for k in range(n_max + 1)
-        ]
-        reports += generic_check(
-            "eq28",
-            lambda n, x: alt_power_sum(n, x, 5),
-            lambda n, x, _row=d4: _row[n] / 24,
-            _grid_nx(n_max, [x]),
-        )
-        inv4 = binomial_inverse(d4)
-        reports += generic_check(
-            "thm2.5a",
-            lambda n, x, _row=inv4: _row[n] / 24,
-            lambda n, x: 1 / (Fraction(x) + n + 1) ** 5,
-            _grid_nx(n_max, [x]),
-        )
-    h0, _ = harmonic_rows(n_max, 0, 4)
-    display0 = [
-        _poly_r4(h0[0][k], h0[1][k], h0[2][k], h0[3][k]) / (k + 1)
-        for k in range(n_max + 1)
-    ]
-    reports += generic_check(
-        "eq29",
-        lambda n: alt_power_sum(n, 0, 5),
-        lambda n: display0[n] / 24,
-        _grid_n(n_max),
-    )
-    reports += generic_check(
-        "thm2.5b",
-        _indexed([v / 24 for v in binomial_inverse(display0)]),
-        lambda n: Fraction(1, (n + 1) ** 5),
-        _grid_n(n_max),
-    )
-    return reports
+    """Fourth-order family: eq28, its inversion thm2.5a, and their x = 0 forms eq29, thm2.5b."""
+    return _check_display_family(_DISPLAY_FAMILIES["thm2.5"], n_max, x_samples)
 
 
 def _rows_per_x(n_max: int, r_max: int) -> Callable[[Fraction], list]:
@@ -340,18 +280,6 @@ def _rows_per_x(n_max: int, r_max: int) -> Callable[[Fraction], list]:
     skipped report of :func:`generic_check`, as for the other evaluators.
     """
     return functools.cache(lambda x: derivative_rows(n_max, x, r_max))
-
-
-def mixed_derivative_form(n: int, x: RationalLike, r: int) -> Fraction:
-    """(-1)^r/(r+1)! * sum_l C(r,l) l! (-1)^l H_n(x,l+1) F_n^(r-l)(x), exact.
-
-    The general finite identity states this equals alt_power_sum(n, x, r+2);
-    the derivative values substitute the log-moment integrals exactly.  Reads
-    row n of :func:`derivative_rows`, the table the thm2.6 sweep checks.
-    """
-    if n < 0:
-        raise DomainError(f"mixed_derivative_form requires n >= 0, got n={n}")
-    return mixed_sum(*derivative_rows(n, x, r)[n], r)
 
 
 def check_theorem_2_6_finite(

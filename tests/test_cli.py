@@ -442,13 +442,15 @@ _CAP_R = st.one_of(_R, st.sampled_from(["8", "9", "10", "11", "30", "31"]))
 _CAP_N = st.one_of(
     _N, st.sampled_from(["100", "101", "200", "201", "400", "401", "2000", "2001", "10000", "10001"])
 )
+# compute H --alpha also at and just past its cap of 30
+_ALPHA = st.one_of(_R, st.sampled_from(["30", "31"]))
 # up to 300, or 20000: float mode with --float, a usage error without
 _BIG_N = st.one_of(_int(300), st.just("20000"))
 
 _SUBCOMMANDS = {
     "compute": (
         st.sampled_from(["H", "F", "dF", "bell", "bernoulli", "zeta-even"]),
-        {"--n": _CAP_N, "--x": _X, "--alpha": _R, "--r": _CAP_R, "--N": _CAP_N},
+        {"--n": _CAP_N, "--x": _X, "--alpha": _ALPHA, "--r": _CAP_R, "--N": _CAP_N},
         (),
     ),
     "verify": (
@@ -528,6 +530,7 @@ _CAPS = [
     (["compute", "dF", "--n", "3", "--x", "1/2", "--r", "30"], "--r", "31"),
     (["series", "eq31", "--r", "8", "--N", "40"], "--r", "9"),
     (["compute", "H", "--n", "2000", "--x", "1/2"], "--n", "2001"),
+    (["compute", "H", "--n", "3", "--x", "1/2", "--alpha", "30"], "--alpha", "31"),
     (["compute", "F", "--n", "10000", "--x", "1/2"], "--n", "10001"),
     (["compute", "dF", "--n", "100", "--x", "1/2", "--r", "2"], "--n", "101"),
     (["compute", "bernoulli", "--N", "400"], "--N", "401"),

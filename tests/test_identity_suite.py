@@ -14,6 +14,7 @@ from harmonic_beta.beta_engine import (
     beta_F_sum,
     derivative_F,
     derivative_rows,
+    mixed_sum,
 )
 from harmonic_beta.harmonic_core import DomainError, harmonic_function, harmonic_number
 from harmonic_beta.identity_suite import (
@@ -32,7 +33,6 @@ from harmonic_beta.identity_suite import (
     check_theorem_2_6_finite,
     deliberate_mismatch_check,
     generic_check,
-    mixed_derivative_form,
     run_all,
 )
 
@@ -196,6 +196,26 @@ class TestTheorem23:
         reports = check_theorem_2_3(25, [Fraction(7, 3)])
         assert all(r.status == PASS for r in reports)
 
+    def test_wrong_display_coefficient_fails_exactly_its_forms(self, monkeypatch):
+        def wrong_r3(h1, h2, h3):
+            return 2 * h3 + 4 * h1 * h2 + h1**3  # the display has 3 * h1 * h2
+
+        r2_row, r3_row = identity_suite._DISPLAY_FAMILIES["thm2.3"]
+        wrong_row = (r3_row[0], wrong_r3, *r3_row[2:])
+        monkeypatch.setitem(identity_suite._DISPLAY_FAMILIES, "thm2.3", (r2_row, wrong_row))
+        reports = run_all(6, 2, [Fraction(0), Fraction(1, 2)])
+        failing = {r.identity_id for r in reports if r.status == FAIL}
+        assert failing == {"thm2.3b", "eq21", "thm2.3d"}
+        assert all(r.status == PASS for r in reports if r.identity_id not in failing)
+        # a failing forward point's witness is (alt_power_sum, display side / 3!)
+        n, x = 2, Fraction(1, 2)
+        point = next(
+            r for r in reports if r.identity_id == "thm2.3b" and r.params == {"n": n, "x": x}
+        )
+        h = [harmonic_function(n, x, alpha) for alpha in (1, 2, 3)]
+        assert point.status == FAIL
+        assert point.witness == (alt_power_sum(n, x, 4), wrong_r3(*h) * beta_F(n, x) / 6)
+
 
 class TestTheorem25:
     def test_sweep_passes(self):
@@ -249,11 +269,11 @@ class TestTheorem26Finite:
     def test_base_case_reduces_to_first_order_form(self):
         for n in range(10):
             x = Fraction(1, 2)
-            assert mixed_derivative_form(n, x, 0) == alt_power_sum(n, x, 2)
+            assert mixed_sum(*derivative_rows(n, x, 0)[n], 0) == alt_power_sum(n, x, 2)
 
     def test_single_term_sums(self):
         assert alt_power_sum(0, 0, 4) == 1
-        assert mixed_derivative_form(0, 0, 2) == 1
+        assert mixed_sum(*derivative_rows(0, 0, 2)[0], 2) == 1
 
     def test_sweep_passes(self):
         reports = check_theorem_2_6_finite(4, 12, [Fraction(0), Fraction(1, 2)])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonic_beta import series_lab
-from harmonic_beta.beta_engine import alt_power_sum, bell_expansion
+from harmonic_beta.beta_engine import alt_power_sum, bell_expansion, mixed_sum
 from harmonic_beta.cli import run
 from harmonic_beta.identity_suite import binomial_inverse
 from harmonic_beta.harmonic_core import DomainError, harmonic_number
@@ -505,14 +505,13 @@ class TestTheorem26Series:
         assert capsys.readouterr().err == ""
 
     def test_eq31_term_mismatch_fails(self, capsys, monkeypatch):
-        def corrupted(n, x, r):
-            value = alt_power_sum(n, x, r)
-            return value + 1 if n == 7 else value
+        def corrupted(harmonics, derivatives, r):
+            value = mixed_sum(harmonics, derivatives, r)
+            # harmonics[0] = H_k(0, 1) = H_{k+1}: corrupt the inner term k = 7
+            return value + 1 if harmonics[0] == harmonic_number(8, 1) else value
 
-        monkeypatch.setattr(series_lab, "alt_power_sum", corrupted)
-        self._assert_eq31_check_fails(
-            capsys, "derivative route disagrees with direct summation at k=7"
-        )
+        monkeypatch.setattr(series_lab, "mixed_sum", corrupted)
+        self._assert_eq31_check_fails(capsys, "eq31(r=1,x=0): inner term does not collapse at k=7")
 
     def test_eq31_inversion_mismatch_fails(self, capsys, monkeypatch):
         def corrupted(sequence):
@@ -520,19 +519,19 @@ class TestTheorem26Series:
             return [v + 1 if n == 5 else v for n, v in enumerate(out)]
 
         monkeypatch.setattr(series_lab, "binomial_inverse", corrupted)
-        self._assert_eq31_check_fails(capsys, "eq31(r=1,x=0): inversion mismatch at n=5")
+        self._assert_eq31_check_fails(capsys, "eq31(r=1,x=0): inner term does not collapse at k=5")
 
     def test_eq31_checks_stop_at_the_cap(self, monkeypatch):
         checked = []
 
-        def counted(n, x, r):
-            checked.append(n)
-            return alt_power_sum(n, x, r)
+        def counted(sequence):
+            checked.append(len(sequence))
+            return binomial_inverse(sequence)
 
-        monkeypatch.setattr(series_lab, "alt_power_sum", counted)
+        monkeypatch.setattr(series_lab, "binomial_inverse", counted)
         eq31_series(0, 0, 30)
         eq31_series(0, 0, 10_000)
-        assert checked == list(range(30)) + list(range(_TERM_CHECK_CAP))
+        assert checked == [30, _TERM_CHECK_CAP]
 
     def test_leibniz_route_matches_recursion_route_symbolically(self):
         for r in range(7):
