@@ -43,7 +43,6 @@ from .harmonic_core import (
     HarmonicNumerators,
     HarmonicVector,
     RationalLike,
-    binomial,
 )
 
 __all__ = [
@@ -170,16 +169,19 @@ def bell_expansion(r: int) -> BellExpansion:
 
 
 def beta_F(n: int, x: RationalLike) -> Fraction:
-    """F_n(x) as the exact product n! / ((x+1)(x+2)...(x+n+1))."""
+    """F_n(x) as the exact product n! / ((x+1)(x+2)...(x+n+1)).
+
+    With x = p/q this is n! * q**(n+1) / prod(q(k+1) + p, k = 0..n): an
+    integer product, reduced once.
+    """
     if n < 0:
         raise DomainError(f"beta_F requires n >= 0, got n={n}")
     x = Fraction(x)
     if x <= -1:
         raise DomainError(f"beta_F requires x > -1, got x={x}")
-    denom = Fraction(1)
-    for k in range(n + 1):
-        denom *= x + k + 1
-    return Fraction(math.factorial(n)) / denom
+    p, q = x.numerator, x.denominator
+    denom = math.prod(q * (k + 1) + p for k in range(n + 1))
+    return Fraction(math.factorial(n) * q ** (n + 1), denom)
 
 
 def beta_F_sum(n: int, x: RationalLike) -> Fraction:
@@ -320,16 +322,22 @@ def mixed_sum(
 
     With the entries of a :func:`derivative_rows` row this is the mixed
     harmonic/derivative side of the general-order finite identity (Theorem
-    2.6), which states that it equals alt_power_sum(n, x, r+2).
+    2.6), which states that it equals alt_power_sum(n, x, r+2).  The terms
+    are summed as integer numerators over a running lcm of their
+    denominators and reduced once.
     """
-    acc = Fraction(0)
-    fact_l = 1
+    numerator, denominator = 0, 1
+    falling = 1  # C(r, l) * l! = r!/(r-l)!
     for l in range(r + 1):
-        term = binomial(r, l) * fact_l * harmonics[l] * derivatives[r - l]
-        acc += -term if l % 2 else term
-        fact_l *= l + 1
-    result = acc / math.factorial(r + 1)
-    return -result if r % 2 else result
+        h, d = harmonics[l], derivatives[r - l]
+        term_denominator = h.denominator * d.denominator
+        common = math.lcm(denominator, term_denominator)
+        term = falling * h.numerator * d.numerator * (common // term_denominator)
+        numerator = numerator * (common // denominator) + (-term if l % 2 else term)
+        denominator = common
+        falling *= r - l
+    numerator = -numerator if r % 2 else numerator
+    return Fraction(numerator, denominator * math.factorial(r + 1))
 
 
 def derivative_F(n: int, x: RationalLike, r: int) -> Fraction:

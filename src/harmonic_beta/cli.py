@@ -36,12 +36,19 @@ __all__ = ["run", "main"]
 # digits, beyond Python's default int->str guard; ``run`` lifts it this far.
 _INT_MAX_STR_DIGITS = 2_000_000
 
-# Largest value of each (quantity, flag) ``compute`` accepts, refused before
-# any work; README lists the time of each worst allowed run.  G_30 has 5,604
-# monomials; zeta-even --n needs B_2n, so it stops at half the bernoulli cap.
+# Largest value of each (quantity, flag) ``compute`` and ``oracle`` accept,
+# refused before any work; README lists the time of each worst allowed run.
+# G_30 has 5,604 monomials; zeta-even --n needs B_2n, so it stops at half the
+# bernoulli cap.  oracle quad runs compute dF's derivative_F(n, x, m), so it
+# takes dF's caps; an mc batch holds 2**17 * r floats and its time is linear
+# in --samples, and --n sizes the exact reference sum.
 _COMPUTE_CAPS = {
     ("H", "n"): 2000, ("H", "alpha"): 30, ("F", "n"): 10_000, ("dF", "n"): 100,
     ("dF", "r"): 30, ("bell", "r"): 30, ("bernoulli", "N"): 400, ("zeta-even", "n"): 200,
+}
+_ORACLE_CAPS = {
+    ("quad", "n"): 100, ("quad", "m"): 30,
+    ("mc", "n"): 1000, ("mc", "r"): 10, ("mc", "samples"): 10_000_000,
 }
 
 
@@ -233,12 +240,16 @@ def _require(parser: argparse.ArgumentParser, condition: bool, message: str) -> 
 # -- compute ------------------------------------------------------------------
 
 
-def _run_compute(args, parser) -> tuple[int, str]:
-    what = args.what
-    for (quantity, flag), cap in _COMPUTE_CAPS.items():
+def _refuse_past_caps(command: str, what: str, caps: dict, args) -> None:
+    for (quantity, flag), cap in caps.items():
         value = getattr(args, flag)
         if quantity == what and value is not None and value > cap:
-            raise DomainError(f"compute {what} caps --{flag} at {cap}, got {value}")
+            raise DomainError(f"{command} {what} caps --{flag} at {cap}, got {value}")
+
+
+def _run_compute(args, parser) -> tuple[int, str]:
+    what = args.what
+    _refuse_past_caps("compute", what, _COMPUTE_CAPS, args)
     if what == "H":
         _require(parser, args.n is not None, "compute H requires --n")
         if args.x is None:
@@ -427,6 +438,7 @@ def _render_estimate(args, estimate: SeriesEstimate) -> str:
 def _run_oracle(args, parser) -> tuple[int, str]:
     import time
 
+    _refuse_past_caps("oracle", args.which, _ORACLE_CAPS, args)
     if args.which == "quad":
         _require(parser, args.m is not None, "oracle quad requires --m")
         start = time.perf_counter()

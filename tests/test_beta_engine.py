@@ -14,6 +14,7 @@ from harmonic_beta.beta_engine import (
     beta_F_sum,
     derivative_F,
     derivative_rows,
+    mixed_sum,
 )
 from harmonic_beta.harmonic_core import DomainError, harmonic_function, harmonic_vector
 
@@ -35,6 +36,15 @@ class TestBetaF:
     def test_value_positive(self):
         assert beta_F(3, 0) == Fraction(1, 4)
         assert beta_F(6, Fraction(7, 3)) > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 120), x_values)
+    def test_matches_fraction_product_loop(self, n, x):
+        # the reference: n+1 reducing Fraction products
+        denom = Fraction(1)
+        for k in range(n + 1):
+            denom *= x + k + 1
+        assert beta_F(n, x) == Fraction(math.factorial(n)) / denom
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -276,3 +286,34 @@ class TestIntegerBellEvaluation:
         expected = -expected if r % 2 else expected
         assert derivative_F(n, x, r) == expected
         assert derivative_rows(n, x, r)[n][1][r] == expected
+
+
+def _mixed_sum_per_term(harmonics, derivatives, r):
+    """The reference: r+1 reducing Fraction terms, summed one by one."""
+    acc = Fraction(0)
+    fact_l = 1
+    for l in range(r + 1):
+        term = math.comb(r, l) * fact_l * harmonics[l] * derivatives[r - l]
+        acc += -term if l % 2 else term
+        fact_l *= l + 1
+    result = acc / math.factorial(r + 1)
+    return -result if r % 2 else result
+
+
+class TestMixedSum:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 40), x_values, st.integers(0, 8))
+    def test_matches_per_term_sum(self, n, x, r):
+        harmonics, derivatives = derivative_rows(n, x, r)[n]
+        assert mixed_sum(harmonics, derivatives, r) == _mixed_sum_per_term(
+            harmonics, derivatives, r
+        )
+
+    def test_matches_per_term_sum_on_arbitrary_rationals(self):
+        # not a derivative row: denominators that share no structure
+        harmonics = [Fraction(3, 7), Fraction(-5, 12), Fraction(11, 9), Fraction(2, 1)]
+        derivatives = [Fraction(-1, 6), Fraction(7, 10), Fraction(4, 15), Fraction(-9, 14)]
+        for r in range(4):
+            assert mixed_sum(harmonics, derivatives, r) == _mixed_sum_per_term(
+                harmonics, derivatives, r
+            )

@@ -330,6 +330,12 @@ class TestOracleCommand:
         assert data["status"] == "pass"
         assert set(data["oracle"]) == {"value", "err", "evals"}
 
+    def test_quad_tiny_value_passes(self, capsys):
+        # F_40(100) is about 4.0e-38: an absolute tolerance once failed it
+        code, out, err = invoke(capsys, "oracle", "quad", "--n", "40", "--m", "0", "--x", "100")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["status"] == "pass"
+
     def test_mc_pass_and_schema(self, capsys):
         code, out, _ = invoke(
             capsys,
@@ -521,8 +527,8 @@ def _float_cap_argv(draw):
     return argv + ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
 
 
-# Exact-mode, eq31 and compute caps: (argv at the cap, the capped flag, its
-# first value past the cap).
+# Exact-mode, eq31, compute and oracle caps: (argv at the cap, the capped
+# flag, its first value past the cap).
 _CAPS = [
     (["series", "lemma-c", "--r", "10", "--N", "40"], "--r", "11"),
     (["series", "eq32", "--r", "8", "--N", "40"], "--r", "9"),
@@ -535,6 +541,11 @@ _CAPS = [
     (["compute", "dF", "--n", "100", "--x", "1/2", "--r", "2"], "--n", "101"),
     (["compute", "bernoulli", "--N", "400"], "--N", "401"),
     (["compute", "zeta-even", "--n", "200"], "--n", "201"),
+    (["oracle", "quad", "--n", "100", "--m", "2", "--x", "1/2"], "--n", "101"),
+    (["oracle", "quad", "--n", "3", "--m", "30", "--x", "1/2"], "--m", "31"),
+    (["oracle", "mc", "--n", "1000", "--r", "2", "--samples", "1000"], "--n", "1001"),
+    (["oracle", "mc", "--n", "3", "--r", "10", "--samples", "1000"], "--r", "11"),
+    (["oracle", "mc", "--n", "1", "--r", "1", "--samples", "10000000"], "--samples", "10000001"),
 ]
 
 
@@ -640,6 +651,22 @@ class TestOneParserPerProcess:
         for argvs in (self.ARGVS, self.ARGVS[::-1]):
             got = [_in_process(argv) for argv in argvs]
             assert got == [expected[self.ARGVS.index(argv)] for argv in argvs]
+
+
+# -- start-up loads numpy but not scipy -----------------------------------------
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(harmonic_beta.__file__))
+    code = "import sys, harmonic_beta, harmonic_beta.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 # -- the int->str digit limit is the caller's ----------------------------------

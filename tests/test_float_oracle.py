@@ -7,15 +7,43 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from harmonic_beta import float_oracle
 from harmonic_beta.beta_engine import derivative_F
+from harmonic_beta.cli import run
 from harmonic_beta.float_oracle import (
+    _gauss_kronrod,
     _row_products,
     EVALUATION_CAP,
+    QuadratureError,
     cube_monte_carlo,
     log_moment_quadrature,
 )
 from harmonic_beta.harmonic_core import DomainError
 from harmonic_beta.series_lab import multi_integral_exact
+
+
+class TestGaussKronrod:
+    def test_exact_on_polynomials(self):
+        # K15 integrates degree <= 22 exactly and G7 degree <= 13, so one
+        # round settles every interval of the graded mesh
+        for k in range(14):
+            value, abserr, evaluations = _gauss_kronrod(lambda u: u**k, 5.0, 10**6)
+            assert math.isclose(value, 5.0 ** (k + 1) / (k + 1), rel_tol=1e-13)
+            assert abserr <= 1e-13 * value
+            assert evaluations == 15 * 4  # [0, 1], [1, 2], [2, 4], [4, 5]
+
+    def test_bisects_a_narrow_peak(self):
+        peak = lambda u: np.exp(-100 * (u - 30.0) ** 2)
+        value, _, evaluations = _gauss_kronrod(peak, 64.0, 10**6)
+        assert math.isclose(value, math.sqrt(math.pi) / 10, rel_tol=1e-12)
+        assert evaluations > 15 * 7
+
+    def test_budget_exhausted_returns_none(self):
+        assert _gauss_kronrod(lambda u: np.exp(-100 * (u - 30.0) ** 2), 64.0, 200) is None
+
+    def test_non_finite_ends_the_integration(self):
+        value, abserr, evaluations = _gauss_kronrod(lambda u: np.full_like(u, np.inf), 1.0, 10**6)
+        assert not math.isfinite(abserr) and evaluations == 15
 
 
 class TestLogMomentQuadrature:
@@ -51,6 +79,52 @@ class TestLogMomentQuadrature:
         result = log_moment_quadrature(4, 2, Fraction(1, 2))
         assert result.abs_error_estimate >= 0.0
         assert 0 < result.evaluations <= EVALUATION_CAP
+
+    # x close to -1 (slow decay), large x (a narrow peak near u = 0) and large n
+    @pytest.mark.parametrize(
+        "x", [Fraction(-999, 1000), Fraction(-49, 100), Fraction(0), Fraction(7, 3),
+              Fraction(100), Fraction(1000)]
+    )
+    def test_relative_accuracy_off_the_benchmark_grid(self, x):
+        for n in (0, 1, 5, 40, 200):
+            for m in range(9):
+                exact = float(derivative_F(n, x, m))
+                got = log_moment_quadrature(n, m, x).value
+                assert abs(got - exact) <= 1e-9 * abs(exact), (n, m, x)
+
+    def test_evaluation_cap_raises(self, monkeypatch, capsys):
+        monkeypatch.setattr(float_oracle, "EVALUATION_CAP", 100)
+        with pytest.raises(QuadratureError, match="evaluation cap 100 exceeded"):
+            log_moment_quadrature(2, 1, 0)
+        self._assert_cli_check_fails(capsys, "evaluation cap 100 exceeded")
+
+    def test_tail_budget_raises(self, monkeypatch, capsys):
+        monkeypatch.setattr(float_oracle, "_exp_tail", lambda upper, m, c: math.inf)
+        with pytest.raises(QuadratureError, match="tail target not reached"):
+            log_moment_quadrature(2, 1, 0)
+        self._assert_cli_check_fails(capsys, "tail target not reached")
+
+    def test_error_estimate_check_raises(self, monkeypatch, capsys):
+        # with no round tolerance the first, unrefined round is final
+        monkeypatch.setattr(float_oracle, "_ROUND_RTOL", math.inf)
+        with pytest.raises(QuadratureError, match="too large for value"):
+            log_moment_quadrature(2, 1, 100)
+        self._assert_cli_check_fails(capsys, "error estimate", "100")
+
+    def test_cut_off_overflow_raises(self, capsys):
+        # x + 1 = 1e-320 is subnormal, so the first cut-off 40/(x+1) is inf
+        x = Fraction(1, 10**320) - 1
+        with pytest.raises(QuadratureError, match="cut-off overflows"):
+            log_moment_quadrature(1, 0, x)
+        self._assert_cli_check_fails(capsys, "cut-off overflows", f"{x}")
+
+    @staticmethod
+    def _assert_cli_check_fails(capsys, message, x="0"):
+        assert run(["oracle", "quad", "--n", "2", "--m", "1", f"--x={x}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"check failed: {message}")
+        assert captured.err.count("\n") == 1
 
     def test_domain(self):
         with pytest.raises(DomainError):
