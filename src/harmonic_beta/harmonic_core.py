@@ -129,7 +129,8 @@ class HarmonicNumerators:
     so each step is integer-only, with a single gcd against the small new
     base.  The state starts empty (every sum 0); the first :meth:`advance`
     takes in d_0, and each later one the next base.  :meth:`fold` takes in
-    a run of following bases at once, kept as a second state.
+    a run of following bases at once, kept as a second state, and
+    :meth:`tree` builds the state over a run of bases by such joins.
     """
 
     def __init__(self, x: RationalLike, order: int) -> None:
@@ -141,6 +142,34 @@ class HarmonicNumerators:
         self._d = self.x.numerator + self.q  # d_0
         self.L = 1
         self.numerators = [0] * order
+
+    @classmethod
+    def tree(cls, x: RationalLike, order: int, count: int) -> HarmonicNumerators:
+        """The state over the bases d_0..d_{count-1}, built by lcm splitting.
+
+        It equals ``count`` advances of ``cls(x, order)``.  The run of bases
+        is halved down to single bases, and the halves are joined as
+        :meth:`fold` joins two states.  The large lcms and numerators then
+        form only in the top levels of a balanced tree, not once per base:
+        binary splitting (Haible and Papanikolaou, *Fast multiprecision
+        evaluation of series of rational numbers*, 1998).
+        """
+        if count < 0:
+            raise DomainError(f"a run of bases requires count >= 0, got count={count}")
+        state = cls(x, order)
+        d0, q = state._d, state.q
+
+        def run(k: int, n: int) -> tuple[int, list[int]]:
+            # (L, numerators) over the n bases d_k..d_{k+n-1}
+            if n == 1:  # what one advance from the empty state leaves
+                return d0 + k * q, [1] * order
+            half = n // 2
+            return _join_runs(*run(k, half), *run(k + half, n - half))
+
+        if count:
+            state.L, state.numerators = run(0, count)
+            state._d = d0 + count * q
+        return state
 
     def advance(self) -> int:
         """Move k -> k+1; returns the factor g by which L grew (1 if none)."""
@@ -170,15 +199,8 @@ class HarmonicNumerators:
             raise DomainError(
                 "fold requires a block of the same order that starts at the next base"
             )
-        L = math.lcm(self.L, block.L)
+        L, self.numerators = _join_runs(self.L, self.numerators, block.L, block.numerators)
         g = L // self.L
-        h = L // block.L
-        g_pow = 1
-        h_pow = 1
-        for i in range(self.order):
-            g_pow *= g
-            h_pow *= h
-            self.numerators[i] = self.numerators[i] * g_pow + block.numerators[i] * h_pow
         self.L = L
         self._d = block._d
         return g
@@ -193,6 +215,23 @@ class HarmonicNumerators:
             L_pow *= self.L
             out.append(Fraction(q_pow * numerator, L_pow))
         return tuple(out)
+
+
+def _join_runs(
+    L1: int, numerators1: list[int], L2: int, numerators2: list[int]
+) -> tuple[int, list[int]]:
+    """The numerators over two consecutive runs of bases, put over lcm(L1, L2)."""
+    L = math.lcm(L1, L2)
+    g = L // L1
+    h = L // L2
+    g_pow = 1
+    h_pow = 1
+    out: list[int] = []
+    for a, b in zip(numerators1, numerators2):
+        g_pow *= g
+        h_pow *= h
+        out.append(a * g_pow + b * h_pow)
+    return L, out
 
 
 def harmonic_vector(n: int, x: RationalLike, r: int) -> HarmonicVector:

@@ -11,15 +11,15 @@ through a running minimum over a fixed checkpoint lattice (powers of two and
 three halves thereof), which makes bracket width provably non-increasing
 in N.
 
-Exact accumulation of a log-weight series of weight w keeps the partial
-sum as one integer over L**(w+1), L = lcm(1..n+1), and takes the terms in
-blocks of at most 64 that end at every checkpoint.  In a block [a, b] each
-H^(alpha)_{n+1} is H^(alpha)_a plus the block's own running sum from a+1
-to n+1, so P(H_{n+1}, ...) expands by the binomial theorem into a few
-products H_a**f * R_f(block sums).  The sums of every R_f(...)/(n(n+1))
-over the block run on small integers over powers of a * lcm(a+1..b+1);
-the large numerators of H_a**f are multiplied in once per block.  Each
-checkpoint costs one reduction.
+Exact mode sums each log-weight series in closed form.  Every one of them
+sums T_k(m) = sum(G_k(H_{n+1},...)/(n(n+1)), n = 1..m) for some Bell order k,
+and the paper's recurrence F_n(x) = n/(n+x+1) * F_{n-1}(x) telescopes
+sum(F_n(x)/n, n = 1..m) to (1/(x+1) - F_m(x))/(x+1).  Its k-th derivative at
+x = 0 gives T_k(m) = (k+1)! - k!/(m+1) * sum(G_j(H_{m+1},...)/j!, j = 0..k),
+which needs the harmonic numbers at the checkpoints only; between
+checkpoints they advance by an lcm tree over the next run of bases.  The
+closed form must equal a direct term-by-term sum at every checkpoint up to
+512, so a verdict does not rest on it alone.
 
 Float mode (the CLI's ``--float``) computes the same terms in binary64 with
 numpy, a chunk of n at a time, and sums them with one ``math.fsum``.  Only
@@ -75,13 +75,11 @@ __all__ = [
 EXACT_N_MAX = 10_000
 
 #: Highest Bell order G_k an exact-mode log-weight series sums: lemma-c needs
-#: G_{r-1} and eq32 G_{r+1}.  The cost grows about 1.8x per order.
+#: G_{r-1} and eq32 G_{r+1}.  The cost grows 1.3x to 1.9x per order; at
+#: N = 10**4 it took 0.09 s at G_3 and 1.0 s at G_9.
 EXACT_BELL_MAX = 9
 
-# Most terms one block of the exact log-weight sum takes in.
-_BLOCK = 64
-
-# How many leading eq31 inner terms eq31_series checks.
+# How many leading terms eq31_series and the exact log-weight series check.
 _TERM_CHECK_CAP = 512
 
 # Largest r eq31_series takes, the exact eq32 cap.  The checks grow slowly in r
@@ -446,89 +444,63 @@ def _normalised(poly_terms: PolyTerms) -> dict[Monomial, int]:
     return {key: coeff for key, coeff in out.items() if coeff}
 
 
-def _shift_expansion(
-    poly_terms: PolyTerms, order: int
-) -> dict[Monomial, dict[Monomial, int]]:
-    """P(h + d) = sum_f h**f * R_f(d) by the binomial theorem; maps f to R_f.
+def _closed_form_partials(k: int, stops: list[int]) -> list[Fraction]:
+    """T_k(m) = sum(G_k(H_{n+1},...)/(n(n+1)), n = 1..m) for each m in ``stops``.
 
-    Exponent tuples have length ``order``.  R_f is weight-homogeneous of
-    weight w - weight(f) in the generators d.
+    From F_n(x) = n/(n+x+1) * F_{n-1}(x) the sum telescopes:
+    sum(F_n(x)/n, n = 1..m) = (1/(x+1) - F_m(x))/(x+1).  Its k-th derivative
+    at x = 0, with F_m^(j)(0) = (-1)**j * G_j(H_{m+1},...)/(m+1), is
+
+        T_k(m) = (k+1)! - k!/(m+1) * sum(G_j(H_{m+1},...)/j!, j = 0..k).
+
+    ``stops`` is ascending.  Between stops one harmonic state takes in the
+    next run of bases as a :meth:`HarmonicNumerators.tree`; at a stop, with
+    H^(alpha)_{m+1} = N_alpha/L**alpha, the sum is S/L**k for the integer
+    S = sum((k!/j!) * G_j(N_1..N_j) * L**(k-j)), taken by Horner's rule in L.
+    For k = 0 the sum is G_0 = 1 and no harmonic state is built.
     """
-    out: dict[Monomial, dict[Monomial, int]] = {}
-    for exponents, coeff in _normalised(poly_terms).items():
-        padded = exponents + (0,) * (order - len(exponents))
-        for f in itertools.product(*(range(e + 1) for e in padded)):
-            c = coeff
-            for e, fe in zip(padded, f):
-                c *= math.comb(e, fe)
-            rest = tuple(e - fe for e, fe in zip(padded, f))
-            row = out.setdefault(f, {})
-            row[rest] = row.get(rest, 0) + c
+    scaled = [
+        (math.factorial(k) // math.factorial(j), bell_expansion(j).terms) for j in range(k + 1)
+    ]
+    tops = [k // alpha for alpha in range(1, k + 1)]
+    state = HarmonicNumerators(0, k) if k else None
+    L, numerators = 1, []
+    taken = 0  # bases 1..taken are in the state
+    out: list[Fraction] = []
+    for m in stops:
+        if state is not None:
+            state.fold(HarmonicNumerators.tree(taken, k, m + 1 - taken))
+            taken = m + 1
+            L, numerators = state.L, state.numerators
+        powers = _power_tables(numerators, tops)
+        total = 0
+        for c, poly in scaled:
+            total = total * L + c * _evaluate_int_poly(poly, powers)
+        out.append(math.factorial(k + 1) - Fraction(total, (m + 1) * L**k))
     return out
 
 
-def _max_exponents(order: int, *polys: PolyTerms) -> list[int]:
-    tops = [0] * order
-    for poly in polys:
-        for exponents in poly:
-            for idx, e in enumerate(exponents):
-                if e > tops[idx]:
-                    tops[idx] = e
-    return tops
+def _direct_partials(k: int, stops: list[int]) -> list[Fraction]:
+    """T_k(m) for each m in ``stops`` by adding the terms one at a time.
 
-
-def _log_weight_partials(poly_terms: PolyTerms, stops: list[int]) -> list[Fraction]:
-    """sum(P(H_{n+1},...)/(n(n+1)), n = 1..m) exactly, for each m in ``stops``.
-
-    ``poly_terms`` is weight-homogeneous of weight w >= 1 and ``stops`` is
-    ascending.  The terms are taken in blocks [a, b] that end at every stop
-    and hold at most _BLOCK terms.  In a block H_{n+1} = H_a + delta(n),
-    with delta the block rows (HarmonicNumerators at shift a), so
-    P(H_{n+1}) = sum_f H_a**f * R_f(delta(n)).  Each
-    sum_n R_f(delta(n))/(n(n+1)) runs on small integers over
-    a * lcm(a+1..n+1)**(w_f+1); the large numerators of H_a**f enter once
-    per block, when the block is folded into the base rows.
+    The route that the closed form is checked against.  The running sum is
+    one integer over L**(k+1), L = lcm(1..n+1); n and n+1 divide L and are
+    coprime, so term n adds G_k(N_1..N_k) * L/(n(n+1)).
     """
-    weight = _poly_weight(poly_terms)
-    order = _max_generator(poly_terms)
-    parts = [
-        (f, weight - sum((i + 1) * e for i, e in enumerate(f)), rest)
-        for f, rest in _shift_expansion(poly_terms, order).items()
-    ]
-    # P's largest exponent of each generator bounds both f and the rest
-    max_exp = _max_exponents(order, _normalised(poly_terms))
-    base = HarmonicNumerators(0, order)
-    base.advance()  # row 1: H_1
-    acc = 0  # the partial sum so far, over base.L ** (weight + 1)
+    terms = bell_expansion(k).terms
+    tops = [k // alpha for alpha in range(1, k + 1)]
+    state = HarmonicNumerators(0, max(k, 1))  # G_0 needs no numerators, but L
+    state.advance()  # H_1
+    acc = 0
     out: list[Fraction] = []
-    a = 1
-    for stop in stops:
-        while a <= stop:
-            b = min(stop, a + _BLOCK - 1)
-            block = HarmonicNumerators(a, order)
-            sums = [0] * len(parts)  # part i over a * block.L ** (w_f + 1)
-            for n in range(a, b + 1):
-                g = block.advance()
-                if g != 1:
-                    sums = [s * g ** (w_f + 1) for s, (_, w_f, _) in zip(sums, parts)]
-                unit = a * block.L
-                diff = unit // n - unit // (n + 1)
-                powers = _power_tables(block.numerators, max_exp)
-                for i, (_, _, rest) in enumerate(parts):
-                    sums[i] += _evaluate_int_poly(rest, powers) * diff
-            base_powers = _power_tables(base.numerators, max_exp)
-            g = base.fold(block)
-            h = base.L // block.L
-            # the block's sum is a polynomial in the old base numerators: the
-            # coefficient of H_a**f is s/(a * block.L**(w_f+1)), put over the
-            # new base.L**(weight+1) like acc
-            block_poly = {
-                f: g ** (weight - w_f) * (s * h ** (w_f + 1) // a)
-                for (f, w_f, _), s in zip(parts, sums)
-            }
-            acc = acc * g ** (weight + 1) + _evaluate_int_poly(block_poly, base_powers)
-            a = b + 1
-        out.append(Fraction(acc, base.L ** (weight + 1)))
+    for n in range(1, stops[-1] + 1):
+        g = state.advance()  # H_{n+1}
+        acc *= g ** (k + 1)
+        acc += _evaluate_int_poly(terms, _power_tables(state.numerators, tops)) * (
+            state.L // (n * (n + 1))
+        )
+        if n in stops:
+            out.append(Fraction(acc, state.L ** (k + 1)))
     return out
 
 
@@ -550,13 +522,18 @@ def _log_weight_series(
     ArithmeticError is raised before any term is summed.  Equal polynomials
     agree at every n, so this is at least as strict as comparing the two
     routes term by term.
+
+    Exact mode takes only P = G_k, for k the weight, and refuses any other
+    polynomial with DomainError before any term is summed.  Its partials
+    come from :func:`_closed_form_partials`, and every stop up to
+    _TERM_CHECK_CAP must equal the direct sum of :func:`_direct_partials`;
+    otherwise ArithmeticError is raised.
     """
     if N < 1:
         raise DomainError(f"series requires N >= 1, got N={N}")
     if crosscheck_terms is not None and _normalised(crosscheck_terms) != _normalised(poly_terms):
         raise ArithmeticError(f"{target_id}: term routes disagree")
     weight = _poly_weight(poly_terms)
-    order = _max_generator(poly_terms)
     d_coeffs = _log_moment_coefficients(poly_terms, scale)
 
     if float_mode:
@@ -566,14 +543,15 @@ def _log_weight_series(
             target_id, N, total, radius, scale, Fraction(0), width, sign, claimed_limit
         )
 
+    if _normalised(poly_terms) != _normalised(bell_expansion(weight).terms):
+        raise DomainError(f"{target_id}: exact mode sums only G_k, and P is not G_{weight}")
     lattice = _checkpoint_lattice(N)
     stops = sorted(lattice | {N})
-    if weight == 0:
-        # constant numerator c: the terms c/(n(n+1)) telescope to c*m/(m+1)
-        constant = sum(poly_terms.values())
-        partials = [constant * Fraction(m, m + 1) for m in stops]
-    else:
-        partials = _log_weight_partials(poly_terms, stops)
+    partials = _closed_form_partials(weight, stops)
+    checked = [m for m in stops if m <= _TERM_CHECK_CAP]
+    for m, direct, closed in zip(checked, _direct_partials(weight, checked), partials):
+        if direct != closed:
+            raise ArithmeticError(f"{target_id}: closed form differs from the direct sum at N={m}")
     envelope = min(
         p * scale + _raw_tail_bound(d_coeffs, n)
         for n, p in zip(stops, partials)
@@ -671,7 +649,8 @@ def _bell_terms(k: int, float_mode: bool) -> PolyTerms:
 
     Float mode stops at k = 19: G_k holds (k-1)! * h_k, and 19! >= 2**53.
     Exact mode stops at k = EXACT_BELL_MAX, which bounds the time and memory
-    of the block shift expansion and of the big-integer sums."""
+    of the closed form's big-integer sums: G_0..G_k at every checkpoint, and
+    harmonic numerators of k orders."""
     if float_mode and k >= 20:
         raise DomainError(f"float mode requires coefficients below 2**53; G_{k} has {k - 1}!")
     if not float_mode and k > EXACT_BELL_MAX:

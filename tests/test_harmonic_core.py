@@ -177,6 +177,25 @@ class TestHarmonicNumerators:
         whole.advance()
         assert rows.values() == whole.values()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(7, 3), Fraction(-49, 100)]),
+        st.integers(1, 9),
+        st.one_of(st.sampled_from([1, 2, 63, 64, 65]), st.integers(0, 400)),
+    )
+    def test_tree_equals_advancing_one_base_at_a_time(self, x, order, count):
+        tree = HarmonicNumerators.tree(x, order, count)
+        rows = HarmonicNumerators(x, order)
+        for _ in range(count):
+            rows.advance()
+        assert (tree.x, tree.L, tree.numerators) == (rows.x, rows.L, rows.numerators)
+        assert tree.advance() == rows.advance()  # both continue at the next base
+        assert tree.values() == rows.values()
+
+    def test_tree_rejects_a_negative_count(self):
+        with pytest.raises(DomainError):
+            HarmonicNumerators.tree(0, 2, -1)
+
     def test_fold_rejects_a_block_that_does_not_continue(self):
         rows = HarmonicNumerators(Fraction(1, 2), 2)
         rows.advance()

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -8,10 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonic_beta import series_lab
-from harmonic_beta.beta_engine import alt_power_sum, bell_expansion, mixed_sum
+from harmonic_beta.beta_engine import (
+    _evaluate_int_poly,
+    _power_tables,
+    alt_power_sum,
+    bell_expansion,
+    mixed_sum,
+)
 from harmonic_beta.cli import run
 from harmonic_beta.identity_suite import binomial_inverse
-from harmonic_beta.harmonic_core import DomainError, harmonic_number
+from harmonic_beta.harmonic_core import DomainError, HarmonicNumerators, harmonic_number
 from harmonic_beta.series_lab import (
     EXACT_BELL_MAX,
     EXACT_N_MAX,
@@ -30,13 +37,17 @@ from harmonic_beta.series_lab import (
     _EQ31_R_MAX,
     _TERM_CHECK_CAP,
     _checkpoint_lattice,
+    _closed_form_partials,
+    _direct_partials,
     _hurwitz_ball,
     _leibniz_route_terms,
     _log_moment_coefficients,
     _log_weight_ball,
-    _log_weight_partials,
     _log_weight_series,
+    _max_generator,
+    _normalised,
     _pi_bounds,
+    _poly_weight,
     _raw_tail_bound,
 )
 
@@ -70,6 +81,65 @@ def reference_partials(poly, stops):
         running += value / (n * (n + 1))
         if n in stops:
             out.append(running)
+    return out
+
+
+def block_partials(poly, stops):
+    """The block route: sum P(H_{n+1}, ...)/(n(n+1)) for any weight >= 1 polynomial.
+
+    The terms are taken in blocks [a, b] of at most 64 that end at every
+    stop.  In a block H_{n+1} = H_a + delta(n), with delta the block's own
+    rows, so P(H_{n+1}) = sum_f H_a**f * R_f(delta(n)) by the binomial
+    theorem.  Each sum of R_f(delta(n))/(n(n+1)) runs on small integers over
+    a * lcm(a+1..n+1)**(w_f+1); the large numerators of H_a**f enter once per
+    block, when the block is folded into the base rows.
+    """
+    weight = _poly_weight(poly)
+    order = _max_generator(poly)
+    monomials = _normalised(poly)
+    parts = {}  # f -> R_f
+    for exponents, coeff in monomials.items():
+        padded = exponents + (0,) * (order - len(exponents))
+        for f in itertools.product(*(range(e + 1) for e in padded)):
+            c = coeff
+            for e, fe in zip(padded, f):
+                c *= math.comb(e, fe)
+            rest = tuple(e - fe for e, fe in zip(padded, f))
+            parts.setdefault(f, {})
+            parts[f][rest] = parts[f].get(rest, 0) + c
+    parts = [
+        (f, weight - sum((i + 1) * e for i, e in enumerate(f)), rest)
+        for f, rest in parts.items()
+    ]
+    max_exp = [max(e[i] if i < len(e) else 0 for e in monomials) for i in range(order)]
+    base = HarmonicNumerators(0, order)
+    base.advance()  # H_1
+    acc = 0  # the partial sum so far, over base.L ** (weight + 1)
+    out = []
+    a = 1
+    for stop in stops:
+        while a <= stop:
+            b = min(stop, a + 63)
+            block = HarmonicNumerators(a, order)
+            sums = [0] * len(parts)  # part i over a * block.L ** (w_f + 1)
+            for n in range(a, b + 1):
+                g = block.advance()
+                sums = [s * g ** (w_f + 1) for s, (_, w_f, _) in zip(sums, parts)]
+                unit = a * block.L
+                diff = unit // n - unit // (n + 1)
+                powers = _power_tables(block.numerators, max_exp)
+                for i, (_, _, rest) in enumerate(parts):
+                    sums[i] += _evaluate_int_poly(rest, powers) * diff
+            base_powers = _power_tables(base.numerators, max_exp)
+            g = base.fold(block)
+            h = base.L // block.L
+            block_poly = {
+                f: g ** (weight - w_f) * (s * h ** (w_f + 1) // a)
+                for (f, w_f, _), s in zip(parts, sums)
+            }
+            acc = acc * g ** (weight + 1) + _evaluate_int_poly(block_poly, base_powers)
+            a = b + 1
+        out.append(Fraction(acc, base.L ** (weight + 1)))
     return out
 
 
@@ -166,22 +236,22 @@ class TestLemmaCPartial:
         assert lemma_c_partial(1, 100_000).partial == 1 - Fraction(1, 100_001)
 
     @pytest.mark.parametrize("N", [1, 2, 3, 64, 65, 10_000])
-    @pytest.mark.parametrize("constant", [1, 3])
-    def test_weight_zero_closed_form_matches_per_term_loop(self, N, constant):
-        # a constant numerator (lemma-c r = 1 sums G_0 = 1): the closed form
-        # c*m/(m+1) against one term at a time at every stop, which the
-        # published width takes its envelope over
-        poly = {(): constant}
-        est = _log_weight_series("c", poly, Fraction(1), N, None)
+    @pytest.mark.parametrize("scale", [1, 3])
+    def test_weight_zero_closed_form_matches_per_term_loop(self, N, scale):
+        # lemma-c r = 1 sums G_0 = 1: the closed form m/(m+1) against one
+        # term at a time at every stop, which the published width takes its
+        # envelope over
+        poly = {(): 1}
+        est = _log_weight_series("c", poly, Fraction(scale), N, None)
         lattice = _checkpoint_lattice(N)
         stops = sorted(lattice | {N})
-        refs = reference_partials(poly, stops)
-        d_coeffs = _log_moment_coefficients(poly, Fraction(1))
+        refs = [scale * p for p in reference_partials(poly, stops)]
+        d_coeffs = _log_moment_coefficients(poly, Fraction(scale))
         envelope = min(
             p + _raw_tail_bound(d_coeffs, n) for n, p in zip(stops, refs) if n in lattice
         )
         assert (est.partial, est.tail_high) == (refs[-1], envelope - refs[-1])
-        if constant == 1:
+        if scale == 1:
             assert lemma_c_partial(1, N).bounds() == est.bounds()
 
     def test_terms_match_direct_route(self):
@@ -229,15 +299,75 @@ class TestLemmaCPartial:
         assert est.contains_claim()
 
 
-class TestBlockAccumulation:
+class TestClosedForm:
     @settings(max_examples=40, deadline=None)
     @given(
         st.sampled_from(POLYNOMIALS),
-        st.one_of(st.sampled_from([63, 64, 65, 128, 129]), st.integers(1, 400)),
+        st.one_of(st.sampled_from([511, 512, 513]), st.integers(1, 400)),
     )
     def test_matches_per_term_loop_at_every_stop(self, poly, N):
+        k = _poly_weight(poly)
         stops = sorted(_checkpoint_lattice(N) | {N})
-        assert _log_weight_partials(poly, stops) == reference_partials(poly, stops)
+        reference = reference_partials(poly, stops)
+        assert _closed_form_partials(k, stops) == reference
+        checked = [m for m in stops if m <= _TERM_CHECK_CAP]
+        assert _direct_partials(k, checked) == reference[: len(checked)]
+
+    @pytest.mark.parametrize("k,N", [(3, 10_000), (9, 1000)])
+    def test_matches_block_route(self, k, N):
+        stops = sorted(_checkpoint_lattice(N) | {N})
+        assert _closed_form_partials(k, stops) == block_partials(bell_expansion(k).terms, stops)
+
+    def test_weight_zero_builds_no_harmonic_state(self, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError(f"harmonic state built: {args}")
+
+        monkeypatch.setattr(series_lab, "HarmonicNumerators", unbuilt)
+        stops = [1, 2, 3, 10**6]
+        assert _closed_form_partials(0, stops) == [Fraction(m, m + 1) for m in stops]
+
+    @pytest.mark.parametrize("N", [1, 50, 512, 10_000])
+    def test_corrupted_closed_form_fails_the_term_check(self, capsys, monkeypatch, N):
+        real = series_lab.bell_expansion
+
+        def corrupted(j):
+            expansion = real(j)
+            if j != 2:
+                return expansion
+            terms = dict(expansion.terms)
+            terms[(0, 1)] += 1  # G_2 = h1^2 + h2 becomes h1^2 + 2*h2
+            return dataclasses.replace(expansion, terms=terms)
+
+        monkeypatch.setattr(series_lab, "bell_expansion", corrupted)
+        # G_2 enters only the closed form of G_3, not its direct sum
+        message = "lemma-c(r=4): closed form differs from the direct sum at N=1"
+        with pytest.raises(ArithmeticError) as raised:
+            lemma_c_partial(4, N)
+        assert str(raised.value) == message
+        assert run(["series", "lemma-c", "--r", "4", "--N", str(N)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"check failed: {message}\n")
+        # lemma-c r = 2 sums G_1, whose closed form takes G_0 and G_1 only
+        assert run(["series", "lemma-c", "--r", "2", "--N", str(N)]) == 0
+
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            {(): 3},  # 3 * G_0
+            {(2,): 1, (0, 1): 2},  # weight 2, not G_2
+            {(1, 1): 3, (0, 0, 1): 2},  # weight 3, a part of G_3
+            _COROLLARY_DISPLAYS["r4"][0] | {(3,): 2},  # G_3 with h1^3 doubled
+        ],
+    )
+    def test_exact_mode_refuses_a_polynomial_that_is_not_g_k(self, monkeypatch, poly):
+        def unbuilt(*args):
+            raise AssertionError(f"summing started: {args}")
+
+        monkeypatch.setattr(series_lab, "HarmonicNumerators", unbuilt)
+        monkeypatch.setattr(series_lab, "_closed_form_partials", unbuilt)
+        monkeypatch.setattr(series_lab, "_direct_partials", unbuilt)
+        with pytest.raises(DomainError, match="exact mode sums only G_k"):
+            _log_weight_series("p", poly, Fraction(1), 10_000, None)
 
     def test_changed_crosscheck_coefficient_fails_before_summing(self):
         terms = dict(bell_expansion(3).terms)
@@ -256,6 +386,9 @@ class TestBlockAccumulation:
         padded = {(2, 0, 0): 1, (0, 1, 0): 1, (1, 0, 0): 0}
         est = _log_weight_series("g2", terms, Fraction(1), 50, None, crosscheck_terms=padded)
         assert est.partial == _log_weight_series("g2", terms, Fraction(1), 50, None).partial
+        # exact mode compares P with G_k after the same normalising
+        padded = {(2, 0, 0): 1, (0, 1, 0): 1}
+        assert est.partial == _log_weight_series("g2", padded, Fraction(1), 50, None).partial
 
 
 @st.composite
@@ -279,7 +412,7 @@ class TestFloatBall:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(series_lab, "_CHUNK", chunk)
             total, radius = _log_weight_ball(poly, N)
-        exact = _log_weight_partials(poly, [N])[0]
+        exact = block_partials(poly, [N])[0]
         assert abs(exact - Fraction(total)) <= radius
 
     @settings(max_examples=60, deadline=None)
@@ -315,7 +448,7 @@ class TestFloatBall:
         poly, sign = poly_sign
         scale = Fraction(1, 3)
         est = _log_weight_series("t", poly, scale, N, None, sign=sign, float_mode=True)
-        exact = sign * scale * _log_weight_partials(poly, [N])[0]
+        exact = sign * scale * block_partials(poly, [N])[0]
         tail = sign * _raw_tail_bound(_log_moment_coefficients(poly, scale), N)
         low, high = est.bounds()
         assert low <= min(exact, exact + tail) and max(exact, exact + tail) <= high
@@ -328,7 +461,7 @@ class TestFloatBall:
         for N, value in zip(stops, powers):
             total, radius = _hurwitz_ball(Fraction(1), 3, N)
             assert abs(value - Fraction(total)) <= radius
-        for N, value in zip(stops, _log_weight_partials({(1,): 1}, stops)):
+        for N, value in zip(stops, block_partials({(1,): 1}, stops)):
             total, radius = _log_weight_ball({(1,): 1}, N)
             assert abs(value - Fraction(total)) <= radius
 
