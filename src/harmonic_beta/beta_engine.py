@@ -24,10 +24,15 @@ so the weight cancels out of every monomial:
 
     G_r(H_n(x,1), ..., H_n(x,r)) = (q/L)**r * G_r(N_1, ..., N_r).
 
-:func:`derivative_F` and :func:`derivative_rows` evaluate G_r(N) in integers
-and build one reduced Fraction per derivative.  :meth:`BellExpansion.evaluate`
-substitutes Fraction values directly; it is the reference route the tests
-compare them with.
+:func:`derivative_F` and :func:`derivative_rows` take G_0(N)..G_r(N) from
+the complete-Bell recurrence (Comtet, *Advanced Combinatorics*, 1974, ch. 3)
+
+    G_{j+1} = sum(j!/(j-i)! * h_{i+1} * G_{j-i}, i = 0..j)
+
+on the integer numerators, and build one reduced Fraction per derivative.
+The recurrence is again weight-homogeneous, so it is exact on N.
+:meth:`BellExpansion.evaluate` substitutes Fraction values into the
+polynomial directly; it is the reference route the tests compare them with.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .harmonic_core import (
     DomainError,
@@ -53,7 +58,6 @@ __all__ = [
     "bell_expansion",
     "derivative_F",
     "derivative_rows",
-    "harmonic_rows",
     "mixed_sum",
 ]
 
@@ -218,29 +222,20 @@ def alt_power_sum(n: int, x: RationalLike, r: int) -> Fraction:
     return Fraction(q**r * total, D**r)
 
 
-def _power_tables(values: Sequence[int], max_exponents: Sequence[int]) -> list[list[int]]:
-    """tables[i][e] = values[i]**e for e = 0..max_exponents[i]."""
-    tables: list[list[int]] = []
-    for value, top in zip(values, max_exponents):
-        row = [1]
-        acc = 1
-        for _ in range(top):
-            acc *= value
-            row.append(acc)
-        tables.append(row)
-    return tables
+def _bell_values(numerators: Sequence[int], k: int) -> list[int]:
+    """[G_0(N), ..., G_k(N)] by G_{j+1} = sum(j!/(j-i)! * N_{i+1} * G_{j-i}, i = 0..j).
 
-
-def _evaluate_int_poly(poly_terms: Mapping[Monomial, int], powers: list[list[int]]) -> int:
-    """Evaluate an integer polynomial given per-generator power tables."""
-    total = 0
-    for exponents, coeff in poly_terms.items():
-        prod = coeff
-        for idx, e in enumerate(exponents):
-            if e:
-                prod *= powers[idx][e]
-        total += prod
-    return total
+    O(k**2) products; ``numerators`` holds at least N_1..N_k.
+    """
+    values = [1]
+    for j in range(k):
+        total = 0
+        falling = 1  # j!/(j-i)!
+        for i in range(j + 1):
+            total += falling * numerators[i] * values[j - i]
+            falling *= j - i
+        values.append(total)
+    return values
 
 
 def _derivatives(
@@ -248,56 +243,16 @@ def _derivatives(
 ) -> list[Fraction]:
     """F^(j) for each j in ``orders``, given ``state`` at n and base = F_n(x).
 
-    F^(j) = (-1)**j * (q/L)**j * G_j(N_1..N_j) * F_n: one integer
-    polynomial and one reduced Fraction per order.
+    F^(j) = (-1)**j * (q/L)**j * G_j(N_1..N_j) * F_n: one reduced Fraction
+    per order.
     """
-    top = max(orders)
-    powers = _power_tables(
-        state.numerators[:top], [top // alpha for alpha in range(1, top + 1)]
-    )
+    values = _bell_values(state.numerators, max(orders))
     out: list[Fraction] = []
     for j in orders:
-        if j == 0:
-            out.append(base)
-            continue
-        numerator = state.q**j * _evaluate_int_poly(bell_expansion(j).terms, powers)
+        numerator = state.q**j * values[j]
         numerator *= -base.numerator if j % 2 else base.numerator
         out.append(Fraction(numerator, state.L**j * base.denominator))
     return out
-
-
-def _harmonic_states(
-    n_max: int, x: RationalLike, order: int
-) -> Iterator[tuple[HarmonicNumerators, Fraction]]:
-    """Yield (state, F_k(x)) for k = 0..n_max; ``state`` holds H_k(x, 1..order).
-
-    The one F_k recurrence, F_k = F_{k-1} * k/(x+k+1), beside one harmonic
-    pass; the same state object is yielded each time, advanced in place.
-    """
-    state = HarmonicNumerators(x, order)
-    x = state.x
-    f_val = Fraction(1)
-    for k in range(n_max + 1):
-        state.advance()
-        inv = 1 / (x + k + 1)
-        f_val *= k * inv if k else inv
-        yield state, f_val
-
-
-def harmonic_rows(
-    n_max: int, x: RationalLike, order: int
-) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """h[alpha-1][k] = H_k(x, alpha) and f[k] = F_k(x) for k = 0..n_max.
-
-    Built incrementally so that whole-row checks stay quadratic overall.
-    """
-    h: list[list[Fraction]] = [[] for _ in range(order)]
-    f: list[Fraction] = []
-    for state, f_val in _harmonic_states(n_max, x, order):
-        for alpha, value in enumerate(state.values()):
-            h[alpha].append(value)
-        f.append(f_val)
-    return h, f
 
 
 def derivative_rows(
@@ -305,14 +260,19 @@ def derivative_rows(
 ) -> list[tuple[tuple[Fraction, ...], list[Fraction]]]:
     """Row n = ((H_n(x,1), ..., H_n(x,r_max+1)), [F_n^(0)(x), ..., F_n^(r_max)(x)]).
 
-    One harmonic pass serves every n <= n_max; the derivatives come from the
+    One harmonic pass serves every n <= n_max, beside the one F_n
+    recurrence F_n = F_{n-1} * n/(x+n+1); the derivatives come from the
     integer evaluation :func:`derivative_F` uses.
     """
-    orders = range(r_max + 1)
-    return [
-        (state.values(), _derivatives(state, base, orders))
-        for state, base in _harmonic_states(n_max, x, r_max + 1)
-    ]
+    state = HarmonicNumerators(x, r_max + 1)
+    f_val = Fraction(1)
+    rows = []
+    for n in range(n_max + 1):
+        state.advance()
+        inv = 1 / (state.x + n + 1)
+        f_val *= n * inv if n else inv
+        rows.append((state.values(), _derivatives(state, f_val, range(r_max + 1))))
+    return rows
 
 
 def mixed_sum(
@@ -344,8 +304,9 @@ def derivative_F(n: int, x: RationalLike, r: int) -> Fraction:
     """Exact r-th derivative of F_n at x.
 
     Computed as (-1)**r * G_r(H_n(x,1),...,H_n(x,r)) * F_n(x), with G_r
-    evaluated on the integer numerators of the harmonic sums; agrees with
-    r! * (-1)**r * alt_power_sum(n, x, r+1) for every n, x, r.
+    evaluated on the integer numerators of the harmonic sums by
+    :func:`_bell_values`; agrees with r! * (-1)**r * alt_power_sum(n, x, r+1)
+    for every n, x, r.
     """
     if r < 0:
         raise DomainError(f"derivative_F requires r >= 0, got r={r}")
@@ -353,6 +314,5 @@ def derivative_F(n: int, x: RationalLike, r: int) -> Fraction:
     if r == 0:
         return base
     state = HarmonicNumerators(x, r)
-    for _ in range(n + 1):
-        state.advance()
+    state.advance(n + 1)
     return _derivatives(state, base, [r])[0]

@@ -51,6 +51,11 @@ _ORACLE_CAPS = {
     ("mc", "n"): 1000, ("mc", "r"): 10, ("mc", "samples"): 10_000_000,
 }
 
+# Largest --N float mode sums, refused before any work; it binds zeta and
+# eq31, as the log-weight targets stop at N(N+1) < 2**53.  README lists the
+# time of the worst allowed runs.
+_FLOAT_N_MAX = 10**8
+
 
 def _rational(text: str) -> Fraction:
     try:
@@ -132,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--float",
         dest="float_mode",
         action="store_true",
-        help=f"allow N > {EXACT_N_MAX}: sum in binary64 and widen the bracket by a "
-        "rigorous rounding radius (tail_low may then be negative)",
+        help=f"allow {EXACT_N_MAX} < N <= {_FLOAT_N_MAX}: sum in binary64 and widen the "
+        "bracket by a rigorous rounding radius (tail_low may then be negative)",
     )
     _output_flags(series, default_format="json")
 
@@ -383,6 +388,8 @@ def _run_series(args, parser) -> tuple[int, str]:
             f"--N {args.N} exceeds the exact-mode threshold {EXACT_N_MAX}; "
             "pass --float to sum in binary64 with a rigorous rounding radius"
         )
+    if args.N > _FLOAT_N_MAX:
+        raise DomainError(f"float mode caps --N at {_FLOAT_N_MAX}, got {args.N}")
     target = args.target
     if target in ("lemma-c", "eq31", "eq32"):
         _require(parser, args.r is not None, f"series {target} requires --r")

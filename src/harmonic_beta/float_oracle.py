@@ -54,14 +54,18 @@ class MonteCarloResult(NamedTuple):
 
 
 def _exp_tail(upper: float, m: int, c: float) -> float:
-    """integral_U^inf u**m e**(-c u) du, closed form via the factorial recurrence."""
-    # e^{-cU} * sum_j (m!/j!) U^j / c^(m-j+1)
+    """integral_U^inf u**m e**(-c u) du = sum_j e**(-cU) (m!/j!) U**j / c**(m-j+1).
+
+    Each term is formed from its logarithm, so no power of U or c leaves the
+    float range on its own; a term past that range makes the tail inf.
+    """
+    log_u, log_c = math.log(upper), math.log(c)
     total = 0.0
-    coeff = 1.0  # m!/j! built downward from j = m
-    for j in range(m, -1, -1):
-        total += coeff * upper**j / c ** (m - j + 1)
-        coeff *= j  # moving j -> j-1 multiplies by j
-    return math.exp(-c * upper) * total
+    for j in range(m + 1):
+        log_term = math.lgamma(m + 1) - math.lgamma(j + 1) + j * log_u
+        log_term -= (m - j + 1) * log_c + c * upper
+        total += math.exp(log_term) if log_term < 709.0 else math.inf  # e**709 < 2**1024
+    return total
 
 
 # QUADPACK's qk15 rule (Piessens, de Doncker-Kapenga, Ueberhuber and Kahaner,
@@ -169,7 +173,8 @@ def log_moment_quadrature(n: int, m: int, x: RationalLike) -> QuadratureResult:
     c = float(x + 1)
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        return (-np.expm1(-u)) ** n * u**m * np.exp(-c * u)
+        # every node has u > 0; u**m and e**(-cu) apart can leave the float range
+        return np.exp(m * np.log(u) - c * u) * (-np.expm1(-u)) ** n
 
     evaluations = 0
     upper = (40.0 + 5.0 * m) / c

@@ -126,11 +126,9 @@ class HarmonicNumerators:
 
         H_k(x, alpha) = q**alpha * numerators[alpha-1] / L**alpha,
 
-    so each step is integer-only, with a single gcd against the small new
-    base.  The state starts empty (every sum 0); the first :meth:`advance`
-    takes in d_0, and each later one the next base.  :meth:`fold` takes in
-    a run of following bases at once, kept as a second state, and
-    :meth:`tree` builds the state over a run of bases by such joins.
+    so each base is taken in by integer operations only.  The state starts
+    empty (every sum 0); :meth:`advance` takes in the next bases, the first
+    of them d_0.
     """
 
     def __init__(self, x: RationalLike, order: int) -> None:
@@ -139,70 +137,30 @@ class HarmonicNumerators:
         self.x = _check_shift(x)
         self.order = order
         self.q = self.x.denominator
-        self._d = self.x.numerator + self.q  # d_0
+        self._d = self.x.numerator + self.q  # the next base, d_0 at first
         self.L = 1
         self.numerators = [0] * order
 
-    @classmethod
-    def tree(cls, x: RationalLike, order: int, count: int) -> HarmonicNumerators:
-        """The state over the bases d_0..d_{count-1}, built by lcm splitting.
+    def advance(self, count: int = 1) -> int:
+        """Take in the next ``count`` bases; returns the factor g by which L grew.
 
-        It equals ``count`` advances of ``cls(x, order)``.  The run of bases
-        is halved down to single bases, and the halves are joined as
-        :meth:`fold` joins two states.  The large lcms and numerators then
-        form only in the top levels of a balanced tree, not once per base:
-        binary splitting (Haible and Papanikolaou, *Fast multiprecision
-        evaluation of series of rational numbers*, 1998).
+        The run of bases is halved down to single bases and the halves are
+        joined by :func:`_join_runs`, then the run is joined to the state.
+        The large lcms and numerators thus form only in the top levels of a
+        balanced tree, not once per base: binary splitting (Haible and
+        Papanikolaou, *Fast multiprecision evaluation of series of rational
+        numbers*, 1998).
         """
         if count < 0:
             raise DomainError(f"a run of bases requires count >= 0, got count={count}")
-        state = cls(x, order)
-        d0, q = state._d, state.q
-
-        def run(k: int, n: int) -> tuple[int, list[int]]:
-            # (L, numerators) over the n bases d_k..d_{k+n-1}
-            if n == 1:  # what one advance from the empty state leaves
-                return d0 + k * q, [1] * order
-            half = n // 2
-            return _join_runs(*run(k, half), *run(k + half, n - half))
-
-        if count:
-            state.L, state.numerators = run(0, count)
-            state._d = d0 + count * q
-        return state
-
-    def advance(self) -> int:
-        """Move k -> k+1; returns the factor g by which L grew (1 if none)."""
-        d = self._d
-        g = d // math.gcd(self.L, d)
-        self.L *= g
-        c = self.L // d
-        c_pow = 1
-        g_pow = 1
-        for i in range(self.order):
-            c_pow *= c
-            g_pow *= g
-            self.numerators[i] = self.numerators[i] * g_pow + c_pow
-        self._d = d + self.q
-        return g
-
-    def fold(self, block: HarmonicNumerators) -> int:
-        """Add the rows of ``block``, which continues where this state stops.
-
-        ``block`` must have the same order and start at the next base: its
-        shift is x + k for this state's k advances, so its bases are
-        d_k, d_{k+1}, ...  Afterwards this state is where advancing through
-        every base ``block`` took in would have left it.  Returns the factor
-        by which L grew (1 if none).
-        """
-        if block.order != self.order or block.x != Fraction(self._d, self.q) - 1:
-            raise DomainError(
-                "fold requires a block of the same order that starts at the next base"
-            )
-        L, self.numerators = _join_runs(self.L, self.numerators, block.L, block.numerators)
+        if not count:
+            return 1
+        L, self.numerators = _join_runs(
+            self.L, self.numerators, *_run(self._d, self.q, self.order, count)
+        )
         g = L // self.L
         self.L = L
-        self._d = block._d
+        self._d += count * self.q
         return g
 
     def values(self) -> tuple[Fraction, ...]:
@@ -234,6 +192,14 @@ def _join_runs(
     return L, out
 
 
+def _run(d: int, q: int, order: int, n: int) -> tuple[int, list[int]]:
+    """(L, numerators) over the n >= 1 bases d, d + q, ..., d + (n-1)q."""
+    if n == 1:
+        return d, [1] * order
+    half = n // 2
+    return _join_runs(*_run(d, q, order, half), *_run(d + half * q, q, order, n - half))
+
+
 def harmonic_vector(n: int, x: RationalLike, r: int) -> HarmonicVector:
     """All of H_n(x,1)..H_n(x,r) in one pass over the shared bases k+x+1."""
     if n < 0:
@@ -241,8 +207,7 @@ def harmonic_vector(n: int, x: RationalLike, r: int) -> HarmonicVector:
     if r < 1:
         raise DomainError(f"harmonic_vector requires r >= 1, got r={r}")
     rows = HarmonicNumerators(x, r)
-    for _ in range(n + 1):
-        rows.advance()
+    rows.advance(n + 1)
     return HarmonicVector(n=n, x=rows.x, values=rows.values())
 
 

@@ -27,7 +27,6 @@ from .beta_engine import (
     beta_F,
     beta_F_sum,
     derivative_rows,
-    harmonic_rows,
     mixed_sum,
 )
 from .harmonic_core import DomainError, RationalLike, harmonic_number
@@ -205,18 +204,19 @@ _DISPLAY_FAMILIES: dict[str, tuple[_DisplayRow, ...]] = {
 def _display_forms(
     forms: Sequence[tuple[int, Evaluator, str, str | None]],
     x: Fraction,
-    h: list[list[Fraction]],
+    h: Sequence[Sequence[Fraction]],
     weight: Sequence[Fraction],
     grid: list[dict],
 ) -> list[IdentityReport]:
     """Each (s, display, forward id, inverted id) forward form, then each inverted one.
 
-    A failing forward point's witness is (alt_power_sum, display side / (s-1)!).
+    h[n] holds H_n(x, 1), H_n(x, 2), ...  A failing forward point's witness
+    is (alt_power_sum, display side / (s-1)!).
     """
     reports: list[IdentityReport] = []
     sides = []
     for s, display, forward_id, _ in forms:
-        side = [display(*hk) * w for hk, w in zip(zip(*h[: s - 1]), weight)]
+        side = [display(*hn[: s - 1]) * w for hn, w in zip(h, weight)]
         sides.append(side)
         reports += generic_check(
             forward_id,
@@ -238,13 +238,19 @@ def _display_forms(
 def _check_display_family(
     rows: Sequence[_DisplayRow], n_max: int, x_samples: Sequence[RationalLike]
 ) -> list[IdentityReport]:
-    """The forms of every row at each x from one harmonic pass, then the x = 0 forms."""
+    """The forms of every row at each x from one harmonic pass, then the x = 0 forms.
+
+    H and F_n = F_n^(0) come from :func:`derivative_rows`; the x = 0 forms
+    keep their literal weight 1/(n+1).
+    """
     order = max(row[0] for row in rows) - 1
     reports: list[IdentityReport] = []
     for x in [Fraction(v) for v in x_samples]:
-        h, f = harmonic_rows(n_max, x, order)
+        x_rows = derivative_rows(n_max, x, order - 1)
+        h = [hn for hn, _ in x_rows]
+        f = [derivatives[0] for _, derivatives in x_rows]
         reports += _display_forms([row[:4] for row in rows], x, h, f, _grid_nx(n_max, [x]))
-    h0, _ = harmonic_rows(n_max, 0, order)
+    h0 = [hn for hn, _ in derivative_rows(n_max, 0, order - 1)]
     weight0 = [Fraction(1, k + 1) for k in range(n_max + 1)]
     reports += _display_forms(
         [row[:2] + row[4:] for row in rows], Fraction(0), h0, weight0, _grid_n(n_max)

@@ -17,9 +17,10 @@ and the paper's recurrence F_n(x) = n/(n+x+1) * F_{n-1}(x) telescopes
 sum(F_n(x)/n, n = 1..m) to (1/(x+1) - F_m(x))/(x+1).  Its k-th derivative at
 x = 0 gives T_k(m) = (k+1)! - k!/(m+1) * sum(G_j(H_{m+1},...)/j!, j = 0..k),
 which needs the harmonic numbers at the checkpoints only; between
-checkpoints they advance by an lcm tree over the next run of bases.  The
-closed form must equal a direct term-by-term sum at every checkpoint up to
-512, so a verdict does not rest on it alone.
+checkpoints they advance by an lcm tree over the next run of bases, and at
+each checkpoint G_0..G_k come from one complete-Bell recurrence on integer
+numerators.  The closed form must equal a direct term-by-term sum at every
+checkpoint up to 512, so a verdict does not rest on it alone.
 
 Float mode (the CLI's ``--float``) computes the same terms in binary64 with
 numpy, a chunk of n at a time, and sums them with one ``math.fsum``.  Only
@@ -42,8 +43,7 @@ from typing import Iterator, Mapping, Union
 import numpy as np
 
 from .beta_engine import (
-    _evaluate_int_poly,
-    _power_tables,
+    _bell_values,
     alt_power_sum,
     bell_expansion,
     derivative_rows,
@@ -75,8 +75,8 @@ __all__ = [
 EXACT_N_MAX = 10_000
 
 #: Highest Bell order G_k an exact-mode log-weight series sums: lemma-c needs
-#: G_{r-1} and eq32 G_{r+1}.  The cost grows 1.3x to 1.9x per order; at
-#: N = 10**4 it took 0.09 s at G_3 and 1.0 s at G_9.
+#: G_{r-1} and eq32 G_{r+1}.  The cost grows with the order; at N = 10**4
+#: it took 0.09 s at G_3 and 0.45 s at G_9 (the minimum of five runs).
 EXACT_BELL_MAX = 9
 
 # How many leading terms eq31_series and the exact log-weight series check.
@@ -453,29 +453,26 @@ def _closed_form_partials(k: int, stops: list[int]) -> list[Fraction]:
 
         T_k(m) = (k+1)! - k!/(m+1) * sum(G_j(H_{m+1},...)/j!, j = 0..k).
 
-    ``stops`` is ascending.  Between stops one harmonic state takes in the
-    next run of bases as a :meth:`HarmonicNumerators.tree`; at a stop, with
-    H^(alpha)_{m+1} = N_alpha/L**alpha, the sum is S/L**k for the integer
-    S = sum((k!/j!) * G_j(N_1..N_j) * L**(k-j)), taken by Horner's rule in L.
-    For k = 0 the sum is G_0 = 1 and no harmonic state is built.
+    ``stops`` is ascending.  Between stops one harmonic state advances by
+    the next run of bases; at a stop, with H^(alpha)_{m+1} = N_alpha/L**alpha,
+    the sum is S/L**k for the integer S = sum((k!/j!) * G_j(N_1..N_j) *
+    L**(k-j)), with G_0(N)..G_k(N) from one Bell recurrence and S taken by
+    Horner's rule in L.  For k = 0 the sum is G_0 = 1 and no harmonic state
+    is built.
     """
-    scaled = [
-        (math.factorial(k) // math.factorial(j), bell_expansion(j).terms) for j in range(k + 1)
-    ]
-    tops = [k // alpha for alpha in range(1, k + 1)]
+    scales = [math.factorial(k) // math.factorial(j) for j in range(k + 1)]
     state = HarmonicNumerators(0, k) if k else None
     L, numerators = 1, []
     taken = 0  # bases 1..taken are in the state
     out: list[Fraction] = []
     for m in stops:
         if state is not None:
-            state.fold(HarmonicNumerators.tree(taken, k, m + 1 - taken))
+            state.advance(m + 1 - taken)
             taken = m + 1
             L, numerators = state.L, state.numerators
-        powers = _power_tables(numerators, tops)
         total = 0
-        for c, poly in scaled:
-            total = total * L + c * _evaluate_int_poly(poly, powers)
+        for c, value in zip(scales, _bell_values(numerators, k)):
+            total = total * L + c * value
         out.append(math.factorial(k + 1) - Fraction(total, (m + 1) * L**k))
     return out
 
@@ -487,8 +484,6 @@ def _direct_partials(k: int, stops: list[int]) -> list[Fraction]:
     one integer over L**(k+1), L = lcm(1..n+1); n and n+1 divide L and are
     coprime, so term n adds G_k(N_1..N_k) * L/(n(n+1)).
     """
-    terms = bell_expansion(k).terms
-    tops = [k // alpha for alpha in range(1, k + 1)]
     state = HarmonicNumerators(0, max(k, 1))  # G_0 needs no numerators, but L
     state.advance()  # H_1
     acc = 0
@@ -496,9 +491,7 @@ def _direct_partials(k: int, stops: list[int]) -> list[Fraction]:
     for n in range(1, stops[-1] + 1):
         g = state.advance()  # H_{n+1}
         acc *= g ** (k + 1)
-        acc += _evaluate_int_poly(terms, _power_tables(state.numerators, tops)) * (
-            state.L // (n * (n + 1))
-        )
+        acc += _bell_values(state.numerators, k)[k] * (state.L // (n * (n + 1)))
         if n in stops:
             out.append(Fraction(acc, state.L ** (k + 1)))
     return out
@@ -531,9 +524,10 @@ def _log_weight_series(
     """
     if N < 1:
         raise DomainError(f"series requires N >= 1, got N={N}")
-    if crosscheck_terms is not None and _normalised(crosscheck_terms) != _normalised(poly_terms):
+    monomials = _normalised(poly_terms)
+    if crosscheck_terms is not None and _normalised(crosscheck_terms) != monomials:
         raise ArithmeticError(f"{target_id}: term routes disagree")
-    weight = _poly_weight(poly_terms)
+    weight = _poly_weight(monomials)
     d_coeffs = _log_moment_coefficients(poly_terms, scale)
 
     if float_mode:
@@ -543,7 +537,7 @@ def _log_weight_series(
             target_id, N, total, radius, scale, Fraction(0), width, sign, claimed_limit
         )
 
-    if _normalised(poly_terms) != _normalised(bell_expansion(weight).terms):
+    if monomials != _normalised(bell_expansion(weight).terms):
         raise DomainError(f"{target_id}: exact mode sums only G_k, and P is not G_{weight}")
     lattice = _checkpoint_lattice(N)
     stops = sorted(lattice | {N})

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from harmonic_beta.beta_engine import (
     BellExpansion,
+    _bell_values,
     alt_power_sum,
     bell_expansion,
     beta_F,
@@ -286,6 +287,31 @@ class TestIntegerBellEvaluation:
         expected = -expected if r % 2 else expected
         assert derivative_F(n, x, r) == expected
         assert derivative_rows(n, x, r)[n][1][r] == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 12).flatmap(
+            lambda k: st.tuples(
+                st.just(k),
+                st.lists(
+                    st.one_of(st.just(0), st.integers(-(10**12), 10**12)),
+                    min_size=k,
+                    max_size=k,
+                ),
+            )
+        )
+    )
+    def test_bell_recurrence_equals_the_step_polynomial(self, case):
+        k, numerators = case
+        values = _bell_values(numerators, k)
+        assert values == [bell_expansion(j).evaluate(numerators) for j in range(k + 1)]
+
+    @pytest.mark.parametrize(
+        "numerators",
+        [[1] * 30, [0] * 29 + [7], [(-3) ** a * (a + 5) for a in range(30)]],
+    )
+    def test_bell_recurrence_at_order_30(self, numerators):
+        assert _bell_values(numerators, 30)[30] == bell_expansion(30).evaluate(numerators)
 
 
 def _mixed_sum_per_term(harmonics, derivatives, r):

@@ -505,6 +505,7 @@ _FLOAT_CAPS = {
     "zeta": [
         ("--x", "1/4503599627370496"),  # q(N+1)+p >= 2**53
         ("--s", "80"),  # 1/(n+1)**80 leaves the normal range
+        ("--N", "100000001"),  # past the float-mode --N cap
     ],
     "lemma-c": [
         ("--r", "21"),  # G_20 holds the coefficient 19! >= 2**53
@@ -512,6 +513,7 @@ _FLOAT_CAPS = {
     ],
     "cor2.4-r5": [("--N", "100000000")],
     "eq32": [("--r", "19")],
+    "eq31": [("--N", "100000001")],  # refused before the 512 term checks
 }
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -91,6 +92,15 @@ class TestLogMomentQuadrature:
                 exact = float(derivative_F(n, x, m))
                 got = log_moment_quadrature(n, m, x).value
                 assert abs(got - exact) <= 1e-9 * abs(exact), (n, m, x)
+
+    def test_value_near_the_top_of_the_float_range(self, capsys):
+        # F_0^(30)(x) = 30!/(x+1)**31 is about 2.65e280 here, a float, although
+        # u**30 on the grown cut-offs and the tail's U**j/c**(31-j) are not
+        x = Fraction(-99999999, 100000000)
+        assert run(["oracle", "quad", "--n", "0", "--m", "30", f"--x={x}"]) == 0
+        value = json.loads(capsys.readouterr().out)["oracle"]["value"]
+        exact = float(derivative_F(0, x, 30))
+        assert abs(value - exact) <= 1e-9 * abs(exact)
 
     def test_evaluation_cap_raises(self, monkeypatch, capsys):
         monkeypatch.setattr(float_oracle, "EVALUATION_CAP", 100)

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from harmonic_beta import series_lab
 from harmonic_beta.beta_engine import (
-    _evaluate_int_poly,
-    _power_tables,
     alt_power_sum,
     bell_expansion,
     mixed_sum,
@@ -84,6 +82,14 @@ def reference_partials(poly, stops):
     return out
 
 
+def _evaluate(poly, values):
+    """sum(coeff * prod(values[i]**e_i)) over the monomials of ``poly``."""
+    return sum(
+        coeff * math.prod(v**e for v, e in zip(values, exponents))
+        for exponents, coeff in poly.items()
+    )
+
+
 def block_partials(poly, stops):
     """The block route: sum P(H_{n+1}, ...)/(n(n+1)) for any weight >= 1 polynomial.
 
@@ -92,7 +98,7 @@ def block_partials(poly, stops):
     rows, so P(H_{n+1}) = sum_f H_a**f * R_f(delta(n)) by the binomial
     theorem.  Each sum of R_f(delta(n))/(n(n+1)) runs on small integers over
     a * lcm(a+1..n+1)**(w_f+1); the large numerators of H_a**f enter once per
-    block, when the block is folded into the base rows.
+    block, when the base rows advance past the block.
     """
     weight = _poly_weight(poly)
     order = _max_generator(poly)
@@ -111,7 +117,6 @@ def block_partials(poly, stops):
         (f, weight - sum((i + 1) * e for i, e in enumerate(f)), rest)
         for f, rest in parts.items()
     ]
-    max_exp = [max(e[i] if i < len(e) else 0 for e in monomials) for i in range(order)]
     base = HarmonicNumerators(0, order)
     base.advance()  # H_1
     acc = 0  # the partial sum so far, over base.L ** (weight + 1)
@@ -127,17 +132,16 @@ def block_partials(poly, stops):
                 sums = [s * g ** (w_f + 1) for s, (_, w_f, _) in zip(sums, parts)]
                 unit = a * block.L
                 diff = unit // n - unit // (n + 1)
-                powers = _power_tables(block.numerators, max_exp)
                 for i, (_, _, rest) in enumerate(parts):
-                    sums[i] += _evaluate_int_poly(rest, powers) * diff
-            base_powers = _power_tables(base.numerators, max_exp)
-            g = base.fold(block)
+                    sums[i] += _evaluate(rest, block.numerators) * diff
+            base_numerators = base.numerators  # H_a; advance rebinds the list
+            g = base.advance(b + 1 - a)
             h = base.L // block.L
             block_poly = {
                 f: g ** (weight - w_f) * (s * h ** (w_f + 1) // a)
                 for (f, w_f, _), s in zip(parts, sums)
             }
-            acc = acc * g ** (weight + 1) + _evaluate_int_poly(block_poly, base_powers)
+            acc = acc * g ** (weight + 1) + _evaluate(block_poly, base_numerators)
             a = b + 1
         out.append(Fraction(acc, base.L ** (weight + 1)))
     return out
@@ -328,17 +332,15 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("N", [1, 50, 512, 10_000])
     def test_corrupted_closed_form_fails_the_term_check(self, capsys, monkeypatch, N):
-        real = series_lab.bell_expansion
+        real = series_lab._bell_values
 
-        def corrupted(j):
-            expansion = real(j)
-            if j != 2:
-                return expansion
-            terms = dict(expansion.terms)
-            terms[(0, 1)] += 1  # G_2 = h1^2 + h2 becomes h1^2 + 2*h2
-            return dataclasses.replace(expansion, terms=terms)
+        def corrupted(numerators, k):
+            values = real(numerators, k)
+            if k >= 2:
+                values[2] += numerators[1]  # G_2 = h1^2 + h2 becomes h1^2 + 2*h2
+            return values
 
-        monkeypatch.setattr(series_lab, "bell_expansion", corrupted)
+        monkeypatch.setattr(series_lab, "_bell_values", corrupted)
         # G_2 enters only the closed form of G_3, not its direct sum
         message = "lemma-c(r=4): closed form differs from the direct sum at N=1"
         with pytest.raises(ArithmeticError) as raised:
@@ -386,9 +388,15 @@ class TestClosedForm:
         padded = {(2, 0, 0): 1, (0, 1, 0): 1, (1, 0, 0): 0}
         est = _log_weight_series("g2", terms, Fraction(1), 50, None, crosscheck_terms=padded)
         assert est.partial == _log_weight_series("g2", terms, Fraction(1), 50, None).partial
-        # exact mode compares P with G_k after the same normalising
-        padded = {(2, 0, 0): 1, (0, 1, 0): 1}
-        assert est.partial == _log_weight_series("g2", padded, Fraction(1), 50, None).partial
+
+        def g2(poly, float_mode):
+            return _log_weight_series("g2", poly, Fraction(1), 50, None, float_mode=float_mode)
+
+        # both modes take P's weight, and exact mode compares P with G_k, after
+        # the same normalising
+        for float_mode in (False, True):
+            for poly in ({(2, 0, 0): 1, (0, 1, 0): 1}, padded):
+                assert g2(poly, float_mode) == g2(terms, float_mode)
 
 
 @st.composite
