@@ -4,18 +4,24 @@ Two completely different computational paths: adaptive quadrature of the
 log-moment integrals and Monte Carlo estimation of the r-dimensional cube
 integral.  Neither touches the rational machinery, so agreement is a real
 consistency check rather than a tautology.
+
+Both run in binary64 on numpy arrays.  numpy is imported by the functions
+that use it, on their first call, so importing this module (as the CLI does
+at start-up) does not load it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .harmonic_core import DomainError, RationalLike
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "QuadratureError",
@@ -33,6 +39,8 @@ EVALUATION_CAP = 1_000_000
 GENERATOR_ID = "numpy-philox4x64"
 
 _MC_BATCH = 1 << 17
+#: Rows of uniforms drawn at once within a batch.
+_MC_BLOCK = 8192
 
 
 class QuadratureError(RuntimeError):
@@ -72,7 +80,8 @@ def _exp_tail(upper: float, m: int, c: float) -> float:
 # "QUADPACK: A Subroutine Package for Automatic Integration", 1983): the 15
 # Kronrod nodes on [-1, 1] with their weights, and the weights of the 7-point
 # Gauss rule whose nodes are every other Kronrod node, _KRONROD_NODES[1::2].
-_KRONROD_NODES = np.array([
+# Plain tuples, so importing this module does not load numpy.
+_KRONROD_NODES = (
     0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
     0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
     0.586087235467691130294144838258730, 0.405845151377397166906606412076961,
@@ -81,8 +90,8 @@ _KRONROD_NODES = np.array([
     -0.586087235467691130294144838258730, -0.741531185599394439863864773280788,
     -0.864864423359769072789712788640926, -0.949107912342758524526189684047851,
     -0.991455371120812639206854697526329,
-])
-_KRONROD_WEIGHTS = np.array([
+)
+_KRONROD_WEIGHTS = (
     0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
     0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
     0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
@@ -91,17 +100,25 @@ _KRONROD_WEIGHTS = np.array([
     0.169004726639267902826583426598550, 0.140653259715525918745189590510238,
     0.104790010322250183839876322541518, 0.063092092629978553290700663189204,
     0.022935322010529224963732008058970,
-])
-_GAUSS_WEIGHTS = np.array([
+)
+_GAUSS_WEIGHTS = (
     0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
     0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
     0.381830050505118944950369775488975, 0.279705391489276667901467771423780,
     0.129484966168869693270611432679082,
-])
+)
 
 #: A bisection round ends the integration once sum(|K15 - G7|) over all
 #: intervals is at most this share of |value|.
 _ROUND_RTOL = 1e-13
+
+
+@functools.cache
+def _rule_arrays() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Kronrod nodes, Kronrod weights and Gauss weights as arrays, made once."""
+    import numpy as np
+
+    return np.array(_KRONROD_NODES), np.array(_KRONROD_WEIGHTS), np.array(_GAUSS_WEIGHTS)
 
 
 def _gauss_kronrod(
@@ -118,6 +135,9 @@ def _gauss_kronrod(
     summed |K15 - G7|, evaluations), or None if the next round would take
     the evaluations past ``budget``.
     """
+    import numpy as np
+
+    nodes, kronrod_weights, gauss_weights = _rule_arrays()
     edges, step = [0.0], 1.0
     while step < upper:
         edges.append(step)
@@ -127,15 +147,15 @@ def _gauss_kronrod(
     settled_value = settled_error = 0.0
     evaluations = 0
     while True:
-        evaluations += left.size * _KRONROD_NODES.size
+        evaluations += left.size * nodes.size
         if evaluations > budget:
             return None
         centre, half = 0.5 * (left + right), 0.5 * (right - left)
         # an overflow leaves a non-finite error, which ends the integration
         with np.errstate(over="ignore", invalid="ignore"):
-            values = f(centre[:, None] + half[:, None] * _KRONROD_NODES)
-            kronrod = half * (values @ _KRONROD_WEIGHTS)
-            error = np.abs(kronrod - half * (values[:, 1::2] @ _GAUSS_WEIGHTS))
+            values = f(centre[:, None] + half[:, None] * nodes)
+            kronrod = half * (values @ kronrod_weights)
+            error = np.abs(kronrod - half * (values[:, 1::2] @ gauss_weights))
         value = settled_value + float(kronrod.sum())
         abserr = settled_error + float(error.sum())
         tolerance = _ROUND_RTOL * abs(value)
@@ -171,6 +191,7 @@ def log_moment_quadrature(n: int, m: int, x: RationalLike) -> QuadratureResult:
     if x <= -1:
         raise DomainError(f"log_moment_quadrature requires x > -1, got x={x}")
     c = float(x + 1)
+    import numpy as np
 
     def integrand(u: np.ndarray) -> np.ndarray:
         # every node has u > 0; u**m and e**(-cu) apart can leave the float range
@@ -208,10 +229,10 @@ def log_moment_quadrature(n: int, m: int, x: RationalLike) -> QuadratureResult:
     )
 
 
-def _row_products(u: np.ndarray) -> np.ndarray:
-    """u.prod(axis=1), bit for bit: the columns multiplied left to right,
-    in place in one new array."""
-    out = u[:, 0].copy()
+def _row_products(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """u.prod(axis=1) written into ``out``, bit for bit: the columns
+    multiplied left to right."""
+    out[:] = u[:, 0]
     for j in range(1, u.shape[1]):
         out *= u[:, j]
     return out
@@ -224,7 +245,11 @@ def cube_monte_carlo(
 
     Deterministic for a fixed (n, r, samples, seed): sampling is batched
     with a counter-based generator keyed by (seed, batch index), so batches
-    could be evaluated concurrently without changing the stream.
+    could be evaluated concurrently without changing the stream.  Each
+    batch is drawn a block of _MC_BLOCK rows at a time into one reused
+    buffer, which continues the batch's stream exactly as one draw of the
+    whole batch would; the row products of a batch fill one reused array,
+    so its sums see the whole batch.
     """
     if n < 0:
         raise DomainError(f"cube_monte_carlo requires n >= 0, got n={n}")
@@ -233,7 +258,11 @@ def cube_monte_carlo(
     if samples < 2:
         raise DomainError(f"cube_monte_carlo requires samples >= 2, got {samples}")
 
+    import numpy as np
+
     entropy = seed & ((1 << 128) - 1)
+    buffer = np.empty(min(_MC_BATCH, samples))
+    block = np.empty((_MC_BLOCK, r))
     total = 0.0
     total_sq = 0.0
     done = 0
@@ -243,13 +272,16 @@ def cube_monte_carlo(
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=entropy, spawn_key=(batch,)))
         )
-        u = rng.random((count, r))
-        # in place, so no batch holds a second array of the products
-        values = _row_products(u)
+        values = buffer[:count]
+        for start in range(0, count, _MC_BLOCK):
+            u = block[: min(_MC_BLOCK, count - start)]
+            rng.random(out=u)
+            _row_products(u, values[start : start + len(u)])
         np.subtract(1.0, values, out=values)
         values **= n
         total += float(values.sum())
-        total_sq += float((values * values).sum())
+        values *= values
+        total_sq += float(values.sum())
         done += count
         batch += 1
     mean = total / samples

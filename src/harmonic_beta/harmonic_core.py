@@ -12,6 +12,7 @@ accepts only that form.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -144,8 +145,9 @@ class HarmonicNumerators:
     def advance(self, count: int = 1) -> int:
         """Take in the next ``count`` bases; returns the factor g by which L grew.
 
-        The run of bases is halved down to single bases and the halves are
-        joined by :func:`_join_runs`, then the run is joined to the state.
+        The run of bases is halved down to leaves of at most _LEAF_BASES
+        bases, each summed directly, and the halves are joined by
+        :func:`_join_runs`; then the run is joined to the state.
         The large lcms and numerators thus form only in the top levels of a
         balanced tree, not once per base: binary splitting (Haible and
         Papanikolaou, *Fast multiprecision evaluation of series of rational
@@ -192,10 +194,29 @@ def _join_runs(
     return L, out
 
 
+#: Runs of at most this many bases are summed directly, not split further.
+_LEAF_BASES = 16
+
+
 def _run(d: int, q: int, order: int, n: int) -> tuple[int, list[int]]:
-    """(L, numerators) over the n >= 1 bases d, d + q, ..., d + (n-1)q."""
+    """(L, numerators) over the n >= 1 bases d, d + q, ..., d + (n-1)q.
+
+    A run of at most _LEAF_BASES bases is a leaf: with L = lcm of its bases
+    and t = L // base, numerator alpha is the sum of t**alpha, each power
+    one product from the last.  Longer runs are halved and joined.
+    """
     if n == 1:
         return d, [1] * order
+    if n <= _LEAF_BASES:
+        bases = range(d, d + n * q, q)
+        L = math.lcm(*bases)
+        cofactors = [L // base for base in bases]
+        powers = cofactors
+        numerators = [sum(powers)]
+        for _ in range(order - 1):
+            powers = list(map(operator.mul, powers, cofactors))
+            numerators.append(sum(powers))
+        return L, numerators
     half = n // 2
     return _join_runs(*_run(d, q, order, half), *_run(d + half * q, q, order, n - half))
 

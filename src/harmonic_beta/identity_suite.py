@@ -241,16 +241,20 @@ def _check_display_family(
     """The forms of every row at each x from one harmonic pass, then the x = 0 forms.
 
     H and F_n = F_n^(0) come from :func:`derivative_rows`; the x = 0 forms
-    keep their literal weight 1/(n+1).
+    take H from the x = 0 sample's pass when 0 is sampled, and keep their
+    literal weight 1/(n+1).
     """
     order = max(row[0] for row in rows) - 1
     reports: list[IdentityReport] = []
+    h_at: dict[Fraction, list[tuple[Fraction, ...]]] = {}
     for x in [Fraction(v) for v in x_samples]:
-        x_rows = derivative_rows(n_max, x, order - 1)
-        h = [hn for hn, _ in x_rows]
+        x_rows = derivative_rows(n_max, x, 0, harmonic_order=order)
+        h = h_at[x] = [hn for hn, _ in x_rows]
         f = [derivatives[0] for _, derivatives in x_rows]
         reports += _display_forms([row[:4] for row in rows], x, h, f, _grid_nx(n_max, [x]))
-    h0 = [hn for hn, _ in derivative_rows(n_max, 0, order - 1)]
+    h0 = h_at.get(Fraction(0)) or [
+        hn for hn, _ in derivative_rows(n_max, 0, 0, harmonic_order=order)
+    ]
     weight0 = [Fraction(1, k + 1) for k in range(n_max + 1)]
     reports += _display_forms(
         [row[:2] + row[4:] for row in rows], Fraction(0), h0, weight0, _grid_n(n_max)

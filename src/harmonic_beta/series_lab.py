@@ -23,7 +23,8 @@ numerators.  The closed form must equal a direct term-by-term sum at every
 checkpoint up to 512, so a verdict does not rest on it alone.
 
 Float mode (the CLI's ``--float``) computes the same terms in binary64 with
-numpy, a chunk of n at a time, and sums them with one ``math.fsum``.  Only
+numpy, a chunk of n at a time, and sums them with one ``math.fsum``.  numpy
+is imported by the first float-mode sum, so exact mode never loads it.  Only
 correctly rounded + - * / and cumulative sums are used, and every term is
 positive, so an a-priori bound on the roundings along any term's path
 gives a rational radius around the float sum (Higham, *Accuracy and
@@ -38,9 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Mapping, Union
 
 from .beta_engine import (
     _bell_values,
@@ -57,6 +56,9 @@ from .harmonic_core import (
     zeta_even_coefficient,
 )
 from .identity_suite import binomial_inverse
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "EXACT_BELL_MAX",
@@ -323,6 +325,7 @@ def _hurwitz_ball(x: Fraction, s: int, N: int) -> tuple[float, Fraction]:
         raise DomainError(
             f"float mode: (1/(n+x+1))**{s} leaves the normal float range for x={x}, N={N}"
         )
+    import numpy as np
 
     def chunks() -> Iterator[np.ndarray]:
         chunk = _CHUNK
@@ -593,6 +596,7 @@ def _log_weight_ball(poly_terms: PolyTerms, N: int) -> tuple[float, Fraction]:
         raise DomainError(
             f"float mode: a weight-{weight} term leaves the normal float range at N={N}"
         )
+    import numpy as np
 
     def chunks() -> Iterator[np.ndarray]:
         chunk = _CHUNK

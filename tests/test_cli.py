@@ -655,7 +655,7 @@ class TestOneParserPerProcess:
             assert got == [expected[self.ARGVS.index(argv)] for argv in argvs]
 
 
-# -- start-up loads numpy but not scipy -----------------------------------------
+# -- start-up loads neither numpy nor scipy ------------------------------------
 
 
 def test_import_does_not_load_scipy():
@@ -669,6 +669,34 @@ def test_import_does_not_load_scipy():
         timeout=60,
     )
     assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+@pytest.mark.parametrize(
+    "module,argv,loads",
+    [
+        ("harmonic_beta", None, False),
+        ("harmonic_beta.cli", None, False),
+        ("harmonic_beta.cli", "verify all --n-max 5", False),
+        ("harmonic_beta.cli", "series lemma-c --r 4 --N 300", False),
+        ("harmonic_beta.cli", "compute dF --n 5 --x 1/2 --r 3", False),
+        ("harmonic_beta.cli", "oracle quad --n 2 --m 1 --x 1/2", True),
+        ("harmonic_beta.cli", "series zeta --s 2 --N 10001 --float", True),
+    ],
+)
+def test_numpy_loads_only_for_binary64_work(module, argv, loads):
+    src = os.path.dirname(os.path.dirname(harmonic_beta.__file__))
+    code = f"import sys, {module}\n"
+    if argv is not None:
+        code += f"assert {module}.run({argv.split()!r}) == 0\n"
+    code += "print('numpy' in sys.modules, file=sys.stderr)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, f"{loads}\n")
 
 
 # -- the int->str digit limit is the caller's ----------------------------------

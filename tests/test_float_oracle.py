@@ -184,6 +184,26 @@ class TestCubeMonteCarlo:
         b = cube_monte_carlo(2, 2, big, 5)
         assert a == b
 
+    @pytest.mark.parametrize(
+        "n,r,samples",
+        [(3, 1, 3 * 8192 + 5), (2, 10, 8192 - 1), (4, 10, (1 << 17) + 8192 + 3)],
+    )
+    def test_blocked_draws_equal_whole_batch_draws(self, n, r, samples):
+        # each batch drawn and multiplied in one piece, as with no fixed buffers
+        seed, size = 2024, float_oracle._MC_BATCH
+        total = total_sq = 0.0
+        for batch, start in enumerate(range(0, samples, size)):
+            rng = np.random.Generator(
+                np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(batch,)))
+            )
+            values = (1.0 - rng.random((min(size, samples - start), r)).prod(axis=1)) ** n
+            total += float(values.sum())
+            total_sq += float((values * values).sum())
+        mean = total / samples
+        variance = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
+        expected = (mean, math.sqrt(variance / samples))
+        assert tuple(cube_monte_carlo(n, r, samples, seed)) == expected
+
     @settings(max_examples=80, deadline=None)
     @given(
         u=st.integers(1, 8).flatmap(
@@ -203,4 +223,4 @@ class TestCubeMonteCarlo:
         )
     )
     def test_row_products_match_numpy_prod(self, u):
-        assert np.array_equal(_row_products(u), u.prod(axis=1))
+        assert np.array_equal(_row_products(u, np.empty(len(u))), u.prod(axis=1))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonic_beta.harmonic_core import (
+    _LEAF_BASES,
     DomainError,
     HarmonicNumerators,
     bernoulli_table,
@@ -157,7 +158,14 @@ class TestHarmonicNumerators:
         st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(7, 3), Fraction(-49, 100)]),
         st.integers(1, 9),
         st.integers(0, 20),
-        st.one_of(st.sampled_from([1, 2, 63, 64, 65]), st.integers(0, 400)),
+        st.one_of(
+            # runs about one leaf and two leaves long, and about a power of two
+            st.sampled_from(
+                [1, 2, _LEAF_BASES - 1, _LEAF_BASES, _LEAF_BASES + 1, 2 * _LEAF_BASES + 1,
+                 63, 64, 65]
+            ),
+            st.integers(0, 400),
+        ),
     )
     def test_tree_equals_advancing_one_base_at_a_time(self, x, order, k, count):
         tree = HarmonicNumerators(x, order)
