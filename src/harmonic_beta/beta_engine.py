@@ -33,14 +33,19 @@ on the integer numerators, and build one reduced Fraction per derivative.
 The recurrence is again weight-homogeneous, so it is exact on N.
 :meth:`BellExpansion.evaluate` substitutes Fraction values into the
 polynomial directly; it is the reference route the tests compare them with.
+
+:func:`alt_power_row` gives sum(C(n,k) * (-1)**k / (x+k+1)**r) for every
+n <= n_max at once; :func:`alt_power_sum` is its one-point call.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .harmonic_core import (
@@ -55,6 +60,7 @@ __all__ = [
     "beta_F",
     "beta_F_sum",
     "alt_power_sum",
+    "alt_power_row",
     "bell_expansion",
     "derivative_F",
     "derivative_rows",
@@ -197,29 +203,39 @@ def beta_F_sum(n: int, x: RationalLike) -> Fraction:
 
 
 def alt_power_sum(n: int, x: RationalLike, r: int) -> Fraction:
-    """sum(C(n,k) * (-1)**k / (x+k+1)**r, k = 0..n), exact.
+    """sum(C(n,k) * (-1)**k / (x+k+1)**r, k = 0..n), exact: one point of :func:`alt_power_row`."""
+    return alt_power_row(n, x, r, first=n)[0]
+
+
+def alt_power_row(n_max: int, x: RationalLike, r: int, first: int = 0) -> list[Fraction]:
+    """[alt_power_sum(n, x, r) for n = first..n_max], exact.
 
     With x = p/q term k is C(n,k) * (-1)**k * q**r / d_k**r for the positive
-    integer d_k = q(k+1) + p, so the integer numerators are summed over
-    D**r, D = lcm(d_0..d_n), and reduced once.
+    integer d_k = q(k+1) + p.  One D = lcm(d_0..d_{n_max}) and one table of
+    (D/d_k)**r serve every n: each entry sums its integer numerators over
+    D**r by the direct C(n,k) sum and is reduced once.  No difference table
+    is used, so the row stays independent of the binomial transform.
     """
-    if n < 0:
-        raise DomainError(f"alt_power_sum requires n >= 0, got n={n}")
+    if not 0 <= first <= n_max:
+        raise DomainError(f"alt_power_sum requires 0 <= n <= n_max, got n={first}, n_max={n_max}")
     if r < 1:
         raise DomainError(f"alt_power_sum requires r >= 1, got r={r}")
     x = Fraction(x)
     if x <= -1:
         raise DomainError(f"alt_power_sum requires x > -1, got x={x}")
     p, q = x.numerator, x.denominator
-    bases = [q * (k + 1) + p for k in range(n + 1)]
+    bases = [q * (k + 1) + p for k in range(n_max + 1)]
     D = math.lcm(*bases)
-    total = 0
-    c = 1  # C(n, k)
-    for k, d in enumerate(bases):
-        term = c * (D // d) ** r
-        total += -term if k % 2 else term
-        c = c * (n - k) // (k + 1)
-    return Fraction(q**r * total, D**r)
+    powers = [(D // d) ** r * (-1 if k % 2 else 1) for k, d in enumerate(bases)]
+    scale, denominator = q**r, D**r
+    # C(first, k) by C(n, k+1) = C(n, k) * (n-k)/(k+1), then Pascal's rule per n
+    comb = list(accumulate(range(first), lambda c, k: c * (first - k) // (k + 1), initial=1))
+    row = []
+    for n in range(first, n_max + 1):
+        if n > first:
+            comb = [1, *map(operator.add, comb, comb[1:]), 1]
+        row.append(Fraction(scale * sum(map(operator.mul, comb, powers)), denominator))
+    return row
 
 
 def _bell_values(numerators: Sequence[int], k: int) -> list[int]:

@@ -7,6 +7,9 @@ The display polynomials checked here are written out with their literal
 coefficients on purpose: the generic Bell recursion is exercised elsewhere,
 and hard-coding the displays keeps the two routes independent.
 
+:func:`run_all` builds the reference sides once and shares them with every
+exact group (``refs``); a group called with ``refs=None`` builds its own.
+
 Identity ids are stable catalog keys (``"thm2.2a"``, ``"eq16"``, ...) used in
 JSON/CSV reports and by the CLI.
 """
@@ -22,13 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .beta_engine import (
-    alt_power_sum,
-    beta_F,
-    beta_F_sum,
-    derivative_rows,
-    mixed_sum,
-)
+from .beta_engine import alt_power_row, beta_F, derivative_rows, mixed_sum
 from .harmonic_core import DomainError, RationalLike, harmonic_number
 
 __all__ = [
@@ -62,7 +59,7 @@ FAIL = "fail"
 SKIPPED = "skipped"
 
 
-@dataclass
+@dataclass(slots=True)
 class IdentityReport:
     """Machine-readable verdict for one identity at one parameter tuple."""
 
@@ -152,6 +149,24 @@ def generic_check(
     return reports
 
 
+class _References:
+    """The reference rows of one sweep for n <= n_max, each built on first use.
+
+    ``derivatives(x)`` is derivative_rows(n_max, x, r_max) with harmonic
+    order max(r_max + 1, 4), enough for every display; ``alternating(x, s)``
+    is alt_power_row(n_max, x, s).  The checks read prefixes of the rows and
+    build them inside their evaluators, so an out-of-domain x still becomes
+    a skipped report of :func:`generic_check`.
+    """
+
+    def __init__(self, n_max: int, r_max: int) -> None:
+        order = max(r_max + 1, 4)
+        self.derivatives = functools.cache(
+            lambda x: derivative_rows(n_max, x, r_max, harmonic_order=order)
+        )
+        self.alternating = functools.cache(lambda x, s: alt_power_row(n_max, x, s))
+
+
 def _grid_nx(n_max: int, x_samples: Sequence[RationalLike]) -> list[dict]:
     return [{"n": n, "x": Fraction(x)} for x in x_samples for n in range(n_max + 1)]
 
@@ -207,11 +222,12 @@ def _display_forms(
     h: Sequence[Sequence[Fraction]],
     weight: Sequence[Fraction],
     grid: list[dict],
+    refs: _References,
 ) -> list[IdentityReport]:
     """Each (s, display, forward id, inverted id) forward form, then each inverted one.
 
     h[n] holds H_n(x, 1), H_n(x, 2), ...  A failing forward point's witness
-    is (alt_power_sum, display side / (s-1)!).
+    is (alt_power_sum(n, x, s), display side / (s-1)!).
     """
     reports: list[IdentityReport] = []
     sides = []
@@ -220,7 +236,7 @@ def _display_forms(
         sides.append(side)
         reports += generic_check(
             forward_id,
-            lambda n, **_ignored: alt_power_sum(n, x, s),
+            lambda n, **_ignored: refs.alternating(x, s)[n],
             _indexed([v / math.factorial(s - 1) for v in side]),
             grid,
         )
@@ -236,109 +252,91 @@ def _display_forms(
 
 
 def _check_display_family(
-    rows: Sequence[_DisplayRow], n_max: int, x_samples: Sequence[RationalLike]
+    rows: Sequence[_DisplayRow], n_max: int, x_samples: Sequence[RationalLike], refs
 ) -> list[IdentityReport]:
-    """The forms of every row at each x from one harmonic pass, then the x = 0 forms.
+    """The forms of every row at each x, then the x = 0 forms.
 
-    H and F_n = F_n^(0) come from :func:`derivative_rows`; the x = 0 forms
-    take H from the x = 0 sample's pass when 0 is sampled, and keep their
-    literal weight 1/(n+1).
+    H and F_n = F_n^(0) come from the derivative rows at x; the x = 0 forms
+    take H from the rows at 0 and keep their literal weight 1/(n+1).
     """
-    order = max(row[0] for row in rows) - 1
+    refs = refs or _References(n_max, 0)
     reports: list[IdentityReport] = []
-    h_at: dict[Fraction, list[tuple[Fraction, ...]]] = {}
     for x in [Fraction(v) for v in x_samples]:
-        x_rows = derivative_rows(n_max, x, 0, harmonic_order=order)
-        h = h_at[x] = [hn for hn, _ in x_rows]
+        x_rows = refs.derivatives(x)[: n_max + 1]
+        h = [hn for hn, _ in x_rows]
         f = [derivatives[0] for _, derivatives in x_rows]
-        reports += _display_forms([row[:4] for row in rows], x, h, f, _grid_nx(n_max, [x]))
-    h0 = h_at.get(Fraction(0)) or [
-        hn for hn, _ in derivative_rows(n_max, 0, 0, harmonic_order=order)
-    ]
+        reports += _display_forms([row[:4] for row in rows], x, h, f, _grid_nx(n_max, [x]), refs)
+    h0 = [hn for hn, _ in refs.derivatives(Fraction(0))[: n_max + 1]]
     weight0 = [Fraction(1, k + 1) for k in range(n_max + 1)]
     reports += _display_forms(
-        [row[:2] + row[4:] for row in rows], Fraction(0), h0, weight0, _grid_n(n_max)
+        [row[:2] + row[4:] for row in rows], Fraction(0), h0, weight0, _grid_n(n_max), refs
     )
     return reports
 
 
 def check_theorem_2_2(
-    n_max: int = 50, x_samples: Sequence[RationalLike] = DEFAULT_X_SAMPLES
+    n_max: int = 50, x_samples: Sequence[RationalLike] = DEFAULT_X_SAMPLES, refs=None
 ) -> list[IdentityReport]:
     """First-order family: eq15, its inversion thm2.2a, and their x = 0 forms eq16, thm2.2b."""
-    return _check_display_family(_DISPLAY_FAMILIES["thm2.2"], n_max, x_samples)
+    return _check_display_family(_DISPLAY_FAMILIES["thm2.2"], n_max, x_samples, refs)
 
 
 def check_theorem_2_3(
-    n_max: int = 50, x_samples: Sequence[RationalLike] = DEFAULT_X_SAMPLES
+    n_max: int = 50, x_samples: Sequence[RationalLike] = DEFAULT_X_SAMPLES, refs=None
 ) -> list[IdentityReport]:
     """Second/third-order family: thm2.3a/b, their inversions eq20/eq21, x = 0 forms thm2.3c/d."""
-    return _check_display_family(_DISPLAY_FAMILIES["thm2.3"], n_max, x_samples)
+    return _check_display_family(_DISPLAY_FAMILIES["thm2.3"], n_max, x_samples, refs)
 
 
 def check_theorem_2_5(
-    n_max: int = 50, x_samples: Sequence[RationalLike] = DEFAULT_X_SAMPLES
+    n_max: int = 50, x_samples: Sequence[RationalLike] = DEFAULT_X_SAMPLES, refs=None
 ) -> list[IdentityReport]:
     """Fourth-order family: eq28, its inversion thm2.5a, and their x = 0 forms eq29, thm2.5b."""
-    return _check_display_family(_DISPLAY_FAMILIES["thm2.5"], n_max, x_samples)
-
-
-def _rows_per_x(n_max: int, r_max: int) -> Callable[[Fraction], list]:
-    """x -> derivative_rows(n_max, x, r_max), built on first use.
-
-    Building lazily inside the evaluators keeps an out-of-domain x a
-    skipped report of :func:`generic_check`, as for the other evaluators.
-    """
-    return functools.cache(lambda x: derivative_rows(n_max, x, r_max))
+    return _check_display_family(_DISPLAY_FAMILIES["thm2.5"], n_max, x_samples, refs)
 
 
 def check_theorem_2_6_finite(
     r_max: int = 6,
     n_max: int = 30,
     x_samples: Sequence[RationalLike] = (Fraction(0), Fraction(1, 2)),
+    refs=None,
 ) -> list[IdentityReport]:
     """General-order finite identity (``thm2.6-finite``), exact for every (r, n, x)."""
-    grid = [
-        {"r": r, "n": n, "x": Fraction(x)}
-        for r in range(r_max + 1)
-        for x in x_samples
-        for n in range(n_max + 1)
-    ]
-    rows = _rows_per_x(n_max, r_max)
+    refs = refs or _References(n_max, r_max)
     return generic_check(
         "thm2.6-finite",
-        lambda n, x, r: alt_power_sum(n, x, r + 2),
-        lambda n, x, r: mixed_sum(*rows(x)[n], r),
-        grid,
+        lambda n, x, r: refs.alternating(x, r + 2)[n],
+        lambda n, x, r: mixed_sum(*refs.derivatives(x)[n], r),
+        [{"r": r, **point} for r in range(r_max + 1) for point in _grid_nx(n_max, x_samples)],
     )
 
 
 def check_beta_equality(
-    n_max: int = 50, x_samples: Sequence[RationalLike] = DEFAULT_X_SAMPLES
+    n_max: int = 50, x_samples: Sequence[RationalLike] = DEFAULT_X_SAMPLES, refs=None
 ) -> list[IdentityReport]:
     """Product form vs alternating-sum form of F_n(x) (``beta-eq``)."""
-    return generic_check("beta-eq", beta_F, beta_F_sum, _grid_nx(n_max, x_samples))
+    refs = refs or _References(n_max, 0)
+    return generic_check(
+        "beta-eq", beta_F, lambda n, x: refs.alternating(x, 1)[n], _grid_nx(n_max, x_samples)
+    )
 
 
 def check_lemma_a(
     n_max: int = 40,
     r_max: int = 8,
     x_samples: Sequence[RationalLike] = DEFAULT_X_SAMPLES,
+    refs=None,
 ) -> list[IdentityReport]:
     """Derivative closure (``lemma-a``): F_n^(r)(x) == r!(-1)^r aps(n,x,r+1)."""
-    grid = [
-        {"r": r, "n": n, "x": Fraction(x)}
-        for r in range(r_max + 1)
-        for x in x_samples
-        for n in range(n_max + 1)
-    ]
+    refs = refs or _References(n_max, r_max)
 
     def rhs(n: int, x: RationalLike, r: int) -> Fraction:
-        value = math.factorial(r) * alt_power_sum(n, x, r + 1)
+        value = math.factorial(r) * refs.alternating(x, r + 1)[n]
         return -value if r % 2 else value
 
-    rows = _rows_per_x(n_max, r_max)
-    return generic_check("lemma-a", lambda n, x, r: rows(x)[n][1][r], rhs, grid)
+    lhs = lambda n, x, r: refs.derivatives(x)[n][1][r]
+    grid = [{"r": r, **point} for r in range(r_max + 1) for point in _grid_nx(n_max, x_samples)]
+    return generic_check("lemma-a", lhs, rhs, grid)
 
 
 def check_inversion(
@@ -399,16 +397,18 @@ def deliberate_mismatch_check(n_max: int = 10) -> list[IdentityReport]:
     )
 
 
-#: The check groups by ``verify`` target, each called as (n_max, r_max, xs).
-#: This is the one list of groups: the CLI choices and :func:`run_all` read it.
-CHECK_GROUPS: dict[str, Callable[[int, int, Sequence[Fraction]], list[IdentityReport]]] = {
-    "thm2.2": lambda n_max, r_max, xs: check_theorem_2_2(n_max, xs),
-    "thm2.3": lambda n_max, r_max, xs: check_theorem_2_3(n_max, xs),
-    "thm2.5": lambda n_max, r_max, xs: check_theorem_2_5(n_max, xs),
-    "thm2.6": lambda n_max, r_max, xs: check_theorem_2_6_finite(r_max, n_max, xs),
-    "lemma-a": lambda n_max, r_max, xs: check_lemma_a(n_max, r_max, xs),
-    "beta-eq": lambda n_max, r_max, xs: check_beta_equality(n_max, xs),
-    "inversion": lambda n_max, r_max, xs: check_inversion(n_max=n_max),
+#: The check groups by ``verify`` target, each called as (n_max, r_max, xs)
+#: and optionally the sweep's shared reference rows, built to at least
+#: (n_max, r_max); without them an exact group builds its own.  This is the
+#: one list of groups: the CLI choices and :func:`run_all` read it.
+CHECK_GROUPS: dict[str, Callable[..., list[IdentityReport]]] = {
+    "thm2.2": lambda n_max, r_max, xs, refs=None: check_theorem_2_2(n_max, xs, refs),
+    "thm2.3": lambda n_max, r_max, xs, refs=None: check_theorem_2_3(n_max, xs, refs),
+    "thm2.5": lambda n_max, r_max, xs, refs=None: check_theorem_2_5(n_max, xs, refs),
+    "thm2.6": lambda n_max, r_max, xs, refs=None: check_theorem_2_6_finite(r_max, n_max, xs, refs),
+    "lemma-a": lambda n_max, r_max, xs, refs=None: check_lemma_a(n_max, r_max, xs, refs),
+    "beta-eq": lambda n_max, r_max, xs, refs=None: check_beta_equality(n_max, xs, refs),
+    "inversion": lambda n_max, r_max, xs, refs=None: check_inversion(n_max=n_max),
 }
 
 #: Ceilings :func:`run_all` puts on n_max for the groups whose cost grows
@@ -421,10 +421,13 @@ def run_all(
     r_max: int = 6,
     x_samples: Sequence[RationalLike] = DEFAULT_X_SAMPLES,
 ) -> list[IdentityReport]:
-    """Run every check group in turn and merge the reports in sorted order."""
+    """Run every check group in turn on one set of reference rows; merge the reports sorted."""
     xs = [Fraction(x) for x in x_samples]
+    refs = _References(n_max, r_max)
     merged: list[IdentityReport] = []
     for name, group in CHECK_GROUPS.items():
-        merged += group(min(n_max, _RUN_ALL_N_CAPS.get(name, n_max)), r_max, xs)
+        if name == "inversion":  # it reads no rows: free them before it runs
+            refs = None
+        merged += group(min(n_max, _RUN_ALL_N_CAPS.get(name, n_max)), r_max, xs, refs)
     merged.sort(key=IdentityReport.sort_key)
     return merged

@@ -92,6 +92,10 @@ _EQ31_R_MAX = EXACT_BELL_MAX - 1
 # Most n one float-mode chunk holds; bounds the memory of float mode.
 _CHUNK = 1 << 14
 
+# Most N * (monomials of P) a float-mode log-weight sum takes; its time is about
+# linear in both (the slowest allowed run, lemma-c --r 10 at N = 94906265, 13.6 s).
+_FLOAT_TERM_BUDGET = 3 * 10**9
+
 # Integers below this are exact binary64 values.
 _FLOAT_INT_LIMIT = 1 << 53
 
@@ -575,8 +579,9 @@ def _log_weight_ball(poly_terms: PolyTerms, N: int) -> tuple[float, Fraction]:
     #monomials - 1, the division by the exact n(n+1) one more and the fsum
     one: K = w * (N + 3) + #monomials + 1.
 
-    Rejects a coefficient outside [1, 2**53), n(n+1) reaching 2**53, and
-    inputs where 1/m**order or the sum could leave the normal float range.
+    Rejects a coefficient outside [1, 2**53), n(n+1) reaching 2**53, N times
+    #monomials above _FLOAT_TERM_BUDGET, and inputs where 1/m**order or the
+    sum could leave the normal float range.
     """
     monomials = _normalised(poly_terms)
     weight = _poly_weight(monomials)
@@ -586,6 +591,11 @@ def _log_weight_ball(poly_terms: PolyTerms, N: int) -> tuple[float, Fraction]:
             raise DomainError(f"float mode requires coefficients in [1, 2**53), got {coeff}")
     if N * (N + 1) >= _FLOAT_INT_LIMIT:
         raise DomainError(f"float mode requires N(N+1) < 2**53, got N={N}")
+    if N * len(monomials) > _FLOAT_TERM_BUDGET:
+        raise DomainError(
+            f"float mode requires N * {len(monomials)} monomials <= {_FLOAT_TERM_BUDGET}, "
+            f"got N={N}"
+        )
     # H_{N+1} <= 1 + ln(N+1) < bits + 1, so every monomial is below
     # coeff * (bits + 1)**weight and the whole sum below N times their total
     bits = (N + 1).bit_length()

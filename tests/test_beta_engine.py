@@ -3,12 +3,13 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from harmonic_beta.beta_engine import (
     BellExpansion,
     _bell_values,
+    alt_power_row,
     alt_power_sum,
     bell_expansion,
     beta_F,
@@ -113,6 +114,37 @@ class TestAltPowerSum:
             Fraction(0),
         )
         assert alt_power_sum(n, x, r) == direct
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 60),
+        st.integers(1, 10**6).flatmap(
+            lambda q: st.tuples(st.integers(-q + 1, 4 * q), st.just(q))
+        ),
+        st.integers(1, 9),
+    )
+    @example(0, (7, 3), 9)
+    @example(0, (-999999, 1000000), 1)
+    @example(40, (-999999, 1000000), 9)
+    def test_row_matches_naive_sums_and_point_calls(self, n_max, pq, s):
+        # one D and one power table for the row; each entry on its own route
+        x = Fraction(*pq)
+        row = alt_power_row(n_max, x, s)
+        assert len(row) == n_max + 1
+        for n, value in enumerate(row):
+            naive = sum(
+                (Fraction((-1) ** k * math.comb(n, k)) / (x + k + 1) ** s for k in range(n + 1)),
+                Fraction(0),
+            )
+            assert value == naive == alt_power_sum(n, x, s)
+        assert alt_power_row(n_max, x, s, first=n_max) == row[-1:]
+
+    @pytest.mark.parametrize(
+        "args", [(-1, 0, 1), (3, 0, 0), (3, Fraction(-1), 2), (2, 0, 1, 3), (2, 0, 1, -1)]
+    )
+    def test_row_refuses_bad_input(self, args):
+        with pytest.raises(DomainError):
+            alt_power_row(*args)
 
 
 class TestBellExpansion:

@@ -500,20 +500,26 @@ def _argv(draw):
     return argv, out
 
 
-# Float-mode inputs past the documented caps, one per case; every other flag is valid.
+# Float-mode inputs past the documented caps, one set of flags per case;
+# every other flag is valid.
 _FLOAT_CAPS = {
     "zeta": [
-        ("--x", "1/4503599627370496"),  # q(N+1)+p >= 2**53
-        ("--s", "80"),  # 1/(n+1)**80 leaves the normal range
-        ("--N", "100000001"),  # past the float-mode --N cap
+        {"--x": "1/4503599627370496"},  # q(N+1)+p >= 2**53
+        {"--s": "80"},  # 1/(n+1)**80 leaves the normal range
+        {"--N": "100000001"},  # past the float-mode --N cap
     ],
     "lemma-c": [
-        ("--r", "21"),  # G_20 holds the coefficient 19! >= 2**53
-        ("--N", "100000000"),  # N(N+1) >= 2**53
+        {"--r": "21"},  # G_20 holds the coefficient 19! >= 2**53
+        {"--N": "100000000"},  # N(N+1) >= 2**53
+        {"--r": "20", "--N": "6122449"},  # N * 490 monomials of G_19 > 3 * 10**9
+        {"--r": "11", "--N": "71428572"},  # N * 42 monomials of G_10 > 3 * 10**9
     ],
-    "cor2.4-r5": [("--N", "100000000")],
-    "eq32": [("--r", "19")],
-    "eq31": [("--N", "100000001")],  # refused before the 512 term checks
+    "cor2.4-r5": [{"--N": "100000000"}],
+    "eq32": [
+        {"--r": "19"},
+        {"--r": "18", "--N": "6122449"},  # N * 490 monomials of G_19 > 3 * 10**9
+    ],
+    "eq31": [{"--N": "100000001"}],  # refused before the 512 term checks
 }
 
 
@@ -521,8 +527,7 @@ _FLOAT_CAPS = {
 def _float_cap_argv(draw):
     target = draw(st.sampled_from(sorted(_FLOAT_CAPS)))
     values = {"--N": "20000", "--s": "2", "--r": "2"}
-    flag, value = draw(st.sampled_from(_FLOAT_CAPS[target]))
-    values[flag] = value
+    values.update(draw(st.sampled_from(_FLOAT_CAPS[target])))
     argv = ["series", target, "--float"]
     for flag, value in values.items():
         argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]

@@ -22,6 +22,7 @@ from harmonic_beta.identity_suite import (
     PASS,
     SKIPPED,
     CHECK_GROUPS,
+    DEFAULT_X_SAMPLES,
     IdentityReport,
     binomial_inverse,
     check_beta_equality,
@@ -385,3 +386,87 @@ class TestRunAll:
         assert len(CHECK_GROUPS) == 7
         assert strip(merged) == expected
         assert strip(sorted(table, key=IdentityReport.sort_key)) == expected
+        # at n_max = 50 run_all reads prefixes of its shared rows, while each
+        # standalone group builds its own under run_all's n caps of 30 and 40
+        caps = {"thm2.6": 30, "lemma-a": 40}
+        full = lambda rs: [(r.identity_id, r.params, r.status, r.witness) for r in rs]
+        for r_max in (0, 6):
+            standalone = [
+                report
+                for name, group in CHECK_GROUPS.items()
+                for report in group(caps.get(name, 50), r_max, DEFAULT_X_SAMPLES)
+            ]
+            standalone.sort(key=IdentityReport.sort_key)
+            assert full(run_all(50, r_max)) == full(standalone)
+
+    def test_out_of_domain_x_on_shared_rows_is_skipped(self):
+        refs = identity_suite._References(4, 2)
+        for name in ("thm2.6", "lemma-a", "beta-eq"):
+            reports = CHECK_GROUPS[name](3, 2, [Fraction(-1), Fraction(1, 2)], refs)
+            bad = [r for r in reports if r.params["x"] == -1]
+            assert bad and all(r.status == SKIPPED and r.reason for r in bad), name
+            assert all(r.status == PASS for r in reports if r not in bad), name
+
+
+# (x, s, n): the entry n of the alternating row at (x, s) is off by 1/D**s
+CORRUPTED_ENTRIES = [
+    (Fraction(1, 2), 1, 3),
+    (Fraction(0), 2, 0),
+    (Fraction(1, 2), 3, 5),
+    (Fraction(1, 2), 4, 6),
+    (Fraction(0), 5, 4),
+    (Fraction(0), 7, 2),
+    (Fraction(1, 2), 8, 1),
+]
+
+
+class TestSharedReferenceRows:
+    @pytest.mark.parametrize("x, s, n", CORRUPTED_ENTRIES)
+    def test_a_corrupted_entry_fails_exactly_its_readers(self, monkeypatch, x, s, n):
+        n_max, r_max = 6, 6
+        D = math.lcm(*(x.denominator * (k + 1) + x.numerator for k in range(n_max + 1)))
+        true = alt_power_sum(n, x, s)
+        wrong = true + Fraction(1, D**s)
+        built = []
+        original = identity_suite.alt_power_row
+
+        def corrupted(row_n_max, x_row, s_row):
+            built.append((x_row, s_row))
+            row = original(row_n_max, x_row, s_row)
+            if (x_row, s_row) == (x, s):
+                row[n] = wrong
+            return row
+
+        derivative_xs = []
+        original_rows = identity_suite.derivative_rows
+
+        def counted(n_max, x_rows, *args, **kwargs):
+            derivative_xs.append(x_rows)
+            return original_rows(n_max, x_rows, *args, **kwargs)
+
+        monkeypatch.setattr(identity_suite, "alt_power_row", corrupted)
+        monkeypatch.setattr(identity_suite, "derivative_rows", counted)
+        reports = run_all(n_max, r_max, [Fraction(0), Fraction(1, 2)])
+        # one row per (x, s) and one derivative table per x serve every group
+        assert len(built) == len(set(built)) and (x, s) in built
+        assert sorted(derivative_xs) == [Fraction(0), Fraction(1, 2)]
+
+        # the entry's readers fail with the usual witness; every inverted
+        # form, which reads no alternating row, still passes
+        key = lambda identity_id, **params: (identity_id, tuple(sorted(params.items())))
+        expected = {}
+        forward = {2: "eq15", 3: "thm2.3a", 4: "thm2.3b", 5: "eq28"}
+        forward_at_0 = {2: "eq16", 3: "thm2.3c", 4: "thm2.3d", 5: "eq29"}
+        if s in forward:
+            expected[key(forward[s], n=n, x=x)] = (wrong, true)
+            if x == 0:
+                expected[key(forward_at_0[s], n=n)] = (wrong, true)
+        if s >= 2:
+            expected[key("thm2.6-finite", r=s - 2, n=n, x=x)] = (wrong, true)
+        if s - 1 <= r_max:
+            c = math.factorial(s - 1) * (-1) ** (s - 1)
+            expected[key("lemma-a", r=s - 1, n=n, x=x)] = (c * true, c * wrong)
+        if s == 1:
+            expected[key("beta-eq", n=n, x=x)] = (true, wrong)
+        failed = {key(r.identity_id, **r.params): r.witness for r in reports if r.status == FAIL}
+        assert failed == expected

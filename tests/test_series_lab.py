@@ -519,6 +519,24 @@ class TestFloatBall:
         with pytest.raises(DomainError, match="float mode"):
             call()
 
+    def test_term_budget_refuses_before_any_float_work(self, monkeypatch):
+        budget = series_lab._FLOAT_TERM_BUDGET
+        # G_5 has 7 monomials: N = 71 spends 497 of a budget of 500, N = 72 is past it
+        monkeypatch.setattr(series_lab, "_FLOAT_TERM_BUDGET", 500)
+        assert lemma_c_partial(6, 71, float_mode=True).N == 71
+
+        def unsummed(*args):
+            raise AssertionError("float work started")
+
+        monkeypatch.setattr(series_lab, "_fsum_ball", unsummed)
+        with pytest.raises(DomainError, match=r"requires N \* 7 monomials <= 500, got N=72"):
+            lemma_c_partial(6, 72, float_mode=True)
+        monkeypatch.setattr(series_lab, "_FLOAT_TERM_BUDGET", budget)
+        N = budget // 490 + 1  # G_19 has 490 monomials
+        for call in (lambda: lemma_c_partial(20, N, True), lambda: eq32_series(18, N, True)):
+            with pytest.raises(DomainError, match=r"float mode requires N \* 490 monomials"):
+                call()
+
     def test_large_r_is_rejected_before_its_expansion_is_built(self, monkeypatch):
         def unbuilt(k):
             raise AssertionError(f"built G_{k}")
