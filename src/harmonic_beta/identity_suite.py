@@ -257,12 +257,21 @@ def _check_display_family(
     """The forms of every row at each x, then the x = 0 forms.
 
     H and F_n = F_n^(0) come from the derivative rows at x; the x = 0 forms
-    take H from the rows at 0 and keep their literal weight 1/(n+1).
+    take H from the rows at 0 and keep their literal weight 1/(n+1).  An x
+    whose rows cannot be built gives a skipped report at each point of each
+    form, as :func:`generic_check` does.
     """
     refs = refs or _References(n_max, 0)
     reports: list[IdentityReport] = []
     for x in [Fraction(v) for v in x_samples]:
-        x_rows = refs.derivatives(x)[: n_max + 1]
+        try:
+            x_rows = refs.derivatives(x)[: n_max + 1]
+        except DomainError as exc:
+            reports += [
+                IdentityReport(row[i], point, SKIPPED, reason=str(exc))
+                for i in (2, 3) for row in rows for point in _grid_nx(n_max, [x])
+            ]
+            continue
         h = [hn for hn, _ in x_rows]
         f = [derivatives[0] for _, derivatives in x_rows]
         reports += _display_forms([row[:4] for row in rows], x, h, f, _grid_nx(n_max, [x]), refs)

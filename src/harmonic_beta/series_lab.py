@@ -2,20 +2,22 @@
 
 Exact mode sums rationals; the reported bracket [partial + tail_low,
 partial + tail_high] always contains the true limit.  For the shifted power
-sums the bracket comes from the integral comparison test.  For the
-log-weight series (polynomials in harmonic numbers over n(n+1)) the tail is
-bounded by capping every H^(alpha) with alpha >= 2 at a rational bound for
-its limit, bounding H_{n+1} <= 1 + ln(n+1), and integrating the resulting
-log-power envelope in closed form.  The published width is additionally run
-through a running minimum over a fixed checkpoint lattice (powers of two and
-three halves thereof), which makes bracket width provably non-increasing
-in N.
+sums the bracket comes from the integral comparison test.  A log-weight
+series sums G_k(H_{n+1},...)/(n(n+1)) for one Bell order k: lemma-c and
+Corollary 2.4 take k = r-1, eq. (32) k = r+1.  The hard-coded Corollary 2.4
+displays and eq. (32)'s product-rule route are crosschecks, each compared
+exactly with G_k before any term is summed.  The tail is bounded by capping
+every H^(alpha) with alpha >= 2 at a rational bound for its limit, bounding
+H_{n+1} <= 1 + ln(n+1), and integrating the resulting log-power envelope in
+closed form.  The published width is additionally run through a running
+minimum over a fixed checkpoint lattice (powers of two and three halves
+thereof), which makes bracket width provably non-increasing in N.
 
-Exact mode sums each log-weight series in closed form.  Every one of them
-sums T_k(m) = sum(G_k(H_{n+1},...)/(n(n+1)), n = 1..m) for some Bell order k,
-and the paper's recurrence F_n(x) = n/(n+x+1) * F_{n-1}(x) telescopes
-sum(F_n(x)/n, n = 1..m) to (1/(x+1) - F_m(x))/(x+1).  Its k-th derivative at
-x = 0 gives T_k(m) = (k+1)! - k!/(m+1) * sum(G_j(H_{m+1},...)/j!, j = 0..k),
+Exact mode sums each log-weight series in closed form.  The paper's
+recurrence F_n(x) = n/(n+x+1) * F_{n-1}(x) telescopes sum(F_n(x)/n, n = 1..m)
+to (1/(x+1) - F_m(x))/(x+1), and its k-th derivative at x = 0 gives
+T_k(m) = sum(G_k(H_{n+1},...)/(n(n+1)), n = 1..m)
+       = (k+1)! - k!/(m+1) * sum(G_j(H_{m+1},...)/j!, j = 0..k),
 which needs the harmonic numbers at the checkpoints only; between
 checkpoints they advance by an lcm tree over the next run of bases, and at
 each checkpoint G_0..G_k come from one complete-Bell recurrence on integer
@@ -53,6 +55,7 @@ from .harmonic_core import (
     HarmonicNumerators,
     RationalLike,
     format_rational,
+    harmonic_number,
     zeta_even_coefficient,
 )
 from .identity_suite import binomial_inverse
@@ -80,6 +83,11 @@ EXACT_N_MAX = 10_000
 #: G_{r-1} and eq32 G_{r+1}.  The cost grows with the order; at N = 10**4
 #: it took 0.09 s at G_3 and 0.45 s at G_9 (the minimum of five runs).
 EXACT_BELL_MAX = 9
+
+# Largest s exact-mode hurwitz_partial sums.  The cost grows with s and with the
+# size of x = p/q: at N = 10**4 and x = -49/100, s = 18 took 15.0 s and s = 20
+# 17.4 s, against 12.9 s for eq31 --r 8 (in-process CPU on a 2-vCPU host).
+_EXACT_S_MAX = 18
 
 # How many leading terms eq31_series and the exact log-weight series check.
 _TERM_CHECK_CAP = 512
@@ -110,20 +118,20 @@ PolyTerms = Mapping[Monomial, int]
 
 
 @lru_cache(maxsize=None)
-def _pi_bounds() -> tuple[Fraction, Fraction]:
-    """Rationals low < pi < high with high - low < 2**-200, by Machin's formula.
+def _pi_bounds(bits: int) -> tuple[Fraction, Fraction]:
+    """Rationals low < pi < high with high - low < 2**-bits, by Machin's formula.
 
     pi = 16 atan(1/5) - 4 atan(1/239).  Each arctangent series alternates
     with terms of decreasing size, so a partial sum lies within its first
-    omitted term of the limit; summing until that term is below 2**-208
-    leaves an error of at most 20 * 2**-208 on each side.
+    omitted term of the limit; summing until that term is below 2**-(bits+8)
+    leaves an error of at most 20 * 2**-(bits+8) on each side.
     """
 
     def atan_inverse(x: int) -> tuple[Fraction, Fraction]:
         total, k = Fraction(0), 0
         while True:
             term = Fraction(1, (2 * k + 1) * x ** (2 * k + 1))
-            if term < Fraction(1, 1 << 208):
+            if term < Fraction(1, 1 << (bits + 8)):
                 return total, term
             total += -term if k % 2 else term
             k += 1
@@ -141,9 +149,9 @@ class PiPower:
     coeff: Fraction
     exponent: int
 
-    def enclosure(self) -> tuple[Fraction, Fraction]:
-        """Rational bounds on coeff * pi**exponent (exponent >= 0)."""
-        low, high = _pi_bounds()
+    def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
+        """Rational bounds on coeff * pi**exponent (exponent >= 0) from _pi_bounds(bits)."""
+        low, high = _pi_bounds(bits)
         ends = (self.coeff * low**self.exponent, self.coeff * high**self.exponent)
         return min(ends), max(ends)
 
@@ -179,17 +187,26 @@ class SeriesEstimate:
     def contains_claim(self) -> bool | None:
         """Whether the bracket contains the claimed limit; None when no claim.
 
-        Decided in rationals: a pi-power claim counts as contained only when
-        its whole enclosure (:func:`_pi_bounds`) lies inside the bracket.
+        Decided in rationals.  A pi-power claim is enclosed ever more tightly
+        (:meth:`PiPower.enclosure`) until the enclosure lies wholly inside or
+        wholly outside the bracket.  That ends: a nonzero rational times a
+        positive power of pi is irrational, so it is no end of the bracket;
+        with coeff 0 or exponent 0 the enclosure is a single rational.
         """
         if self.claimed_limit is None:
             return None
         low, high = self.bounds()
-        if isinstance(self.claimed_limit, PiPower):
-            claim_low, claim_high = self.claimed_limit.enclosure()
-        else:
-            claim_low = claim_high = Fraction(self.claimed_limit)
-        return low <= claim_low and claim_high <= high
+        claim = self.claimed_limit
+        if not isinstance(claim, PiPower):
+            return low <= claim <= high
+        bits = 200
+        while True:
+            claim_low, claim_high = claim.enclosure(bits)
+            if low <= claim_low and claim_high <= high:
+                return True
+            if claim_high < low or high < claim_low:
+                return False
+            bits *= 2
 
     def to_json_dict(self) -> dict:
         out: dict = {
@@ -219,7 +236,8 @@ def hurwitz_partial(
     """Partial sum of sum(1/(n+x+1)**s, n >= 0) with an integral-test bracket.
 
     tail in [1/((s-1)(N+x+1)**(s-1)), 1/((s-1)(N+x)**(s-1))].  In float mode
-    the bracket also encloses the rounding error (:func:`_hurwitz_ball`).
+    the bracket also encloses the rounding error (:func:`_hurwitz_ball`);
+    exact mode refuses s > _EXACT_S_MAX before any work.
     """
     x = Fraction(x)
     if x <= -1:
@@ -228,6 +246,8 @@ def hurwitz_partial(
         raise DomainError(f"hurwitz_partial requires s >= 2 (divergent otherwise), got s={s}")
     if N < 1:
         raise DomainError(f"hurwitz_partial requires N >= 1, got N={N}")
+    if not float_mode and s > _EXACT_S_MAX:
+        raise DomainError(f"exact mode sums zeta only up to s = {_EXACT_S_MAX}; got s={s}")
     if target_id is None:
         target_id = f"zeta(x={format_rational(x)},s={s})"
 
@@ -365,8 +385,7 @@ def _zeta_cap(alpha: int) -> Fraction:
     if alpha < 2:
         raise DomainError(f"_zeta_cap requires alpha >= 2, got {alpha}")
     k0 = 40
-    partial = sum((Fraction(1, k**alpha) for k in range(1, k0 + 1)), Fraction(0))
-    return partial + Fraction(1, (alpha - 1) * k0 ** (alpha - 1))
+    return harmonic_number(k0, alpha) + Fraction(1, (alpha - 1) * k0 ** (alpha - 1))
 
 
 def _log_moment_coefficients(poly_terms: PolyTerms, scale: Fraction) -> dict[int, Fraction]:
@@ -418,26 +437,6 @@ def _checkpoint_lattice(n_max: int) -> set[int]:
             points.add(v)
             v *= 2
     return points
-
-
-def _poly_weight(poly_terms: PolyTerms) -> int:
-    weights = {
-        sum((i + 1) * e for i, e in enumerate(exponents))
-        for exponents in poly_terms
-    }
-    if len(weights) != 1:
-        raise ValueError(f"polynomial is not weight-homogeneous: weights {sorted(weights)}")
-    return weights.pop()
-
-
-def _max_generator(poly_terms: PolyTerms) -> int:
-    top = 0
-    for exponents in poly_terms:
-        for idx in range(len(exponents) - 1, -1, -1):
-            if exponents[idx]:
-                top = max(top, idx + 1)
-                break
-    return top
 
 
 def _normalised(poly_terms: PolyTerms) -> dict[Monomial, int]:
@@ -506,51 +505,40 @@ def _direct_partials(k: int, stops: list[int]) -> list[Fraction]:
 
 def _log_weight_series(
     target_id: str,
-    poly_terms: PolyTerms,
+    k: int,
     scale: Fraction,
     N: int,
     claimed_limit: ClaimedLimit,
     sign: int = 1,
-    crosscheck_terms: PolyTerms | None = None,
     float_mode: bool = False,
 ) -> SeriesEstimate:
-    """sum(sign * scale * P(H_{n+1},...)/(n(n+1)), n = 1..N) with tail bracket.
+    """sum(sign * scale * G_k(H_{n+1},...)/(n(n+1)), n = 1..N) with tail bracket.
 
-    ``poly_terms`` must be weight-homogeneous with non-negative coefficients.
-    When ``crosscheck_terms`` is given it must be the same polynomial (after
-    normalising exponent tuples and dropping zero coefficients); otherwise
-    ArithmeticError is raised before any term is summed.  Equal polynomials
-    agree at every n, so this is at least as strict as comparing the two
-    routes term by term.
+    Every log-weight target is this sum for one Bell order k: lemma-c and
+    Corollary 2.4 take k = r-1, eq. (32) k = r+1.  A target's own term
+    routes (the hard-coded displays, the product rule) are crosschecks it
+    runs against G_k before calling this.
 
-    Exact mode takes only P = G_k, for k the weight, and refuses any other
-    polynomial with DomainError before any term is summed.  Its partials
-    come from :func:`_closed_form_partials`, and every stop up to
-    _TERM_CHECK_CAP must equal the direct sum of :func:`_direct_partials`;
-    otherwise ArithmeticError is raised.
+    Exact mode takes its partials from :func:`_closed_form_partials`, and
+    every stop up to _TERM_CHECK_CAP must equal the direct sum of
+    :func:`_direct_partials`; otherwise ArithmeticError is raised.
     """
     if N < 1:
         raise DomainError(f"series requires N >= 1, got N={N}")
-    monomials = _normalised(poly_terms)
-    if crosscheck_terms is not None and _normalised(crosscheck_terms) != monomials:
-        raise ArithmeticError(f"{target_id}: term routes disagree")
-    weight = _poly_weight(monomials)
-    d_coeffs = _log_moment_coefficients(poly_terms, scale)
+    d_coeffs = _log_moment_coefficients(bell_expansion(k).terms, scale)
 
     if float_mode:
-        total, radius = _log_weight_ball(poly_terms, N)
+        total, radius = _log_weight_ball(k, N)
         width = _raw_tail_bound(d_coeffs, N)
         return _ball_estimate(
             target_id, N, total, radius, scale, Fraction(0), width, sign, claimed_limit
         )
 
-    if monomials != _normalised(bell_expansion(weight).terms):
-        raise DomainError(f"{target_id}: exact mode sums only G_k, and P is not G_{weight}")
     lattice = _checkpoint_lattice(N)
     stops = sorted(lattice | {N})
-    partials = _closed_form_partials(weight, stops)
+    partials = _closed_form_partials(k, stops)
     checked = [m for m in stops if m <= _TERM_CHECK_CAP]
-    for m, direct, closed in zip(checked, _direct_partials(weight, checked), partials):
+    for m, direct, closed in zip(checked, _direct_partials(k, checked), partials):
         if direct != closed:
             raise ArithmeticError(f"{target_id}: closed form differs from the direct sum at N={m}")
     envelope = min(
@@ -560,32 +548,33 @@ def _log_weight_series(
     )
     partial = partials[-1] * scale
     width = envelope - partial
-    return _signed_estimate(target_id, N, partial, width, sign, claimed_limit)
+    if sign < 0:
+        return SeriesEstimate(target_id, N, -partial, True, -width, Fraction(0), claimed_limit)
+    return SeriesEstimate(target_id, N, partial, True, Fraction(0), width, claimed_limit)
 
 
-def _log_weight_ball(poly_terms: PolyTerms, N: int) -> tuple[float, Fraction]:
-    """sum(P(H_{n+1},...)/(n(n+1)), n = 1..N) in binary64, as (float sum, radius).
+def _log_weight_ball(k: int, N: int) -> tuple[float, Fraction]:
+    """sum(G_k(H_{n+1},...)/(n(n+1)), n = 1..N) in binary64, as (float sum, radius).
 
-    The roundings on a term's path, with m = n+1 <= N+1 and P of weight w:
-    1/m is one rounding and 1/m**alpha is its alpha-th power by alpha - 1
-    products, so (1 + delta)**alpha times alpha - 1 factors: 2*alpha - 1
-    roundings.  H^(alpha)_m = 1 + sum of those over 2..m is a running sum
-    continued across chunks, at most m additions on any summand's path
-    (in-chunk cumsum, then one addition of the carry per chunk boundary), so
-    a factor h_alpha has at most 2*alpha - 1 + m <= 2*alpha + N roundings.  A
-    monomial c * prod h**e is sum(e) products of factors whose alpha sum to
-    w, so at most 2w + sum(e) * N + sum(e) = 2w + sum(e) * (N + 1) roundings,
-    and sum(e) <= w bounds that by w * (N + 3).  Adding the monomials costs
-    #monomials - 1, the division by the exact n(n+1) one more and the fsum
-    one: K = w * (N + 3) + #monomials + 1.
+    The roundings on a term's path, with m = n+1 <= N+1: 1/m is one
+    rounding and 1/m**alpha is its alpha-th power by alpha - 1 products, so
+    (1 + delta)**alpha times alpha - 1 factors: 2*alpha - 1 roundings.
+    H^(alpha)_m = 1 + sum of those over 2..m is a running sum continued
+    across chunks, at most m additions on any summand's path (in-chunk
+    cumsum, then one addition of the carry per chunk boundary), so a factor
+    h_alpha has at most 2*alpha - 1 + m <= 2*alpha + N roundings.  A
+    monomial c * prod h**e of G_k is sum(e) products of factors whose alpha
+    sum to k, so at most 2k + sum(e) * N + sum(e) = 2k + sum(e) * (N + 1)
+    roundings, and sum(e) <= k bounds that by k * (N + 3).  Adding the
+    monomials costs #monomials - 1, the division by the exact n(n+1) one
+    more and the fsum one: K = k * (N + 3) + #monomials + 1.
 
     Rejects a coefficient outside [1, 2**53), n(n+1) reaching 2**53, N times
-    #monomials above _FLOAT_TERM_BUDGET, and inputs where 1/m**order or the
-    sum could leave the normal float range.
+    #monomials above _FLOAT_TERM_BUDGET, and inputs where 1/m**k or the sum
+    could leave the normal float range; these are the preconditions of the
+    bound.
     """
-    monomials = _normalised(poly_terms)
-    weight = _poly_weight(monomials)
-    order = _max_generator(monomials)
+    monomials = bell_expansion(k).terms
     for coeff in monomials.values():
         if not 0 < coeff < _FLOAT_INT_LIMIT:
             raise DomainError(f"float mode requires coefficients in [1, 2**53), got {coeff}")
@@ -597,27 +586,27 @@ def _log_weight_ball(poly_terms: PolyTerms, N: int) -> tuple[float, Fraction]:
             f"got N={N}"
         )
     # H_{N+1} <= 1 + ln(N+1) < bits + 1, so every monomial is below
-    # coeff * (bits + 1)**weight and the whole sum below N times their total
+    # coeff * (bits + 1)**k and the whole sum below N times their total
     bits = (N + 1).bit_length()
-    if order * bits > _FLOAT_LOW_BITS or (
+    if k * bits > _FLOAT_LOW_BITS or (
         N.bit_length() + sum(monomials.values()).bit_length()
-        + weight * (bits + 1).bit_length() > _FLOAT_HIGH_BITS
+        + k * (bits + 1).bit_length() > _FLOAT_HIGH_BITS
     ):
         raise DomainError(
-            f"float mode: a weight-{weight} term leaves the normal float range at N={N}"
+            f"float mode: a weight-{k} term leaves the normal float range at N={N}"
         )
     import numpy as np
 
     def chunks() -> Iterator[np.ndarray]:
         chunk = _CHUNK
-        carry = [1.0] * order  # H_1^(alpha)
+        carry = [1.0] * k  # H_1^(alpha)
         for a in range(1, N + 1, chunk):
             n = np.arange(a, min(a + chunk - 1, N) + 1, dtype=np.float64)
             m = n + 1.0
             inverse = 1.0 / m
             power = inverse
             h = []
-            for alpha in range(order):
+            for alpha in range(k):
                 if alpha:
                     power = power * inverse
                 row = np.cumsum(power)
@@ -633,27 +622,14 @@ def _log_weight_ball(poly_terms: PolyTerms, N: int) -> tuple[float, Fraction]:
                 value = product if value is None else value + product
             yield value / (n * m)
 
-    return _fsum_ball(chunks(), weight * (N + 3) + len(monomials) + 1)
-
-
-def _signed_estimate(
-    target_id: str,
-    N: int,
-    partial: Fraction,
-    width: Fraction,
-    sign: int,
-    claimed_limit: ClaimedLimit,
-) -> SeriesEstimate:
-    if sign >= 0:
-        return SeriesEstimate(target_id, N, partial, True, Fraction(0), width, claimed_limit)
-    return SeriesEstimate(target_id, N, -partial, True, -width, Fraction(0), claimed_limit)
+    return _fsum_ball(chunks(), k * (N + 3) + len(monomials) + 1)
 
 
 # -- the concrete series targets ----------------------------------------------
 
 
-def _bell_terms(k: int, float_mode: bool) -> PolyTerms:
-    """G_k's terms, refused before anything is built past each mode's cap.
+def _bell_order(k: int, float_mode: bool) -> int:
+    """The Bell order k, refused before anything is built past each mode's cap.
 
     Float mode stops at k = 19: G_k holds (k-1)! * h_k, and 19! >= 2**53.
     Exact mode stops at k = EXACT_BELL_MAX, which bounds the time and memory
@@ -667,7 +643,17 @@ def _bell_terms(k: int, float_mode: bool) -> PolyTerms:
             f"(lemma-c --r <= {EXACT_BELL_MAX + 1}, eq32 --r <= {EXACT_BELL_MAX - 1}); "
             f"got G_{k}"
         )
-    return bell_expansion(k).terms
+    return k
+
+
+def _crosscheck(target_id: str, route: PolyTerms, k: int) -> None:
+    """Raise ArithmeticError unless ``route`` is the polynomial G_k.
+
+    Exponent tuples are compared without trailing zeros and zero
+    coefficients are dropped.  Equal polynomials agree at every n, so this
+    is at least as strict as comparing the two routes term by term."""
+    if _normalised(route) != _normalised(bell_expansion(k).terms):
+        raise ArithmeticError(f"{target_id}: term routes disagree")
 
 
 def lemma_c_partial(r: int, N: int, float_mode: bool = False) -> SeriesEstimate:
@@ -680,12 +666,8 @@ def lemma_c_partial(r: int, N: int, float_mode: bool = False) -> SeriesEstimate:
     if r < 1:
         raise DomainError(f"lemma_c_partial requires r >= 1, got r={r}")
     return _log_weight_series(
-        target_id=f"lemma-c(r={r})",
-        poly_terms=_bell_terms(r - 1, float_mode),
-        scale=Fraction(1, math.factorial(r - 1)),
-        N=N,
-        claimed_limit=Fraction(r),
-        float_mode=float_mode,
+        f"lemma-c(r={r})", _bell_order(r - 1, float_mode), Fraction(1, math.factorial(r - 1)),
+        N, Fraction(r), float_mode=float_mode,
     )
 
 
@@ -709,25 +691,20 @@ _COROLLARY_DISPLAYS: dict[str, tuple[PolyTerms, int]] = {
 def corollary_2_4_partial(variant: str, N: int, float_mode: bool = False) -> SeriesEstimate:
     """Partial sum of a displayed harmonic-polynomial series over n(n+1).
 
-    Variants ``r3``/``r4``/``r5`` claim the limits 3!, 4!, 5!.  The display
-    numerator is hard-coded and must be the same polynomial as the generic
-    recursion route G_{r-1} ((r-1)! times the lemma_c_partial terms); that
-    is checked exactly, once, before any term is summed.
+    Variants ``r3``/``r4``/``r5`` claim the limits 3!, 4!, 5!.  The series
+    sums G_{r-1} ((r-1)! times the lemma_c_partial terms); the hard-coded
+    display numerator must be the same polynomial, which is checked
+    exactly, once, before any term is summed.
     """
     if variant not in _COROLLARY_DISPLAYS:
         raise DomainError(
             f"unknown variant {variant!r}; expected one of {sorted(_COROLLARY_DISPLAYS)}"
         )
     display, limit = _COROLLARY_DISPLAYS[variant]
-    r = int(variant[1:])
+    target_id, k = f"cor2.4-{variant}", int(variant[1:]) - 1
+    _crosscheck(target_id, display, k)
     return _log_weight_series(
-        target_id=f"cor2.4-{variant}",
-        poly_terms=display,
-        scale=Fraction(1),
-        N=N,
-        claimed_limit=Fraction(limit),
-        crosscheck_terms=bell_expansion(r - 1).terms,
-        float_mode=float_mode,
+        target_id, k, Fraction(1), N, Fraction(limit), float_mode=float_mode
     )
 
 
@@ -779,22 +756,18 @@ def eq32_series(r: int, N: int, float_mode: bool = False) -> SeriesEstimate:
     """The x = 0 log-weight form of the general-order identity, eq. (32).
 
     sum((-1)**r * G_{r+1}(H_{n+1},...)/(n(n+1)), n >= 1) with claimed limit
-    (-1)**r (r+2)!.  The terms come from the recursion route G_{r+1}, which
-    must be the same polynomial as the product-rule route.
+    (-1)**r (r+2)!.  The series sums the recursion route G_{r+1}; the
+    product-rule route must be the same polynomial, which is checked
+    exactly, once, before any term is summed.
     """
     if r < 0:
         raise DomainError(f"eq32_series requires r >= 0, got r={r}")
-    poly_terms = _bell_terms(r + 1, float_mode)  # refuses a capped r before any work
+    k = _bell_order(r + 1, float_mode)  # refuses a capped r before any work
+    target_id = f"eq32(r={r})"
+    _crosscheck(target_id, _leibniz_route_terms(r), k)
     sign = -1 if r % 2 else 1
     return _log_weight_series(
-        target_id=f"eq32(r={r})",
-        poly_terms=poly_terms,
-        scale=Fraction(1),
-        N=N,
-        claimed_limit=Fraction(sign * math.factorial(r + 2)),
-        sign=sign,
-        crosscheck_terms=_leibniz_route_terms(r),
-        float_mode=float_mode,
+        target_id, k, Fraction(1), N, Fraction(sign * math.factorial(r + 2)), sign, float_mode
     )
 
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 
 import pytest
@@ -443,6 +444,8 @@ _N, _R, _SAMPLES = _int(12), _int(4), _int(1000)
 # --r of compute and series also at and just past each documented cap:
 # compute bell/dF 30, exact lemma-c 10 (G_9), eq31 and exact eq32 8 (G_9)
 _CAP_R = st.one_of(_R, st.sampled_from(["8", "9", "10", "11", "30", "31"]))
+# series zeta --s also at and just past the exact-mode cap of 18
+_CAP_S = st.one_of(_R, st.sampled_from(["18", "19"]))
 # compute --n and --N also at and just past each cap: dF 100, zeta-even 200,
 # bernoulli 400, H 2000, F 10000
 _CAP_N = st.one_of(
@@ -472,7 +475,7 @@ _SUBCOMMANDS = {
         st.sampled_from(
             ["zeta", "lemma-c", "cor2.4-r3", "cor2.4-r4", "cor2.4-r5", "eq31", "eq32"]
         ),
-        {"--N": _BIG_N, "--x": _X, "--s": _R, "--r": _CAP_R},
+        {"--N": _BIG_N, "--x": _X, "--s": _CAP_S, "--r": _CAP_R},
         ("--float",),
     ),
     "oracle": (
@@ -542,6 +545,7 @@ _CAPS = [
     (["compute", "bell", "--r", "30"], "--r", "31"),
     (["compute", "dF", "--n", "3", "--x", "1/2", "--r", "30"], "--r", "31"),
     (["series", "eq31", "--r", "8", "--N", "40"], "--r", "9"),
+    (["series", "zeta", "--s", "18", "--N", "40"], "--s", "19"),
     (["compute", "H", "--n", "2000", "--x", "1/2"], "--n", "2001"),
     (["compute", "H", "--n", "3", "--x", "1/2", "--alpha", "30"], "--alpha", "31"),
     (["compute", "F", "--n", "10000", "--x", "1/2"], "--n", "10001"),
@@ -605,6 +609,15 @@ class TestCliProperty:
     def test_r_at_cap_runs(self, argv):
         code, out, err = _in_process(argv)
         assert (code, err) == (0, "") and out, argv
+
+    @pytest.mark.parametrize("target", ["eq32", "lemma-c"])
+    @pytest.mark.parametrize("mode", [["--N", "10000"], ["--N", "20000", "--float"]])
+    def test_r_far_past_the_cap_is_refused_at_once(self, target, mode):
+        # neither G_{r+-1} nor the product-rule route is built before the refusal
+        start = time.perf_counter()
+        code, out, err = _in_process(["series", target, "--r", "500", *mode])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
 
 
 # -- one parser per process ----------------------------------------------------

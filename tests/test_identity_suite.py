@@ -407,6 +407,26 @@ class TestRunAll:
             assert bad and all(r.status == SKIPPED and r.reason for r in bad), name
             assert all(r.status == PASS for r in reports if r not in bad), name
 
+    def test_out_of_domain_x_skips_the_display_forms_at_x(self):
+        # the x = 0 forms read no rows at x, so they still run
+        def counts(reports):
+            return sorted((r.identity_id, r.params.get("n")) for r in reports)
+
+        for call in (
+            lambda xs: check_theorem_2_2(2, xs),
+            lambda xs: check_theorem_2_3(2, xs),
+            lambda xs: check_theorem_2_5(2, xs),
+            lambda xs: run_all(2, 1, xs),
+        ):
+            reports = call([Fraction(-1)])
+            assert counts(reports) == counts(call([Fraction(1, 2)]))
+            bad = [r for r in reports if r.params.get("x") == -1]
+            assert bad and all(
+                r.status == SKIPPED and r.reason.endswith("requires x > -1, got x=-1")
+                for r in bad
+            )
+            assert all(r.status == PASS for r in reports if r not in bad)
+
 
 # (x, s, n): the entry n of the alternating row at (x, s) is off by 1/D**s
 CORRUPTED_ENTRIES = [
