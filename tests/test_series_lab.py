@@ -512,6 +512,8 @@ class TestFloatBall:
         [
             lambda: _log_weight_ball(1, 94_906_266),  # N(N+1) >= 2**53
             lambda: _log_weight_ball(20, 10),  # G_20 holds the coefficient 19! >= 2**53
+            lambda: _log_weight_ball(19, 6_122_450),  # N * 490 monomials of G_19 > budget
+            lambda: eq32_series(19, 20_000, float_mode=True),  # G_20 holds 19!
             lambda: _hurwitz_ball(Fraction(1, 2**52), 2, 2),  # q(N+1)+p >= 2**53
             # q(N+1) = 2**53 + 1 is not a float although q(N+1)+p < 2**53
             lambda: _hurwitz_ball(Fraction(1 - 3002399751580331, 3002399751580331), 2, 2),
