@@ -30,7 +30,9 @@ the complete-Bell recurrence (Comtet, *Advanced Combinatorics*, 1974, ch. 3)
     G_{j+1} = sum(j!/(j-i)! * h_{i+1} * G_{j-i}, i = 0..j)
 
 on the integer numerators, and build one reduced Fraction per derivative.
-The recurrence is again weight-homogeneous, so it is exact on N.
+The recurrence is again weight-homogeneous, so it is exact on N.  Float-mode
+log-weight series (:mod:`~harmonic_beta.series_lab`) run the same
+recurrence, :func:`_bell_values`, on binary64 arrays.
 :meth:`BellExpansion.evaluate` substitutes Fraction values into the
 polynomial directly; it is the reference route the tests compare them with.
 
@@ -42,18 +44,12 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Mapping, Sequence
 
-from .harmonic_core import (
-    DomainError,
-    HarmonicNumerators,
-    HarmonicVector,
-    RationalLike,
-)
+from .harmonic_core import DomainError, HarmonicNumerators, RationalLike
 
 __all__ = [
     "BellExpansion",
@@ -88,10 +84,8 @@ class BellExpansion:
     order: int
     terms: Mapping[Monomial, int]
 
-    def evaluate(self, values: HarmonicVector | Sequence[RationalLike]) -> Fraction:
+    def evaluate(self, values: Sequence[RationalLike]) -> Fraction:
         """Substitute h_alpha = values[alpha-1] and evaluate exactly."""
-        if isinstance(values, HarmonicVector):
-            values = values.values
         if len(values) < self.order:
             raise DomainError(
                 f"expansion of order {self.order} needs {self.order} generator "
@@ -134,7 +128,6 @@ class BellExpansion:
 
 
 _expansion_cache: dict[int, BellExpansion] = {0: BellExpansion(0, {(): 1})}
-_expansion_lock = threading.Lock()
 
 
 def _step(terms: Mapping[Monomial, int], r: int) -> dict[Monomial, int]:
@@ -161,21 +154,16 @@ def _step(terms: Mapping[Monomial, int], r: int) -> dict[Monomial, int]:
 
 
 def bell_expansion(r: int) -> BellExpansion:
-    """The order-r expansion G_r, cached per r (write-once, thread-safe)."""
+    """The order-r expansion G_r, cached per r."""
     if r < 0:
         raise DomainError(f"bell_expansion requires r >= 0, got r={r}")
-    cached = _expansion_cache.get(r)
-    if cached is not None:
-        return cached
-    with _expansion_lock:
+    if r not in _expansion_cache:
         top = max(_expansion_cache)
-        terms = dict(_expansion_cache[top].terms)
+        terms = _expansion_cache[top].terms
         for k in range(top, r):
-            terms = _step(terms, k)
-            ordered = dict(sorted(terms.items(), key=lambda kv: _graded_lex_key(kv[0])))
-            _expansion_cache.setdefault(k + 1, BellExpansion(k + 1, ordered))
-            terms = ordered
-        return _expansion_cache[r]
+            terms = dict(sorted(_step(terms, k).items(), key=lambda kv: _graded_lex_key(kv[0])))
+            _expansion_cache[k + 1] = BellExpansion(k + 1, terms)
+    return _expansion_cache[r]
 
 
 def beta_F(n: int, x: RationalLike) -> Fraction:
@@ -238,18 +226,28 @@ def alt_power_row(n_max: int, x: RationalLike, r: int, first: int = 0) -> list[F
     return row
 
 
-def _bell_values(numerators: Sequence[int], k: int) -> list[int]:
-    """[G_0(N), ..., G_k(N)] by G_{j+1} = sum(j!/(j-i)! * N_{i+1} * G_{j-i}, i = 0..j).
+def _bell_values(h: Sequence, k: int) -> list:
+    """[G_0(h), ..., G_k(h)] by G_{j+1} = sum(j!/(j-i)! * h_{i+1} * G_{j-i}, i = j..0).
 
-    O(k**2) products; ``numerators`` holds at least N_1..N_k.
+    ``h`` holds at least h_1..h_k, either integers or equal-shape binary64
+    arrays (float mode evaluates a chunk of n at once).  O(k**2) products;
+    the products by 1 (the coefficient at i = 0, and G_0) are skipped, and
+    each sum runs from i = j down to 0, so h_1 * G_j, the term with the
+    longest rounding path, is added last.
     """
     values = [1]
     for j in range(k):
-        total = 0
-        falling = 1  # j!/(j-i)!
-        for i in range(j + 1):
-            total += falling * numerators[i] * values[j - i]
-            falling *= j - i
+        falling = math.factorial(j)  # j!/(j-i)!, from i = j down
+        total = h[j] if falling == 1 else falling * h[j]  # times G_0 = 1
+        for i in range(j - 1, -1, -1):
+            falling //= j - i
+            if falling == 1:
+                term = h[i] * values[j - i]
+            else:
+                term = falling * h[i]
+                term *= values[j - i]  # in place: term is a new array or int
+            term += total
+            total = term
         values.append(total)
     return values
 

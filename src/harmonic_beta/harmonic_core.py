@@ -22,7 +22,6 @@ RationalLike = Union[Fraction, int]
 
 __all__ = [
     "DomainError",
-    "HarmonicVector",
     "HarmonicNumerators",
     "BernoulliTable",
     "parse_rational",
@@ -30,7 +29,6 @@ __all__ = [
     "binomial",
     "harmonic_number",
     "harmonic_function",
-    "harmonic_vector",
     "bernoulli_table",
     "zeta_even_coefficient",
 ]
@@ -96,27 +94,6 @@ def harmonic_function(n: int, x: RationalLike, alpha: int) -> Fraction:
     return sum(
         (Fraction(1, 1) / (k + x + 1) ** alpha for k in range(n + 1)), Fraction(0)
     )
-
-
-@dataclass(frozen=True)
-class HarmonicVector:
-    """The tuple (H_n(x,1), ..., H_n(x,r)) for fixed n and shift x.
-
-    All entries are strictly positive because every base k+x+1 is
-    positive on the domain x > -1.
-    """
-
-    n: int
-    x: Fraction
-    values: tuple[Fraction, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.values)
-
-    def value(self, alpha: int) -> Fraction:
-        """Entry for exponent alpha (1-based)."""
-        return self.values[alpha - 1]
 
 
 class HarmonicNumerators:
@@ -219,17 +196,6 @@ def _run(d: int, q: int, order: int, n: int) -> tuple[int, list[int]]:
         return L, numerators
     half = n // 2
     return _join_runs(*_run(d, q, order, half), *_run(d + half * q, q, order, n - half))
-
-
-def harmonic_vector(n: int, x: RationalLike, r: int) -> HarmonicVector:
-    """All of H_n(x,1)..H_n(x,r) in one pass over the shared bases k+x+1."""
-    if n < 0:
-        raise DomainError(f"harmonic_vector requires n >= 0, got n={n}")
-    if r < 1:
-        raise DomainError(f"harmonic_vector requires r >= 1, got r={r}")
-    rows = HarmonicNumerators(x, r)
-    rows.advance(n + 1)
-    return HarmonicVector(n=n, x=rows.x, values=rows.values())
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,9 @@ numerators.  The closed form must equal a direct term-by-term sum at every
 checkpoint up to 512, so a verdict does not rest on it alone.
 
 Float mode (the CLI's ``--float``) computes the same terms in binary64 with
-numpy, a chunk of n at a time, and sums them with one ``math.fsum``.  numpy
+numpy, a chunk of n at a time, and sums them with one ``math.fsum``; a
+log-weight term takes G_k from the same complete-Bell recurrence as exact
+mode, applied to the chunk's rows of H^(alpha).  numpy
 is imported by the first float-mode sum, so exact mode never loads it.  Only
 correctly rounded + - * / and cumulative sums are used, and every term is
 positive, so an a-priori bound on the roundings along any term's path
@@ -100,9 +102,11 @@ _EQ31_R_MAX = EXACT_BELL_MAX - 1
 # Most n one float-mode chunk holds; bounds the memory of float mode.
 _CHUNK = 1 << 14
 
-# Most N * (monomials of P) a float-mode log-weight sum takes; its time is about
-# linear in both (the slowest allowed run, lemma-c --r 10 at N = 94906265, 13.6 s).
-_FLOAT_TERM_BUDGET = 3 * 10**9
+# Most N * k(k+1)/2 (the products of G_k's recurrence) a float-mode log-weight
+# sum takes; its time is about linear in both.  lemma-c --r 10 runs to the
+# N(N+1) < 2**53 bound, N = 94906265, in 16.3 s; --r 11 at N = 78181818 took
+# 16.1 s and --r 20 at N = 22631578 11.0 s (in-process CPU, 2 vCPUs).
+_FLOAT_TERM_BUDGET = 43 * 10**8
 
 # Integers below this are exact binary64 values.
 _FLOAT_INT_LIMIT = 1 << 53
@@ -556,44 +560,45 @@ def _log_weight_series(
 def _log_weight_ball(k: int, N: int) -> tuple[float, Fraction]:
     """sum(G_k(H_{n+1},...)/(n(n+1)), n = 1..N) in binary64, as (float sum, radius).
 
+    Each chunk evaluates G_k by :func:`_bell_values` on the k rows h_alpha,
+    the recurrence exact mode uses.  Its coefficients j!/(j-i)! <= 18! are
+    exact binary64 values while k <= 19.
+
     The roundings on a term's path, with m = n+1 <= N+1: 1/m is one
     rounding and 1/m**alpha is its alpha-th power by alpha - 1 products, so
     (1 + delta)**alpha times alpha - 1 factors: 2*alpha - 1 roundings.
     H^(alpha)_m = 1 + sum of those over 2..m is a running sum continued
     across chunks, at most m additions on any summand's path (in-chunk
     cumsum, then one addition of the carry per chunk boundary), so a factor
-    h_alpha has at most 2*alpha - 1 + m <= 2*alpha + N roundings.  A
-    monomial c * prod h**e of G_k is sum(e) products of factors whose alpha
-    sum to k, so at most 2k + sum(e) * N + sum(e) = 2k + sum(e) * (N + 1)
-    roundings, and sum(e) <= k bounds that by k * (N + 3).  Adding the
-    monomials costs #monomials - 1, the division by the exact n(n+1) one
-    more and the fsum one: K = k * (N + 3) + #monomials + 1.
+    h_alpha has at most 2*alpha - 1 + m <= 2*alpha + N roundings.  Let a_j
+    bound the roundings of G_j; a_0 = 0, as G_0 = 1 is exact.  G_{j+1} sums
+    its terms from i = j down to 0, so term i sees at most i + 1 additions.
+    Term i >= 1 is (c * h_{i+1}) * G_{j-i}: a_{j-i} + 2(i+1) + N + 2 + i + 1
+    roundings; term 0 is h_1 * G_j with no coefficient: a_j + N + 2 + 1 + 1.
+    By induction a_j <= j * (N + 4): term 0 meets (j+1)(N+4) exactly, and
+    term i >= 1 stays below it by i*N + i - 1 >= 0.  The division by the
+    exact n(n+1) is one more rounding and the fsum one: K = k * (N + 4) + 2.
 
-    Rejects a coefficient outside [1, 2**53), n(n+1) reaching 2**53, N times
-    #monomials above _FLOAT_TERM_BUDGET, and inputs where 1/m**k or the sum
-    could leave the normal float range; these are the preconditions of the
-    bound.
+    Every intermediate stays a normal float, so every rounding error is
+    relative: h_alpha, G_j and the coefficients are at least 1, and the
+    smallest factor 1/m**alpha is at least 2**(-27k) >= 2**-513, as
+    m < 2**27.  Every product and partial sum is at most the G_j it builds,
+    and with H_m <= 1 + ln(N+1) < 20 every G_j is below 19! * 20**19 <
+    2**141 (the coefficients of G_j sum to j!), so the sum of N < 2**27
+    terms stays below 2**168.
+
+    Rejects k > 19, n(n+1) reaching 2**53, and N times the recurrence's
+    k(k+1)/2 products above _FLOAT_TERM_BUDGET; the first two are the
+    preconditions of the bound.
     """
-    monomials = bell_expansion(k).terms
-    for coeff in monomials.values():
-        if not 0 < coeff < _FLOAT_INT_LIMIT:
-            raise DomainError(f"float mode requires coefficients in [1, 2**53), got {coeff}")
+    _bell_order(k, float_mode=True)
     if N * (N + 1) >= _FLOAT_INT_LIMIT:
         raise DomainError(f"float mode requires N(N+1) < 2**53, got N={N}")
-    if N * len(monomials) > _FLOAT_TERM_BUDGET:
+    products = k * (k + 1) // 2
+    if N * products > _FLOAT_TERM_BUDGET:
         raise DomainError(
-            f"float mode requires N * {len(monomials)} monomials <= {_FLOAT_TERM_BUDGET}, "
+            f"float mode requires N * {products} products of G_{k} <= {_FLOAT_TERM_BUDGET}, "
             f"got N={N}"
-        )
-    # H_{N+1} <= 1 + ln(N+1) < bits + 1, so every monomial is below
-    # coeff * (bits + 1)**k and the whole sum below N times their total
-    bits = (N + 1).bit_length()
-    if k * bits > _FLOAT_LOW_BITS or (
-        N.bit_length() + sum(monomials.values()).bit_length()
-        + k * (bits + 1).bit_length() > _FLOAT_HIGH_BITS
-    ):
-        raise DomainError(
-            f"float mode: a weight-{k} term leaves the normal float range at N={N}"
         )
     import numpy as np
 
@@ -613,16 +618,9 @@ def _log_weight_ball(k: int, N: int) -> tuple[float, Fraction]:
                 row += carry[alpha]
                 carry[alpha] = row[-1]
                 h.append(row)
-            value = None
-            for exponents, coeff in monomials.items():
-                product = np.full(n.shape, float(coeff))
-                for alpha, e in enumerate(exponents):
-                    for _ in range(e):
-                        product *= h[alpha]
-                value = product if value is None else value + product
-            yield value / (n * m)
+            yield _bell_values(h, k)[k] / (n * m)
 
-    return _fsum_ball(chunks(), k * (N + 3) + len(monomials) + 1)
+    return _fsum_ball(chunks(), k * (N + 4) + 2)
 
 
 # -- the concrete series targets ----------------------------------------------
@@ -631,12 +629,17 @@ def _log_weight_ball(k: int, N: int) -> tuple[float, Fraction]:
 def _bell_order(k: int, float_mode: bool) -> int:
     """The Bell order k, refused before anything is built past each mode's cap.
 
-    Float mode stops at k = 19: G_k holds (k-1)! * h_k, and 19! >= 2**53.
+    Float mode stops at k = 19: the rounding bound of :func:`_log_weight_ball`
+    takes the recurrence's coefficients, up to (k-1)!, to be integers below
+    2**53, hence exact binary64 values, and 19! >= 2**53.
     Exact mode stops at k = EXACT_BELL_MAX, which bounds the time and memory
     of the closed form's big-integer sums: G_0..G_k at every checkpoint, and
     harmonic numerators of k orders."""
     if float_mode and k >= 20:
-        raise DomainError(f"float mode requires coefficients below 2**53; G_{k} has {k - 1}!")
+        raise DomainError(
+            f"float mode sums G_k only up to k = 19 (lemma-c --r <= 20, eq32 --r <= 18); "
+            f"got G_{k}"
+        )
     if not float_mode and k > EXACT_BELL_MAX:
         raise DomainError(
             f"exact mode sums G_k only up to k = {EXACT_BELL_MAX} "

@@ -18,7 +18,7 @@ from harmonic_beta.beta_engine import (
     derivative_rows,
     mixed_sum,
 )
-from harmonic_beta.harmonic_core import DomainError, harmonic_function, harmonic_vector
+from harmonic_beta.harmonic_core import DomainError, HarmonicNumerators, harmonic_function
 
 x_values = st.fractions(
     min_value=Fraction(-9, 10), max_value=Fraction(4), max_denominator=24
@@ -296,8 +296,9 @@ class TestDerivativeF:
     def test_bell_route_equals_vector_evaluation(self):
         n, x, r = 7, Fraction(1, 2), 5
         expansion = bell_expansion(r)
-        hvec = harmonic_vector(n, x, r)
-        expected = -expansion.evaluate(hvec) * beta_F(n, x)
+        rows = HarmonicNumerators(x, r)
+        rows.advance(n + 1)
+        expected = -expansion.evaluate(rows.values()) * beta_F(n, x)
         assert derivative_F(n, x, r) == expected
 
 
@@ -344,6 +345,29 @@ class TestIntegerBellEvaluation:
     )
     def test_bell_recurrence_at_order_30(self, numerators):
         assert _bell_values(numerators, 30)[30] == bell_expansion(30).evaluate(numerators)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 19),
+        st.lists(st.lists(st.integers(0, 3), min_size=19, max_size=19), min_size=1, max_size=5),
+    )
+    # all ones gives G_j = j!, exact up to 18!; h_19 alone meets the largest
+    # coefficient, 18!, at G_19 = 18! * h_19
+    @example(19, [[1] * 19])
+    @example(19, [[0] * 18 + [1], [1] + [0] * 17 + [1], [2] + [0] * 18])
+    def test_float_arrays_of_small_integers_give_the_integer_values(self, k, points):
+        # one evaluator serves both modes: on binary64 arrays the recurrence
+        # is exact while every G_j is an integer below 2**53
+        import numpy as np
+
+        h = [np.array(column, dtype=np.float64) for column in zip(*points)]
+        floats = _bell_values(h, k)
+        ints = [_bell_values(point, k) for point in points]
+        for j in range(k + 1):
+            expected = [values[j] for values in ints]
+            if max(expected) >= 2**53:
+                break
+            assert np.broadcast_to(floats[j], len(points)).tolist() == expected
 
 
 def _mixed_sum_per_term(harmonics, derivatives, r):

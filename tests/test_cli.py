@@ -512,15 +512,15 @@ _FLOAT_CAPS = {
         {"--N": "100000001"},  # past the float-mode --N cap
     ],
     "lemma-c": [
-        {"--r": "21"},  # G_20 holds the coefficient 19! >= 2**53
+        {"--r": "21"},  # G_20's recurrence holds the coefficient 19! >= 2**53
         {"--N": "100000000"},  # N(N+1) >= 2**53
-        {"--r": "20", "--N": "6122449"},  # N * 490 monomials of G_19 > 3 * 10**9
-        {"--r": "11", "--N": "71428572"},  # N * 42 monomials of G_10 > 3 * 10**9
+        {"--r": "20", "--N": "22631579"},  # N * 190 products of G_19 > 4.3 * 10**9
+        {"--r": "11", "--N": "78181819"},  # N * 55 products of G_10 > 4.3 * 10**9
     ],
     "cor2.4-r5": [{"--N": "100000000"}],
     "eq32": [
         {"--r": "19"},
-        {"--r": "18", "--N": "6122449"},  # N * 490 monomials of G_19 > 3 * 10**9
+        {"--r": "18", "--N": "22631579"},  # N * 190 products of G_19 > 4.3 * 10**9
     ],
     "eq31": [{"--N": "100000001"}],  # refused before the 512 term checks
 }

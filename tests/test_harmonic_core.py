@@ -14,7 +14,6 @@ from harmonic_beta.harmonic_core import (
     format_rational,
     harmonic_function,
     harmonic_number,
-    harmonic_vector,
     parse_rational,
     zeta_even_coefficient,
 )
@@ -94,27 +93,35 @@ class TestHarmonicFunction:
             harmonic_function(2, Fraction(-3, 2), 1)
 
 
+def _harmonic_vector(n, x, r):
+    """(H_n(x,1), ..., H_n(x,r)) from one harmonic state advanced past n."""
+    rows = HarmonicNumerators(x, r)
+    rows.advance(n + 1)
+    return rows.values()
+
+
 class TestHarmonicVector:
+    """All orders 1..r of H_n(x, alpha) at once, as HarmonicNumerators.values() gives them."""
+
     def test_batch_matches_scalar(self):
-        vec = harmonic_vector(1, 0, 2)
-        assert vec.values == (Fraction(3, 2), Fraction(5, 4))
+        assert _harmonic_vector(1, 0, 2) == (Fraction(3, 2), Fraction(5, 4))
 
     def test_single_unit_term(self):
-        assert harmonic_vector(0, 0, 3).values == (1, 1, 1)
+        assert _harmonic_vector(0, 0, 3) == (1, 1, 1)
 
     def test_first_entry_direct_summation_oracle(self):
         # independent oracle: sum the bases explicitly
         expected = Fraction(2, 3) + Fraction(2, 5) + Fraction(2, 7)
-        vec = harmonic_vector(2, Fraction(1, 2), 1)
-        assert vec.values[0] == expected
-        assert vec.values[0] == Fraction(142, 105)
+        values = _harmonic_vector(2, Fraction(1, 2), 1)
+        assert values[0] == expected
+        assert values[0] == Fraction(142, 105)
 
     @given(st.integers(0, 25), x_values, st.integers(1, 5))
     def test_agrees_with_harmonic_function(self, n, x, r):
-        vec = harmonic_vector(n, x, r)
-        assert vec.order == r
+        values = _harmonic_vector(n, x, r)
+        assert len(values) == r
         for alpha in range(1, r + 1):
-            assert vec.value(alpha) == harmonic_function(n, x, alpha)
+            assert values[alpha - 1] == harmonic_function(n, x, alpha)
 
 
 class TestHarmonicNumerators:

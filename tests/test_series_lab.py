@@ -1,10 +1,11 @@
 import dataclasses
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from harmonic_beta import series_lab
@@ -82,6 +83,24 @@ def _evaluate(poly, values):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _block_parts(k):
+    """[(f, w_f, R_f)]: G_k(H + delta) = sum_f H**f * R_f(delta), w_f the weight of R_f."""
+    parts = {}  # f -> R_f
+    for exponents, coeff in bell_expansion(k).terms.items():
+        for f in itertools.product(*(range(e + 1) for e in exponents)):
+            c = coeff
+            for e, fe in zip(exponents, f):
+                c *= math.comb(e, fe)
+            rest = tuple(e - fe for e, fe in zip(exponents, f))
+            parts.setdefault(f, {})
+            parts[f][rest] = parts[f].get(rest, 0) + c
+    return [
+        (f, k - sum((i + 1) * e for i, e in enumerate(f)), rest)
+        for f, rest in parts.items()
+    ]
+
+
 def block_partials(k, stops):
     """The block route: sum G_k(H_{n+1}, ...)/(n(n+1)) for k >= 1.
 
@@ -92,19 +111,7 @@ def block_partials(k, stops):
     a * lcm(a+1..n+1)**(w_f+1); the large numerators of H_a**f enter once per
     block, when the base rows advance past the block.
     """
-    parts = {}  # f -> R_f
-    for exponents, coeff in bell_expansion(k).terms.items():
-        for f in itertools.product(*(range(e + 1) for e in exponents)):
-            c = coeff
-            for e, fe in zip(exponents, f):
-                c *= math.comb(e, fe)
-            rest = tuple(e - fe for e, fe in zip(exponents, f))
-            parts.setdefault(f, {})
-            parts[f][rest] = parts[f].get(rest, 0) + c
-    parts = [
-        (f, k - sum((i + 1) * e for i, e in enumerate(f)), rest)
-        for f, rest in parts.items()
-    ]
+    parts = _block_parts(k)
     base = HarmonicNumerators(0, k)
     base.advance()  # H_1
     acc = 0  # the partial sum so far, over base.L ** (k + 1)
@@ -408,23 +415,38 @@ class TestClosedForm:
 
 
 @st.composite
-def _chunk_and_n(draw):
-    """A chunk size and N <= 2000, with N at the chunk size -1, +0 and +1 drawn explicitly."""
-    chunk = draw(st.sampled_from([1, 2, 37, 256, 1999]))
+def _chunk_and_n(draw, n_max=2000):
+    """A chunk size and N <= n_max, with N at the chunk size -1, +0 and +1 drawn explicitly."""
+    chunk = draw(st.sampled_from([c for c in (1, 2, 37, 256, 1999) if c < n_max]))
     near = st.sampled_from([chunk - 1, chunk, chunk + 1]).filter(lambda n: n >= 1)
-    return chunk, draw(st.one_of(near, st.integers(1, 2000)))
+    return chunk, draw(st.one_of(near, st.integers(1, n_max)))
 
 
 _BALL_ORDERS = st.integers(1, 6)
+
+
+@st.composite
+def _order_chunk_and_n(draw):
+    """A Bell order k <= 19, a chunk size and N.  Past G_6 the exact reference
+    costs far more per term, so there N stays at most 12."""
+    k = draw(st.integers(1, 19))
+    return k, draw(_chunk_and_n(2000 if k <= 6 else 12))
 
 
 class TestFloatBall:
     """Float mode's ball must enclose the exact partial sum."""
 
     @settings(max_examples=60, deadline=None)
-    @given(_BALL_ORDERS, _chunk_and_n())
-    def test_log_weight_ball_encloses_exact_sum(self, k, chunk_n):
-        chunk, N = chunk_n
+    @given(_order_chunk_and_n())
+    # the chunk boundaries at G_9 and at the float cap G_19
+    @example((9, (37, 36)))
+    @example((9, (37, 37)))
+    @example((9, (37, 38)))
+    @example((19, (2, 1)))
+    @example((19, (2, 2)))
+    @example((19, (2, 3)))
+    def test_log_weight_ball_encloses_exact_sum(self, k_chunk_n):
+        k, (chunk, N) = k_chunk_n
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(series_lab, "_CHUNK", chunk)
             total, radius = _log_weight_ball(k, N)
@@ -489,8 +511,9 @@ class TestFloatBall:
             return gamma / (1 - gamma)
 
         N = 1000
-        total, radius = _log_weight_ball(4, N)  # G_4 has five monomials
-        assert radius == gamma_ratio(4 * (N + 3) + 5 + 1) * Fraction(total)
+        for k in (0, 1, 4, 19):
+            total, radius = _log_weight_ball(k, N)
+            assert radius == gamma_ratio(k * (N + 4) + 2) * Fraction(total)
         total, radius = _hurwitz_ball(Fraction(1, 2), 5, N)
         assert radius == gamma_ratio(2 * 5) * Fraction(total)
 
@@ -511,8 +534,8 @@ class TestFloatBall:
         "call",
         [
             lambda: _log_weight_ball(1, 94_906_266),  # N(N+1) >= 2**53
-            lambda: _log_weight_ball(20, 10),  # G_20 holds the coefficient 19! >= 2**53
-            lambda: _log_weight_ball(19, 6_122_450),  # N * 490 monomials of G_19 > budget
+            lambda: _log_weight_ball(20, 10),  # G_20's recurrence holds 19! >= 2**53
+            lambda: _log_weight_ball(19, 22_631_579),  # N * 190 products of G_19 > budget
             lambda: eq32_series(19, 20_000, float_mode=True),  # G_20 holds 19!
             lambda: _hurwitz_ball(Fraction(1, 2**52), 2, 2),  # q(N+1)+p >= 2**53
             # q(N+1) = 2**53 + 1 is not a float although q(N+1)+p < 2**53
@@ -528,20 +551,21 @@ class TestFloatBall:
 
     def test_term_budget_refuses_before_any_float_work(self, monkeypatch):
         budget = series_lab._FLOAT_TERM_BUDGET
-        # G_5 has 7 monomials: N = 71 spends 497 of a budget of 500, N = 72 is past it
+        # G_5's recurrence has 15 products: N = 33 spends 495 of a budget of
+        # 500, N = 34 is past it
         monkeypatch.setattr(series_lab, "_FLOAT_TERM_BUDGET", 500)
-        assert lemma_c_partial(6, 71, float_mode=True).N == 71
+        assert lemma_c_partial(6, 33, float_mode=True).N == 33
 
         def unsummed(*args):
             raise AssertionError("float work started")
 
         monkeypatch.setattr(series_lab, "_fsum_ball", unsummed)
-        with pytest.raises(DomainError, match=r"requires N \* 7 monomials <= 500, got N=72"):
-            lemma_c_partial(6, 72, float_mode=True)
+        with pytest.raises(DomainError, match=r"requires N \* 15 products of G_5 <= 500, got N=34"):
+            lemma_c_partial(6, 34, float_mode=True)
         monkeypatch.setattr(series_lab, "_FLOAT_TERM_BUDGET", budget)
-        N = budget // 490 + 1  # G_19 has 490 monomials
+        N = budget // 190 + 1  # G_19's recurrence has 190 products
         for call in (lambda: lemma_c_partial(20, N, True), lambda: eq32_series(18, N, True)):
-            with pytest.raises(DomainError, match=r"float mode requires N \* 490 monomials"):
+            with pytest.raises(DomainError, match=r"float mode requires N \* 190 products"):
                 call()
 
     def test_large_r_is_rejected_before_its_expansion_is_built(self, monkeypatch):
