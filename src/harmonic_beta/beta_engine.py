@@ -49,7 +49,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Mapping, Sequence
 
-from .harmonic_core import DomainError, HarmonicNumerators, RationalLike
+from .harmonic_core import DomainError, HarmonicNumerators, RationalLike, _reduced_fraction
 
 __all__ = [
     "BellExpansion",
@@ -258,14 +258,15 @@ def _derivatives(
     """F^(j) for each j in ``orders``, given ``state`` at n and base = F_n(x).
 
     F^(j) = (-1)**j * (q/L)**j * G_j(N_1..N_j) * F_n: one reduced Fraction
-    per order.
+    per order.  F_n's denominator divides d_0 * ... * d_n, so every prime of
+    L**j times it divides L, which :func:`_reduced_fraction` reduces by.
     """
     values = _bell_values(state.numerators, max(orders))
     out: list[Fraction] = []
     for j in orders:
         numerator = state.q**j * values[j]
         numerator *= -base.numerator if j % 2 else base.numerator
-        out.append(Fraction(numerator, state.L**j * base.denominator))
+        out.append(_reduced_fraction(numerator, state.L**j * base.denominator, state.L))
     return out
 
 

@@ -11,7 +11,6 @@ verification path can never silently lose exactness.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import os
 import sys
@@ -31,10 +30,6 @@ from .reporting import (
 from .series_lab import EXACT_N_MAX, SeriesEstimate
 
 __all__ = ["run", "main"]
-
-# Exact partial sums at desk scale print integers of tens of thousands of
-# digits, beyond Python's default int->str guard; ``run`` lifts it this far.
-_INT_MAX_STR_DIGITS = 2_000_000
 
 # Largest value of each (quantity, flag) ``compute`` and ``oracle`` accept,
 # refused before any work; README lists the time of each worst allowed run.
@@ -168,27 +163,7 @@ def _output_flags(parser: argparse.ArgumentParser, default_format: str) -> None:
     )
 
 
-@contextlib.contextmanager
-def _int_str_digits(limit: int):
-    """Lift the process's int->str digit limit to at least ``limit`` for the
-    duration, then restore it."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0 if old == 0 else max(old, limit))
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
-
-
 def run(argv: Sequence[str]) -> int:
-    with _int_str_digits(_INT_MAX_STR_DIGITS):
-        return _run(argv)
-
-
-def _run(argv: Sequence[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))

@@ -7,10 +7,17 @@ denominator is always positive.  The canonical text form is ``"p/q"`` with
 the denominator omitted when it equals 1 (``"11/6"``, ``"-1/30"``, ``"5"``),
 which is exactly what ``str(Fraction)`` produces; :func:`parse_rational`
 accepts only that form.
+
+Big rationals here carry denominators built from a known lcm L, so
+:func:`_reduced_fraction` reduces them from gcd(numerator mod L, L) rather
+than a full gcd, and :func:`format_rational` prints a large integer by
+divide and conquer in :mod:`decimal`, not by the quadratic ``str(int)``.
 """
 
 from __future__ import annotations
 
+import decimal
+import functools
 import math
 import operator
 import re
@@ -42,18 +49,134 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the canonical ``"p/q"`` form (sign on p only, no decimals)."""
+    """Parse the canonical ``"p/q"`` form (sign on p only, no decimals).
+
+    A p or q longer than the interpreter's int digit limit (4,300 digits by
+    default) is refused as well.
+    """
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise DomainError(f"not a p/q rational: {text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise DomainError(f"zero denominator: {text!r}") from None
+    except ValueError:  # int() refuses more digits than the interpreter's limit
+        raise DomainError(
+            f"p/q rational of {len(text)} characters exceeds the int digit limit"
+        ) from None
+
+
+# Integers of at most this many bits print by str: below 30,000 bits it is
+# faster than the decimal split, and 2**2048 has 617 digits, under 640, the
+# least int->str digit limit Python accepts, so str never refuses them.
+_STR_BITS = 2048
+
+
+def _decimal_text(n: int) -> str:
+    """Decimal digits of the integer n, by splitting at powers of 2 held in decimal.
+
+    n = hi * 2**w + lo with w half its bits; both halves convert recursively
+    and join by one libmpdec product and sum, which are sub-quadratic, so
+    the whole costs O(M(n) log n) where ``str(n)`` is quadratic (Brent and
+    Zimmermann, *Modern Computer Arithmetic*, 2010, sec. 1.7).  Every value
+    is an exact integer: the context has the largest precision and traps
+    Inexact.
+    """
+    powers: dict[int, decimal.Decimal] = {}
+
+    def power(w: int) -> decimal.Decimal:  # 2**w, each w built once
+        if w not in powers:
+            powers[w] = (
+                decimal.Decimal(1 << w) if w <= _STR_BITS else power(w // 2) * power(w - w // 2)
+            )
+        return powers[w]
+
+    def convert(n: int, bits: int) -> decimal.Decimal:
+        if bits <= _STR_BITS:
+            return decimal.Decimal(n)
+        w = bits // 2
+        hi = n >> w
+        return convert(hi, bits - w) * power(w) + convert(n - (hi << w), w)
+
+    with decimal.localcontext() as context:
+        context.prec = decimal.MAX_PREC
+        context.Emax = decimal.MAX_EMAX
+        context.traps[decimal.Inexact] = True
+        text = str(convert(abs(n), abs(n).bit_length()))
+    return "-" + text if n < 0 else text
+
+
+def _int_text(n: int) -> str:
+    return str(n) if n.bit_length() <= _STR_BITS else _decimal_text(n)
 
 
 def format_rational(value: RationalLike) -> str:
-    """Canonical ``"p/q"`` text, denominator omitted when it is 1."""
-    return str(Fraction(value))
+    """Canonical ``"p/q"`` text, denominator omitted when it is 1.
+
+    The one text route for a rational: equal to ``str(Fraction(value))``
+    with no int->str digit limit, and sub-quadratic in the digit count.
+    """
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    numerator, denominator = value.numerator, value.denominator
+    if denominator == 1:
+        return _int_text(numerator)
+    return f"{_int_text(numerator)}/{_int_text(denominator)}"
+
+
+# _coprime_fraction(n, d) is the Fraction n/d for coprime ints n and d > 0,
+# built without a gcd
+try:
+    _coprime_fraction = Fraction._from_coprime_ints  # Python >= 3.12
+except AttributeError:
+    _coprime_fraction = functools.partial(Fraction, _normalize=False)
+
+
+# Denominators of at most this many bits are reduced by Fraction's own gcd:
+# up to about 2,000 bits it is as fast as the loop below.
+_GCD_BITS = 2048
+
+
+def _reduced_fraction(numerator: int, denominator: int, base: int) -> Fraction:
+    """numerator/denominator in lowest terms, when every prime of the
+    denominator divides ``base``.
+
+    The denominators here are products of powers of a known lcm L, with
+    base = L, so the gcd comes from the small c = gcd(numerator mod L, L)
+    rather than from a full gcd of two big integers.  The loop
+
+        c = gcd(numerator, denominator, base)
+        while c > 1: divide both by c;  c = gcd(c, numerator, denominator)
+
+    divides out exactly g = gcd(numerator, denominator), with multiplicity.
+    Fix a prime p and let a, b be its exponents in the current numerator
+    and denominator; p contributes min(a, b) to g at the start.  Every c
+    divides both, so a pass lowers a and b by the same e = v_p(c) <=
+    min(a, b): it never removes more of p than g holds.  The first c has
+    e = min(a, b, v_p(base)), and every prime of the denominator divides
+    base, so e > 0 whenever min(a, b) > 0.  After a pass the next c has
+    e' = min(e, a, b), which is 0 only if e = 0 or min(a, b) = 0; so by
+    induction e > 0 for as long as min(a, b) > 0.  The loop ends at c = 1,
+    that is e = 0 for every p, so min(a, b) = 0 for every p: the two are
+    coprime, and exactly min(a, b) of each p, which is g, was divided out.
+    It ends because each pass divides the positive denominator by c > 1:
+    p keeps e = e_0 while min(a, b) >= e_0, then takes one smaller pass,
+    at most min(a, b)/e_0 + 1 passes in all.  One numerator mod base and
+    O(size * size of c) per pass replace the full gcd; the denominators
+    here share a factor of a few dozen bits at most, so one or two passes
+    do.
+
+    A numerator of 0 gives 0; small denominators take Fraction's own gcd.
+    """
+    if denominator.bit_length() <= _GCD_BITS or not numerator:
+        return Fraction(numerator, denominator)
+    c = math.gcd(numerator % base, base)
+    c = math.gcd(c, denominator % c)
+    while c > 1:
+        numerator //= c
+        denominator //= c
+        c = math.gcd(c, numerator % c, denominator % c)
+    return _coprime_fraction(numerator, denominator)
 
 
 def binomial(n: int, k: int) -> int:
@@ -97,27 +220,31 @@ def harmonic_function(n: int, x: RationalLike, alpha: int) -> Fraction:
 
 
 class HarmonicNumerators:
-    """Running H_k(x, 1..order) as integer numerators over one denominator.
+    """Running H_k(x, lowest..order) as integer numerators over one denominator.
 
     With x = p/q in lowest terms every base k + x + 1 equals d_k/q for the
     positive integer d_k = q(k+1) + p.  For L = lcm(d_0..d_k),
 
-        H_k(x, alpha) = q**alpha * numerators[alpha-1] / L**alpha,
+        H_k(x, alpha) = q**alpha * numerators[alpha-lowest] / L**alpha,
 
-    so each base is taken in by integer operations only.  The state starts
-    empty (every sum 0); :meth:`advance` takes in the next bases, the first
-    of them d_0.
+    so each base is taken in by integer operations only.  The orders are
+    lowest..order, 1..order by default; a caller that sums one order alone
+    sets lowest = order.  The state starts empty (every sum 0);
+    :meth:`advance` takes in the next bases, the first of them d_0.
     """
 
-    def __init__(self, x: RationalLike, order: int) -> None:
-        if order < 1:
-            raise DomainError(f"harmonic rows require order >= 1, got order={order}")
+    def __init__(self, x: RationalLike, order: int, lowest: int = 1) -> None:
+        if not 1 <= lowest <= order:
+            raise DomainError(
+                f"harmonic rows require 1 <= lowest <= order, got lowest={lowest}, order={order}"
+            )
         self.x = _check_shift(x)
         self.order = order
+        self.lowest = lowest
         self.q = self.x.denominator
         self._d = self.x.numerator + self.q  # the next base, d_0 at first
         self.L = 1
-        self.numerators = [0] * order
+        self.numerators = [0] * (order - lowest + 1)
 
     def advance(self, count: int = 1) -> int:
         """Take in the next ``count`` bases; returns the factor g by which L grew.
@@ -135,7 +262,10 @@ class HarmonicNumerators:
         if not count:
             return 1
         L, self.numerators = _join_runs(
-            self.L, self.numerators, *_run(self._d, self.q, self.order, count)
+            self.lowest,
+            self.L,
+            self.numerators,
+            *_run(self._d, self.q, self.lowest, len(self.numerators), count),
         )
         g = L // self.L
         self.L = L
@@ -143,26 +273,27 @@ class HarmonicNumerators:
         return g
 
     def values(self) -> tuple[Fraction, ...]:
-        """(H_k(x,1), ..., H_k(x,order)) as reduced Fractions."""
+        """(H_k(x,lowest), ..., H_k(x,order)) as reduced Fractions."""
         out: list[Fraction] = []
-        q_pow = 1
-        L_pow = 1
+        q_pow = self.q ** (self.lowest - 1)
+        L_pow = self.L ** (self.lowest - 1)
         for numerator in self.numerators:
             q_pow *= self.q
             L_pow *= self.L
-            out.append(Fraction(q_pow * numerator, L_pow))
+            out.append(_reduced_fraction(q_pow * numerator, L_pow, self.L))
         return tuple(out)
 
 
 def _join_runs(
-    L1: int, numerators1: list[int], L2: int, numerators2: list[int]
+    lowest: int, L1: int, numerators1: list[int], L2: int, numerators2: list[int]
 ) -> tuple[int, list[int]]:
-    """The numerators over two consecutive runs of bases, put over lcm(L1, L2)."""
+    """The numerators of orders lowest.. over two consecutive runs of bases,
+    put over lcm(L1, L2)."""
     L = math.lcm(L1, L2)
     g = L // L1
     h = L // L2
-    g_pow = 1
-    h_pow = 1
+    g_pow = g ** (lowest - 1)
+    h_pow = h ** (lowest - 1)
     out: list[int] = []
     for a, b in zip(numerators1, numerators2):
         g_pow *= g
@@ -175,27 +306,33 @@ def _join_runs(
 _LEAF_BASES = 16
 
 
-def _run(d: int, q: int, order: int, n: int) -> tuple[int, list[int]]:
-    """(L, numerators) over the n >= 1 bases d, d + q, ..., d + (n-1)q.
+def _run(d: int, q: int, lowest: int, orders: int, n: int) -> tuple[int, list[int]]:
+    """(L, numerators of orders lowest..lowest+orders-1) over the n >= 1 bases
+    d, d + q, ..., d + (n-1)q.
 
     A run of at most _LEAF_BASES bases is a leaf: with L = lcm of its bases
-    and t = L // base, numerator alpha is the sum of t**alpha, each power
-    one product from the last.  Longer runs are halved and joined.
+    and t = L // base, the numerator of order alpha is the sum of
+    t**alpha, each power after the first one product from the last.
+    Longer runs are halved and joined.
     """
     if n == 1:
-        return d, [1] * order
+        return d, [1] * orders
     if n <= _LEAF_BASES:
         bases = range(d, d + n * q, q)
         L = math.lcm(*bases)
         cofactors = [L // base for base in bases]
-        powers = cofactors
+        powers = cofactors if lowest == 1 else [t**lowest for t in cofactors]
         numerators = [sum(powers)]
-        for _ in range(order - 1):
+        for _ in range(orders - 1):
             powers = list(map(operator.mul, powers, cofactors))
             numerators.append(sum(powers))
         return L, numerators
     half = n // 2
-    return _join_runs(*_run(d, q, order, half), *_run(d + half * q, q, order, n - half))
+    return _join_runs(
+        lowest,
+        *_run(d, q, lowest, orders, half),
+        *_run(d + half * q, q, lowest, orders, n - half),
+    )
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,7 @@ from .harmonic_core import (
     DomainError,
     HarmonicNumerators,
     RationalLike,
+    _reduced_fraction,
     format_rational,
     harmonic_number,
     zeta_even_coefficient,
@@ -191,7 +192,8 @@ class SeriesEstimate:
     def contains_claim(self) -> bool | None:
         """Whether the bracket contains the claimed limit; None when no claim.
 
-        Decided in rationals.  A pi-power claim is enclosed ever more tightly
+        Decided in rationals: a rational claim by tail_low <= claim - partial
+        <= tail_high, which forms no big sum.  A pi-power claim is enclosed ever more tightly
         (:meth:`PiPower.enclosure`) until the enclosure lies wholly inside or
         wholly outside the bracket.  That ends: a nonzero rational times a
         positive power of pi is irrational, so it is no end of the bracket;
@@ -199,10 +201,11 @@ class SeriesEstimate:
         """
         if self.claimed_limit is None:
             return None
-        low, high = self.bounds()
         claim = self.claimed_limit
         if not isinstance(claim, PiPower):
-            return low <= claim <= high
+            # claim - partial has the partial's denominator, as the claim's is small
+            return self.tail_low <= claim - Fraction(self.partial) <= self.tail_high
+        low, high = self.bounds()
         bits = 200
         while True:
             claim_low, claim_high = claim.enclosure(bits)
@@ -266,29 +269,10 @@ def hurwitz_partial(
             target_id, N, total, radius, scale=1, tail_low=tail_low, tail_high=tail_high,
             sign=1, claimed_limit=claimed,
         )
-    terms = [1 / (x + n + 1) ** s for n in range(N)]
-    return SeriesEstimate(
-        target_id=target_id,
-        N=N,
-        partial=_tree_sum(terms),
-        exact=True,
-        tail_low=tail_low,
-        tail_high=tail_high,
-        claimed_limit=claimed,
-    )
-
-
-def _tree_sum(terms: list[Fraction]) -> Fraction:
-    """Pairwise (balanced) exact summation; same value, far fewer big gcds."""
-    if not terms:
-        return Fraction(0)
-    layer = terms
-    while len(layer) > 1:
-        nxt = [layer[i] + layer[i + 1] for i in range(0, len(layer) - 1, 2)]
-        if len(layer) % 2:
-            nxt.append(layer[-1])
-        layer = nxt
-    return layer[0]
+    # sum((q/d_n)**s, n < N) = q**s * N_s / L**s: the harmonic kernel at order s alone
+    state = HarmonicNumerators(x, s, lowest=s)
+    state.advance(N)
+    return SeriesEstimate(target_id, N, state.values()[0], True, tail_low, tail_high, claimed)
 
 
 # -- float mode: binary64 sums with a rigorous radius -------------------------
@@ -454,27 +438,27 @@ def _normalised(poly_terms: PolyTerms) -> dict[Monomial, int]:
     return {key: coeff for key, coeff in out.items() if coeff}
 
 
-def _closed_form_partials(k: int, stops: list[int]) -> list[Fraction]:
-    """T_k(m) = sum(G_k(H_{n+1},...)/(n(n+1)), n = 1..m) for each m in ``stops``.
+def _closed_form_sums(k: int, stops: list[int]) -> list[tuple[int, int]]:
+    """(S, L) for each m in ``stops``, with T_k(m) = (k+1)! - S/((m+1) * L**k).
 
-    From F_n(x) = n/(n+x+1) * F_{n-1}(x) the sum telescopes:
-    sum(F_n(x)/n, n = 1..m) = (1/(x+1) - F_m(x))/(x+1).  Its k-th derivative
-    at x = 0, with F_m^(j)(0) = (-1)**j * G_j(H_{m+1},...)/(m+1), is
+    T_k(m) = sum(G_k(H_{n+1},...)/(n(n+1)), n = 1..m) is the k-th x-derivative
+    at x = 0 of the telescoped sum(F_n(x)/n, n = 1..m) = (1/(x+1) - F_m(x))/(x+1);
+    with F_m^(j)(0) = (-1)**j * G_j(H_{m+1},...)/(m+1) it is
 
         T_k(m) = (k+1)! - k!/(m+1) * sum(G_j(H_{m+1},...)/j!, j = 0..k).
 
     ``stops`` is ascending.  Between stops one harmonic state advances by
-    the next run of bases; at a stop, with H^(alpha)_{m+1} = N_alpha/L**alpha,
-    the sum is S/L**k for the integer S = sum((k!/j!) * G_j(N_1..N_j) *
-    L**(k-j)), with G_0(N)..G_k(N) from one Bell recurrence and S taken by
-    Horner's rule in L.  For k = 0 the sum is G_0 = 1 and no harmonic state
-    is built.
+    the next run of bases; at a stop, with H^(alpha)_{m+1} = N_alpha/L**alpha
+    and L = lcm(1..m+1), the sum is S/L**k for the integer S =
+    sum((k!/j!) * G_j(N_1..N_j) * L**(k-j)), with G_0(N)..G_k(N) from one
+    Bell recurrence and S taken by Horner's rule in L.  For k = 0 the sum
+    is G_0 = 1 and no harmonic state is built (L = 1).
     """
     scales = [math.factorial(k) // math.factorial(j) for j in range(k + 1)]
     state = HarmonicNumerators(0, k) if k else None
     L, numerators = 1, []
     taken = 0  # bases 1..taken are in the state
-    out: list[Fraction] = []
+    out: list[tuple[int, int]] = []
     for m in stops:
         if state is not None:
             state.advance(m + 1 - taken)
@@ -483,7 +467,7 @@ def _closed_form_partials(k: int, stops: list[int]) -> list[Fraction]:
         total = 0
         for c, value in zip(scales, _bell_values(numerators, k)):
             total = total * L + c * value
-        out.append(math.factorial(k + 1) - Fraction(total, (m + 1) * L**k))
+        out.append((total, L))
     return out
 
 
@@ -523,9 +507,11 @@ def _log_weight_series(
     routes (the hard-coded displays, the product rule) are crosschecks it
     runs against G_k before calling this.
 
-    Exact mode takes its partials from :func:`_closed_form_partials`, and
+    Exact mode takes its partials from :func:`_closed_form_sums`, and
     every stop up to _TERM_CHECK_CAP must equal the direct sum of
-    :func:`_direct_partials`; otherwise ArithmeticError is raised.
+    :func:`_direct_partials`; otherwise ArithmeticError is raised.  The
+    published width is the least, over the lattice, of the partial there
+    plus its tail bound, less the partial at N.
     """
     if N < 1:
         raise DomainError(f"series requires N >= 1, got N={N}")
@@ -538,20 +524,31 @@ def _log_weight_series(
             target_id, N, total, radius, scale, Fraction(0), width, sign, claimed_limit
         )
 
-    lattice = _checkpoint_lattice(N)
-    stops = sorted(lattice | {N})
-    partials = _closed_form_partials(k, stops)
+    lattice = sorted(_checkpoint_lattice(N))  # ascending: the min compares small values first
+    stops = sorted({*lattice, N})
+    sums = dict(zip(stops, _closed_form_sums(k, stops)))
+    # every prime of (m+1) * L**k divides (m+1) * L, the base of the reduction
+    partials = {
+        m: math.factorial(k + 1) - _reduced_fraction(S, (m + 1) * L**k, (m + 1) * L)
+        for m, (S, L) in sums.items()
+    }
     checked = [m for m in stops if m <= _TERM_CHECK_CAP]
-    for m, direct, closed in zip(checked, _direct_partials(k, checked), partials):
-        if direct != closed:
+    for m, direct in zip(checked, _direct_partials(k, checked)):
+        if direct != partials[m]:
             raise ArithmeticError(f"{target_id}: closed form differs from the direct sum at N={m}")
-    envelope = min(
-        p * scale + _raw_tail_bound(d_coeffs, n)
-        for n, p in zip(stops, partials)
-        if n in lattice
+    tails = {n: _raw_tail_bound(d_coeffs, n) for n in lattice}
+    best = min(lattice, key=lambda n: partials[n] * scale + tails[n])
+    # width = envelope - partial = tail + scale * (T_k(best) - T_k(N)), the
+    # difference S_N/((N+1) L_N**k) - S_b/((b+1) L_b**k) taken over
+    # (b+1)(N+1) L_N**k, as L_b divides L_N
+    (S_b, L_b), (S_N, L_N) = sums[best], sums[N]
+    difference = _reduced_fraction(
+        S_N * (best + 1) - S_b * (N + 1) * (L_N // L_b) ** k,
+        (best + 1) * (N + 1) * L_N**k,
+        (best + 1) * (N + 1) * L_N,
     )
-    partial = partials[-1] * scale
-    width = envelope - partial
+    width = tails[best] + scale * difference
+    partial = partials[N] * scale
     if sign < 0:
         return SeriesEstimate(target_id, N, -partial, True, -width, Fraction(0), claimed_limit)
     return SeriesEstimate(target_id, N, partial, True, Fraction(0), width, claimed_limit)

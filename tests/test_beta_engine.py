@@ -1,5 +1,4 @@
 import math
-import threading
 from fractions import Fraction
 
 import pytest
@@ -200,19 +199,6 @@ class TestBellExpansion:
 
     def test_cache_returns_same_object(self):
         assert bell_expansion(6) is bell_expansion(6)
-
-    def test_concurrent_construction_consistent(self):
-        results = []
-
-        def worker():
-            results.append(bell_expansion(10).terms)
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert all(dict(t) == dict(results[0]) for t in results)
 
     def test_evaluate_requires_enough_values(self):
         with pytest.raises(DomainError):

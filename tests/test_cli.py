@@ -610,6 +610,40 @@ class TestCliProperty:
         code, out, err = _in_process(argv)
         assert (code, err) == (0, "") and out, argv
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int->str digit limit"
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["series", "zeta", "--s", "2", "--N", "3"],
+            ["series", "eq31", "--r", "0", "--N", "3"],
+            ["verify", "thm2.2", "--n-max", "2"],
+            ["compute", "F", "--n", "2"],
+            ["oracle", "quad", "--n", "2", "--m", "1"],
+        ],
+    )
+    @pytest.mark.parametrize("digits", [("{}", 0), ("1/{}", 0), ("-{}/1{}", 1)])
+    def test_x_past_the_int_digit_limit_exits_two_with_one_line(self, argv, digits):
+        # the interpreter's default limit of 4,300 digits binds p and q of --x
+        form, longer_q = digits
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            past = form.format("9" * 4301, "9" * 4301)
+            code, out, err = _in_process([*argv, f"--x={past}"])
+            assert (code, out) == (2, "") and err.count("\n") == 1, argv
+            assert err.endswith(
+                f"p/q rational of {len(past)} characters exceeds the int digit limit\n"
+            )
+            if argv[0] != "oracle":  # quad refuses an x this large as a float
+                at = form.format("9" * (4300 - longer_q), "9" * (4300 - longer_q))
+                code, out, err = _in_process([*argv, f"--x={at}"])
+                assert (code, err) == (0, "") and out, argv
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(before)
+
     @pytest.mark.parametrize("target", ["eq32", "lemma-c"])
     @pytest.mark.parametrize("mode", [["--N", "10000"], ["--N", "20000", "--float"]])
     def test_r_far_past_the_cap_is_refused_at_once(self, target, mode):

@@ -1,12 +1,19 @@
+import contextlib
 import math
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from harmonic_beta import harmonic_core
 from harmonic_beta.harmonic_core import (
+    _GCD_BITS,
     _LEAF_BASES,
+    _STR_BITS,
+    _coprime_fraction,
+    _reduced_fraction,
     DomainError,
     HarmonicNumerators,
     bernoulli_table,
@@ -192,6 +199,26 @@ class TestHarmonicNumerators:
         with pytest.raises(DomainError):
             HarmonicNumerators(0, 2).advance(-1)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(7, 3), Fraction(-49, 100)]),
+        st.integers(1, 12).flatmap(lambda order: st.tuples(st.just(order), st.integers(1, order))),
+        st.lists(st.integers(0, 70), min_size=1, max_size=3),
+    )
+    def test_selected_orders_equal_the_same_orders_of_the_full_state(self, x, orders, runs):
+        order, lowest = orders
+        full = HarmonicNumerators(x, order)
+        part = HarmonicNumerators(x, order, lowest=lowest)
+        for count in runs:
+            assert part.advance(count) == full.advance(count)
+            assert (part.L, part.numerators) == (full.L, full.numerators[lowest - 1 :])
+            assert part.values() == full.values()[lowest - 1 :]
+
+    @pytest.mark.parametrize("lowest", [0, 4])
+    def test_lowest_order_outside_one_to_order_rejected(self, lowest):
+        with pytest.raises(DomainError):
+            HarmonicNumerators(0, 3, lowest=lowest)
+
 
 def _akiyama_tanigawa(n: int) -> list[Fraction]:
     """Independent route to the Bernoulli numbers ("second" kind: B1 = +1/2)."""
@@ -272,3 +299,130 @@ class TestRationalText:
     @given(st.fractions(max_denominator=10**9))
     def test_roundtrip(self, q):
         assert parse_rational(format_rational(q)) == q
+
+
+@contextlib.contextmanager
+def _unlimited_int_str():
+    """str(int) with no digit limit, for the duration."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+# the divide-and-conquer split halves the bit count down to _STR_BITS, so
+# powers of 2 and 10 near multiples of it fall on the split boundaries
+_BOUNDARY_BITS = [b + d for b in (_STR_BITS, 2 * _STR_BITS, 4 * _STR_BITS, 3 * _STR_BITS, 65536)
+                  for d in (-1, 0, 1)]
+_BOUNDARY_INTS = st.one_of(
+    st.sampled_from(_BOUNDARY_BITS).flatmap(
+        lambda b: st.sampled_from([2**b, 2**b - 1, 2**b + 1, 2 ** (b - 1)])
+    ),
+    st.sampled_from(_BOUNDARY_BITS).map(lambda b: int(b * math.log10(2))).flatmap(
+        lambda d: st.sampled_from([10**d, 10**d - 1, 10**d + 1, 5 * 10**d])
+    ),
+)
+
+
+class TestDecimalRendering:
+    """format_rational against str, which needs the digit limit lifted past 4,300 digits."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.one_of(
+            _BOUNDARY_INTS,
+            st.integers(0, 40_000).flatmap(lambda bits: st.integers(0, 2**bits)),
+        ),
+        st.sampled_from([1, -1]),
+    )
+    @example(0, 1)
+    @example(10**200_000, -1)  # a few 10**5 digits
+    @example(2**700_000 - 1, 1)
+    @example(3**400_000, -1)
+    def test_integer_text_equals_str(self, magnitude, sign):
+        n = sign * magnitude
+        with _unlimited_int_str():
+            assert format_rational(n) == str(n)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(-(2**30_000), 2**30_000),
+        st.integers(1, 2**30_000),
+    )
+    @example(-(10**5000), 3**9000)
+    def test_rational_text_equals_str(self, numerator, denominator):
+        value = Fraction(numerator, denominator)
+        with _unlimited_int_str():
+            assert format_rational(value) == str(value)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int->str digit limit"
+    )
+    def test_renders_past_the_lowest_digit_limit_without_changing_it(self):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)  # the least limit Python accepts
+        try:
+            assert format_rational(Fraction(1, 10**5000)) == "1/1" + "0" * 5000
+            assert format_rational(-(2**_STR_BITS)) == "-" + f"{2**_STR_BITS:d}"
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(before)
+
+
+@st.composite
+def _smooth_quotients(draw):
+    """(n, d, base) with every prime of d dividing base; n shares high powers of those primes."""
+    primes = draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 101, 65537]), min_size=1,
+                           max_size=5, unique=True))
+    base = math.prod(p ** draw(st.integers(1, 3)) for p in primes)
+    d = math.prod(p ** draw(st.integers(0, 400)) for p in primes)
+    shared = math.prod(p ** draw(st.integers(0, 500)) for p in primes)
+    n = draw(st.integers(-(10**60), 10**60)) * shared
+    return n, d, base * draw(st.integers(1, 50))
+
+
+class TestReducedFraction:
+    @settings(max_examples=150, deadline=None)
+    @given(_smooth_quotients(), st.booleans())
+    @example((2**100 * 3**7 * 5, 2**64 * 3**30 * 7, 2 * 3 * 7), True)
+    @example((0, 6**500, 6), True)
+    @example((-(12**600) * 11, 2**2000 * 3**500, 6), False)
+    def test_equals_fraction(self, quotient, every_size):
+        # every_size takes the stripping loop even for small denominators
+        n, d, base = quotient
+        if every_size:
+            harmonic_core._GCD_BITS = 0
+        try:
+            value = _reduced_fraction(n, d, base)
+        finally:
+            harmonic_core._GCD_BITS = _GCD_BITS
+        expected = Fraction(n, d)
+        assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+        assert value == expected and hash(value) == hash(expected)
+
+    @pytest.mark.parametrize("j", [1, 2, 5])
+    def test_equals_fraction_over_a_power_of_an_lcm(self, j):
+        # the shape the closed form and the Hurwitz sum meet: n/L**j, L = lcm(1..2000)
+        L = math.lcm(*range(1, 2001))
+        for n in (L**j // 7 + 1, 6**50 * (L + 1), -(L // 4) * 16**30 + 12**j):
+            assert _reduced_fraction(n, L**j, L) == Fraction(n, L**j)
+
+
+class TestCoprimeFraction:
+    @given(st.integers(-(10**80), 10**80), st.integers(1, 10**80))
+    def test_round_trips(self, numerator, denominator):
+        g = math.gcd(numerator, denominator)
+        numerator, denominator = numerator // g, denominator // g
+        value = _coprime_fraction(numerator, denominator)
+        expected = Fraction(numerator, denominator)
+        assert type(value) is Fraction
+        assert (value.numerator, value.denominator) == (numerator, denominator)
+        assert value == expected and hash(value) == hash(expected)
+        assert str(value) == str(expected)
+        assert value + 0 == expected and value * 2 / 2 == expected
+        assert Fraction(str(value)) == value

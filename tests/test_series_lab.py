@@ -16,7 +16,12 @@ from harmonic_beta.beta_engine import (
 )
 from harmonic_beta.cli import run
 from harmonic_beta.identity_suite import binomial_inverse
-from harmonic_beta.harmonic_core import DomainError, HarmonicNumerators, harmonic_number
+from harmonic_beta.harmonic_core import (
+    DomainError,
+    HarmonicNumerators,
+    harmonic_function,
+    harmonic_number,
+)
 from harmonic_beta.series_lab import (
     EXACT_BELL_MAX,
     EXACT_N_MAX,
@@ -35,7 +40,7 @@ from harmonic_beta.series_lab import (
     _EQ31_R_MAX,
     _TERM_CHECK_CAP,
     _checkpoint_lattice,
-    _closed_form_partials,
+    _closed_form_sums,
     _direct_partials,
     _hurwitz_ball,
     _leibniz_route_terms,
@@ -73,6 +78,12 @@ def reference_partials(k, stops):
         if n in stops:
             out.append(running)
     return out
+
+
+def closed_form_partials(k, stops):
+    """T_k(m) = (k+1)! - S/((m+1) L**k) at each stop from the closed form's (S, L)."""
+    sums = _closed_form_sums(k, stops)
+    return [math.factorial(k + 1) - Fraction(S, (m + 1) * L**k) for m, (S, L) in zip(stops, sums)]
 
 
 def _evaluate(poly, values):
@@ -151,6 +162,13 @@ class TestHurwitzPartial:
     def test_partial_is_plain_power_sum(self):
         est = hurwitz_partial(0, 2, 50)
         assert est.partial == sum(Fraction(1, (n + 1) ** 2) for n in range(50))
+
+    @pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 2), Fraction(-49, 100), Fraction(7, 3)])
+    @pytest.mark.parametrize("s", [2, 3, 7, 18])
+    def test_kernel_partial_equals_the_shifted_power_sum(self, x, s):
+        # the order-s harmonic kernel against one Fraction per term
+        for N in (1, 2, 15, 16, 17, 40, 100):
+            assert hurwitz_partial(x, s, N).partial == harmonic_function(N - 1, x, s)
 
     def test_bracket_contains_claim_s2(self):
         for N in (10, 100, 1000):
@@ -279,6 +297,22 @@ class TestLemmaCPartial:
         if scale == 1:
             assert lemma_c_partial(1, N).bounds() == est.bounds()
 
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("N", [1, 2, 3, 48, 64, 65, 700])
+    def test_width_is_the_envelope_less_the_partial(self, k, N):
+        # the width formed over (b+1)(N+1) L_N**k against Fraction arithmetic on
+        # the per-term partials at every lattice stop
+        scale = Fraction(1, math.factorial(k))
+        est = _log_weight_series("c", k, scale, N, None)
+        lattice = _checkpoint_lattice(N)
+        stops = sorted(lattice | {N})
+        refs = [scale * p for p in reference_partials(k, stops)]
+        d_coeffs = _log_moment_coefficients(bell_expansion(k).terms, scale)
+        envelope = min(
+            p + _raw_tail_bound(d_coeffs, n) for n, p in zip(stops, refs) if n in lattice
+        )
+        assert (est.partial, est.tail_low, est.tail_high) == (refs[-1], 0, envelope - refs[-1])
+
     def test_terms_match_direct_route(self):
         # sum over n of (1/n) * alt_power_sum(n,0,r), assembled independently
         for r in (2, 3):
@@ -333,14 +367,14 @@ class TestClosedForm:
     def test_matches_per_term_loop_at_every_stop(self, k, N):
         stops = sorted(_checkpoint_lattice(N) | {N})
         reference = reference_partials(k, stops)
-        assert _closed_form_partials(k, stops) == reference
+        assert closed_form_partials(k, stops) == reference
         checked = [m for m in stops if m <= _TERM_CHECK_CAP]
         assert _direct_partials(k, checked) == reference[: len(checked)]
 
     @pytest.mark.parametrize("k,N", [(3, 10_000), (9, 1000)])
     def test_matches_block_route(self, k, N):
         stops = sorted(_checkpoint_lattice(N) | {N})
-        assert _closed_form_partials(k, stops) == block_partials(k, stops)
+        assert closed_form_partials(k, stops) == block_partials(k, stops)
 
     def test_weight_zero_builds_no_harmonic_state(self, monkeypatch):
         def unbuilt(*args):
@@ -348,7 +382,7 @@ class TestClosedForm:
 
         monkeypatch.setattr(series_lab, "HarmonicNumerators", unbuilt)
         stops = [1, 2, 3, 10**6]
-        assert _closed_form_partials(0, stops) == [Fraction(m, m + 1) for m in stops]
+        assert closed_form_partials(0, stops) == [Fraction(m, m + 1) for m in stops]
 
     @pytest.mark.parametrize("N", [1, 50, 512, 10_000])
     def test_corrupted_closed_form_fails_the_term_check(self, capsys, monkeypatch, N):
@@ -376,7 +410,7 @@ class TestClosedForm:
         def unsummed(*args):
             raise AssertionError(f"summing started: {args}")
 
-        for name in ("_closed_form_partials", "_direct_partials", "_log_weight_ball"):
+        for name in ("_closed_form_sums", "_direct_partials", "_log_weight_ball"):
             monkeypatch.setattr(series_lab, name, unsummed)
         display = dict(_COROLLARY_DISPLAYS["r4"][0])
         display[(1, 1, 0)] += 1
