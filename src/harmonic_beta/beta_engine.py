@@ -44,10 +44,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .harmonic_core import DomainError, HarmonicNumerators, RationalLike, _reduced_fraction
 
@@ -71,8 +70,7 @@ def _graded_lex_key(exponents: Monomial) -> tuple[int, tuple[int, ...]]:
     return (sum(exponents), tuple(-e for e in exponents))
 
 
-@dataclass(frozen=True)
-class BellExpansion:
+class BellExpansion(NamedTuple):
     """Integer-coefficient polynomial in formal generators h_1..h_r.
 
     ``terms`` maps exponent vectors (e_1, ..., e_r) to positive integer

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -47,8 +46,7 @@ class QuadratureError(RuntimeError):
     """Quadrature failed to converge within the evaluation cap."""
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     """Value plus the scheme's own error estimate (not a rigorous bound)."""
 
     value: float
@@ -190,7 +188,14 @@ def log_moment_quadrature(n: int, m: int, x: RationalLike) -> QuadratureResult:
     x = Fraction(x)
     if x <= -1:
         raise DomainError(f"log_moment_quadrature requires x > -1, got x={x}")
-    c = float(x + 1)
+    try:
+        c = float(x + 1)
+    except OverflowError:
+        c = math.inf
+    if c in (0.0, math.inf):  # x + 1 underflows or overflows binary64
+        raise DomainError(
+            f"log_moment_quadrature requires x + 1 within the float range, got x={x}"
+        )
     import numpy as np
 
     def integrand(u: np.ndarray) -> np.ndarray:

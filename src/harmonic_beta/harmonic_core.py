@@ -21,7 +21,6 @@ import functools
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -335,11 +334,13 @@ def _run(d: int, q: int, lowest: int, orders: int, n: int) -> tuple[int, list[in
     )
 
 
-@dataclass(frozen=True)
 class BernoulliTable:
     """Bernoulli numbers B_0..B_N (convention B_1 = -1/2)."""
 
-    values: tuple[Fraction, ...]
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple[Fraction, ...]) -> None:
+        self.values = values
 
     def __getitem__(self, index: int) -> Fraction:
         return self.values[index]

@@ -21,9 +21,8 @@ import math
 import operator
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .beta_engine import alt_power_row, beta_F, derivative_rows, mixed_sum
 from .harmonic_core import DomainError, RationalLike, harmonic_number
@@ -59,8 +58,7 @@ FAIL = "fail"
 SKIPPED = "skipped"
 
 
-@dataclass(slots=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Machine-readable verdict for one identity at one parameter tuple."""
 
     identity_id: str

@@ -3,12 +3,13 @@
 The JSON emitter is deliberately tiny: keys keep insertion order, floats are
 printed with 17 significant digits, rationals are canonical ``"p/q"``
 strings.  Identical inputs therefore produce byte-identical output, which is
-what CI diffing needs.
+what CI diffing needs.  ``csv`` is imported by the two CSV writers, on their
+first call, so importing this module (as the CLI does at start-up) does not
+load it.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -69,7 +70,7 @@ def _emit(obj: Any, out: list[str]) -> None:
             out.append(": ")
             _emit(value, out)
         out.append("}")
-    elif isinstance(obj, (list, tuple)):
+    elif type(obj) in (list, tuple):  # not a record: a NamedTuple is a tuple too
         out.append("[")
         for i, value in enumerate(obj):
             if i:
@@ -112,6 +113,8 @@ def identity_report_dict(report: IdentityReport, timings: bool = True) -> dict:
 
 def reports_to_csv(reports: Iterable[IdentityReport], timings: bool = True) -> str:
     """One CSV row per report; with ``timings=False`` elapsed_ms is 0."""
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -133,6 +136,8 @@ def reports_to_csv(reports: Iterable[IdentityReport], timings: bool = True) -> s
 
 
 def estimate_to_csv(estimate: SeriesEstimate) -> str:
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(

@@ -40,10 +40,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator, Mapping, Union
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Union
 
 from .beta_engine import (
     _bell_values,
@@ -147,8 +146,7 @@ def _pi_bounds(bits: int) -> tuple[Fraction, Fraction]:
     return mid - err, mid + err
 
 
-@dataclass(frozen=True)
-class PiPower:
+class PiPower(NamedTuple):
     """A limit of the form coeff * pi**exponent, kept symbolic."""
 
     coeff: Fraction
@@ -164,17 +162,40 @@ class PiPower:
 ClaimedLimit = Union[Fraction, PiPower, None]
 
 
-@dataclass(frozen=True)
 class SeriesEstimate:
-    """Partial sum, rigorous tail bracket, and the claimed limit (if any)."""
+    """Partial sum, rigorous tail bracket, and the claimed limit (if any).
 
-    target_id: str
-    N: int
-    partial: Fraction | float
-    exact: bool
-    tail_low: Fraction
-    tail_high: Fraction
-    claimed_limit: ClaimedLimit = None
+    A plain class, not a NamedTuple as the other records are: the tracer in
+    ``perfbench/tracing.py`` tells one estimate from a tuple of them by
+    ``isinstance(result, tuple)``.
+    """
+
+    __slots__ = ("target_id", "N", "partial", "exact", "tail_low", "tail_high", "claimed_limit")
+
+    def __init__(
+        self,
+        target_id: str,
+        N: int,
+        partial: Fraction | float,
+        exact: bool,
+        tail_low: Fraction,
+        tail_high: Fraction,
+        claimed_limit: ClaimedLimit = None,
+    ) -> None:
+        self.target_id, self.N, self.partial, self.exact = target_id, N, partial, exact
+        self.tail_low, self.tail_high, self.claimed_limit = tail_low, tail_high, claimed_limit
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def _replace(self, **changes) -> SeriesEstimate:
+        """A copy with ``changes`` applied, as a NamedTuple record's _replace makes."""
+        return SeriesEstimate(**{**self._asdict(), **changes})
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not SeriesEstimate:
+            return NotImplemented
+        return self._asdict() == other._asdict()
 
     def bounds(self) -> tuple[Fraction, Fraction]:
         """Bracket endpoints partial + tail_low and partial + tail_high, exactly."""

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import harmonic_beta
 from harmonic_beta.cli import build_parser, run
 from harmonic_beta.identity_suite import CHECK_GROUPS
-from harmonic_beta.reporting import format_float
+from harmonic_beta.reporting import dumps, format_float
 
 
 def invoke(capsys, *argv):
@@ -134,6 +134,14 @@ class TestArgumentValidation:
         )
         assert code == 2 and out == ""
         assert err == "error: requires x > -1, got x=-1\n"
+
+    @pytest.mark.parametrize("x", ["9" * 400, f"-{'9' * 400}/1{'0' * 400}"])
+    def test_x_past_the_float_range_exits_two(self, capsys, x):
+        # x + 1 overflows binary64, or underflows to 0: a bad input, not a failed check
+        code, out, err = invoke(capsys, "oracle", "quad", "--n", "2", "--m", "1", f"--x={x}")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "requires x + 1 within the float range" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -366,6 +374,30 @@ class TestFloatFormatting:
     def test_round_trips(self):
         for value in (1.0, 0.1, 2 / 3, 1e-12, 123456.789):
             assert float(format_float(value)) == value
+
+
+class TestDumps:
+    @pytest.mark.parametrize(
+        "record",
+        [
+            harmonic_beta.IdentityReport("thm2.2", {"n": 0}, "pass"),
+            harmonic_beta.SeriesEstimate("t", 1, Fraction(1), True, Fraction(0), Fraction(1)),
+            harmonic_beta.PiPower(Fraction(1, 6), 2),
+            harmonic_beta.QuadratureResult(1.0, 0.0, 15),
+            harmonic_beta.MonteCarloResult(0.5, 0.01),
+            harmonic_beta.BellExpansion(1, {(1,): 1}),
+            harmonic_beta.BernoulliTable((Fraction(1),)),
+        ],
+        ids=lambda record: type(record).__name__,
+    )
+    def test_records_are_refused(self, record):
+        # a NamedTuple record is a tuple, but not a JSON array
+        with pytest.raises(TypeError, match=f"cannot serialize {type(record).__name__}$"):
+            dumps(record)
+
+    def test_plain_sequences_are_arrays(self):
+        text = dumps({"w": (Fraction(1, 2), 3), "v": [1.0, None]})
+        assert text == '{"w": ["1/2", 3], "v": [1.0, null]}'
 
 
 class TestOutputFile:
@@ -707,40 +739,43 @@ class TestOneParserPerProcess:
             assert got == [expected[self.ARGVS.index(argv)] for argv in argvs]
 
 
-# -- start-up loads neither numpy nor scipy ------------------------------------
-
-
-def test_import_does_not_load_scipy():
-    src = os.path.dirname(os.path.dirname(harmonic_beta.__file__))
-    code = "import sys, harmonic_beta, harmonic_beta.cli; print('scipy' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=src),
-        timeout=60,
-    )
-    assert (proc.returncode, proc.stdout) == (0, "False\n")
+# -- start-up loads none of numpy, scipy, dataclasses, inspect and csv ----------
 
 
 @pytest.mark.parametrize(
     "module,argv,loads",
     [
-        ("harmonic_beta", None, False),
-        ("harmonic_beta.cli", None, False),
-        ("harmonic_beta.cli", "verify all --n-max 5", False),
-        ("harmonic_beta.cli", "series lemma-c --r 4 --N 300", False),
-        ("harmonic_beta.cli", "compute dF --n 5 --x 1/2 --r 3", False),
-        ("harmonic_beta.cli", "oracle quad --n 2 --m 1 --x 1/2", True),
-        ("harmonic_beta.cli", "series zeta --s 2 --N 10001 --float", True),
+        ("harmonic_beta", None, ""),
+        ("harmonic_beta.cli", None, ""),
+        ("harmonic_beta.cli", "verify all --n-max 5", ""),
+        ("harmonic_beta.cli", "verify all --n-max 5 --format csv", "csv"),
+        ("harmonic_beta.cli", "series lemma-c --r 4 --N 300", ""),
+        ("harmonic_beta.cli", "series lemma-c --r 4 --N 300 --format csv", "csv"),
+        ("harmonic_beta.cli", "compute dF --n 5 --x 1/2 --r 3", ""),
+        ("harmonic_beta.cli", "oracle quad --n 2 --m 1 --x 1/2", "numpy"),
+        ("harmonic_beta.cli", "series zeta --s 2 --N 10001 --float", "numpy"),
+        ("harmonic_beta.cli", "series zeta --s 2 --N 10001 --float --format csv", "csv numpy"),
     ],
 )
-def test_numpy_loads_only_for_binary64_work(module, argv, loads):
+def test_start_up_loads_no_heavy_module(module, argv, loads):
+    """Start-up (import, and build_parser() for the CLI) loads none of the five;
+    a run then loads csv for --format csv only and numpy for binary64 work only.
+    Modules count as loaded when the bare interpreter (with what site
+    preloads) did not have them."""
     src = os.path.dirname(os.path.dirname(harmonic_beta.__file__))
-    code = f"import sys, {module}\n"
+    code = (
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        f"import {module}\n"
+        "def report(names):\n"
+        "    print(*sorted(set(names) & (set(sys.modules) - bare)), file=sys.stderr)\n"
+    )
+    if module == "harmonic_beta.cli":
+        code += "harmonic_beta.cli.build_parser()\n"
+    code += "report(['numpy', 'scipy', 'dataclasses', 'inspect', 'csv'])\n"
     if argv is not None:
-        code += f"assert {module}.run({argv.split()!r}) == 0\n"
-    code += "print('numpy' in sys.modules, file=sys.stderr)"
+        code += f"assert harmonic_beta.cli.run({argv.split()!r}) == 0\n"
+        code += "report(['numpy', 'csv'])\n"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -748,7 +783,8 @@ def test_numpy_loads_only_for_binary64_work(module, argv, loads):
         env=dict(os.environ, PYTHONPATH=src),
         timeout=60,
     )
-    assert (proc.returncode, proc.stderr) == (0, f"{loads}\n")
+    expected = "\n" if argv is None else f"\n{loads}\n"
+    assert (proc.returncode, proc.stderr) == (0, expected)
 
 
 # -- the int->str digit limit is the caller's ----------------------------------
