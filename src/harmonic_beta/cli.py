@@ -35,7 +35,7 @@ __all__ = ["run", "main"]
 # refused before any work; README lists the time of each worst allowed run.
 # G_30 has 5,604 monomials; zeta-even --n needs B_2n, so it stops at half the
 # bernoulli cap.  oracle quad runs compute dF's derivative_F(n, x, m), so it
-# takes dF's caps; an mc batch holds 2**17 * r floats and its time is linear
+# takes dF's caps; an mc sample draws --r uniforms and its time is linear
 # in --samples, and --n sizes the exact reference sum.
 _COMPUTE_CAPS = {
     ("H", "n"): 2000, ("H", "alpha"): 30, ("F", "n"): 10_000, ("dF", "n"): 100,
@@ -45,6 +45,10 @@ _ORACLE_CAPS = {
     ("quad", "n"): 100, ("quad", "m"): 30,
     ("mc", "n"): 1000, ("mc", "r"): 10, ("mc", "samples"): 10_000_000,
 }
+
+# Largest --n-max and --r-max of every verify target, refused before any
+# work; README lists the time of the slowest allowed runs.
+_VERIFY_CAPS = {"n_max": 100, "r_max": 10}
 
 # Largest --N float mode sums, refused before any work; it binds zeta and
 # eq31, as the log-weight targets stop at N(N+1) < 2**53.  README lists the
@@ -310,6 +314,11 @@ def _scalar_output(args, name: str, params: dict, value: Fraction) -> str:
 
 
 def _run_verify(args, parser) -> tuple[int, str]:
+    for attr, cap in _VERIFY_CAPS.items():
+        value = getattr(args, attr)
+        if value > cap:
+            flag = attr.replace("_", "-")
+            raise DomainError(f"verify caps --{flag} at {cap}, got {value}")
     xs = args.x
     for x in xs:
         if x <= -1:

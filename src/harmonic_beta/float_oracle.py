@@ -35,7 +35,7 @@ __all__ = [
 EVALUATION_CAP = 1_000_000
 
 #: Identity of the random source, recorded in reports for reproducibility.
-GENERATOR_ID = "numpy-philox4x64"
+GENERATOR_ID = "numpy-sfc64"
 
 _MC_BATCH = 1 << 17
 #: Rows of uniforms drawn at once within a batch.
@@ -248,13 +248,14 @@ def cube_monte_carlo(
 ) -> MonteCarloResult:
     """Plain Monte Carlo for the r-cube integral of (1 - x_1*...*x_r)**n.
 
-    Deterministic for a fixed (n, r, samples, seed): sampling is batched
-    with a counter-based generator keyed by (seed, batch index), so batches
-    could be evaluated concurrently without changing the stream.  Each
-    batch is drawn a block of _MC_BLOCK rows at a time into one reused
-    buffer, which continues the batch's stream exactly as one draw of the
-    whole batch would; the row products of a batch fill one reused array,
-    so its sums see the whole batch.
+    Deterministic for a fixed (n, r, samples, seed): each batch of
+    _MC_BATCH samples is its own SFC64 stream, seeded by
+    SeedSequence(seed mod 2**128, spawn_key=(batch,)), so batches are
+    independent and could be evaluated in any order without changing the
+    result.  Each batch is drawn a block of _MC_BLOCK rows at a time into
+    one reused buffer, which continues the batch's stream exactly as one
+    draw of the whole batch would; the row products of a batch fill one
+    reused array, so its sums see the whole batch.
     """
     if n < 0:
         raise DomainError(f"cube_monte_carlo requires n >= 0, got n={n}")
@@ -275,7 +276,7 @@ def cube_monte_carlo(
     while done < samples:
         count = min(_MC_BATCH, samples - done)
         rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=entropy, spawn_key=(batch,)))
+            np.random.SFC64(np.random.SeedSequence(entropy=entropy, spawn_key=(batch,)))
         )
         values = buffer[:count]
         for start in range(0, count, _MC_BLOCK):

@@ -253,15 +253,15 @@ class TestVerifyCommand:
         [
             (
                 "oracle mc --n 1 --r 2 --samples 10000000 --seed 42",
-                "a7083072c94d5698d257ed096bbd8a1ffe2111f48632b5b2fe25c7155e6a76d6",
+                "fe0df91eded0ab22241c7321e22f7b52df91378e934535a02303383c5537da01",
             ),
             (
                 "oracle mc --n 3 --r 2 --samples 10000000 --seed 11",
-                "f83dec71df7210b6796568c162a3276da0c93cf288de935f55ff9c55bf141439",
+                "d03f95c021a899797a1cecd0211920f45d98f19a83cc165549f15cf3d6b38250",
             ),
             (
                 "oracle mc --n 5 --r 3 --samples 10000000 --seed 7",
-                "3ca6d363b033ae3336c048c381933f6ac103b5f3b6c00792c12e544e35e6de5d",
+                "13f8846492702c91cb2ef015faef3d6e585013ca8e203beb198e0c03b3c1fb49",
             ),
         ],
     )
@@ -355,7 +355,7 @@ class TestOracleCommand:
         assert data["status"] == "pass"
         oracle = data["oracle"]
         assert oracle["samples"] == 200000 and oracle["seed"] == 42
-        assert oracle["generator"] == "numpy-philox4x64"
+        assert oracle["generator"] == "numpy-sfc64"
 
     def test_mc_byte_identical(self, capsys):
         args = ("oracle", "mc", "--n", "3", "--r", "2", "--samples", "50000", "--seed", "9")
@@ -569,8 +569,8 @@ def _float_cap_argv(draw):
     return argv + ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
 
 
-# Exact-mode, eq31, compute and oracle caps: (argv at the cap, the capped
-# flag, its first value past the cap).
+# Exact-mode, eq31, compute, oracle and verify caps: (argv at the cap, the
+# capped flag, its first value past the cap).
 _CAPS = [
     (["series", "lemma-c", "--r", "10", "--N", "40"], "--r", "11"),
     (["series", "eq32", "--r", "8", "--N", "40"], "--r", "9"),
@@ -589,6 +589,8 @@ _CAPS = [
     (["oracle", "mc", "--n", "1000", "--r", "2", "--samples", "1000"], "--n", "1001"),
     (["oracle", "mc", "--n", "3", "--r", "10", "--samples", "1000"], "--r", "11"),
     (["oracle", "mc", "--n", "1", "--r", "1", "--samples", "10000000"], "--samples", "10000001"),
+    (["verify", "thm2.2", "--n-max", "100", "--x", "0"], "--n-max", "101"),
+    (["verify", "lemma-a", "--n-max", "3", "--r-max", "10", "--x", "0"], "--r-max", "11"),
 ]
 
 

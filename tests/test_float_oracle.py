@@ -194,7 +194,7 @@ class TestCubeMonteCarlo:
         total = total_sq = 0.0
         for batch, start in enumerate(range(0, samples, size)):
             rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(batch,)))
+                np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(batch,)))
             )
             values = (1.0 - rng.random((min(size, samples - start), r)).prod(axis=1)) ** n
             total += float(values.sum())
@@ -211,7 +211,7 @@ class TestCubeMonteCarlo:
                 # batches as cube_monte_carlo draws them, and arbitrary [0, 1) values
                 st.tuples(st.integers(1, 5000), st.integers(0, 2**32)).map(
                     lambda rows_seed: np.random.Generator(
-                        np.random.Philox(rows_seed[1])
+                        np.random.SFC64(rows_seed[1])
                     ).random((rows_seed[0], r))
                 ),
                 hnp.arrays(
