@@ -53,7 +53,6 @@ from .harmonic_core import DomainError, HarmonicNumerators, RationalLike, _reduc
 __all__ = [
     "BellExpansion",
     "beta_F",
-    "beta_F_sum",
     "alt_power_sum",
     "alt_power_row",
     "bell_expansion",
@@ -178,14 +177,6 @@ def beta_F(n: int, x: RationalLike) -> Fraction:
     p, q = x.numerator, x.denominator
     denom = math.prod(q * (k + 1) + p for k in range(n + 1))
     return Fraction(math.factorial(n) * q ** (n + 1), denom)
-
-
-def beta_F_sum(n: int, x: RationalLike) -> Fraction:
-    """F_n(x) as the alternating binomial sum over 1/(x+k+1).
-
-    Equals :func:`beta_F` exactly; kept as an independent route.
-    """
-    return alt_power_sum(n, x, 1)
 
 
 def alt_power_sum(n: int, x: RationalLike, r: int) -> Fraction:

@@ -46,9 +46,11 @@ _ORACLE_CAPS = {
     ("mc", "n"): 1000, ("mc", "r"): 10, ("mc", "samples"): 10_000_000,
 }
 
-# Largest --n-max and --r-max of every verify target, refused before any
-# work; README lists the time of the slowest allowed runs.
+# Largest --n-max and --r-max of every verify target, and most --x samples,
+# refused before any work; each sample adds a sweep's worth of work.  README
+# lists the time of the slowest allowed runs.
 _VERIFY_CAPS = {"n_max": 100, "r_max": 10}
+_VERIFY_X_SAMPLES_MAX = 10
 
 # Largest --N float mode sums, refused before any work; it binds zeta and
 # eq31, as the log-weight targets stop at N(N+1) < 2**53.  README lists the
@@ -320,6 +322,10 @@ def _run_verify(args, parser) -> tuple[int, str]:
             flag = attr.replace("_", "-")
             raise DomainError(f"verify caps --{flag} at {cap}, got {value}")
     xs = args.x
+    if len(xs) > _VERIFY_X_SAMPLES_MAX:
+        raise DomainError(
+            f"verify caps --x at {_VERIFY_X_SAMPLES_MAX} samples, got {len(xs)}"
+        )
     for x in xs:
         if x <= -1:
             raise DomainError(f"requires x > -1, got x={x}")

@@ -12,7 +12,6 @@ from harmonic_beta.beta_engine import (
     alt_power_sum,
     bell_expansion,
     beta_F,
-    beta_F_sum,
     derivative_F,
     derivative_rows,
     mixed_sum,
@@ -55,12 +54,13 @@ class TestBetaF:
 
 
 class TestBetaFSum:
+    # F_n(x) as the alternating binomial sum alt_power_sum(n, x, 1)
     def test_direct_arithmetic(self):
-        assert beta_F_sum(2, 0) == 1 - Fraction(2, 2) + Fraction(1, 3)
+        assert alt_power_sum(2, 0, 1) == 1 - Fraction(2, 2) + Fraction(1, 3)
 
     def test_single_term(self):
         x = Fraction(3, 7)
-        assert beta_F_sum(0, x) == 1 / (x + 1)
+        assert alt_power_sum(0, x, 1) == 1 / (x + 1)
 
     def test_agrees_with_product_both_routes(self):
         # both sides computed independently at a non-trivial point
@@ -68,16 +68,16 @@ class TestBetaFSum:
         product = Fraction(math.factorial(5))
         for k in range(6):
             product /= x + k + 1
-        assert beta_F_sum(5, x) == product == beta_F(5, x)
+        assert alt_power_sum(5, x, 1) == product == beta_F(5, x)
 
     @given(st.integers(0, 60), x_values)
     def test_product_sum_agreement(self, n, x):
-        assert beta_F(n, x) == beta_F_sum(n, x)
+        assert beta_F(n, x) == alt_power_sum(n, x, 1)
 
     def test_product_sum_agreement_full_sweep(self):
         for n in range(61):
             for x in X_SAMPLES:
-                assert beta_F(n, x) == beta_F_sum(n, x)
+                assert beta_F(n, x) == alt_power_sum(n, x, 1)
 
 
 class TestAltPowerSum:

@@ -569,8 +569,13 @@ def _float_cap_argv(draw):
     return argv + ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
 
 
+def _x_samples(count) -> str:
+    """A verify --x list of ``count`` distinct samples."""
+    return ",".join(f"{i}/7" for i in range(int(count)))
+
+
 # Exact-mode, eq31, compute, oracle and verify caps: (argv at the cap, the
-# capped flag, its first value past the cap).
+# capped flag, its first value past the cap; for --x, the number of samples).
 _CAPS = [
     (["series", "lemma-c", "--r", "10", "--N", "40"], "--r", "11"),
     (["series", "eq32", "--r", "8", "--N", "40"], "--r", "9"),
@@ -591,6 +596,7 @@ _CAPS = [
     (["oracle", "mc", "--n", "1", "--r", "1", "--samples", "10000000"], "--samples", "10000001"),
     (["verify", "thm2.2", "--n-max", "100", "--x", "0"], "--n-max", "101"),
     (["verify", "lemma-a", "--n-max", "3", "--r-max", "10", "--x", "0"], "--r-max", "11"),
+    (["verify", "all", "--n-max", "3", "--r-max", "1", "--x", _x_samples(10)], "--x", "11"),
 ]
 
 
@@ -599,7 +605,8 @@ def _past_cap_argv(draw):
     argv, flag, past = draw(st.sampled_from(_CAPS))
     argv = list(argv)
     values = [past, str(int(past) + 7), str(100 * int(past))]
-    argv[argv.index(flag) + 1] = draw(st.sampled_from(values))
+    value = draw(st.sampled_from(values))
+    argv[argv.index(flag) + 1] = _x_samples(value) if flag == "--x" else value
     return argv + ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
 
 

@@ -26,12 +26,12 @@ from harmonic_beta.series_lab import multi_integral_exact
 class TestGaussKronrod:
     def test_exact_on_polynomials(self):
         # K15 integrates degree <= 22 exactly and G7 degree <= 13, so one
-        # round settles every interval of the graded mesh
+        # round settles every interval of the quartered graded mesh
         for k in range(14):
             value, abserr, evaluations = _gauss_kronrod(lambda u: u**k, 5.0, 10**6)
             assert math.isclose(value, 5.0 ** (k + 1) / (k + 1), rel_tol=1e-13)
             assert abserr <= 1e-13 * value
-            assert evaluations == 15 * 4  # [0, 1], [1, 2], [2, 4], [4, 5]
+            assert evaluations == 15 * 16  # [0, 1], [1, 2], [2, 4], [4, 5], each in quarters
 
     def test_bisects_a_narrow_peak(self):
         peak = lambda u: np.exp(-100 * (u - 30.0) ** 2)
@@ -44,7 +44,7 @@ class TestGaussKronrod:
 
     def test_non_finite_ends_the_integration(self):
         value, abserr, evaluations = _gauss_kronrod(lambda u: np.full_like(u, np.inf), 1.0, 10**6)
-        assert not math.isfinite(abserr) and evaluations == 15
+        assert not math.isfinite(abserr) and evaluations == 15 * 4
 
 
 class TestLogMomentQuadrature:
@@ -75,6 +75,11 @@ class TestLogMomentQuadrature:
                     exact = float(derivative_F(n, x, m))
                     got = log_moment_quadrature(n, m, x).value
                     assert abs(got - exact) / abs(exact) <= 1e-9
+
+    def test_settles_in_one_round_on_the_quartered_mesh(self):
+        # U = (40 + 5 * 8) / (10 / 3) = 24: [0, 1], [1, 2], [2, 4], [4, 8],
+        # [8, 16], [16, 24], each in quarters, and no bisection or tail growth
+        assert log_moment_quadrature(40, 8, Fraction(7, 3)).evaluations == 6 * 4 * 15
 
     def test_result_metadata(self):
         result = log_moment_quadrature(4, 2, Fraction(1, 2))
