@@ -31,20 +31,54 @@ from .series_lab import EXACT_N_MAX, SeriesEstimate
 
 __all__ = ["run", "main"]
 
-# Largest value of each (quantity, flag) ``compute`` and ``oracle`` accept,
-# refused before any work; README lists the time of each worst allowed run.
+# The flags each compute, series and oracle target reads, flag -> (default,
+# cap): _REQUIRED marks a flag with no default, a cap of None a flag with
+# no cap here (series caps its flags per mode in series_lab).  A command
+# offers the union of its targets' flags, and _check_flags refuses, before
+# any work, a flag the target does not read, a missing required flag and a
+# value past its cap; README lists the time of each worst allowed run.
 # G_30 has 5,604 monomials; zeta-even --n needs B_2n, so it stops at half the
-# bernoulli cap.  oracle quad runs compute dF's derivative_F(n, x, m), so it
-# takes dF's caps; an mc sample draws --r uniforms and its time is linear
-# in --samples, and --n sizes the exact reference sum.
-_COMPUTE_CAPS = {
-    ("H", "n"): 2000, ("H", "alpha"): 30, ("F", "n"): 10_000, ("dF", "n"): 100,
-    ("dF", "r"): 30, ("bell", "r"): 30, ("bernoulli", "N"): 400, ("zeta-even", "n"): 200,
+# bernoulli cap.  oracle quad computes compute dF's derivative_F(n, x, m), so
+# it takes dF's caps; an mc sample draws --r uniforms and its time is linear
+# in --samples, and --n sizes the exact reference sum.  compute H without
+# --x is the plain H_n^(alpha).
+_REQUIRED = object()
+_NEEDED = (_REQUIRED, None)
+_X_AT_0 = (Fraction(0), None)
+_TARGETS = {
+    "compute": {
+        "H": {"n": (_REQUIRED, 2000), "x": (None, None), "alpha": (1, 30)},
+        "F": {"n": (_REQUIRED, 10_000), "x": _X_AT_0},
+        "dF": {"n": (_REQUIRED, 100), "x": _X_AT_0, "r": (_REQUIRED, 30)},
+        "bell": {"r": (_REQUIRED, 30)},
+        "bernoulli": {"N": (_REQUIRED, 400)},
+        "zeta-even": {"n": (_REQUIRED, 200)},
+    },
+    "series": {
+        "zeta": {"N": _NEEDED, "x": _X_AT_0, "s": _NEEDED},
+        "lemma-c": {"N": _NEEDED, "r": _NEEDED},
+        "cor2.4-r3": {"N": _NEEDED},
+        "cor2.4-r4": {"N": _NEEDED},
+        "cor2.4-r5": {"N": _NEEDED},
+        "eq31": {"N": _NEEDED, "x": _X_AT_0, "r": _NEEDED},
+        "eq32": {"N": _NEEDED, "r": _NEEDED},
+    },
+    "oracle": {
+        "quad": {"n": (_REQUIRED, 100), "m": (_REQUIRED, 30), "x": _X_AT_0},
+        "mc": {
+            "n": (_REQUIRED, 1000),
+            "r": (_REQUIRED, 10),
+            "samples": (100_000, 10_000_000),
+            "seed": (0, None),
+        },
+    },
 }
-_ORACLE_CAPS = {
-    ("quad", "n"): 100, ("quad", "m"): 30,
-    ("mc", "n"): 1000, ("mc", "r"): 10, ("mc", "samples"): 10_000_000,
+_FLAGS = {
+    command: list(dict.fromkeys(flag for reads in targets.values() for flag in reads))
+    for command, targets in _TARGETS.items()
 }
+# compute targets with no CSV form
+_NO_CSV = ("bell", "bernoulli", "zeta-even")
 
 # Largest --n-max and --r-max of every verify target, and most --x samples,
 # refused before any work; each sample adds a sweep's worth of work.  README
@@ -100,16 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    compute = sub.add_parser("compute", help="evaluate one quantity exactly")
-    compute.add_argument(
-        "what", choices=["H", "F", "dF", "bell", "bernoulli", "zeta-even"]
-    )
-    compute.add_argument("--n", type=int)
-    compute.add_argument("--x", type=_rational)
-    compute.add_argument("--alpha", type=int, default=1)
-    compute.add_argument("--r", type=int)
-    compute.add_argument("--N", type=int)
-    _output_flags(compute, default_format="text")
+    _table_parser(sub, "compute", "evaluate one quantity exactly", "text")
 
     verify = sub.add_parser("verify", help="run identity sweeps, report pass/fail")
     verify.add_argument(
@@ -125,34 +150,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _output_flags(verify, default_format="json")
 
-    series = sub.add_parser("series", help="bracketed partial sums of series targets")
-    series.add_argument(
-        "target",
-        choices=["zeta", "lemma-c", "cor2.4-r3", "cor2.4-r4", "cor2.4-r5", "eq31", "eq32"],
-    )
-    series.add_argument("--N", type=int, required=True)
-    series.add_argument("--x", type=_rational, default=Fraction(0))
-    series.add_argument("--s", type=int)
-    series.add_argument("--r", type=int)
+    series = _table_parser(sub, "series", "bracketed partial sums of series targets", "json")
     series.add_argument(
         "--float",
         dest="float_mode",
         action="store_true",
-        help=f"allow {EXACT_N_MAX} < N <= {_FLOAT_N_MAX}: sum in binary64 and widen the "
-        "bracket by a rigorous rounding radius (tail_low may then be negative)",
+        help=f"required for, and only for, {EXACT_N_MAX} < N <= {_FLOAT_N_MAX}: sum in "
+        "binary64 and widen the bracket by a rigorous rounding radius (tail_low may "
+        "then be negative)",
     )
-    _output_flags(series, default_format="json")
 
-    oracle = sub.add_parser("oracle", help="floating-point cross-checks")
-    oracle.add_argument("which", choices=["quad", "mc"])
-    oracle.add_argument("--n", type=int, required=True)
-    oracle.add_argument("--m", type=int)
-    oracle.add_argument("--x", type=_rational, default=Fraction(0))
-    oracle.add_argument("--r", type=int)
-    oracle.add_argument("--samples", type=int, default=100_000)
-    oracle.add_argument("--seed", type=int, default=0)
-    _output_flags(oracle, default_format="json")
+    _table_parser(sub, "oracle", "floating-point cross-checks", "json")
+    return parser
 
+
+def _table_parser(sub, command: str, summary: str, default_format: str) -> argparse.ArgumentParser:
+    """The subparser of a _TARGETS command: its targets and every flag one of
+    them reads, each defaulting to None so _check_flags sees what was given."""
+    parser = sub.add_parser(command, help=summary)
+    targets = _TARGETS[command]
+    parser.add_argument("target", choices=list(targets))
+    for flag in _FLAGS[command]:
+        readers = ", ".join(target for target, reads in targets.items() if flag in reads)
+        parser.add_argument(
+            f"--{flag}", type=_rational if flag == "x" else int, help=f"read by {readers}"
+        )
+    _output_flags(parser, default_format)
     return parser
 
 
@@ -161,12 +184,6 @@ def _output_flags(parser: argparse.ArgumentParser, default_format: str) -> None:
         "--format", choices=["text", "json", "csv"], default=default_format
     )
     parser.add_argument("--out", default=None, help="write output to this file")
-    parser.add_argument(
-        "--timings",
-        action="store_true",
-        help="emit measured elapsed_ms (default prints 0 so identical "
-        "invocations stay byte-identical)",
-    )
 
 
 def run(argv: Sequence[str]) -> int:
@@ -176,7 +193,7 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    handler: Callable[[argparse.Namespace, argparse.ArgumentParser], tuple[int, str]]
+    handler: Callable[[argparse.Namespace], tuple[int, str]]
     handler = {
         "compute": _run_compute,
         "verify": _run_verify,
@@ -184,8 +201,10 @@ def run(argv: Sequence[str]) -> int:
         "oracle": _run_oracle,
     }[args.command]
     try:
-        code, text = handler(args, parser)
-    except SystemExit as exc:  # parser.error() inside a handler
+        if args.command in _TARGETS:
+            _check_flags(parser, args)
+        code, text = handler(args)
+    except SystemExit as exc:  # parser.error() after parsing
         code = exc.code
         return code if isinstance(code, int) else 2
     except DomainError as exc:
@@ -218,26 +237,35 @@ def main() -> None:
     sys.exit(code)
 
 
-def _require(parser: argparse.ArgumentParser, condition: bool, message: str) -> None:
-    if not condition:
-        parser.error(message)  # exits with code 2
+def _check_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Hold a compute, series or oracle run to its row of _TARGETS, before
+    any work: refuse a flag the target does not read, a missing required
+    flag and a value past its cap, and fill in the defaults."""
+    command, target = args.command, args.target
+    reads = _TARGETS[command][target]
+    for flag in _FLAGS[command]:
+        value = getattr(args, flag)
+        if flag not in reads:
+            if value is not None:
+                parser.error(f"{command} {target} takes no --{flag}")
+            continue
+        default, cap = reads[flag]
+        if value is None:
+            if default is _REQUIRED:
+                parser.error(f"{command} {target} requires --{flag}")
+            setattr(args, flag, default)
+        elif cap is not None and value > cap:
+            raise DomainError(f"{command} {target} caps --{flag} at {cap}, got {value}")
+    if target in _NO_CSV and args.format == "csv":
+        parser.error(f"{command} {target} takes no --format csv")
 
 
 # -- compute ------------------------------------------------------------------
 
 
-def _refuse_past_caps(command: str, what: str, caps: dict, args) -> None:
-    for (quantity, flag), cap in caps.items():
-        value = getattr(args, flag)
-        if quantity == what and value is not None and value > cap:
-            raise DomainError(f"{command} {what} caps --{flag} at {cap}, got {value}")
-
-
-def _run_compute(args, parser) -> tuple[int, str]:
-    what = args.what
-    _refuse_past_caps("compute", what, _COMPUTE_CAPS, args)
+def _run_compute(args) -> tuple[int, str]:
+    what = args.target
     if what == "H":
-        _require(parser, args.n is not None, "compute H requires --n")
         if args.x is None:
             value = harmonic_core.harmonic_number(args.n, args.alpha)
             params = {"n": args.n, "alpha": args.alpha}
@@ -246,18 +274,12 @@ def _run_compute(args, parser) -> tuple[int, str]:
             params = {"n": args.n, "x": args.x, "alpha": args.alpha}
         return 0, _scalar_output(args, "H", params, value)
     if what == "F":
-        _require(parser, args.n is not None, "compute F requires --n")
-        x = args.x if args.x is not None else Fraction(0)
-        value = beta_engine.beta_F(args.n, x)
-        return 0, _scalar_output(args, "F", {"n": args.n, "x": x}, value)
+        value = beta_engine.beta_F(args.n, args.x)
+        return 0, _scalar_output(args, "F", {"n": args.n, "x": args.x}, value)
     if what == "dF":
-        _require(parser, args.n is not None, "compute dF requires --n")
-        _require(parser, args.r is not None, "compute dF requires --r")
-        x = args.x if args.x is not None else Fraction(0)
-        value = beta_engine.derivative_F(args.n, x, args.r)
-        return 0, _scalar_output(args, "dF", {"n": args.n, "x": x, "r": args.r}, value)
+        value = beta_engine.derivative_F(args.n, args.x, args.r)
+        return 0, _scalar_output(args, "dF", {"n": args.n, "x": args.x, "r": args.r}, value)
     if what == "bell":
-        _require(parser, args.r is not None, "compute bell requires --r")
         expansion = beta_engine.bell_expansion(args.r)
         if args.format == "json":
             payload = {
@@ -271,7 +293,6 @@ def _run_compute(args, parser) -> tuple[int, str]:
             return 0, dumps(payload) + "\n"
         return 0, expansion.text() + "\n"
     if what == "bernoulli":
-        _require(parser, args.N is not None, "compute bernoulli requires --N")
         table = harmonic_core.bernoulli_table(args.N)
         if args.format == "json":
             return 0, dumps({"values": list(table.values)}) + "\n"
@@ -279,13 +300,10 @@ def _run_compute(args, parser) -> tuple[int, str]:
             f"B_{k} = {format_rational(v)}" for k, v in enumerate(table.values)
         ]
         return 0, "\n".join(lines) + "\n"
-    if what == "zeta-even":
-        _require(parser, args.n is not None, "compute zeta-even requires --n")
-        coeff = harmonic_core.zeta_even_coefficient(args.n)
-        if args.format == "json":
-            return 0, dumps({"coeff": coeff, "pi_power": 2 * args.n}) + "\n"
-        return 0, f"{format_rational(coeff)} * pi^{2 * args.n}\n"
-    raise AssertionError(what)
+    coeff = harmonic_core.zeta_even_coefficient(args.n)  # zeta-even
+    if args.format == "json":
+        return 0, dumps({"coeff": coeff, "pi_power": 2 * args.n}) + "\n"
+    return 0, f"{format_rational(coeff)} * pi^{2 * args.n}\n"
 
 
 def _scalar_output(args, name: str, params: dict, value: Fraction) -> str:
@@ -315,7 +333,7 @@ def _scalar_output(args, name: str, params: dict, value: Fraction) -> str:
 # -- verify -------------------------------------------------------------------
 
 
-def _run_verify(args, parser) -> tuple[int, str]:
+def _run_verify(args) -> tuple[int, str]:
     for attr, cap in _VERIFY_CAPS.items():
         value = getattr(args, attr)
         if value > cap:
@@ -342,10 +360,8 @@ def _run_verify(args, parser) -> tuple[int, str]:
 
 
 def _render_reports(args, reports: list[IdentityReport]) -> str:
-    # without --timings every elapsed_ms prints as 0
-    timings = getattr(args, "timings", False)
     if args.format == "csv":
-        return reports_to_csv(reports, timings=timings)
+        return reports_to_csv(reports)
     if args.format == "text":
         lines = []
         for report in reports:
@@ -365,26 +381,28 @@ def _render_reports(args, reports: list[IdentityReport]) -> str:
         passed = sum(1 for r in reports if r.passed)
         lines.append(f"{passed}/{len(reports)} passed")
         return "\n".join(lines) + "\n"
-    return "\n".join(dumps(identity_report_dict(r, timings=timings)) for r in reports) + "\n"
+    return "\n".join(dumps(identity_report_dict(r)) for r in reports) + "\n"
 
 
 # -- series -------------------------------------------------------------------
 
 
-def _run_series(args, parser) -> tuple[int, str]:
+def _run_series(args) -> tuple[int, str]:
     float_mode = args.N > EXACT_N_MAX
     if float_mode and not args.float_mode:
-        parser.error(
+        build_parser().error(
             f"--N {args.N} exceeds the exact-mode threshold {EXACT_N_MAX}; "
             "pass --float to sum in binary64 with a rigorous rounding radius"
+        )
+    if args.float_mode and not float_mode:
+        build_parser().error(
+            f"--float needs --N above the exact-mode threshold {EXACT_N_MAX}, "
+            f"got {args.N}; up to it series sums exactly"
         )
     if args.N > _FLOAT_N_MAX:
         raise DomainError(f"float mode caps --N at {_FLOAT_N_MAX}, got {args.N}")
     target = args.target
-    if target in ("lemma-c", "eq31", "eq32"):
-        _require(parser, args.r is not None, f"series {target} requires --r")
     if target == "zeta":
-        _require(parser, args.s is not None, "series zeta requires --s")
         estimate = series_lab.hurwitz_partial(args.x, args.s, args.N, float_mode)
     elif target == "lemma-c":
         estimate = series_lab.lemma_c_partial(args.r, args.N, float_mode)
@@ -394,10 +412,8 @@ def _run_series(args, parser) -> tuple[int, str]:
         )
     elif target == "eq31":
         estimate = series_lab.eq31_series(args.r, args.x, args.N, float_mode)
-    elif target == "eq32":
+    else:  # eq32
         estimate = series_lab.eq32_series(args.r, args.N, float_mode)
-    else:
-        raise AssertionError(target)
     contained = estimate.contains_claim()
     code = 1 if contained is False else 0
     return code, _render_estimate(args, estimate)
@@ -432,16 +448,10 @@ def _render_estimate(args, estimate: SeriesEstimate) -> str:
 # -- oracle -------------------------------------------------------------------
 
 
-def _run_oracle(args, parser) -> tuple[int, str]:
-    import time
-
-    _refuse_past_caps("oracle", args.which, _ORACLE_CAPS, args)
-    if args.which == "quad":
-        _require(parser, args.m is not None, "oracle quad requires --m")
-        start = time.perf_counter()
+def _run_oracle(args) -> tuple[int, str]:
+    if args.target == "quad":
         result = float_oracle.log_moment_quadrature(args.n, args.m, args.x)
         expected = float(beta_engine.derivative_F(args.n, args.x, args.m))
-        elapsed = int((time.perf_counter() - start) * 1000)
         scale = max(abs(expected), 1e-300)
         ok = abs(result.value - expected) / scale <= 1e-9
         report = IdentityReport(
@@ -449,7 +459,6 @@ def _run_oracle(args, parser) -> tuple[int, str]:
             params={"n": args.n, "x": args.x, "r": args.m},
             status=identity_suite.PASS if ok else identity_suite.FAIL,
             reason=None if ok else f"expected {format_float(expected)}",
-            elapsed_ms=elapsed,
             oracle={
                 "value": result.value,
                 "err": result.abs_error_estimate,
@@ -457,13 +466,10 @@ def _run_oracle(args, parser) -> tuple[int, str]:
             },
         )
     else:
-        _require(parser, args.r is not None, "oracle mc requires --r")
-        start = time.perf_counter()
         estimate = float_oracle.cube_monte_carlo(
             args.n, args.r, args.samples, args.seed
         )
         exact = float(series_lab.multi_integral_exact(args.n, args.r))
-        elapsed = int((time.perf_counter() - start) * 1000)
         ok = abs(estimate.estimate - exact) <= 4 * estimate.stderr or (
             estimate.stderr == 0.0 and estimate.estimate == exact
         )
@@ -472,7 +478,6 @@ def _run_oracle(args, parser) -> tuple[int, str]:
             params={"n": args.n, "r": args.r},
             status=identity_suite.PASS if ok else identity_suite.FAIL,
             reason=None if ok else f"expected {format_float(exact)}",
-            elapsed_ms=elapsed,
             oracle={
                 "estimate": estimate.estimate,
                 "stderr": estimate.stderr,

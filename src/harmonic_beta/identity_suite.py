@@ -20,7 +20,6 @@ import functools
 import math
 import operator
 import random
-import time
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -66,7 +65,6 @@ class IdentityReport(NamedTuple):
     status: str
     witness: tuple[Fraction, Fraction] | None = None
     reason: str | None = None
-    elapsed_ms: int = 0
     oracle: dict | None = None
 
     @property
@@ -125,25 +123,16 @@ def generic_check(
     reports: list[IdentityReport] = []
     for params in grid:
         params = dict(params)
-        start = time.perf_counter()
         try:
             left = lhs(**params)
             right = rhs(**params)
         except DomainError as exc:
-            elapsed = int((time.perf_counter() - start) * 1000)
-            reports.append(
-                IdentityReport(identity_id, params, SKIPPED, reason=str(exc), elapsed_ms=elapsed)
-            )
+            reports.append(IdentityReport(identity_id, params, SKIPPED, reason=str(exc)))
             continue
-        elapsed = int((time.perf_counter() - start) * 1000)
         if left == right:
-            reports.append(IdentityReport(identity_id, params, PASS, elapsed_ms=elapsed))
+            reports.append(IdentityReport(identity_id, params, PASS))
         else:
-            reports.append(
-                IdentityReport(
-                    identity_id, params, FAIL, witness=(left, right), elapsed_ms=elapsed
-                )
-            )
+            reports.append(IdentityReport(identity_id, params, FAIL, witness=(left, right)))
     return reports
 
 
@@ -358,7 +347,6 @@ def check_inversion(
     rng = random.Random(seed)
     reports: list[IdentityReport] = []
     for trial in range(count):
-        start = time.perf_counter()
         length = rng.randint(0, max_len)
         pairs = [(rng.randint(-999, 999), rng.randint(1, 99)) for _ in range(length)]
         # the round trip on the integer row over D = lcm of the denominators
@@ -373,14 +361,9 @@ def check_inversion(
             ),
             None,
         )
-        elapsed = int((time.perf_counter() - start) * 1000)
         reports.append(
             IdentityReport(
-                "inversion",
-                {"n": trial},
-                PASS if witness is None else FAIL,
-                witness=witness,
-                elapsed_ms=elapsed,
+                "inversion", {"n": trial}, PASS if witness is None else FAIL, witness=witness
             )
         )
     forward = [harmonic_number(k + 1, 1) / (k + 1) for k in range(n_max + 1)]

@@ -81,10 +81,10 @@ def _emit(obj: Any, out: list[str]) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def identity_report_dict(report: IdentityReport, timings: bool = True) -> dict:
+def identity_report_dict(report: IdentityReport) -> dict:
     """JSON shape for one report: fixed key order, params as n/x/r.
 
-    With ``timings=False`` elapsed_ms is 0, so the output is byte-stable.
+    elapsed_ms is always 0, kept so the report format does not change.
     """
     params: dict[str, Any] = {}
     if "n" in report.params:
@@ -107,12 +107,12 @@ def identity_report_dict(report: IdentityReport, timings: bool = True) -> dict:
         out["reason"] = report.reason
     if report.oracle is not None:
         out["oracle"] = report.oracle
-    out["elapsed_ms"] = report.elapsed_ms if timings else 0
+    out["elapsed_ms"] = 0
     return out
 
 
-def reports_to_csv(reports: Iterable[IdentityReport], timings: bool = True) -> str:
-    """One CSV row per report; with ``timings=False`` elapsed_ms is 0."""
+def reports_to_csv(reports: Iterable[IdentityReport]) -> str:
+    """One CSV row per report; elapsed_ms is 0, as in identity_report_dict."""
     import csv
 
     buffer = io.StringIO()
@@ -129,7 +129,7 @@ def reports_to_csv(reports: Iterable[IdentityReport], timings: bool = True) -> s
                 report.status,
                 format_rational(witness[0]) if witness else "",
                 format_rational(witness[1]) if witness else "",
-                report.elapsed_ms if timings else 0,
+                0,
             ]
         )
     return buffer.getvalue()

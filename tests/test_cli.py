@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import harmonic_beta
-from harmonic_beta.cli import build_parser, run
+from harmonic_beta.cli import _FLAGS, _NO_CSV, _REQUIRED, _TARGETS, build_parser, run
 from harmonic_beta.identity_suite import CHECK_GROUPS
 from harmonic_beta.reporting import dumps, format_float
 
@@ -322,6 +322,15 @@ class TestSeriesCommand:
         assert data["exact"] is False
         assert isinstance(data["partial"], float)
 
+    @pytest.mark.parametrize("n", ["100", "10000"])
+    def test_float_at_or_below_the_exact_threshold_exits_two(self, capsys, n):
+        code, out, err = invoke(capsys, "series", "zeta", "--s", "2", "--N", n, "--float")
+        assert (code, out) == (2, "")
+        assert err == (
+            "harmonic-beta: error: --float needs --N above the exact-mode threshold "
+            f"10000, got {n}; up to it series sums exactly\n"
+        )
+
     def test_missing_required_flags(self, capsys):
         assert invoke(capsys, "series", "zeta", "--N", "10")[0] == 2
         assert invoke(capsys, "series", "lemma-c", "--N", "10")[0] == 2
@@ -488,41 +497,32 @@ _ALPHA = st.one_of(_R, st.sampled_from(["30", "31"]))
 # up to 300, or 20000: float mode with --float, a usage error without
 _BIG_N = st.one_of(_int(300), st.just("20000"))
 
-_SUBCOMMANDS = {
-    "compute": (
-        st.sampled_from(["H", "F", "dF", "bell", "bernoulli", "zeta-even"]),
-        {"--n": _CAP_N, "--x": _X, "--alpha": _ALPHA, "--r": _CAP_R, "--N": _CAP_N},
-        (),
-    ),
-    "verify": (
-        st.sampled_from([*_verify_choices(), "bogus"]),
-        {
-            "--n-max": _N,
-            "--r-max": _R,
-            "--x": st.lists(_X, min_size=1, max_size=2).map(",".join),
-        },
-        (),
-    ),
-    "series": (
-        st.sampled_from(
-            ["zeta", "lemma-c", "cor2.4-r3", "cor2.4-r4", "cor2.4-r5", "eq31", "eq32"]
-        ),
-        {"--N": _BIG_N, "--x": _X, "--s": _CAP_S, "--r": _CAP_R},
-        ("--float",),
-    ),
-    "oracle": (
-        st.sampled_from(["quad", "mc"]),
-        {"--n": _N, "--m": _R, "--x": _X, "--r": _R, "--samples": _SAMPLES, "--seed": _N},
-        (),
-    ),
+# The values drawn for each flag of each command; compute, series and oracle
+# give a target only the flags its row of the CLI's table says it reads.
+_VALUES = {
+    "compute": {"--n": _CAP_N, "--x": _X, "--alpha": _ALPHA, "--r": _CAP_R, "--N": _CAP_N},
+    "verify": {
+        "--n-max": _N,
+        "--r-max": _R,
+        "--x": st.lists(_X, min_size=1, max_size=2).map(",".join),
+    },
+    "series": {"--N": _BIG_N, "--x": _X, "--s": _CAP_S, "--r": _CAP_R},
+    "oracle": {
+        "--n": _N, "--m": _R, "--x": _X, "--r": _R, "--samples": _SAMPLES, "--seed": _N
+    },
 }
 
 
 @st.composite
 def _argv(draw):
-    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
-    positional, valued, switches = _SUBCOMMANDS[command]
-    argv = [command, draw(positional)]
+    command = draw(st.sampled_from(sorted(_VALUES)))
+    if command == "verify":
+        target = draw(st.sampled_from([*_verify_choices(), "bogus"]))
+        valued = _VALUES[command]
+    else:
+        target = draw(st.sampled_from(sorted(_TARGETS[command])))
+        valued = {f"--{flag}": _VALUES[command][f"--{flag}"] for flag in _TARGETS[command][target]}
+    argv = [command, target]
     valued = dict(valued, **{"--format": st.sampled_from(["text", "json", "csv"])})
     for flag, values in valued.items():
         # --n-max is always given: its default of 50 is not a small value
@@ -530,7 +530,8 @@ def _argv(draw):
             value = draw(values)
             # "--x=-1" and "--x -1" both parse; "--x -1/2" is a usage error
             argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
-    argv += [flag for flag in (*switches, "--timings") if draw(st.booleans())]
+    if command == "series" and draw(st.booleans()):
+        argv.append("--float")
     out = draw(st.sampled_from([None, "file", "missing-dir", "dir"]))
     return argv, out
 
@@ -558,10 +559,15 @@ _FLOAT_CAPS = {
 }
 
 
+# Valid float-mode values of the flags a series target reads.
+_FLOAT_VALUES = {"--N": "20000", "--s": "2", "--r": "2"}
+
+
 @st.composite
 def _float_cap_argv(draw):
     target = draw(st.sampled_from(sorted(_FLOAT_CAPS)))
-    values = {"--N": "20000", "--s": "2", "--r": "2"}
+    reads = _TARGETS["series"][target]
+    values = {flag: value for flag, value in _FLOAT_VALUES.items() if flag[2:] in reads}
     values.update(draw(st.sampled_from(_FLOAT_CAPS[target])))
     argv = ["series", target, "--float"]
     for flag, value in values.items():
@@ -574,8 +580,8 @@ def _x_samples(count) -> str:
     return ",".join(f"{i}/7" for i in range(int(count)))
 
 
-# Exact-mode, eq31, compute, oracle and verify caps: (argv at the cap, the
-# capped flag, its first value past the cap; for --x, the number of samples).
+# Every cap at the cap: (argv at the cap, the capped flag, its first value
+# past the cap; for verify --x, the number of samples).
 _CAPS = [
     (["series", "lemma-c", "--r", "10", "--N", "40"], "--r", "11"),
     (["series", "eq32", "--r", "8", "--N", "40"], "--r", "9"),
@@ -599,15 +605,39 @@ _CAPS = [
     (["verify", "all", "--n-max", "3", "--r-max", "1", "--x", _x_samples(10)], "--x", "11"),
 ]
 
+# The caps of the CLI's table: (command, target, flag, cap).
+_TABLE_CAPS = [
+    (command, target, flag, cap)
+    for command, targets in _TARGETS.items()
+    for target, reads in targets.items()
+    for flag, (_, cap) in reads.items()
+    if cap is not None
+]
 
-@st.composite
-def _past_cap_argv(draw):
-    argv, flag, past = draw(st.sampled_from(_CAPS))
-    argv = list(argv)
-    values = [past, str(int(past) + 7), str(100 * int(past))]
-    value = draw(st.sampled_from(values))
-    argv[argv.index(flag) + 1] = _x_samples(value) if flag == "--x" else value
-    return argv + ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
+
+def _table_argv(command: str, target: str, **given: str) -> list[str]:
+    """``command target`` with each required flag at a small valid value
+    and the flags in ``given`` (name without dashes) at theirs."""
+    argv = [command, target]
+    for flag, (default, _) in _TARGETS[command][target].items():
+        if flag in given:
+            argv += [f"--{flag}", given.pop(flag)]
+        elif default is _REQUIRED:
+            argv += [f"--{flag}", "40" if flag == "N" else "2"]
+    for flag, value in given.items():
+        argv += [f"--{flag}", value]
+    return argv
+
+
+# Each (command, target, flag) the table leaves out: the flag and a value
+# that would parse, or "csv" for --format where a target has no CSV form.
+_LEFT_OUT = [
+    (command, target, flag, "1/2" if flag == "x" else "2")
+    for command, targets in _TARGETS.items()
+    for target, reads in targets.items()
+    for flag in _FLAGS[command]
+    if flag not in reads
+] + [("compute", target, "format", "csv") for target in _NO_CSV]
 
 
 class TestCliProperty:
@@ -639,12 +669,37 @@ class TestCliProperty:
         assert stderr.getvalue().startswith("error: float mode")
         assert stderr.getvalue().count("\n") == 1
 
-    @settings(max_examples=20, deadline=None)
-    @given(argv=_past_cap_argv())
-    def test_r_caps_exit_two_with_one_line(self, argv):
+    @pytest.mark.parametrize("past", ["cap+1", "100*cap"])
+    @pytest.mark.parametrize("command,target,flag,cap", _TABLE_CAPS)
+    def test_table_caps_exit_two_with_the_cap_message(self, command, target, flag, cap, past):
+        value = cap + 1 if past == "cap+1" else 100 * cap
+        code, out, err = _in_process(_table_argv(command, target, **{flag: str(value)}))
+        assert (code, out) == (2, "")
+        assert err == f"error: {command} {target} caps --{flag} at {cap}, got {value}\n"
+
+    @pytest.mark.parametrize("times", [1, 100])
+    @pytest.mark.parametrize(
+        "argv,flag,past", [row for row in _CAPS if row[0][0] in ("series", "verify")]
+    )
+    def test_series_and_verify_caps_exit_two_with_one_line(self, argv, flag, past, times):
+        # exact-mode series caps live in series_lab, verify's in its shared flags
+        argv = list(argv)
+        value = str(times * int(past))
+        argv[argv.index(flag) + 1] = _x_samples(value) if flag == "--x" else value
         code, out, err = _in_process(argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_every_table_cap_has_an_at_cap_run(self):
+        at_cap = {(argv[0], argv[1], flag) for argv, flag, _ in _CAPS}
+        assert {(c, t, f"--{flag}") for c, t, flag, _ in _TABLE_CAPS} <= at_cap
+
+    @pytest.mark.parametrize("command,target,flag,value", _LEFT_OUT)
+    def test_left_out_flags_exit_two_with_one_line(self, command, target, flag, value):
+        code, out, err = _in_process(_table_argv(command, target, **{flag: value}))
+        assert (code, out) == (2, "")
+        what = f"--{flag} csv" if flag == "format" else f"--{flag}"
+        assert err == f"harmonic-beta: error: {command} {target} takes no {what}\n"
 
     @pytest.mark.parametrize("argv", [argv for argv, _, _ in _CAPS])
     def test_r_at_cap_runs(self, argv):
