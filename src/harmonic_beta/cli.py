@@ -31,20 +31,24 @@ from .series_lab import EXACT_N_MAX, SeriesEstimate
 
 __all__ = ["run", "main"]
 
-# The flags each compute, series and oracle target reads, flag -> (default,
-# cap): _REQUIRED marks a flag with no default, a cap of None a flag with
-# no cap here (series caps its flags per mode in series_lab).  A command
-# offers the union of its targets' flags, and _check_flags refuses, before
-# any work, a flag the target does not read, a missing required flag and a
-# value past its cap; README lists the time of each worst allowed run.
+# The flags each target reads, flag -> (default, cap): _REQUIRED marks a
+# flag with no default, a cap of None a flag with no cap here (series caps
+# its flags per mode in series_lab), and verify's --x cap counts samples.  A
+# command offers the union of its targets' flags, and _check_flags refuses,
+# before any work, a flag the target does not read, a missing required flag
+# and a value past its cap; README lists the time of each worst allowed run.
 # G_30 has 5,604 monomials; zeta-even --n needs B_2n, so it stops at half the
 # bernoulli cap.  oracle quad computes compute dF's derivative_F(n, x, m), so
 # it takes dF's caps; an mc sample draws --r uniforms and its time is linear
 # in --samples, and --n sizes the exact reference sum.  compute H without
-# --x is the plain H_n^(alpha).
+# --x is the plain H_n^(alpha).  Each verify --x sample adds a sweep's worth
+# of work.
 _REQUIRED = object()
 _NEEDED = (_REQUIRED, None)
 _X_AT_0 = (Fraction(0), None)
+_SWEEP_N = {"n-max": (50, 100)}
+_SWEEP_NX = {**_SWEEP_N, "x": (identity_suite.DEFAULT_X_SAMPLES, 10)}
+_SWEEP_NRX = {**_SWEEP_NX, "r-max": (6, 10)}
 _TARGETS = {
     "compute": {
         "H": {"n": (_REQUIRED, 2000), "x": (None, None), "alpha": (1, 30)},
@@ -53,6 +57,18 @@ _TARGETS = {
         "bell": {"r": (_REQUIRED, 30)},
         "bernoulli": {"N": (_REQUIRED, 400)},
         "zeta-even": {"n": (_REQUIRED, 200)},
+    },
+    # the check groups of identity_suite.CHECK_GROUPS, then all and fixture-fail
+    "verify": {
+        "thm2.2": _SWEEP_NX,
+        "thm2.3": _SWEEP_NX,
+        "thm2.5": _SWEEP_NX,
+        "thm2.6": _SWEEP_NRX,
+        "lemma-a": _SWEEP_NRX,
+        "beta-eq": _SWEEP_NX,
+        "inversion": _SWEEP_N,
+        "all": _SWEEP_NRX,
+        "fixture-fail": _SWEEP_N,
     },
     "series": {
         "zeta": {"N": _NEEDED, "x": _X_AT_0, "s": _NEEDED},
@@ -79,12 +95,6 @@ _FLAGS = {
 }
 # compute targets with no CSV form
 _NO_CSV = ("bell", "bernoulli", "zeta-even")
-
-# Largest --n-max and --r-max of every verify target, and most --x samples,
-# refused before any work; each sample adds a sweep's worth of work.  README
-# lists the time of the slowest allowed runs.
-_VERIFY_CAPS = {"n_max": 100, "r_max": 10}
-_VERIFY_X_SAMPLES_MAX = 10
 
 # Largest --N float mode sums, refused before any work; it binds zeta and
 # eq31, as the log-weight targets stop at N(N+1) < 2**53.  README lists the
@@ -135,21 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     _table_parser(sub, "compute", "evaluate one quantity exactly", "text")
-
-    verify = sub.add_parser("verify", help="run identity sweeps, report pass/fail")
-    verify.add_argument(
-        "target", choices=[*identity_suite.CHECK_GROUPS, "all", "fixture-fail"]
-    )
-    verify.add_argument("--n-max", type=_count, default=50)
-    verify.add_argument("--r-max", type=_count, default=6)
-    verify.add_argument(
-        "--x",
-        type=_rational_list,
-        default=tuple(identity_suite.DEFAULT_X_SAMPLES),
-        help="comma-separated p/q sample list",
-    )
-    _output_flags(verify, default_format="json")
-
+    _table_parser(sub, "verify", "run identity sweeps, report pass/fail", "json")
     series = _table_parser(sub, "series", "bracketed partial sums of series targets", "json")
     series.add_argument(
         "--float",
@@ -166,15 +162,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _table_parser(sub, command: str, summary: str, default_format: str) -> argparse.ArgumentParser:
     """The subparser of a _TARGETS command: its targets and every flag one of
-    them reads, each defaulting to None so _check_flags sees what was given."""
+    them reads, each defaulting to None so _check_flags sees what was given.
+    --n-max and --r-max refuse negatives, so no sweep is empty; verify's --x
+    is a comma-separated sample list."""
     parser = sub.add_parser(command, help=summary)
     targets = _TARGETS[command]
     parser.add_argument("target", choices=list(targets))
     for flag in _FLAGS[command]:
         readers = ", ".join(target for target, reads in targets.items() if flag in reads)
-        parser.add_argument(
-            f"--{flag}", type=_rational if flag == "x" else int, help=f"read by {readers}"
-        )
+        if flag == "x":
+            kind = _rational_list if command == "verify" else _rational
+        else:
+            kind = _count if flag.endswith("-max") else int
+        parser.add_argument(f"--{flag}", type=kind, help=f"read by {readers}")
     _output_flags(parser, default_format)
     return parser
 
@@ -201,8 +201,7 @@ def run(argv: Sequence[str]) -> int:
         "oracle": _run_oracle,
     }[args.command]
     try:
-        if args.command in _TARGETS:
-            _check_flags(parser, args)
+        _check_flags(parser, args)
         code, text = handler(args)
     except SystemExit as exc:  # parser.error() after parsing
         code = exc.code
@@ -238,13 +237,14 @@ def main() -> None:
 
 
 def _check_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Hold a compute, series or oracle run to its row of _TARGETS, before
-    any work: refuse a flag the target does not read, a missing required
-    flag and a value past its cap, and fill in the defaults."""
+    """Hold a run to its row of _TARGETS, before any work: refuse a flag the
+    target does not read, a missing required flag and a value past its cap,
+    and fill in the defaults."""
     command, target = args.command, args.target
     reads = _TARGETS[command][target]
     for flag in _FLAGS[command]:
-        value = getattr(args, flag)
+        attr = flag.replace("-", "_")
+        value = getattr(args, attr)
         if flag not in reads:
             if value is not None:
                 parser.error(f"{command} {target} takes no --{flag}")
@@ -253,9 +253,11 @@ def _check_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> N
         if value is None:
             if default is _REQUIRED:
                 parser.error(f"{command} {target} requires --{flag}")
-            setattr(args, flag, default)
-        elif cap is not None and value > cap:
-            raise DomainError(f"{command} {target} caps --{flag} at {cap}, got {value}")
+            setattr(args, attr, default)
+        elif cap is not None:
+            got, unit = (len(value), " samples") if isinstance(value, list) else (value, "")
+            if got > cap:
+                raise DomainError(f"{command} {target} caps --{flag} at {cap}{unit}, got {got}")
     if target in _NO_CSV and args.format == "csv":
         parser.error(f"{command} {target} takes no --format csv")
 
@@ -334,25 +336,19 @@ def _scalar_output(args, name: str, params: dict, value: Fraction) -> str:
 
 
 def _run_verify(args) -> tuple[int, str]:
-    for attr, cap in _VERIFY_CAPS.items():
-        value = getattr(args, attr)
-        if value > cap:
-            flag = attr.replace("_", "-")
-            raise DomainError(f"verify caps --{flag} at {cap}, got {value}")
-    xs = args.x
-    if len(xs) > _VERIFY_X_SAMPLES_MAX:
-        raise DomainError(
-            f"verify caps --x at {_VERIFY_X_SAMPLES_MAX} samples, got {len(xs)}"
-        )
-    for x in xs:
+    """Run the target on the flags its row reads; a flag it leaves out is None."""
+    xs = args.x or ()
+    for i, x in enumerate(xs):
+        if x in xs[:i]:
+            raise DomainError(f"verify --x repeats {x}")
         if x <= -1:
             raise DomainError(f"requires x > -1, got x={x}")
     if args.target == "all":
-        reports = identity_suite.run_all(args.n_max, args.r_max, xs)
+        reports = identity_suite.run_all(args.n_max, args.r_max, args.x)
     elif args.target == "fixture-fail":
         reports = identity_suite.deliberate_mismatch_check(args.n_max)
     else:
-        reports = identity_suite.CHECK_GROUPS[args.target](args.n_max, args.r_max, xs)
+        reports = identity_suite.CHECK_GROUPS[args.target](args.n_max, args.r_max, args.x)
     if args.target != "all":  # run_all returns its reports sorted
         reports.sort(key=IdentityReport.sort_key)
     failed = sum(1 for r in reports if r.status == identity_suite.FAIL)

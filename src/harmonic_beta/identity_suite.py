@@ -390,7 +390,8 @@ def deliberate_mismatch_check(n_max: int = 10) -> list[IdentityReport]:
 #: The check groups by ``verify`` target, each called as (n_max, r_max, xs)
 #: and optionally the sweep's shared reference rows, built to at least
 #: (n_max, r_max); without them an exact group builds its own.  This is the
-#: one list of groups: the CLI choices and :func:`run_all` read it.
+#: one list of groups: :func:`run_all` reads it, and the CLI's verify rows,
+#: one per group, list the arguments it reads and pass None for the rest.
 CHECK_GROUPS: dict[str, Callable[..., list[IdentityReport]]] = {
     "thm2.2": lambda n_max, r_max, xs, refs=None: check_theorem_2_2(n_max, xs, refs),
     "thm2.3": lambda n_max, r_max, xs, refs=None: check_theorem_2_3(n_max, xs, refs),

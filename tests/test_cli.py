@@ -128,12 +128,21 @@ class TestArgumentValidation:
 
     @pytest.mark.parametrize("target", ["thm2.2", "thm2.6", "lemma-a", "beta-eq", "all"])
     def test_out_of_domain_x_exits_two(self, capsys, target):
+        r_max = ["--r-max", "0"] if "r-max" in _TARGETS["verify"][target] else []
         code, out, err = invoke(
-            capsys, "verify", target, "--x=0,-1", "--n-max", "2", "--r-max", "0",
-            "--format", "text",
+            capsys, "verify", target, "--x=0,-1", "--n-max", "2", *r_max, "--format", "text"
         )
         assert code == 2 and out == ""
         assert err == "error: requires x > -1, got x=-1\n"
+
+    @pytest.mark.parametrize(
+        "xs, repeated", [("0,0/5", "0"), ("1/2,7/3,2/4", "1/2"), ("-1/2,1,-1/2,1", "-1/2")]
+    )
+    def test_repeated_x_sample_exits_two(self, capsys, xs, repeated):
+        # a repeated sample would print and count each of its reports twice
+        code, out, err = invoke(capsys, "verify", "thm2.2", f"--x={xs}", "--n-max", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: verify --x repeats {repeated}\n"
 
     @pytest.mark.parametrize("x", ["9" * 400, f"-{'9' * 400}/1{'0' * 400}"])
     def test_x_past_the_float_range_exits_two(self, capsys, x):
@@ -434,6 +443,14 @@ def _verify_choices() -> list[str]:
     return next(a for a in verify._actions if a.dest == "target").choices
 
 
+# Two values of each verify flag, as a check group takes them.
+_GROUP_ARGS = {
+    "n-max": (3, 5),
+    "r-max": (0, 2),
+    "x": ((Fraction(0), Fraction(1, 2)), (Fraction(7, 3),)),
+}
+
+
 def _count_ids(out: str) -> dict[str, int]:
     counts: dict[str, int] = {}
     for line in out.splitlines():
@@ -447,7 +464,27 @@ class TestCheckGroupTable:
         assert list(CHECK_GROUPS) == [
             "thm2.2", "thm2.3", "thm2.5", "thm2.6", "lemma-a", "beta-eq", "inversion"
         ]
+        assert list(_TARGETS["verify"]) == [*CHECK_GROUPS, "all", "fixture-fail"]
         assert _verify_choices() == [*CHECK_GROUPS, "all", "fixture-fail"]
+
+    @pytest.mark.parametrize(
+        "target, flag",
+        [
+            (target, flag)
+            for target in CHECK_GROUPS
+            for flag in _FLAGS["verify"]
+            if flag not in _TARGETS["verify"][target]
+        ],
+    )
+    def test_a_left_out_flag_changes_no_report(self, target, flag):
+        # the CLI passes a group None for a flag its row leaves out; the group
+        # must not read it, or the row would hide a flag the group uses
+        runs = []
+        for value in _GROUP_ARGS[flag]:
+            given = {name: values[0] for name, values in _GROUP_ARGS.items()}
+            given[flag] = value
+            runs.append(CHECK_GROUPS[target](given["n-max"], given["r-max"], given["x"]))
+        assert runs[0] == runs[1] and runs[0]
 
     @pytest.mark.parametrize(
         "target, identity_id, count",
@@ -497,8 +534,8 @@ _ALPHA = st.one_of(_R, st.sampled_from(["30", "31"]))
 # up to 300, or 20000: float mode with --float, a usage error without
 _BIG_N = st.one_of(_int(300), st.just("20000"))
 
-# The values drawn for each flag of each command; compute, series and oracle
-# give a target only the flags its row of the CLI's table says it reads.
+# The values drawn for each flag of each command; a target is given only the
+# flags its row of the CLI's table says it reads.
 _VALUES = {
     "compute": {"--n": _CAP_N, "--x": _X, "--alpha": _ALPHA, "--r": _CAP_R, "--N": _CAP_N},
     "verify": {
@@ -516,12 +553,8 @@ _VALUES = {
 @st.composite
 def _argv(draw):
     command = draw(st.sampled_from(sorted(_VALUES)))
-    if command == "verify":
-        target = draw(st.sampled_from([*_verify_choices(), "bogus"]))
-        valued = _VALUES[command]
-    else:
-        target = draw(st.sampled_from(sorted(_TARGETS[command])))
-        valued = {f"--{flag}": _VALUES[command][f"--{flag}"] for flag in _TARGETS[command][target]}
+    target = draw(st.sampled_from(sorted(_TARGETS[command])))
+    valued = {f"--{flag}": _VALUES[command][f"--{flag}"] for flag in _TARGETS[command][target]}
     argv = [command, target]
     valued = dict(valued, **{"--format": st.sampled_from(["text", "json", "csv"])})
     for flag, values in valued.items():
@@ -575,9 +608,9 @@ def _float_cap_argv(draw):
     return argv + ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
 
 
-def _x_samples(count) -> str:
+def _x_samples(count: int) -> str:
     """A verify --x list of ``count`` distinct samples."""
-    return ",".join(f"{i}/7" for i in range(int(count)))
+    return ",".join(f"{i}/7" for i in range(count))
 
 
 # Every cap at the cap: (argv at the cap, the capped flag, its first value
@@ -601,8 +634,24 @@ _CAPS = [
     (["oracle", "mc", "--n", "3", "--r", "10", "--samples", "1000"], "--r", "11"),
     (["oracle", "mc", "--n", "1", "--r", "1", "--samples", "10000000"], "--samples", "10000001"),
     (["verify", "thm2.2", "--n-max", "100", "--x", "0"], "--n-max", "101"),
+    (["verify", "thm2.3", "--n-max", "100", "--x", "0"], "--n-max", "101"),
+    (["verify", "thm2.5", "--n-max", "100", "--x", "0"], "--n-max", "101"),
+    (["verify", "thm2.6", "--n-max", "100", "--r-max", "0", "--x", "0"], "--n-max", "101"),
+    (["verify", "lemma-a", "--n-max", "100", "--r-max", "0", "--x", "0"], "--n-max", "101"),
+    (["verify", "beta-eq", "--n-max", "100", "--x", "0"], "--n-max", "101"),
+    (["verify", "inversion", "--n-max", "100"], "--n-max", "101"),
+    (["verify", "all", "--n-max", "100", "--r-max", "0", "--x", "0"], "--n-max", "101"),
+    (["verify", "fixture-fail", "--n-max", "100"], "--n-max", "101"),
+    (["verify", "thm2.6", "--n-max", "3", "--r-max", "10", "--x", "0"], "--r-max", "11"),
     (["verify", "lemma-a", "--n-max", "3", "--r-max", "10", "--x", "0"], "--r-max", "11"),
-    (["verify", "all", "--n-max", "3", "--r-max", "1", "--x", _x_samples(10)], "--x", "11"),
+    (["verify", "all", "--n-max", "3", "--r-max", "10", "--x", "0"], "--r-max", "11"),
+    (["verify", "thm2.2", "--n-max", "3", "--x", _x_samples(10)], "--x", "11"),
+    (["verify", "thm2.3", "--n-max", "3", "--x", _x_samples(10)], "--x", "11"),
+    (["verify", "thm2.5", "--n-max", "3", "--x", _x_samples(10)], "--x", "11"),
+    (["verify", "thm2.6", "--n-max", "3", "--r-max", "0", "--x", _x_samples(10)], "--x", "11"),
+    (["verify", "lemma-a", "--n-max", "3", "--r-max", "0", "--x", _x_samples(10)], "--x", "11"),
+    (["verify", "beta-eq", "--n-max", "3", "--x", _x_samples(10)], "--x", "11"),
+    (["verify", "all", "--n-max", "3", "--r-max", "0", "--x", _x_samples(10)], "--x", "11"),
 ]
 
 # The caps of the CLI's table: (command, target, flag, cap).
@@ -673,19 +722,20 @@ class TestCliProperty:
     @pytest.mark.parametrize("command,target,flag,cap", _TABLE_CAPS)
     def test_table_caps_exit_two_with_the_cap_message(self, command, target, flag, cap, past):
         value = cap + 1 if past == "cap+1" else 100 * cap
-        code, out, err = _in_process(_table_argv(command, target, **{flag: str(value)}))
+        # verify's --x cap counts samples
+        samples = (command, flag) == ("verify", "x")
+        given = _x_samples(value) if samples else str(value)
+        code, out, err = _in_process(_table_argv(command, target, **{flag: given}))
         assert (code, out) == (2, "")
-        assert err == f"error: {command} {target} caps --{flag} at {cap}, got {value}\n"
+        unit = " samples" if samples else ""
+        assert err == f"error: {command} {target} caps --{flag} at {cap}{unit}, got {value}\n"
 
     @pytest.mark.parametrize("times", [1, 100])
-    @pytest.mark.parametrize(
-        "argv,flag,past", [row for row in _CAPS if row[0][0] in ("series", "verify")]
-    )
-    def test_series_and_verify_caps_exit_two_with_one_line(self, argv, flag, past, times):
-        # exact-mode series caps live in series_lab, verify's in its shared flags
+    @pytest.mark.parametrize("argv,flag,past", [row for row in _CAPS if row[0][0] == "series"])
+    def test_series_caps_exit_two_with_one_line(self, argv, flag, past, times):
+        # exact-mode series caps live in series_lab
         argv = list(argv)
-        value = str(times * int(past))
-        argv[argv.index(flag) + 1] = _x_samples(value) if flag == "--x" else value
+        argv[argv.index(flag) + 1] = str(times * int(past))
         code, out, err = _in_process(argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -704,7 +754,8 @@ class TestCliProperty:
     @pytest.mark.parametrize("argv", [argv for argv, _, _ in _CAPS])
     def test_r_at_cap_runs(self, argv):
         code, out, err = _in_process(argv)
-        assert (code, err) == (0, "") and out, argv
+        failing = argv[:2] == ["verify", "fixture-fail"]  # a check that must fail
+        assert (code, err) == (1 if failing else 0, "") and out, argv
 
     @pytest.mark.skipif(
         not hasattr(sys, "get_int_max_str_digits"), reason="no int->str digit limit"
