@@ -42,13 +42,17 @@ __all__ = ["run", "main"]
 # it takes dF's caps; an mc sample draws --r uniforms and its time is linear
 # in --samples, and --n sizes the exact reference sum.  compute H without
 # --x is the plain H_n^(alpha).  Each verify --x sample adds a sweep's worth
-# of work.
+# of work.  The target of a verify group reads the flag of each grid axis in
+# identity_suite.GROUP_AXES, as _SWEEP maps them, and all reads every flag.
 _REQUIRED = object()
 _NEEDED = (_REQUIRED, None)
 _X_AT_0 = (Fraction(0), None)
-_SWEEP_N = {"n-max": (50, 100)}
-_SWEEP_NX = {**_SWEEP_N, "x": (identity_suite.DEFAULT_X_SAMPLES, 10)}
-_SWEEP_NRX = {**_SWEEP_NX, "r-max": (6, 10)}
+_SWEEP = {
+    "n": ("n-max", (50, 100)),
+    "x": ("x", (identity_suite.DEFAULT_X_SAMPLES, 10)),
+    "r": ("r-max", (6, 10)),
+}
+_VERIFY_AXES = {**identity_suite.GROUP_AXES, "all": set(_SWEEP)}
 _TARGETS = {
     "compute": {
         "H": {"n": (_REQUIRED, 2000), "x": (None, None), "alpha": (1, 30)},
@@ -58,17 +62,9 @@ _TARGETS = {
         "bernoulli": {"N": (_REQUIRED, 400)},
         "zeta-even": {"n": (_REQUIRED, 200)},
     },
-    # the check groups of identity_suite.CHECK_GROUPS, then all and fixture-fail
     "verify": {
-        "thm2.2": _SWEEP_NX,
-        "thm2.3": _SWEEP_NX,
-        "thm2.5": _SWEEP_NX,
-        "thm2.6": _SWEEP_NRX,
-        "lemma-a": _SWEEP_NRX,
-        "beta-eq": _SWEEP_NX,
-        "inversion": _SWEEP_N,
-        "all": _SWEEP_NRX,
-        "fixture-fail": _SWEEP_N,
+        target: dict(flag for axis, flag in _SWEEP.items() if axis in _VERIFY_AXES[target])
+        for target in [*identity_suite.CHECK_GROUPS, "all", "fixture-fail"]
     },
     "series": {
         "zeta": {"N": _NEEDED, "x": _X_AT_0, "s": _NEEDED},

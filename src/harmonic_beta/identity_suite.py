@@ -7,11 +7,11 @@ The display polynomials checked here are written out with their literal
 coefficients on purpose: the generic Bell recursion is exercised elsewhere,
 and hard-coding the displays keeps the two routes independent.
 
-:func:`run_all` builds the reference sides once and shares them with every
-exact group (``refs``); a group called with ``refs=None`` builds its own.
-
-Identity ids are stable catalog keys (``"thm2.2a"``, ``"eq16"``, ...) used in
-JSON/CSV reports and by the CLI.
+Every identity is one row of :data:`IDENTITIES`, keyed by its stable report
+id (``"thm2.2a"``, ``"eq16"``, ...): the ``verify`` target that checks it,
+the axes of its grid and its two routes.  :func:`run_all` builds the
+reference sides once and shares them with every exact group (``refs``); a
+group called with ``refs=None`` builds its own.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from .harmonic_core import DomainError, RationalLike, harmonic_number
 
 __all__ = [
     "IdentityReport",
+    "IDENTITIES",
+    "GROUP_AXES",
     "CHECK_GROUPS",
     "DEFAULT_X_SAMPLES",
     "binomial_inverse",
@@ -141,25 +143,36 @@ class _References:
 
     ``derivatives(x)`` is derivative_rows(n_max, x, r_max) with harmonic
     order max(r_max + 1, 4), enough for every display; ``alternating(x, s)``
-    is alt_power_row(n_max, x, s).  The checks read prefixes of the rows and
-    build them inside their evaluators, so an out-of-domain x still becomes
-    a skipped report of :func:`generic_check`.
+    is alt_power_row(n_max, x, s); ``display(x, s)`` is the display of weight
+    s at H_n(x,1..s-1) times F_n(x), both from the derivative rows at x, or
+    for ``x=None`` (the x = 0 forms) at H_n(0,1..s-1) times the literal
+    1/(n+1); ``inverted(x, s)`` is binomial_inverse(display(x, s)), and
+    ``eq16_inverted()`` that of H_{n+1}/(n+1) from harmonic_number.  The
+    routes read prefixes of the rows and build them, so an out-of-domain x
+    still becomes a skipped report of :func:`generic_check`.  The rows close
+    over locals, not self: dropping the object frees them without the
+    cyclic collector.
     """
 
     def __init__(self, n_max: int, r_max: int) -> None:
         order = max(r_max + 1, 4)
-        self.derivatives = functools.cache(
+        derivatives = functools.cache(
             lambda x: derivative_rows(n_max, x, r_max, harmonic_order=order)
         )
+
+        @functools.cache
+        def display(x: Fraction | None, s: int) -> list[Fraction]:
+            return [
+                _DISPLAYS[s](*h[: s - 1]) * (Fraction(1, n + 1) if x is None else f[0])
+                for n, (h, f) in enumerate(derivatives(x or Fraction(0)))
+            ]
+
+        self.derivatives = derivatives
         self.alternating = functools.cache(lambda x, s: alt_power_row(n_max, x, s))
-
-
-def _grid_nx(n_max: int, x_samples: Sequence[RationalLike]) -> list[dict]:
-    return [{"n": n, "x": Fraction(x)} for x in x_samples for n in range(n_max + 1)]
-
-
-def _grid_n(n_max: int) -> list[dict]:
-    return [{"n": n} for n in range(n_max + 1)]
+        self.display = display
+        self.inverted = functools.cache(lambda x, s: binomial_inverse(display(x, s)))
+        eq16 = lambda: [harmonic_number(k + 1, 1) / (k + 1) for k in range(n_max + 1)]
+        self.eq16_inverted = functools.cache(lambda: binomial_inverse(eq16()))
 
 
 # -- display polynomials with their literal coefficients ---------------------
@@ -181,158 +194,160 @@ def _poly_r4(h1: Fraction, h2: Fraction, h3: Fraction, h4: Fraction) -> Fraction
     return 6 * h4 + 8 * h3 * h1 + 3 * h2 * h2 + 6 * h1 * h1 * h2 + h1 ** 4
 
 
-def _indexed(values: Sequence[Fraction]) -> Evaluator:
-    return lambda n, **_ignored: values[n]
+#: The display polynomial of weight s, a polynomial in H_n(x,1..s-1).
+_DISPLAYS: dict[int, Evaluator] = {2: _poly_r1, 3: _poly_r2, 4: _poly_r3, 5: _poly_r4}
 
 
-#: A display family row: (s, display, forward id, inverted id, x=0 forward
-#: id, x=0 inverted id or None).  The forward form states
-#: alt_power_sum(n,x,s) == display(H_n(x,1), ..., H_n(x,s-1)) F_n(x) / (s-1)!,
-#: the inverted form binomial_inverse(display*F)[n] / (s-1)! == 1/(n+x+1)^s,
-#: and the x = 0 forms put F_n(0) = 1/(n+1).
-_DisplayRow = tuple[int, Evaluator, str, str, str, str | None]
+def _forward(s: int) -> tuple[Evaluator, Evaluator]:
+    """alt_power_sum(n, x, s) == display side / (s-1)!, at x = 0 where x is None."""
+    return (
+        lambda refs, n, x, r: refs.alternating(x or Fraction(0), s)[n],
+        lambda refs, n, x, r: refs.display(x, s)[n] / math.factorial(s - 1),
+    )
 
-#: The display families of Theorems 2.2, 2.3 and 2.5, by ``verify`` target.
-_DISPLAY_FAMILIES: dict[str, tuple[_DisplayRow, ...]] = {
-    "thm2.2": ((2, _poly_r1, "eq15", "thm2.2a", "eq16", "thm2.2b"),),
-    "thm2.3": (
-        (3, _poly_r2, "thm2.3a", "eq20", "thm2.3c", None),
-        (4, _poly_r3, "thm2.3b", "eq21", "thm2.3d", None),
+
+def _inverted(s: int) -> tuple[Evaluator, Evaluator]:
+    """binomial_inverse(display side)[n] / (s-1)! == 1/(n+x+1)^s, at x = 0 where x is None."""
+    return (
+        lambda refs, n, x, r: refs.inverted(x, s)[n] / math.factorial(s - 1),
+        lambda refs, n, x, r: 1 / ((x or Fraction(0)) + n + 1) ** s,
+    )
+
+
+class _Identity(NamedTuple):
+    group: str  # the verify target that checks it
+    axes: str  # its grid: "n", "nx" or "rnx"
+    lhs: Evaluator  # called as lhs(refs, n, x, r), None for an axis not in axes
+    rhs: Evaluator
+
+
+#: Every finite identity, by report id: the display families of Theorems
+#: 2.2, 2.3 and 2.5 (forward forms, their inversions, and the x = 0 forms on
+#: an n grid), Theorem 2.6, Lemma a, the beta equality, the inversion
+#: duality, and the fixture that must fail.  A failing forward point's
+#: witness is (alt_power_sum(n, x, s), display side / (s-1)!).
+IDENTITIES: dict[str, _Identity] = {
+    "eq15": _Identity("thm2.2", "nx", *_forward(2)),
+    "thm2.2a": _Identity("thm2.2", "nx", *_inverted(2)),
+    "eq16": _Identity("thm2.2", "n", *_forward(2)),
+    "thm2.2b": _Identity("thm2.2", "n", *_inverted(2)),
+    "thm2.3a": _Identity("thm2.3", "nx", *_forward(3)),
+    "thm2.3b": _Identity("thm2.3", "nx", *_forward(4)),
+    "eq20": _Identity("thm2.3", "nx", *_inverted(3)),
+    "eq21": _Identity("thm2.3", "nx", *_inverted(4)),
+    "thm2.3c": _Identity("thm2.3", "n", *_forward(3)),
+    "thm2.3d": _Identity("thm2.3", "n", *_forward(4)),
+    "eq28": _Identity("thm2.5", "nx", *_forward(5)),
+    "thm2.5a": _Identity("thm2.5", "nx", *_inverted(5)),
+    "eq29": _Identity("thm2.5", "n", *_forward(5)),
+    "thm2.5b": _Identity("thm2.5", "n", *_inverted(5)),
+    "thm2.6-finite": _Identity(
+        "thm2.6", "rnx",
+        lambda refs, n, x, r: refs.alternating(x, r + 2)[n],
+        lambda refs, n, x, r: mixed_sum(*refs.derivatives(x)[n], r),
     ),
-    "thm2.5": ((5, _poly_r4, "eq28", "thm2.5a", "eq29", "thm2.5b"),),
+    "lemma-a": _Identity(
+        "lemma-a", "rnx",
+        lambda refs, n, x, r: refs.derivatives(x)[n][1][r],
+        lambda refs, n, x, r: (-1) ** r * math.factorial(r) * refs.alternating(x, r + 1)[n],
+    ),
+    "beta-eq": _Identity(
+        "beta-eq", "nx",
+        lambda refs, n, x, r: beta_F(n, x),
+        lambda refs, n, x, r: refs.alternating(x, 1)[n],
+    ),
+    "inversion-duality": _Identity(
+        "inversion", "n",
+        lambda refs, n, x, r: refs.eq16_inverted()[n],
+        lambda refs, n, x, r: Fraction(1, (n + 1) ** 2),
+    ),
+    "fixture-fail": _Identity(
+        "fixture-fail", "n",
+        lambda refs, n, x, r: beta_F(n, 0),
+        lambda refs, n, x, r: Fraction(1, n + 2),
+    ),
+}
+
+#: The axes each ``verify`` target of IDENTITIES reads: the union of its rows' axes.
+GROUP_AXES: dict[str, frozenset[str]] = {
+    group: frozenset().union(*(row.axes for row in IDENTITIES.values() if row.group == group))
+    for group in dict.fromkeys(row.group for row in IDENTITIES.values())
 }
 
 
-def _display_forms(
-    forms: Sequence[tuple[int, Evaluator, str, str | None]],
-    x: Fraction,
-    h: Sequence[Sequence[Fraction]],
-    weight: Sequence[Fraction],
-    grid: list[dict],
-    refs: _References,
-) -> list[IdentityReport]:
-    """Each (s, display, forward id, inverted id) forward form, then each inverted one.
+def _grid(axes: str, n_max: int, r_max: int, xs: Sequence[RationalLike]) -> list[dict]:
+    """The points of an ``axes`` grid: r outermost, then x, then n."""
+    points = [{"n": n} for n in range(n_max + 1)]
+    if "x" in axes:
+        points = [{**point, "x": Fraction(x)} for x in xs for point in points]
+    if "r" in axes:
+        points = [{"r": r, **point} for r in range(r_max + 1) for point in points]
+    return points
 
-    h[n] holds H_n(x, 1), H_n(x, 2), ...  A failing forward point's witness
-    is (alt_power_sum(n, x, s), display side / (s-1)!).
-    """
+
+def _check_group(
+    group: str, n_max: int, r_max: int | None, xs: Sequence[RationalLike] | None, refs=None
+) -> list[IdentityReport]:
+    """Every row of ``group`` over its grid.  A group reads only its axes:
+    it ignores r_max and xs where it has none, and builds its own rows
+    without refs."""
+    refs = refs or _References(n_max, r_max if "r" in GROUP_AXES[group] else 0)
     reports: list[IdentityReport] = []
-    sides = []
-    for s, display, forward_id, _ in forms:
-        side = [display(*hn[: s - 1]) * w for hn, w in zip(h, weight)]
-        sides.append(side)
-        reports += generic_check(
-            forward_id,
-            lambda n, **_ignored: refs.alternating(x, s)[n],
-            _indexed([v / math.factorial(s - 1) for v in side]),
-            grid,
-        )
-    for (s, _, _, inverted_id), side in zip(forms, sides):
-        if inverted_id is not None:
+    for identity_id, row in IDENTITIES.items():
+        if row.group == group:
             reports += generic_check(
-                inverted_id,
-                _indexed([v / math.factorial(s - 1) for v in binomial_inverse(side)]),
-                lambda n, **_ignored: 1 / (x + n + 1) ** s,
-                grid,
+                identity_id,
+                lambda n, x=None, r=None: row.lhs(refs, n, x, r),
+                lambda n, x=None, r=None: row.rhs(refs, n, x, r),
+                _grid(row.axes, n_max, r_max, xs),
             )
     return reports
 
 
-def _check_display_family(
-    rows: Sequence[_DisplayRow], n_max: int, x_samples: Sequence[RationalLike], refs
-) -> list[IdentityReport]:
-    """The forms of every row at each x, then the x = 0 forms.
-
-    H and F_n = F_n^(0) come from the derivative rows at x; the x = 0 forms
-    take H from the rows at 0 and keep their literal weight 1/(n+1).  An x
-    whose rows cannot be built gives a skipped report at each point of each
-    form, as :func:`generic_check` does.
-    """
-    refs = refs or _References(n_max, 0)
-    reports: list[IdentityReport] = []
-    for x in [Fraction(v) for v in x_samples]:
-        try:
-            x_rows = refs.derivatives(x)[: n_max + 1]
-        except DomainError as exc:
-            reports += [
-                IdentityReport(row[i], point, SKIPPED, reason=str(exc))
-                for i in (2, 3) for row in rows for point in _grid_nx(n_max, [x])
-            ]
-            continue
-        h = [hn for hn, _ in x_rows]
-        f = [derivatives[0] for _, derivatives in x_rows]
-        reports += _display_forms([row[:4] for row in rows], x, h, f, _grid_nx(n_max, [x]), refs)
-    h0 = [hn for hn, _ in refs.derivatives(Fraction(0))[: n_max + 1]]
-    weight0 = [Fraction(1, k + 1) for k in range(n_max + 1)]
-    reports += _display_forms(
-        [row[:2] + row[4:] for row in rows], Fraction(0), h0, weight0, _grid_n(n_max), refs
-    )
-    return reports
-
-
 def check_theorem_2_2(
-    n_max: int = 50, x_samples: Sequence[RationalLike] = DEFAULT_X_SAMPLES, refs=None
+    n_max: int = 50, x_samples: Sequence[RationalLike] = DEFAULT_X_SAMPLES
 ) -> list[IdentityReport]:
     """First-order family: eq15, its inversion thm2.2a, and their x = 0 forms eq16, thm2.2b."""
-    return _check_display_family(_DISPLAY_FAMILIES["thm2.2"], n_max, x_samples, refs)
+    return _check_group("thm2.2", n_max, None, x_samples)
 
 
 def check_theorem_2_3(
-    n_max: int = 50, x_samples: Sequence[RationalLike] = DEFAULT_X_SAMPLES, refs=None
+    n_max: int = 50, x_samples: Sequence[RationalLike] = DEFAULT_X_SAMPLES
 ) -> list[IdentityReport]:
     """Second/third-order family: thm2.3a/b, their inversions eq20/eq21, x = 0 forms thm2.3c/d."""
-    return _check_display_family(_DISPLAY_FAMILIES["thm2.3"], n_max, x_samples, refs)
+    return _check_group("thm2.3", n_max, None, x_samples)
 
 
 def check_theorem_2_5(
-    n_max: int = 50, x_samples: Sequence[RationalLike] = DEFAULT_X_SAMPLES, refs=None
+    n_max: int = 50, x_samples: Sequence[RationalLike] = DEFAULT_X_SAMPLES
 ) -> list[IdentityReport]:
     """Fourth-order family: eq28, its inversion thm2.5a, and their x = 0 forms eq29, thm2.5b."""
-    return _check_display_family(_DISPLAY_FAMILIES["thm2.5"], n_max, x_samples, refs)
+    return _check_group("thm2.5", n_max, None, x_samples)
 
 
 def check_theorem_2_6_finite(
     r_max: int = 6,
     n_max: int = 30,
     x_samples: Sequence[RationalLike] = (Fraction(0), Fraction(1, 2)),
-    refs=None,
 ) -> list[IdentityReport]:
     """General-order finite identity (``thm2.6-finite``), exact for every (r, n, x)."""
-    refs = refs or _References(n_max, r_max)
-    return generic_check(
-        "thm2.6-finite",
-        lambda n, x, r: refs.alternating(x, r + 2)[n],
-        lambda n, x, r: mixed_sum(*refs.derivatives(x)[n], r),
-        [{"r": r, **point} for r in range(r_max + 1) for point in _grid_nx(n_max, x_samples)],
-    )
+    return _check_group("thm2.6", n_max, r_max, x_samples)
 
 
 def check_beta_equality(
-    n_max: int = 50, x_samples: Sequence[RationalLike] = DEFAULT_X_SAMPLES, refs=None
+    n_max: int = 50, x_samples: Sequence[RationalLike] = DEFAULT_X_SAMPLES
 ) -> list[IdentityReport]:
     """Product form vs alternating-sum form of F_n(x) (``beta-eq``)."""
-    refs = refs or _References(n_max, 0)
-    return generic_check(
-        "beta-eq", beta_F, lambda n, x: refs.alternating(x, 1)[n], _grid_nx(n_max, x_samples)
-    )
+    return _check_group("beta-eq", n_max, None, x_samples)
 
 
 def check_lemma_a(
     n_max: int = 40,
     r_max: int = 8,
     x_samples: Sequence[RationalLike] = DEFAULT_X_SAMPLES,
-    refs=None,
 ) -> list[IdentityReport]:
     """Derivative closure (``lemma-a``): F_n^(r)(x) == r!(-1)^r aps(n,x,r+1)."""
-    refs = refs or _References(n_max, r_max)
-
-    def rhs(n: int, x: RationalLike, r: int) -> Fraction:
-        value = math.factorial(r) * refs.alternating(x, r + 1)[n]
-        return -value if r % 2 else value
-
-    lhs = lambda n, x, r: refs.derivatives(x)[n][1][r]
-    grid = [{"r": r, **point} for r in range(r_max + 1) for point in _grid_nx(n_max, x_samples)]
-    return generic_check("lemma-a", lhs, rhs, grid)
+    return _check_group("lemma-a", n_max, r_max, x_samples)
 
 
 def check_inversion(
@@ -366,41 +381,22 @@ def check_inversion(
                 "inversion", {"n": trial}, PASS if witness is None else FAIL, witness=witness
             )
         )
-    forward = [harmonic_number(k + 1, 1) / (k + 1) for k in range(n_max + 1)]
-    inverted = binomial_inverse(forward)
-    reports += generic_check(
-        "inversion-duality",
-        lambda n: inverted[n],
-        lambda n: Fraction(1, (n + 1) ** 2),
-        _grid_n(n_max),
-    )
-    return reports
+    return reports + _check_group("inversion", n_max, None, None)
 
 
 def deliberate_mismatch_check(n_max: int = 10) -> list[IdentityReport]:
     """A check that must fail; exercises the failure/witness/exit-code path."""
-    return generic_check(
-        "fixture-fail",
-        lambda n: beta_F(n, 0),
-        lambda n: Fraction(1, n + 2),
-        _grid_n(n_max),
-    )
+    return _check_group("fixture-fail", n_max, None, None)
 
 
 #: The check groups by ``verify`` target, each called as (n_max, r_max, xs)
 #: and optionally the sweep's shared reference rows, built to at least
-#: (n_max, r_max); without them an exact group builds its own.  This is the
-#: one list of groups: :func:`run_all` reads it, and the CLI's verify rows,
-#: one per group, list the arguments it reads and pass None for the rest.
+#: (n_max, r_max).  This is the one list of groups, which :func:`run_all`
+#: reads; fixture-fail, which must fail, is none of them.
 CHECK_GROUPS: dict[str, Callable[..., list[IdentityReport]]] = {
-    "thm2.2": lambda n_max, r_max, xs, refs=None: check_theorem_2_2(n_max, xs, refs),
-    "thm2.3": lambda n_max, r_max, xs, refs=None: check_theorem_2_3(n_max, xs, refs),
-    "thm2.5": lambda n_max, r_max, xs, refs=None: check_theorem_2_5(n_max, xs, refs),
-    "thm2.6": lambda n_max, r_max, xs, refs=None: check_theorem_2_6_finite(r_max, n_max, xs, refs),
-    "lemma-a": lambda n_max, r_max, xs, refs=None: check_lemma_a(n_max, r_max, xs, refs),
-    "beta-eq": lambda n_max, r_max, xs, refs=None: check_beta_equality(n_max, xs, refs),
-    "inversion": lambda n_max, r_max, xs, refs=None: check_inversion(n_max=n_max),
+    group: functools.partial(_check_group, group) for group in GROUP_AXES if group != "fixture-fail"
 }
+CHECK_GROUPS["inversion"] = lambda n_max, r_max, xs, refs=None: check_inversion(n_max=n_max)
 
 #: Ceilings :func:`run_all` puts on n_max for the groups whose cost grows
 #: fastest in n; a single-group call is not capped.

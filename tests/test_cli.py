@@ -467,6 +467,21 @@ class TestCheckGroupTable:
         assert list(_TARGETS["verify"]) == [*CHECK_GROUPS, "all", "fixture-fail"]
         assert _verify_choices() == [*CHECK_GROUPS, "all", "fixture-fail"]
 
+    def test_verify_rows_are_pinned(self):
+        # the rows derive from identity_suite.GROUP_AXES, and the tests that
+        # read _TARGETS cannot see a derivation that widens or narrows one
+        assert [(target, tuple(reads)) for target, reads in _TARGETS["verify"].items()] == [
+            ("thm2.2", ("n-max", "x")),
+            ("thm2.3", ("n-max", "x")),
+            ("thm2.5", ("n-max", "x")),
+            ("thm2.6", ("n-max", "x", "r-max")),
+            ("lemma-a", ("n-max", "x", "r-max")),
+            ("beta-eq", ("n-max", "x")),
+            ("inversion", ("n-max",)),
+            ("all", ("n-max", "x", "r-max")),
+            ("fixture-fail", ("n-max",)),
+        ]
+
     @pytest.mark.parametrize(
         "target, flag",
         [

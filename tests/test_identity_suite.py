@@ -1,6 +1,9 @@
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,8 @@ from harmonic_beta.identity_suite import (
     SKIPPED,
     CHECK_GROUPS,
     DEFAULT_X_SAMPLES,
+    GROUP_AXES,
+    IDENTITIES,
     IdentityReport,
     binomial_inverse,
     check_beta_equality,
@@ -200,9 +205,7 @@ class TestTheorem23:
         def wrong_r3(h1, h2, h3):
             return 2 * h3 + 4 * h1 * h2 + h1**3  # the display has 3 * h1 * h2
 
-        r2_row, r3_row = identity_suite._DISPLAY_FAMILIES["thm2.3"]
-        wrong_row = (r3_row[0], wrong_r3, *r3_row[2:])
-        monkeypatch.setitem(identity_suite._DISPLAY_FAMILIES, "thm2.3", (r2_row, wrong_row))
+        monkeypatch.setitem(identity_suite._DISPLAYS, 4, wrong_r3)
         reports = run_all(6, 2, [Fraction(0), Fraction(1, 2)])
         failing = {r.identity_id for r in reports if r.status == FAIL}
         assert failing == {"thm2.3b", "eq21", "thm2.3d"}
@@ -425,6 +428,54 @@ class TestRunAll:
                 for r in bad
             )
             assert all(r.status == PASS for r in reports if r not in bad)
+
+
+class TestIdentityTable:
+    @pytest.mark.parametrize("group", [*CHECK_GROUPS, "fixture-fail"])
+    def test_each_group_emits_exactly_its_rows(self, group):
+        if group == "fixture-fail":
+            reports = deliberate_mismatch_check(2)
+        else:
+            reports = CHECK_GROUPS[group](2, 1, [Fraction(0), Fraction(1, 2)])
+        rows = {i: row for i, row in IDENTITIES.items() if row.group == group}
+        trials = {"inversion"} if group == "inversion" else set()
+        assert {r.identity_id for r in reports} == set(rows) | trials
+        # each report's params are its row's grid axes; a trial's is its index n
+        for report in reports:
+            axes = rows[report.identity_id].axes if report.identity_id in rows else "n"
+            assert set(report.params) == set(axes), report
+        assert set(GROUP_AXES[group]) == set().union(*(row.axes for row in rows.values()))
+
+    def test_dropping_the_references_frees_their_rows_without_the_cyclic_collector(self):
+        refs = identity_suite._References(6, 2)
+        for x in (None, Fraction(1, 2)):
+            for s in (2, 3):
+                refs.display(x, s)
+                refs.inverted(x, s)
+        refs.alternating(Fraction(1, 2), 2)
+        refs.eq16_inverted()
+        rows = [refs, refs.derivatives, refs.alternating, refs.display, refs.inverted]
+        gc.disable()
+        try:
+            dead = [weakref.ref(value) for value in rows + [refs.eq16_inverted]]
+            del refs, rows
+            assert [ref() for ref in dead] == [None] * len(dead)
+        finally:
+            gc.enable()
+
+    def test_readme_lists_every_identity_with_its_group_and_grid(self):
+        # README's catalog table: | `id` | `group` | grid | what it states |
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("| id | `verify` target | grid | what it states |\n", 1)[1]
+        listed = {}
+        for line in table.splitlines()[1:]:
+            if not line.startswith("| `"):
+                break
+            identity_id, group, grid = (cell.strip(" `") for cell in line.split("|")[1:4])
+            listed[identity_id] = (group, grid.replace(", ", ""))
+        assert set(listed) == set(IDENTITIES) | {"inversion"}
+        assert listed.pop("inversion") == ("inversion", "n")
+        assert listed == {i: (row.group, row.axes) for i, row in IDENTITIES.items()}
 
 
 # (x, s, n): the entry n of the alternating row at (x, s) is off by 1/D**s
