@@ -20,13 +20,7 @@ from typing import Callable, Sequence
 from . import beta_engine, float_oracle, harmonic_core, identity_suite, series_lab
 from .harmonic_core import DomainError, format_rational, parse_rational
 from .identity_suite import IdentityReport
-from .reporting import (
-    dumps,
-    estimate_to_csv,
-    format_float,
-    identity_report_dict,
-    reports_to_csv,
-)
+from .reporting import dumps, estimate_to_csv, format_float, report_line, reports_to_csv
 from .series_lab import EXACT_N_MAX, SeriesEstimate
 
 __all__ = ["run", "main"]
@@ -119,8 +113,11 @@ def _count(text: str) -> int:
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser whose errors are the one line ``prog: error: message``.
 
-    ``add_subparsers`` builds every subparser with this class too.
+    ``add_subparsers`` builds every subparser with this class too.  The
+    top-level parser keeps its commands' parsers in ``commands``.
     """
+
+    commands: dict[str, argparse.ArgumentParser]
 
     def error(self, message: str):
         self.exit(2, f"{self.prog}: error: {message}\n")
@@ -153,6 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     _table_parser(sub, "oracle", "floating-point cross-checks", "json")
+    parser.commands = sub.choices
     return parser
 
 
@@ -182,10 +180,25 @@ def _output_flags(parser: argparse.ArgumentParser, default_format: str) -> None:
     parser.add_argument("--out", default=None, help="write output to this file")
 
 
+def _parse(parser: _Parser, argv: list[str]) -> argparse.Namespace:
+    """``parser.parse_args(argv)``, with one level of parsing where argv
+    starts with a command: the rest goes straight to that command's parser,
+    and the words it leaves get the top-level ``unrecognized arguments``
+    error, as parse_args would give them."""
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def run(argv: Sequence[str]) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _parse(parser, list(argv))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
@@ -267,8 +280,11 @@ def _run_compute(args) -> tuple[int, str]:
         if args.x is None:
             value = harmonic_core.harmonic_number(args.n, args.alpha)
             params = {"n": args.n, "alpha": args.alpha}
-        else:
-            value = harmonic_core.harmonic_function(args.n, args.x, args.alpha)
+        else:  # harmonic_function(n, x, alpha) by the harmonic kernel at order alpha alone
+            harmonic_core._check_power_sum("harmonic_function", args.n, args.alpha)
+            state = harmonic_core.HarmonicNumerators(args.x, args.alpha, lowest=args.alpha)
+            state.advance(args.n + 1)
+            value = state.values()[0]
             params = {"n": args.n, "x": args.x, "alpha": args.alpha}
         return 0, _scalar_output(args, "H", params, value)
     if what == "F":
@@ -373,7 +389,7 @@ def _render_reports(args, reports: list[IdentityReport]) -> str:
         passed = sum(1 for r in reports if r.passed)
         lines.append(f"{passed}/{len(reports)} passed")
         return "\n".join(lines) + "\n"
-    return "\n".join(dumps(identity_report_dict(r)) for r in reports) + "\n"
+    return "\n".join(map(report_line, reports)) + "\n"
 
 
 # -- series -------------------------------------------------------------------

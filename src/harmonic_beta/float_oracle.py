@@ -250,9 +250,15 @@ def log_moment_quadrature(n: int, m: int, x: RationalLike) -> QuadratureResult:
 
 def _row_products(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     """u.prod(axis=1) written into ``out``, bit for bit: the columns
-    multiplied left to right."""
-    out[:] = u[:, 0]
-    for j in range(1, u.shape[1]):
+    multiplied left to right, the first two into ``out`` by one
+    ``np.multiply``, so each column is read once."""
+    import numpy as np
+
+    if u.shape[1] == 1:
+        out[:] = u[:, 0]
+        return out
+    np.multiply(u[:, 0], u[:, 1], out=out)
+    for j in range(2, u.shape[1]):
         out *= u[:, j]
     return out
 
@@ -269,7 +275,9 @@ def cube_monte_carlo(
     result.  Each batch is drawn a block of _MC_BLOCK rows at a time into
     one reused buffer, which continues the batch's stream exactly as one
     draw of the whole batch would; the row products of a batch fill one
-    reused array, so its sums see the whole batch.
+    reused array (by :func:`_row_products`, one pass per column after the
+    first two), so its sums see the whole batch.  Each sample's value
+    (1 - product)**n is taken in place, with the power skipped at n = 1.
     """
     if n < 0:
         raise DomainError(f"cube_monte_carlo requires n >= 0, got n={n}")
@@ -298,7 +306,8 @@ def cube_monte_carlo(
             rng.random(out=u)
             _row_products(u, values[start : start + len(u)])
         np.subtract(1.0, values, out=values)
-        values **= n
+        if n != 1:  # x**1 is x
+            values **= n
         total += float(values.sum())
         values *= values
         total_sq += float(values.sum())

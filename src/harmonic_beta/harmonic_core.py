@@ -187,12 +187,17 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def _check_power_sum(name: str, n: int, alpha: int) -> None:
+    """Refuse, for the power sum ``name``, n < 0 and then alpha < 1."""
+    if n < 0:
+        raise DomainError(f"{name} requires n >= 0, got n={n}")
+    if alpha < 1:
+        raise DomainError(f"{name} requires alpha >= 1, got alpha={alpha}")
+
+
 def harmonic_number(n: int, alpha: int) -> Fraction:
     """Generalized harmonic number: sum of 1/k**alpha for k = 1..n (0 for n = 0)."""
-    if n < 0:
-        raise DomainError(f"harmonic_number requires n >= 0, got n={n}")
-    if alpha < 1:
-        raise DomainError(f"harmonic_number requires alpha >= 1, got alpha={alpha}")
+    _check_power_sum("harmonic_number", n, alpha)
     return sum((Fraction(1, k**alpha) for k in range(1, n + 1)), Fraction(0))
 
 
@@ -206,12 +211,11 @@ def _check_shift(x: Fraction) -> Fraction:
 def harmonic_function(n: int, x: RationalLike, alpha: int) -> Fraction:
     """Shifted power sum: sum of 1/(k+x+1)**alpha for k = 0..n, exact.
 
-    At x = 0 this equals ``harmonic_number(n + 1, alpha)``.
+    At x = 0 this equals ``harmonic_number(n + 1, alpha)``.  The CLI's
+    ``compute H --x`` takes the same value from :class:`HarmonicNumerators`;
+    this direct sum is its reference.
     """
-    if n < 0:
-        raise DomainError(f"harmonic_function requires n >= 0, got n={n}")
-    if alpha < 1:
-        raise DomainError(f"harmonic_function requires alpha >= 1, got alpha={alpha}")
+    _check_power_sum("harmonic_function", n, alpha)
     x = _check_shift(x)
     return sum(
         (Fraction(1, 1) / (k + x + 1) ** alpha for k in range(n + 1)), Fraction(0)

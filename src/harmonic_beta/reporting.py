@@ -22,7 +22,7 @@ from .series_lab import SeriesEstimate
 __all__ = [
     "dumps",
     "format_float",
-    "identity_report_dict",
+    "report_line",
     "reports_to_csv",
     "estimate_to_csv",
 ]
@@ -81,38 +81,37 @@ def _emit(obj: Any, out: list[str]) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def identity_report_dict(report: IdentityReport) -> dict:
-    """JSON shape for one report: fixed key order, params as n/x/r.
-
-    elapsed_ms is always 0, kept so the report format does not change.
+def report_line(report: IdentityReport) -> str:
+    """One report's JSON line, written directly in the form ``dumps`` gives:
+    identity_id, params as n/x/r, status, then witness, reason and oracle
+    when present.  A rational's text is digits, "-" and "/" alone, so needs
+    no escaping.  elapsed_ms is always 0, kept so the report format does not
+    change.
     """
-    params: dict[str, Any] = {}
-    if "n" in report.params:
-        params["n"] = int(report.params["n"])
-    if "x" in report.params:
-        params["x"] = format_rational(report.params["x"])
-    if "r" in report.params:
-        params["r"] = int(report.params["r"])
-    out: dict[str, Any] = {
-        "identity_id": report.identity_id,
-        "params": params,
-        "status": report.status,
-    }
+    params = report.params
+    fields = []
+    if "n" in params:
+        fields.append(f'"n": {int(params["n"])}')
+    if "x" in params:
+        fields.append(f'"x": "{format_rational(params["x"])}"')
+    if "r" in params:
+        fields.append(f'"r": {int(params["r"])}')
+    line = (
+        f'{{"identity_id": {encode_basestring_ascii(report.identity_id)}, '
+        f'"params": {{{", ".join(fields)}}}, "status": {encode_basestring_ascii(report.status)}'
+    )
     if report.witness is not None:
-        out["witness"] = {
-            "lhs": format_rational(report.witness[0]),
-            "rhs": format_rational(report.witness[1]),
-        }
+        lhs, rhs = report.witness
+        line += f', "witness": {{"lhs": "{format_rational(lhs)}", "rhs": "{format_rational(rhs)}"}}'
     if report.reason is not None:
-        out["reason"] = report.reason
+        line += f', "reason": {encode_basestring_ascii(report.reason)}'
     if report.oracle is not None:
-        out["oracle"] = report.oracle
-    out["elapsed_ms"] = 0
-    return out
+        line += f', "oracle": {dumps(report.oracle)}'
+    return line + ', "elapsed_ms": 0}'
 
 
 def reports_to_csv(reports: Iterable[IdentityReport]) -> str:
-    """One CSV row per report; elapsed_ms is 0, as in identity_report_dict."""
+    """One CSV row per report; elapsed_ms is 0, as in report_line."""
     import csv
 
     buffer = io.StringIO()

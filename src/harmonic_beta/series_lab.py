@@ -25,7 +25,11 @@ numerators.  The closed form must equal a direct term-by-term sum at every
 checkpoint up to 512, so a verdict does not rest on it alone.
 
 Float mode (the CLI's ``--float``) computes the same terms in binary64 with
-numpy, a chunk of n at a time, and sums them with one ``math.fsum``; a
+numpy, a chunk of n at a time, and sums them exactly, rounding once at the
+end: each chunk's terms are binned by binary exponent and their mantissas
+added per bin as integers (an exponent-binned accumulator in the manner of
+Neal, *Fast exact summation using small and large superaccumulators*,
+2015), which gives the correctly rounded value ``math.fsum`` gives.  A
 log-weight term takes G_k from the same complete-Bell recurrence as exact
 mode, applied to the chunk's rows of H^(alpha).  numpy
 is imported by the first float-mode sum, so exact mode never loads it.  Only
@@ -38,7 +42,6 @@ encloses the rounding error as well as the tail.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -104,12 +107,18 @@ _CHUNK = 1 << 14
 
 # Most N * k(k+1)/2 (the products of G_k's recurrence) a float-mode log-weight
 # sum takes; its time is about linear in both.  lemma-c --r 10 runs to the
-# N(N+1) < 2**53 bound, N = 94906265, in 16.3 s; --r 11 at N = 78181818 took
-# 16.1 s and --r 20 at N = 22631578 11.0 s (in-process CPU, 2 vCPUs).
+# N(N+1) < 2**53 bound, N = 94906265, in 14.2 s; --r 11 at N = 78181818 took
+# 13.0 s and --r 20 at N = 22631578 10.2 s (in-process CPU, 2 vCPUs).
 _FLOAT_TERM_BUDGET = 43 * 10**8
 
 # Integers below this are exact binary64 values.
 _FLOAT_INT_LIMIT = 1 << 53
+
+# _fsum_ball's split of a 53-bit mantissa: its low 27 bits, summed apart from
+# the high 26 bits.  A term M * 2**(e - 53) has e - 53 >= -1126 (e is -1073
+# at the least subnormal), so the sum times 2**_SUM_SHIFT is an integer.
+_LOW_DIGITS = 27
+_SUM_SHIFT = 1126
 
 # Float mode admits only inputs whose intermediates stay within
 # [2**-_FLOAT_LOW_BITS, 2**_FLOAT_HIGH_BITS], inside the normal binary64
@@ -300,16 +309,41 @@ def hurwitz_partial(
 
 
 def _fsum_ball(chunks: Iterator[np.ndarray], K: int) -> tuple[float, Fraction]:
-    """One correctly rounded fsum of positive terms, and its rounding radius.
+    """The correctly rounded sum of positive terms, and its rounding radius.
 
-    ``K`` bounds the roundings on any term's path, the fsum's included.  With
-    u = 2**-53 and gamma_K = K*u/(1 - K*u), each computed term is its true
-    value times some 1 + theta, |theta| <= gamma_K; as every term is positive
-    the float sum S~ is the true sum S times some factor in
-    [1 - gamma_K, 1 + gamma_K], so |S - S~| <= gamma_K/(1 - gamma_K) * S~
-    = K * S~/(2**53 - 2K), which is the returned radius.
+    Each chunk (of at most 2**26 terms; _CHUNK is 2**14) is split by
+    ``np.frexp`` into integer mantissas M < 2**53 and exponents e, a term
+    being M * 2**(e - 53).  The high 26 and low 27 bits of M are summed per
+    exponent by ``np.bincount``; every bin total is an integer below 2**53,
+    so exact in binary64.  The bins are joined as one Python int, and the
+    total is rounded once, by ``float`` of a Fraction (round half to even):
+    the value ``math.fsum`` returns.
+
+    ``K`` bounds the roundings on any term's path; that final rounding is
+    still one of them, as it was fsum's.  With u = 2**-53 and gamma_K =
+    K*u/(1 - K*u), each computed term is its true value times some
+    1 + theta, |theta| <= gamma_K; as every term is positive the float sum
+    S~ is the true sum S times some factor in [1 - gamma_K, 1 + gamma_K],
+    so |S - S~| <= gamma_K/(1 - gamma_K) * S~ = K * S~/(2**53 - 2K), which
+    is the returned radius.
     """
-    total = math.fsum(itertools.chain.from_iterable(chunk.tolist() for chunk in chunks))
+    import numpy as np
+
+    scaled = 0  # the exact sum times 2**_SUM_SHIFT
+    for chunk in chunks:
+        mantissa, exponent = np.frexp(chunk)
+        lowest = int(exponent.min())
+        bins = exponent - lowest
+        digits = mantissa * float(_FLOAT_INT_LIMIT)
+        high = np.floor(digits * 2.0**-_LOW_DIGITS)
+        low = digits - high * 2.0**_LOW_DIGITS
+        highs = np.bincount(bins, weights=high).tolist()
+        lows = np.bincount(bins, weights=low).tolist()
+        binned = 0  # the chunk's sum over 2**(lowest - 53)
+        for h, l in zip(reversed(highs), reversed(lows)):
+            binned = (binned << 1) + (int(h) << _LOW_DIGITS) + int(l)
+        scaled += binned << (lowest - 53 + _SUM_SHIFT)
+    total = float(Fraction(scaled, 1 << _SUM_SHIFT))
     return total, Fraction(total) * K / (_FLOAT_INT_LIMIT - 2 * K)
 
 
@@ -344,8 +378,8 @@ def _hurwitz_ball(x: Fraction, s: int, N: int) -> tuple[float, Fraction]:
     The products q(n+1) and the denominators d = q(n+1)+p are exact binary64
     integers.  t = q/d is one rounding, t(1 + delta); its s-th power by
     s - 1 products is t**s * (1 + delta)**s times s - 1 further factors, so
-    2s - 1 roundings, and with the fsum K = 2s.  Rejects inputs where q(N+1)
-    or d reaches 2**53 or a term could leave [2**-1000, 2**960].
+    2s - 1 roundings, and with the sum's one rounding K = 2s.  Rejects inputs
+    where q(N+1) or d reaches 2**53 or a term could leave [2**-1000, 2**960].
     """
     p, q = x.numerator, x.denominator
     top = q * (N + 1) + max(p, 0)
@@ -595,7 +629,7 @@ def _log_weight_ball(k: int, N: int) -> tuple[float, Fraction]:
     roundings; term 0 is h_1 * G_j with no coefficient: a_j + N + 2 + 1 + 1.
     By induction a_j <= j * (N + 4): term 0 meets (j+1)(N+4) exactly, and
     term i >= 1 stays below it by i*N + i - 1 >= 0.  The division by the
-    exact n(n+1) is one more rounding and the fsum one: K = k * (N + 4) + 2.
+    exact n(n+1) is one more rounding and the sum's one: K = k * (N + 4) + 2.
 
     Every intermediate stays a normal float, so every rounding error is
     relative: h_alpha, G_j and the coefficients are at least 1, and the

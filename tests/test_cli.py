@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import harmonic_beta
-from harmonic_beta.cli import _FLAGS, _NO_CSV, _REQUIRED, _TARGETS, build_parser, run
-from harmonic_beta.identity_suite import CHECK_GROUPS
-from harmonic_beta.reporting import dumps, format_float
+from harmonic_beta.cli import _FLAGS, _NO_CSV, _REQUIRED, _TARGETS, _parse, build_parser, run
+from harmonic_beta.harmonic_core import format_rational, harmonic_function
+from harmonic_beta.identity_suite import CHECK_GROUPS, IdentityReport
+from harmonic_beta.reporting import dumps, format_float, report_line
 
 
 def invoke(capsys, *argv):
@@ -34,6 +35,16 @@ class TestComputeCommand:
     def test_harmonic_function(self, capsys):
         code, out, _ = invoke(capsys, "compute", "H", "--n", "2", "--x", "1", "--alpha", "1")
         assert code == 0 and out == "13/12\n"
+
+    @pytest.mark.parametrize("x", ["1/2", "7/3", "-49/100"])
+    @pytest.mark.parametrize("alpha", [1, 2, 4, 13, 30])
+    def test_shifted_harmonic_by_the_kernel_equals_the_direct_sum(self, capsys, x, alpha):
+        # compute H --x sums on HarmonicNumerators; harmonic_function is its reference
+        for n in (0, 1, 2, 5, 64, 200):
+            code, out, _ = invoke(
+                capsys, "compute", "H", "--n", str(n), f"--x={x}", "--alpha", str(alpha)
+            )
+            assert (code, out) == (0, format_rational(harmonic_function(n, Fraction(x), alpha)) + "\n")
 
     def test_beta(self, capsys):
         code, out, _ = invoke(capsys, "compute", "F", "--n", "3", "--x", "0")
@@ -380,6 +391,120 @@ class TestOracleCommand:
         _, out1, _ = invoke(capsys, *args)
         _, out2, _ = invoke(capsys, *args)
         assert out1 == out2
+
+
+class TestParseDispatch:
+    """An argv that starts with a command is parsed by that command's parser
+    alone; exit codes and messages are those of the one top-level parse."""
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            ([], 2, "harmonic-beta: error: the following arguments are required: command\n"),
+            (["--help"], 0, ""),
+            (
+                ["nope"],
+                2,
+                "harmonic-beta: error: argument command: invalid choice: 'nope' "
+                "(choose from 'compute', 'verify', 'series', 'oracle')\n",
+            ),
+            (["oracle"], 2, "harmonic-beta oracle: error: the following arguments are required: target\n"),
+            (["oracle", "-h"], 0, ""),
+            (
+                ["oracle", "quad", "--n", "3", "--bogus"],
+                2,
+                "harmonic-beta: error: unrecognized arguments: --bogus\n",
+            ),
+            (
+                ["oracle", "quad", "--n", "x"],
+                2,
+                "harmonic-beta oracle: error: argument --n: invalid int value: 'x'\n",
+            ),
+            (["verify", "inversion", "--x", "1/2"], 2, "harmonic-beta: error: verify inversion takes no --x\n"),
+        ],
+    )
+    def test_exit_code_and_message(self, capsys, argv, code, err):
+        got_code, out, got_err = invoke(capsys, *argv)
+        assert (got_code, got_err) == (code, err)
+        if argv and argv[-1] in ("--help", "-h"):
+            prog = " ".join(["harmonic-beta", *argv[:-1]])
+            assert out.startswith(f"usage: {prog} [-h] ")
+        else:
+            assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "H", "--n", "3", "--x=-49/100", "--alpha", "2", "--format", "json"],
+            ["verify", "all", "--n-max", "2", "--x", "0,1/2"],
+            ["series", "zeta", "--s", "2", "--N", "20000", "--float", "--out", "o.txt"],
+            ["oracle", "mc", "--n", "1", "--r", "2", "--seed", "-3"],
+        ],
+    )
+    def test_namespace_is_the_top_level_parse(self, argv):
+        parser = build_parser()
+        assert vars(_parse(parser, argv)) == vars(parser.parse_args(argv))
+
+
+class TestReportLine:
+    """Each report shape's JSON line, pinned byte for byte."""
+
+    @pytest.mark.parametrize(
+        "report, line",
+        [
+            (
+                IdentityReport("thm2.2a", {"n": 3, "x": Fraction(-49, 100)}, "pass"),
+                '{"identity_id": "thm2.2a", "params": {"n": 3, "x": "-49/100"}, '
+                '"status": "pass", "elapsed_ms": 0}',
+            ),
+            (
+                IdentityReport(
+                    "fixture-fail", {"n": 2}, "fail", witness=(Fraction(7, 4), Fraction(2))
+                ),
+                '{"identity_id": "fixture-fail", "params": {"n": 2}, "status": "fail", '
+                '"witness": {"lhs": "7/4", "rhs": "2"}, "elapsed_ms": 0}',
+            ),
+            (
+                IdentityReport(
+                    "lemma-a", {"n": 0, "x": Fraction(0), "r": 4}, "skipped",
+                    reason='needs "x" > -1\u00e9',
+                ),
+                '{"identity_id": "lemma-a", "params": {"n": 0, "x": "0", "r": 4}, '
+                '"status": "skipped", "reason": "needs \\"x\\" > -1\\u00e9", "elapsed_ms": 0}',
+            ),
+            (
+                IdentityReport(
+                    "oracle-quad", {"n": 2, "x": Fraction(1, 2), "r": 1}, "fail",
+                    reason="expected -0.10000000000000001",
+                    oracle={"value": -0.1, "err": 1e-17, "evals": 60},
+                ),
+                '{"identity_id": "oracle-quad", "params": {"n": 2, "x": "1/2", "r": 1}, '
+                '"status": "fail", "reason": "expected -0.10000000000000001", '
+                '"oracle": {"value": -0.10000000000000001, "err": 1.0000000000000001e-17, '
+                '"evals": 60}, "elapsed_ms": 0}',
+            ),
+            (
+                IdentityReport(
+                    "oracle-mc", {"n": 1, "r": 2}, "pass",
+                    oracle={
+                        "estimate": 0.75, "stderr": 0.5, "samples": 10,
+                        "seed": 42, "generator": "numpy-sfc64",
+                    },
+                ),
+                '{"identity_id": "oracle-mc", "params": {"n": 1, "r": 2}, "status": "pass", '
+                '"oracle": {"estimate": 0.75, "stderr": 0.5, "samples": 10, "seed": 42, '
+                '"generator": "numpy-sfc64"}, "elapsed_ms": 0}',
+            ),
+        ],
+        ids=["pass", "fail-witness", "skipped-reason", "oracle-quad", "oracle-mc"],
+    )
+    def test_line_is_pinned_and_keeps_its_key_order(self, report, line):
+        assert report_line(report) == line
+        loaded = json.loads(line)
+        keys = ["identity_id", "params", "status", "witness", "reason", "oracle", "elapsed_ms"]
+        assert list(loaded) == [key for key in keys if key in loaded]
+        assert list(loaded["params"]) == [key for key in "nxr" if key in report.params]
+        assert dumps(loaded) == line
 
 
 class TestFloatFormatting:

@@ -3,6 +3,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -464,6 +465,65 @@ def _order_chunk_and_n(draw):
     costs far more per term, so there N stays at most 12."""
     k = draw(st.integers(1, 19))
     return k, draw(_chunk_and_n(2000 if k <= 6 else 12))
+
+
+def _guarded_chunk():
+    """A chunk of 1..2**14 positive normal floats in [2**-1000, 2**960]: up
+    to 50 drawn one by one, or generated from a drawn seed with random
+    mantissas and exponents over a drawn span of the range, or a few drawn
+    values repeated, so sums land on and near ties."""
+    low, high = 2.0**-1000, 2.0**960
+    drawn = st.lists(st.floats(low, high), min_size=1, max_size=50)
+
+    def generated(args):
+        size, seed, first, width = args
+        rng = np.random.default_rng(seed)
+        exponents = rng.integers(first, min(first + width, 959), size=size, endpoint=True)
+        return np.ldexp(rng.uniform(1.0, 2.0, size), exponents)
+
+    generated_chunks = st.tuples(
+        st.integers(1, 2**14), st.integers(0, 2**32), st.integers(-1000, 959), st.integers(0, 1959)
+    ).map(generated)
+    repeated = st.tuples(
+        st.lists(st.floats(low, high), min_size=1, max_size=4), st.integers(1, 2**14)
+    ).map(lambda vs: (vs[0] * (vs[1] // len(vs[0]) + 1))[: vs[1]])
+    return st.one_of(drawn, generated_chunks, repeated)
+
+
+class TestExactSum:
+    """_fsum_ball's binned sum is math.fsum's correctly rounded value, bit for bit."""
+
+    @staticmethod
+    def total(chunks):
+        return series_lab._fsum_ball(iter([np.array(c, dtype=np.float64) for c in chunks]), 2)[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_guarded_chunk(), min_size=1, max_size=4))
+    def test_equals_fsum(self, chunks):
+        expected = math.fsum(itertools.chain.from_iterable(list(c) for c in chunks))
+        assert self.total(chunks).hex() == expected.hex()
+
+    @pytest.mark.parametrize(
+        "chunks, expected",
+        [
+            # exactly halfway between two floats: round half to even
+            ([[1.0, 2**-53]], 1.0),
+            ([[1.0 + 2**-52, 2**-53]], 1.0 + 2**-51),
+            ([[1.0], [2**-53]], 1.0),
+            ([[1.0 + 2**-52], [2**-53]], 1.0 + 2**-51),
+            # just past halfway rounds up
+            ([[1.0, 2**-53, 2**-1000]], 1.0 + 2**-52),
+            # the two ends of the guarded range, 1,960 bins apart
+            ([[2.0**960, 2.0**-1000]], 2.0**960),
+        ],
+    )
+    def test_ties_round_half_to_even(self, chunks, expected):
+        assert self.total(chunks).hex() == expected.hex()
+        assert math.fsum(itertools.chain.from_iterable(chunks)) == expected
+
+    def test_radius_follows_the_rounded_total(self):
+        total, radius = series_lab._fsum_ball(iter([np.array([0.5, 0.25])]), 10)
+        assert (total, radius) == (0.75, Fraction(3, 4) * 10 / (2**53 - 20))
 
 
 class TestFloatBall:
