@@ -48,7 +48,13 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Mapping, NamedTuple, Sequence
 
-from .harmonic_core import DomainError, HarmonicNumerators, RationalLike, _reduced_fraction
+from .harmonic_core import (
+    DomainError,
+    HarmonicNumerators,
+    RationalLike,
+    _check_shift,
+    _reduced_fraction,
+)
 
 __all__ = [
     "BellExpansion",
@@ -171,9 +177,7 @@ def beta_F(n: int, x: RationalLike) -> Fraction:
     """
     if n < 0:
         raise DomainError(f"beta_F requires n >= 0, got n={n}")
-    x = Fraction(x)
-    if x <= -1:
-        raise DomainError(f"beta_F requires x > -1, got x={x}")
+    x = _check_shift(x, "beta_F")
     p, q = x.numerator, x.denominator
     denom = math.prod(q * (k + 1) + p for k in range(n + 1))
     return Fraction(math.factorial(n) * q ** (n + 1), denom)
@@ -197,9 +201,7 @@ def alt_power_row(n_max: int, x: RationalLike, r: int, first: int = 0) -> list[F
         raise DomainError(f"alt_power_sum requires 0 <= n <= n_max, got n={first}, n_max={n_max}")
     if r < 1:
         raise DomainError(f"alt_power_sum requires r >= 1, got r={r}")
-    x = Fraction(x)
-    if x <= -1:
-        raise DomainError(f"alt_power_sum requires x > -1, got x={x}")
+    x = _check_shift(x, "alt_power_sum")
     p, q = x.numerator, x.denominator
     bases = [q * (k + 1) + p for k in range(n_max + 1)]
     D = math.lcm(*bases)

@@ -6,6 +6,9 @@ failed, a bracket excluded its claimed limit, or an oracle disagreed;
 
 x arguments accept only exact "p/q" rationals; decimals are rejected so the
 verification path can never silently lose exactness.
+
+Each handler computes its record and returns what a ``reporting`` renderer
+makes of it in ``--format``; this module lays out no output itself.
 """
 
 from __future__ import annotations
@@ -17,11 +20,10 @@ import sys
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from . import beta_engine, float_oracle, harmonic_core, identity_suite, series_lab
-from .harmonic_core import DomainError, format_rational, parse_rational
+from . import beta_engine, float_oracle, harmonic_core, identity_suite, reporting, series_lab
+from .harmonic_core import DomainError, parse_rational
 from .identity_suite import IdentityReport
-from .reporting import dumps, estimate_to_csv, format_float, report_line, reports_to_csv
-from .series_lab import EXACT_N_MAX, SeriesEstimate
+from .series_lab import EXACT_N_MAX
 
 __all__ = ["run", "main"]
 
@@ -276,72 +278,31 @@ def _check_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> N
 
 def _run_compute(args) -> tuple[int, str]:
     what = args.target
-    if what == "H":
-        if args.x is None:
-            value = harmonic_core.harmonic_number(args.n, args.alpha)
-            params = {"n": args.n, "alpha": args.alpha}
-        else:  # harmonic_function(n, x, alpha) by the harmonic kernel at order alpha alone
-            harmonic_core._check_power_sum("harmonic_function", args.n, args.alpha)
-            state = harmonic_core.HarmonicNumerators(args.x, args.alpha, lowest=args.alpha)
-            state.advance(args.n + 1)
-            value = state.values()[0]
-            params = {"n": args.n, "x": args.x, "alpha": args.alpha}
-        return 0, _scalar_output(args, "H", params, value)
-    if what == "F":
-        value = beta_engine.beta_F(args.n, args.x)
-        return 0, _scalar_output(args, "F", {"n": args.n, "x": args.x}, value)
-    if what == "dF":
-        value = beta_engine.derivative_F(args.n, args.x, args.r)
-        return 0, _scalar_output(args, "dF", {"n": args.n, "x": args.x, "r": args.r}, value)
     if what == "bell":
-        expansion = beta_engine.bell_expansion(args.r)
-        if args.format == "json":
-            payload = {
-                "order": expansion.order,
-                "terms": [
-                    {"monomial": list(exponents), "coefficient": coeff}
-                    for exponents, coeff in expansion.terms.items()
-                ],
-                "text": expansion.text(),
-            }
-            return 0, dumps(payload) + "\n"
-        return 0, expansion.text() + "\n"
+        return 0, reporting.render_bell(beta_engine.bell_expansion(args.r), args.format)
     if what == "bernoulli":
         table = harmonic_core.bernoulli_table(args.N)
-        if args.format == "json":
-            return 0, dumps({"values": list(table.values)}) + "\n"
-        lines = [
-            f"B_{k} = {format_rational(v)}" for k, v in enumerate(table.values)
-        ]
-        return 0, "\n".join(lines) + "\n"
-    coeff = harmonic_core.zeta_even_coefficient(args.n)  # zeta-even
-    if args.format == "json":
-        return 0, dumps({"coeff": coeff, "pi_power": 2 * args.n}) + "\n"
-    return 0, f"{format_rational(coeff)} * pi^{2 * args.n}\n"
-
-
-def _scalar_output(args, name: str, params: dict, value: Fraction) -> str:
-    if args.format == "json":
-        payload = {"op": name}
-        payload.update(
-            {
-                k: (format_rational(v) if isinstance(v, Fraction) else v)
-                for k, v in params.items()
-            }
-        )
-        payload["value"] = value
-        return dumps(payload) + "\n"
-    if args.format == "csv":
-        header = ",".join(list(params) + ["value"])
-        row = ",".join(
-            [
-                format_rational(v) if isinstance(v, Fraction) else str(v)
-                for v in params.values()
-            ]
-            + [format_rational(value)]
-        )
-        return f"{header}\n{row}\n"
-    return format_rational(value) + "\n"
+        return 0, reporting.render_bernoulli(table.values, args.format)
+    if what == "zeta-even":
+        claim = series_lab.PiPower(harmonic_core.zeta_even_coefficient(args.n), 2 * args.n)
+        return 0, reporting.render_pi_power(claim, args.format)
+    if what == "F":
+        value = beta_engine.beta_F(args.n, args.x)
+    elif what == "dF":
+        value = beta_engine.derivative_F(args.n, args.x, args.r)
+    elif args.x is None:
+        value = harmonic_core.harmonic_number(args.n, args.alpha)
+    else:  # harmonic_function(n, x, alpha) by the harmonic kernel at order alpha alone
+        harmonic_core._check_power_sum("harmonic_function", args.n, args.alpha)
+        harmonic_core._check_shift(args.x, "harmonic_function")
+        state = harmonic_core.HarmonicNumerators(args.x, args.alpha, lowest=args.alpha)
+        state.advance(args.n + 1)
+        value = state.values()[0]
+    # the value's params are the flags its row reads, in the row's order
+    params = {flag: getattr(args, flag) for flag in _TARGETS["compute"][what]}
+    if args.x is None:  # H without --x
+        del params["x"]
+    return 0, reporting.render_value(what, params, value, args.format)
 
 
 # -- verify -------------------------------------------------------------------
@@ -353,8 +314,7 @@ def _run_verify(args) -> tuple[int, str]:
     for i, x in enumerate(xs):
         if x in xs[:i]:
             raise DomainError(f"verify --x repeats {x}")
-        if x <= -1:
-            raise DomainError(f"requires x > -1, got x={x}")
+        harmonic_core._check_shift(x, "verify")
     if args.target == "all":
         reports = identity_suite.run_all(args.n_max, args.r_max, args.x)
     elif args.target == "fixture-fail":
@@ -364,32 +324,7 @@ def _run_verify(args) -> tuple[int, str]:
     if args.target != "all":  # run_all returns its reports sorted
         reports.sort(key=IdentityReport.sort_key)
     failed = sum(1 for r in reports if r.status == identity_suite.FAIL)
-    return (1 if failed else 0), _render_reports(args, reports)
-
-
-def _render_reports(args, reports: list[IdentityReport]) -> str:
-    if args.format == "csv":
-        return reports_to_csv(reports)
-    if args.format == "text":
-        lines = []
-        for report in reports:
-            bits = [report.identity_id]
-            for key in ("r", "n"):
-                if key in report.params:
-                    bits.append(f"{key}={report.params[key]}")
-            if "x" in report.params:
-                bits.append(f"x={format_rational(report.params['x'])}")
-            line = " ".join(bits) + f": {report.status}"
-            if report.witness:
-                line += (
-                    f" (lhs={format_rational(report.witness[0])}"
-                    f" rhs={format_rational(report.witness[1])})"
-                )
-            lines.append(line)
-        passed = sum(1 for r in reports if r.passed)
-        lines.append(f"{passed}/{len(reports)} passed")
-        return "\n".join(lines) + "\n"
-    return "\n".join(map(report_line, reports)) + "\n"
+    return (1 if failed else 0), reporting.render_reports(reports, args.format)
 
 
 # -- series -------------------------------------------------------------------
@@ -424,33 +359,7 @@ def _run_series(args) -> tuple[int, str]:
         estimate = series_lab.eq32_series(args.r, args.N, float_mode)
     contained = estimate.contains_claim()
     code = 1 if contained is False else 0
-    return code, _render_estimate(args, estimate)
-
-
-def _render_estimate(args, estimate: SeriesEstimate) -> str:
-    if args.format == "csv":
-        return estimate_to_csv(estimate)
-    if args.format == "text":
-        data = estimate.to_json_dict()
-        partial = data["partial"]
-        lines = [
-            f"target     {data['target_id']}",
-            f"N          {data['N']}",
-            f"partial    {partial if isinstance(partial, str) else format_float(partial)}",
-            f"exact      {data['exact']}",
-            f"tail_low   {data['tail_low']}",
-            f"tail_high  {data['tail_high']}",
-        ]
-        claimed = data.get("claimed_limit")
-        if isinstance(claimed, dict):
-            lines.append(f"claimed    {claimed['coeff']} * pi^{claimed['pi_power']}")
-        elif claimed is not None:
-            lines.append(f"claimed    {claimed}")
-        contained = estimate.contains_claim()
-        if contained is not None:
-            lines.append(f"contained  {contained}")
-        return "\n".join(lines) + "\n"
-    return dumps(estimate.to_json_dict()) + "\n"
+    return code, reporting.render_estimate(estimate, args.format)
 
 
 # -- oracle -------------------------------------------------------------------
@@ -466,7 +375,7 @@ def _run_oracle(args) -> tuple[int, str]:
             identity_id="oracle-quad",
             params={"n": args.n, "x": args.x, "r": args.m},
             status=identity_suite.PASS if ok else identity_suite.FAIL,
-            reason=None if ok else f"expected {format_float(expected)}",
+            reason=None if ok else f"expected {reporting.format_float(expected)}",
             oracle={
                 "value": result.value,
                 "err": result.abs_error_estimate,
@@ -485,7 +394,7 @@ def _run_oracle(args) -> tuple[int, str]:
             identity_id="oracle-mc",
             params={"n": args.n, "r": args.r},
             status=identity_suite.PASS if ok else identity_suite.FAIL,
-            reason=None if ok else f"expected {format_float(exact)}",
+            reason=None if ok else f"expected {reporting.format_float(exact)}",
             oracle={
                 "estimate": estimate.estimate,
                 "stderr": estimate.stderr,
@@ -495,7 +404,7 @@ def _run_oracle(args) -> tuple[int, str]:
             },
         )
     code = 0 if report.passed else 1
-    return code, _render_reports(args, [report])
+    return code, reporting.render_reports([report], args.format)
 
 
 if __name__ == "__main__":

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .harmonic_core import DomainError, RationalLike
+from .harmonic_core import DomainError, RationalLike, _check_shift
 
 if TYPE_CHECKING:
     import numpy as np
@@ -199,9 +198,7 @@ def log_moment_quadrature(n: int, m: int, x: RationalLike) -> QuadratureResult:
         raise DomainError(f"log_moment_quadrature requires n >= 0, got n={n}")
     if m < 0:
         raise DomainError(f"log_moment_quadrature requires m >= 0, got m={m}")
-    x = Fraction(x)
-    if x <= -1:
-        raise DomainError(f"log_moment_quadrature requires x > -1, got x={x}")
+    x = _check_shift(x, "log_moment_quadrature")
     try:
         c = float(x + 1)
     except OverflowError:

@@ -201,10 +201,11 @@ def harmonic_number(n: int, alpha: int) -> Fraction:
     return sum((Fraction(1, k**alpha) for k in range(1, n + 1)), Fraction(0))
 
 
-def _check_shift(x: Fraction) -> Fraction:
+def _check_shift(x: RationalLike, name: str) -> Fraction:
+    """x as a Fraction; refuse, for ``name``, x <= -1, where a base k + x + 1 is not positive."""
     x = Fraction(x)
     if x <= -1:
-        raise DomainError(f"requires x > -1, got x={x}")
+        raise DomainError(f"{name} requires x > -1, got x={x}")
     return x
 
 
@@ -216,7 +217,7 @@ def harmonic_function(n: int, x: RationalLike, alpha: int) -> Fraction:
     this direct sum is its reference.
     """
     _check_power_sum("harmonic_function", n, alpha)
-    x = _check_shift(x)
+    x = _check_shift(x, "harmonic_function")
     return sum(
         (Fraction(1, 1) / (k + x + 1) ** alpha for k in range(n + 1)), Fraction(0)
     )
@@ -241,7 +242,7 @@ class HarmonicNumerators:
             raise DomainError(
                 f"harmonic rows require 1 <= lowest <= order, got lowest={lowest}, order={order}"
             )
-        self.x = _check_shift(x)
+        self.x = _check_shift(x, "HarmonicNumerators")
         self.order = order
         self.lowest = lowest
         self.q = self.x.denominator

@@ -1,11 +1,17 @@
-"""Byte-stable serialization for reports.
+"""The one output layer: every record the CLI prints, in every format.
+
+One renderer per record kind takes the record and a format (``"json"``,
+``"csv"`` or ``"text"``) and returns the output text: identity and oracle
+reports, a series estimate, a compute H/F/dF value, and the Bell, Bernoulli
+and zeta-even forms, which have no CSV form.  Each renderer forms its cells
+once and lays out every format from them; the modules that compute the
+records know no output format.
 
 The JSON emitter is deliberately tiny: keys keep insertion order, floats are
 printed with 17 significant digits, rationals are canonical ``"p/q"``
 strings.  Identical inputs therefore produce byte-identical output, which is
-what CI diffing needs.  ``csv`` is imported by the two CSV writers, on their
-first call, so importing this module (as the CLI does at start-up) does not
-load it.
+what CI diffing needs.  ``csv`` is imported by the first CSV render, so
+importing this module (as the CLI does at start-up) does not load it.
 """
 
 from __future__ import annotations
@@ -13,21 +19,31 @@ from __future__ import annotations
 import io
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterable
+from typing import Any, Sequence
 
+from .beta_engine import BellExpansion
 from .harmonic_core import format_rational
 from .identity_suite import IdentityReport
-from .series_lab import SeriesEstimate
+from .series_lab import PiPower, SeriesEstimate
 
 __all__ = [
     "dumps",
     "format_float",
     "report_line",
-    "reports_to_csv",
-    "estimate_to_csv",
+    "render_reports",
+    "render_estimate",
+    "render_value",
+    "render_bell",
+    "render_bernoulli",
+    "render_pi_power",
 ]
 
 CSV_COLUMNS = ["identity_id", "n", "x", "r", "status", "lhs", "rhs", "elapsed_ms"]
+
+ESTIMATE_COLUMNS = ["target_id", "N", "partial", "exact", "tail_low", "tail_high", "claimed_limit"]
+
+# The text form's label of each estimate cell before the claim, in ESTIMATE_COLUMNS order.
+_ESTIMATE_LABELS = ["target", "N", "partial", "exact", "tail_low", "tail_high"]
 
 
 def format_float(value: float) -> str:
@@ -81,6 +97,19 @@ def _emit(obj: Any, out: list[str]) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+    import csv
+
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+# -- identity and oracle reports ------------------------------------------------
+
+
 def report_line(report: IdentityReport) -> str:
     """One report's JSON line, written directly in the form ``dumps`` gives:
     identity_id, params as n/x/r, status, then witness, reason and oracle
@@ -110,52 +139,124 @@ def report_line(report: IdentityReport) -> str:
     return line + ', "elapsed_ms": 0}'
 
 
-def reports_to_csv(reports: Iterable[IdentityReport]) -> str:
-    """One CSV row per report; elapsed_ms is 0, as in report_line."""
-    import csv
+def render_reports(reports: Sequence[IdentityReport], fmt: str) -> str:
+    """verify's and oracle's output.
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    json: one :func:`report_line` per report.  csv: one row per report under
+    CSV_COLUMNS, elapsed_ms 0 as in report_line.  text: one line per report,
+    its point as r, n, x and its witness on a failure, then the pass count.
+    """
+    if fmt == "json":
+        return "\n".join(map(report_line, reports)) + "\n"
+    rows: list = []
     for report in reports:
-        witness = report.witness
-        writer.writerow(
-            [
-                report.identity_id,
-                report.params.get("n", ""),
-                format_rational(report.params["x"]) if "x" in report.params else "",
-                report.params.get("r", ""),
-                report.status,
-                format_rational(witness[0]) if witness else "",
-                format_rational(witness[1]) if witness else "",
-                0,
-            ]
-        )
-    return buffer.getvalue()
+        params = report.params
+        point = {
+            key: format_rational(params[key]) if key == "x" else str(params[key])
+            for key in "nxr"
+            if key in params
+        }
+        lhs, rhs = map(format_rational, report.witness) if report.witness else ("", "")
+        if fmt == "csv":
+            n, x, r = (point.get(key, "") for key in "nxr")
+            rows.append([report.identity_id, n, x, r, report.status, lhs, rhs, 0])
+        else:
+            bits = [report.identity_id, *(f"{key}={point[key]}" for key in "rnx" if key in point)]
+            line = f"{' '.join(bits)}: {report.status}"
+            rows.append(f"{line} (lhs={lhs} rhs={rhs})" if report.witness else line)
+    if fmt == "csv":
+        return _csv(CSV_COLUMNS, rows)
+    passed = sum(1 for r in reports if r.passed)
+    return "\n".join([*rows, f"{passed}/{len(reports)} passed"]) + "\n"
 
 
-def estimate_to_csv(estimate: SeriesEstimate) -> str:
-    import csv
+# -- series estimates -------------------------------------------------------------
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        ["target_id", "N", "partial", "exact", "tail_low", "tail_high", "claimed_limit"]
-    )
-    data = estimate.to_json_dict()
-    partial = data["partial"]
-    claimed = data.get("claimed_limit", "")
-    if isinstance(claimed, dict):
-        claimed = f"{claimed['coeff']} * pi^{claimed['pi_power']}"
-    writer.writerow(
-        [
-            data["target_id"],
-            data["N"],
-            partial if isinstance(partial, str) else format_float(partial),
-            data["exact"],
-            data["tail_low"],
-            data["tail_high"],
-            claimed,
+
+def _pi_power_cells(claim: PiPower) -> tuple[dict, str]:
+    """A coeff * pi**s limit as JSON, {"coeff": ..., "pi_power": s}, and as
+    the text ``"<coeff> * pi^<s>"``."""
+    coeff = format_rational(claim.coeff)
+    return {"coeff": coeff, "pi_power": claim.exponent}, f"{coeff} * pi^{claim.exponent}"
+
+
+def render_estimate(estimate: SeriesEstimate, fmt: str) -> str:
+    """series' output.  Its cells: the partial as p/q, or by format_float in
+    float mode; the tails as p/q; a claim as p/q or ``"<coeff> * pi^<s>"``.
+    json leaves out an absent claim, and gives a float partial as a number and
+    a pi-power claim as ``{"coeff", "pi_power"}``; text adds whether the
+    bracket contains the claim."""
+    exact, claim = estimate.exact, estimate.claimed_limit
+    partial = format_rational(estimate.partial) if exact else format_float(estimate.partial)
+    cells = [
+        estimate.target_id,
+        estimate.N,
+        partial,
+        exact,
+        format_rational(estimate.tail_low),
+        format_rational(estimate.tail_high),
+    ]
+    if isinstance(claim, PiPower):
+        claim_json, claim_text = _pi_power_cells(claim)
+    else:
+        claim_json = claim_text = "" if claim is None else format_rational(claim)
+    if fmt == "json":
+        record = dict(zip(ESTIMATE_COLUMNS, cells))
+        if not exact:
+            record["partial"] = estimate.partial  # dumps prints it by format_float too
+        if claim is not None:
+            record["claimed_limit"] = claim_json
+        return dumps(record) + "\n"
+    if fmt == "csv":
+        return _csv(ESTIMATE_COLUMNS, [[*cells, claim_text]])
+    lines = list(zip(_ESTIMATE_LABELS, cells))
+    if claim is not None:
+        lines += [("claimed", claim_text), ("contained", estimate.contains_claim())]
+    return "".join(f"{label:<10} {cell}\n" for label, cell in lines)
+
+
+# -- compute values -------------------------------------------------------------
+
+
+def render_value(op: str, params: dict, value: Fraction, fmt: str) -> str:
+    """compute H, F and dF's output, rationals as p/q.
+
+    json: ``{"op": op, <params>, "value": ...}``.  csv: a header of the
+    params and value, and one row.  text: the value alone.
+    """
+    cells = {
+        key: format_rational(v) if isinstance(v, Fraction) else v for key, v in params.items()
+    }
+    cells["value"] = format_rational(value)
+    if fmt == "json":
+        return dumps({"op": op, **cells}) + "\n"
+    if fmt == "csv":
+        return f"{','.join(cells)}\n{','.join(map(str, cells.values()))}\n"
+    return cells["value"] + "\n"
+
+
+def render_bell(expansion: BellExpansion, fmt: str) -> str:
+    """compute bell's output: json the order, each monomial's exponents and
+    coefficient, and the text form; text the text form alone."""
+    if fmt == "json":
+        terms = [
+            {"monomial": list(exponents), "coefficient": coeff}
+            for exponents, coeff in expansion.terms.items()
         ]
-    )
-    return buffer.getvalue()
+        return dumps({"order": expansion.order, "terms": terms, "text": expansion.text()}) + "\n"
+    return expansion.text() + "\n"
+
+
+def render_bernoulli(values: Sequence[Fraction], fmt: str) -> str:
+    """compute bernoulli's output: json ``{"values": [...]}``; text a line
+    ``B_k = <value>`` per value."""
+    if fmt == "json":
+        return dumps({"values": list(values)}) + "\n"
+    return "".join(f"B_{k} = {format_rational(v)}\n" for k, v in enumerate(values))
+
+
+def render_pi_power(claim: PiPower, fmt: str) -> str:
+    """compute zeta-even's output, as a series claim prints it: json
+    ``{"coeff", "pi_power"}``; text ``"<coeff> * pi^<s>"``."""
+    record, text = _pi_power_cells(claim)
+    return (dumps(record) if fmt == "json" else text) + "\n"

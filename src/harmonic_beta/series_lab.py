@@ -38,6 +38,9 @@ positive, so an a-priori bound on the roundings along any term's path
 gives a rational radius around the float sum (Higham, *Accuracy and
 Stability of Numerical Algorithms*, ch. 3-4).  The reported bracket then
 encloses the rounding error as well as the tail.
+
+A :class:`SeriesEstimate` knows no output format:
+``reporting.render_estimate`` prints it as JSON, CSV or text.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from .harmonic_core import (
     DomainError,
     HarmonicNumerators,
     RationalLike,
+    _check_shift,
     _reduced_fraction,
     format_rational,
     harmonic_number,
@@ -245,24 +249,6 @@ class SeriesEstimate:
                 return False
             bits *= 2
 
-    def to_json_dict(self) -> dict:
-        out: dict = {
-            "target_id": self.target_id,
-            "N": self.N,
-            "partial": self.partial if not self.exact else format_rational(self.partial),
-            "exact": self.exact,
-            "tail_low": format_rational(self.tail_low),
-            "tail_high": format_rational(self.tail_high),
-        }
-        if isinstance(self.claimed_limit, PiPower):
-            out["claimed_limit"] = {
-                "coeff": format_rational(self.claimed_limit.coeff),
-                "pi_power": self.claimed_limit.exponent,
-            }
-        elif self.claimed_limit is not None:
-            out["claimed_limit"] = format_rational(self.claimed_limit)
-        return out
-
 
 # -- shifted power sums -------------------------------------------------------
 
@@ -276,9 +262,7 @@ def hurwitz_partial(
     the bracket also encloses the rounding error (:func:`_hurwitz_ball`);
     exact mode refuses s > _EXACT_S_MAX before any work.
     """
-    x = Fraction(x)
-    if x <= -1:
-        raise DomainError(f"hurwitz_partial requires x > -1, got x={x}")
+    x = _check_shift(x, "hurwitz_partial")
     if s <= 1:
         raise DomainError(f"hurwitz_partial requires s >= 2 (divergent otherwise), got s={s}")
     if N < 1:
@@ -793,9 +777,7 @@ def eq31_series(r: int, x: RationalLike, N: int, float_mode: bool = False) -> Se
     """
     if not 0 <= r <= _EQ31_R_MAX:
         raise DomainError(f"eq31_series requires 0 <= r <= {_EQ31_R_MAX}, got r={r}")
-    x = Fraction(x)
-    if x <= -1:
-        raise DomainError(f"eq31_series requires x > -1, got x={x}")
+    x = _check_shift(x, "eq31_series")
     if N < 1:
         raise DomainError(f"eq31_series requires N >= 1, got N={N}")
     target_id = f"eq31(r={r},x={format_rational(x)})"

@@ -18,7 +18,8 @@ import harmonic_beta
 from harmonic_beta.cli import _FLAGS, _NO_CSV, _REQUIRED, _TARGETS, _parse, build_parser, run
 from harmonic_beta.harmonic_core import format_rational, harmonic_function
 from harmonic_beta.identity_suite import CHECK_GROUPS, IdentityReport
-from harmonic_beta.reporting import dumps, format_float, report_line
+from harmonic_beta.reporting import dumps, format_float, render_estimate, render_value, report_line
+from harmonic_beta.series_lab import PiPower, SeriesEstimate
 
 
 def invoke(capsys, *argv):
@@ -144,7 +145,7 @@ class TestArgumentValidation:
             capsys, "verify", target, "--x=0,-1", "--n-max", "2", *r_max, "--format", "text"
         )
         assert code == 2 and out == ""
-        assert err == "error: requires x > -1, got x=-1\n"
+        assert err == "error: verify requires x > -1, got x=-1\n"
 
     @pytest.mark.parametrize(
         "xs, repeated", [("0,0/5", "0"), ("1/2,7/3,2/4", "1/2"), ("-1/2,1,-1/2,1", "-1/2")]
@@ -505,6 +506,160 @@ class TestReportLine:
         assert list(loaded) == [key for key in keys if key in loaded]
         assert list(loaded["params"]) == [key for key in "nxr" if key in report.params]
         assert dumps(loaded) == line
+
+
+_PI_CLAIM = SeriesEstimate(
+    "zeta(x=0,s=2)", 3, Fraction(49, 36), True, Fraction(1, 4), Fraction(1, 3),
+    PiPower(Fraction(1, 6), 2),
+)
+_RATIONAL_CLAIM = SeriesEstimate(
+    "lemma-c(r=2)", 10, Fraction(17, 10), True, Fraction(0), Fraction(1, 5), Fraction(2)
+)
+_NO_CLAIM = SeriesEstimate(
+    "zeta(x=1/2,s=3)", 2, Fraction(1216, 3375), True, Fraction(2, 49), Fraction(2, 25)
+)
+_FLOAT_PARTIAL = SeriesEstimate(
+    "cor2.4-r3", 20000, 0.1, False, Fraction(-1, 1000), Fraction(1, 1000), Fraction(1, 10)
+)
+
+
+class TestRenderEstimate:
+    """Each estimate shape in each format, pinned byte for byte."""
+
+    @pytest.mark.parametrize(
+        "estimate, fmt, text",
+        [
+            (
+                _PI_CLAIM,
+                "json",
+                '{"target_id": "zeta(x=0,s=2)", "N": 3, "partial": "49/36", "exact": true, '
+                '"tail_low": "1/4", "tail_high": "1/3", '
+                '"claimed_limit": {"coeff": "1/6", "pi_power": 2}}\n',
+            ),
+            (
+                _PI_CLAIM,
+                "csv",
+                "target_id,N,partial,exact,tail_low,tail_high,claimed_limit\n"
+                '"zeta(x=0,s=2)",3,49/36,True,1/4,1/3,1/6 * pi^2\n',
+            ),
+            (
+                _PI_CLAIM,
+                "text",
+                "target     zeta(x=0,s=2)\nN          3\npartial    49/36\nexact      True\n"
+                "tail_low   1/4\ntail_high  1/3\nclaimed    1/6 * pi^2\ncontained  True\n",
+            ),
+            (
+                _RATIONAL_CLAIM,
+                "json",
+                '{"target_id": "lemma-c(r=2)", "N": 10, "partial": "17/10", "exact": true, '
+                '"tail_low": "0", "tail_high": "1/5", "claimed_limit": "2"}\n',
+            ),
+            (
+                _RATIONAL_CLAIM,
+                "csv",
+                "target_id,N,partial,exact,tail_low,tail_high,claimed_limit\n"
+                "lemma-c(r=2),10,17/10,True,0,1/5,2\n",
+            ),
+            (
+                _RATIONAL_CLAIM,
+                "text",
+                "target     lemma-c(r=2)\nN          10\npartial    17/10\nexact      True\n"
+                "tail_low   0\ntail_high  1/5\nclaimed    2\ncontained  False\n",
+            ),
+            (
+                _NO_CLAIM,
+                "json",
+                '{"target_id": "zeta(x=1/2,s=3)", "N": 2, "partial": "1216/3375", "exact": true, '
+                '"tail_low": "2/49", "tail_high": "2/25"}\n',
+            ),
+            (
+                _NO_CLAIM,
+                "csv",
+                "target_id,N,partial,exact,tail_low,tail_high,claimed_limit\n"
+                '"zeta(x=1/2,s=3)",2,1216/3375,True,2/49,2/25,\n',
+            ),
+            (
+                _NO_CLAIM,
+                "text",
+                "target     zeta(x=1/2,s=3)\nN          2\npartial    1216/3375\nexact      True\n"
+                "tail_low   2/49\ntail_high  2/25\n",
+            ),
+            (
+                _FLOAT_PARTIAL,
+                "json",
+                '{"target_id": "cor2.4-r3", "N": 20000, "partial": 0.10000000000000001, '
+                '"exact": false, "tail_low": "-1/1000", "tail_high": "1/1000", '
+                '"claimed_limit": "1/10"}\n',
+            ),
+            (
+                _FLOAT_PARTIAL,
+                "csv",
+                "target_id,N,partial,exact,tail_low,tail_high,claimed_limit\n"
+                "cor2.4-r3,20000,0.10000000000000001,False,-1/1000,1/1000,1/10\n",
+            ),
+            (
+                _FLOAT_PARTIAL,
+                "text",
+                "target     cor2.4-r3\nN          20000\npartial    0.10000000000000001\n"
+                "exact      False\ntail_low   -1/1000\ntail_high  1/1000\nclaimed    1/10\n"
+                "contained  True\n",
+            ),
+        ],
+        ids=[
+            f"{shape}-{fmt}"
+            for shape in ("pi-claim", "rational-claim", "no-claim", "float-partial")
+            for fmt in ("json", "csv", "text")
+        ],
+    )
+    def test_render_is_pinned(self, estimate, fmt, text):
+        assert render_estimate(estimate, fmt) == text
+        if fmt == "json":
+            assert dumps(json.loads(text)) + "\n" == text
+
+
+class TestRenderValue:
+    """compute H/F/dF's three forms, pinned byte for byte."""
+
+    @pytest.mark.parametrize(
+        "op, params, value, forms",
+        [
+            (
+                "dF",
+                {"n": 4, "x": Fraction(1, 3), "r": 2},
+                Fraction(87366991149, 192914176000),
+                (
+                    '{"op": "dF", "n": 4, "x": "1/3", "r": 2, '
+                    '"value": "87366991149/192914176000"}\n',
+                    "n,x,r,value\n4,1/3,2,87366991149/192914176000\n",
+                    "87366991149/192914176000\n",
+                ),
+            ),
+            (
+                "H",
+                {"n": 3, "alpha": 1},
+                Fraction(11, 6),
+                (
+                    '{"op": "H", "n": 3, "alpha": 1, "value": "11/6"}\n',
+                    "n,alpha,value\n3,1,11/6\n",
+                    "11/6\n",
+                ),
+            ),
+            (
+                "F",
+                {"n": 2, "x": Fraction(-1, 2)},
+                Fraction(16, 15),
+                (
+                    '{"op": "F", "n": 2, "x": "-1/2", "value": "16/15"}\n',
+                    "n,x,value\n2,-1/2,16/15\n",
+                    "16/15\n",
+                ),
+            ),
+        ],
+        ids=["dF", "H", "F-negative-x"],
+    )
+    def test_render_is_pinned(self, op, params, value, forms):
+        for fmt, text in zip(("json", "csv", "text"), forms):
+            assert render_value(op, params, value, fmt) == text
 
 
 class TestFloatFormatting:

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from harmonic_beta.beta_engine import (
 )
 from harmonic_beta.cli import run
 from harmonic_beta.identity_suite import binomial_inverse
+from harmonic_beta.reporting import render_estimate
 from harmonic_beta.harmonic_core import (
     DomainError,
     HarmonicNumerators,
@@ -864,7 +866,7 @@ class TestMultiIntegralExact:
 class TestSerialization:
     def test_json_dict_exact(self):
         est = lemma_c_partial(2, 10)
-        data = est.to_json_dict()
+        data = json.loads(render_estimate(est, "json"))
         assert list(data) == [
             "target_id",
             "N",
@@ -879,15 +881,15 @@ class TestSerialization:
         assert data["claimed_limit"] == "2"
 
     def test_json_dict_pi_claim(self):
-        data = hurwitz_partial(0, 2, 10).to_json_dict()
+        data = json.loads(render_estimate(hurwitz_partial(0, 2, 10), "json"))
         assert data["claimed_limit"] == {"coeff": "1/6", "pi_power": 2}
 
     def test_json_dict_no_claim(self):
-        data = hurwitz_partial(0, 3, 10).to_json_dict()
+        data = json.loads(render_estimate(hurwitz_partial(0, 3, 10), "json"))
         assert "claimed_limit" not in data
 
     def test_float_partial_stays_float(self):
-        data = lemma_c_partial(2, 50, float_mode=True).to_json_dict()
+        data = json.loads(render_estimate(lemma_c_partial(2, 50, float_mode=True), "json"))
         assert isinstance(data["partial"], float)
         assert data["exact"] is False
 
