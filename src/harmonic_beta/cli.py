@@ -36,8 +36,9 @@ __all__ = ["run", "main"]
 # G_30 has 5,604 monomials; zeta-even --n needs B_2n, so it stops at half the
 # bernoulli cap.  oracle quad computes compute dF's derivative_F(n, x, m), so
 # it takes dF's caps; an mc sample draws --r uniforms and its time is linear
-# in --samples, and --n sizes the exact reference sum.  compute H without
-# --x is the plain H_n^(alpha).  Each verify --x sample adds a sweep's worth
+# in --samples, and --n sizes the exact reference sum.  compute H sums on
+# the harmonic kernel, H_n^(alpha) without --x and harmonic_function(n, x,
+# alpha) with it.  Each verify --x sample adds a sweep's worth
 # of work.  The target of a verify group reads the flag of each grid axis in
 # identity_suite.GROUP_AXES, as _SWEEP maps them, and all reads every flag.
 _REQUIRED = object()
@@ -290,13 +291,13 @@ def _run_compute(args) -> tuple[int, str]:
         value = beta_engine.beta_F(args.n, args.x)
     elif what == "dF":
         value = beta_engine.derivative_F(args.n, args.x, args.r)
-    elif args.x is None:
-        value = harmonic_core.harmonic_number(args.n, args.alpha)
-    else:  # harmonic_function(n, x, alpha) by the harmonic kernel at order alpha alone
-        harmonic_core._check_power_sum("harmonic_function", args.n, args.alpha)
-        harmonic_core._check_shift(args.x, "harmonic_function")
-        state = harmonic_core.HarmonicNumerators(args.x, args.alpha, lowest=args.alpha)
-        state.advance(args.n + 1)
+    else:  # by the harmonic kernel at order alpha alone: harmonic_number(n, alpha)
+        # sums the bases k + 1 for k < n, harmonic_function(n, x, alpha) k + x + 1 for k <= n
+        name = "harmonic_number" if args.x is None else "harmonic_function"
+        harmonic_core._check_power_sum(name, args.n, args.alpha)
+        x = harmonic_core._check_shift(args.x or 0, name)
+        state = harmonic_core.HarmonicNumerators(x, args.alpha, lowest=args.alpha)
+        state.advance(args.n if args.x is None else args.n + 1)
         value = state.values()[0]
     # the value's params are the flags its row reads, in the row's order
     params = {flag: getattr(args, flag) for flag in _TARGETS["compute"][what]}
@@ -366,45 +367,39 @@ def _run_series(args) -> tuple[int, str]:
 
 
 def _run_oracle(args) -> tuple[int, str]:
+    """The oracle's float value against the exact one, as one report."""
     if args.target == "quad":
         result = float_oracle.log_moment_quadrature(args.n, args.m, args.x)
         expected = float(beta_engine.derivative_F(args.n, args.x, args.m))
-        scale = max(abs(expected), 1e-300)
-        ok = abs(result.value - expected) / scale <= 1e-9
-        report = IdentityReport(
-            identity_id="oracle-quad",
-            params={"n": args.n, "x": args.x, "r": args.m},
-            status=identity_suite.PASS if ok else identity_suite.FAIL,
-            reason=None if ok else f"expected {reporting.format_float(expected)}",
-            oracle={
-                "value": result.value,
-                "err": result.abs_error_estimate,
-                "evals": result.evaluations,
-            },
-        )
+        ok = abs(result.value - expected) / max(abs(expected), 1e-300) <= 1e-9
+        params = {"n": args.n, "x": args.x, "r": args.m}
+        oracle = {
+            "value": result.value,
+            "err": result.abs_error_estimate,
+            "evals": result.evaluations,
+        }
     else:
-        estimate = float_oracle.cube_monte_carlo(
-            args.n, args.r, args.samples, args.seed
+        estimate = float_oracle.cube_monte_carlo(args.n, args.r, args.samples, args.seed)
+        expected = float(series_lab.multi_integral_exact(args.n, args.r))
+        ok = abs(estimate.estimate - expected) <= 4 * estimate.stderr or (
+            estimate.stderr == 0.0 and estimate.estimate == expected
         )
-        exact = float(series_lab.multi_integral_exact(args.n, args.r))
-        ok = abs(estimate.estimate - exact) <= 4 * estimate.stderr or (
-            estimate.stderr == 0.0 and estimate.estimate == exact
-        )
-        report = IdentityReport(
-            identity_id="oracle-mc",
-            params={"n": args.n, "r": args.r},
-            status=identity_suite.PASS if ok else identity_suite.FAIL,
-            reason=None if ok else f"expected {reporting.format_float(exact)}",
-            oracle={
-                "estimate": estimate.estimate,
-                "stderr": estimate.stderr,
-                "samples": args.samples,
-                "seed": args.seed,
-                "generator": float_oracle.GENERATOR_ID,
-            },
-        )
-    code = 0 if report.passed else 1
-    return code, reporting.render_reports([report], args.format)
+        params = {"n": args.n, "r": args.r}
+        oracle = {
+            "estimate": estimate.estimate,
+            "stderr": estimate.stderr,
+            "samples": args.samples,
+            "seed": args.seed,
+            "generator": float_oracle.GENERATOR_ID,
+        }
+    report = IdentityReport(
+        identity_id=f"oracle-{args.target}",
+        params=params,
+        status=identity_suite.PASS if ok else identity_suite.FAIL,
+        reason=None if ok else f"expected {reporting.format_float(expected)}",
+        oracle=oracle,
+    )
+    return (0 if ok else 1), reporting.render_reports([report], args.format)
 
 
 if __name__ == "__main__":

@@ -196,7 +196,11 @@ def _check_power_sum(name: str, n: int, alpha: int) -> None:
 
 
 def harmonic_number(n: int, alpha: int) -> Fraction:
-    """Generalized harmonic number: sum of 1/k**alpha for k = 1..n (0 for n = 0)."""
+    """Generalized harmonic number: sum of 1/k**alpha for k = 1..n (0 for n = 0).
+
+    The CLI's ``compute H`` without ``--x`` takes the same value from
+    :class:`HarmonicNumerators`; this direct sum is its reference.
+    """
     _check_power_sum("harmonic_number", n, alpha)
     return sum((Fraction(1, k**alpha) for k in range(1, n + 1)), Fraction(0))
 

@@ -23,7 +23,7 @@ import random
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .beta_engine import alt_power_row, beta_F, derivative_rows, mixed_sum
+from .beta_engine import Monomial, alt_power_row, beta_F, derivative_rows, mixed_sum
 from .harmonic_core import DomainError, RationalLike, harmonic_number
 
 __all__ = [
@@ -162,8 +162,13 @@ class _References:
 
         @functools.cache
         def display(x: Fraction | None, s: int) -> list[Fraction]:
+            monomials = _DISPLAYS[s].items()
             return [
-                _DISPLAYS[s](*h[: s - 1]) * (Fraction(1, n + 1) if x is None else f[0])
+                sum(
+                    math.prod((v**e for v, e in zip(h, exponents) if e), start=coeff)
+                    for exponents, coeff in monomials
+                )
+                * (Fraction(1, n + 1) if x is None else f[0])
                 for n, (h, f) in enumerate(derivatives(x or Fraction(0)))
             ]
 
@@ -175,27 +180,16 @@ class _References:
         self.eq16_inverted = functools.cache(lambda: binomial_inverse(eq16()))
 
 
-# -- display polynomials with their literal coefficients ---------------------
-
-
-def _poly_r1(h1: Fraction) -> Fraction:
-    return h1
-
-
-def _poly_r2(h1: Fraction, h2: Fraction) -> Fraction:
-    return h2 + h1 * h1
-
-
-def _poly_r3(h1: Fraction, h2: Fraction, h3: Fraction) -> Fraction:
-    return 2 * h3 + 3 * h1 * h2 + h1 ** 3
-
-
-def _poly_r4(h1: Fraction, h2: Fraction, h3: Fraction, h4: Fraction) -> Fraction:
-    return 6 * h4 + 8 * h3 * h1 + 3 * h2 * h2 + 6 * h1 * h1 * h2 + h1 ** 4
-
-
-#: The display polynomial of weight s, a polynomial in H_n(x,1..s-1).
-_DISPLAYS: dict[int, Evaluator] = {2: _poly_r1, 3: _poly_r2, 4: _poly_r3, 5: _poly_r4}
+#: The display polynomial of weight s, G_(s-1) in H_n(x,1..s-1), with the
+#: paper's literal coefficients: each monomial's exponents of (h1, h2, ...)
+#: map to its coefficient.  Corollary 2.4's series crosscheck the weights
+#: 3..5 against bell_expansion; nothing here is derived from it.
+_DISPLAYS: dict[int, dict[Monomial, int]] = {
+    2: {(1,): 1},
+    3: {(0, 1): 1, (2, 0): 1},
+    4: {(0, 0, 1): 2, (1, 1, 0): 3, (3, 0, 0): 1},
+    5: {(0, 0, 0, 1): 6, (1, 0, 1, 0): 8, (0, 2, 0, 0): 3, (2, 1, 0, 0): 6, (4, 0, 0, 0): 1},
+}
 
 
 def _forward(s: int) -> tuple[Evaluator, Evaluator]:

@@ -4,14 +4,16 @@ Exact mode sums rationals; the reported bracket [partial + tail_low,
 partial + tail_high] always contains the true limit.  For the shifted power
 sums the bracket comes from the integral comparison test.  A log-weight
 series sums G_k(H_{n+1},...)/(n(n+1)) for one Bell order k: lemma-c and
-Corollary 2.4 take k = r-1, eq. (32) k = r+1.  The hard-coded Corollary 2.4
-displays and eq. (32)'s product-rule route are crosschecks, each compared
-exactly with G_k before any term is summed.  The tail is bounded by capping
-every H^(alpha) with alpha >= 2 at a rational bound for its limit, bounding
-H_{n+1} <= 1 + ln(n+1), and integrating the resulting log-power envelope in
-closed form.  The published width is additionally run through a running
-minimum over a fixed checkpoint lattice (powers of two and three halves
-thereof), which makes bracket width provably non-increasing in N.
+Corollary 2.4 take k = r-1, eq. (32) k = r+1.  Corollary 2.4's displays,
+the literal polynomials ``identity_suite._DISPLAYS`` that the finite
+identities check, and eq. (32)'s product-rule route are crosschecks, each
+compared exactly with G_k before any term is summed.  The tail is bounded
+by capping every H^(alpha) with alpha >= 2 at a rational bound for its
+limit, bounding H_{n+1} <= 1 + ln(n+1), and integrating the resulting
+log-power envelope in closed form.  The published width is additionally
+run through a running minimum over a fixed checkpoint lattice (powers of
+two and three halves thereof), which makes bracket width provably
+non-increasing in N.
 
 Exact mode sums each log-weight series in closed form.  The paper's
 recurrence F_n(x) = n/(n+x+1) * F_{n-1}(x) telescopes sum(F_n(x)/n, n = 1..m)
@@ -51,6 +53,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Union
 
 from .beta_engine import (
+    Monomial,
     _bell_values,
     alt_power_sum,
     bell_expansion,
@@ -67,7 +70,7 @@ from .harmonic_core import (
     harmonic_number,
     zeta_even_coefficient,
 )
-from .identity_suite import binomial_inverse
+from .identity_suite import _DISPLAYS, binomial_inverse
 
 if TYPE_CHECKING:
     import numpy as np
@@ -130,7 +133,6 @@ _SUM_SHIFT = 1126
 _FLOAT_LOW_BITS = 1000
 _FLOAT_HIGH_BITS = 960
 
-Monomial = tuple[int, ...]
 PolyTerms = Mapping[Monomial, int]
 
 
@@ -253,9 +255,7 @@ class SeriesEstimate:
 # -- shifted power sums -------------------------------------------------------
 
 
-def hurwitz_partial(
-    x: RationalLike, s: int, N: int, float_mode: bool = False, target_id: str | None = None
-) -> SeriesEstimate:
+def hurwitz_partial(x: RationalLike, s: int, N: int, float_mode: bool = False) -> SeriesEstimate:
     """Partial sum of sum(1/(n+x+1)**s, n >= 0) with an integral-test bracket.
 
     tail in [1/((s-1)(N+x+1)**(s-1)), 1/((s-1)(N+x)**(s-1))].  In float mode
@@ -269,8 +269,7 @@ def hurwitz_partial(
         raise DomainError(f"hurwitz_partial requires N >= 1, got N={N}")
     if not float_mode and s > _EXACT_S_MAX:
         raise DomainError(f"exact mode sums zeta only up to s = {_EXACT_S_MAX}; got s={s}")
-    if target_id is None:
-        target_id = f"zeta(x={format_rational(x)},s={s})"
+    target_id = f"zeta(x={format_rational(x)},s={s})"
 
     tail_low = 1 / (Fraction(s - 1) * (N + x + 1) ** (s - 1))
     tail_high = 1 / (Fraction(s - 1) * (N + x) ** (s - 1))
@@ -543,7 +542,7 @@ def _log_weight_series(
 
     Every log-weight target is this sum for one Bell order k: lemma-c and
     Corollary 2.4 take k = r-1, eq. (32) k = r+1.  A target's own term
-    routes (the hard-coded displays, the product rule) are crosschecks it
+    routes (the literal displays, the product rule) are crosschecks it
     runs against G_k before calling this.
 
     Exact mode takes its partials from :func:`_closed_form_sums`, and
@@ -710,40 +709,22 @@ def lemma_c_partial(r: int, N: int, float_mode: bool = False) -> SeriesEstimate:
     )
 
 
-_COROLLARY_DISPLAYS: dict[str, tuple[PolyTerms, int]] = {
-    # display polynomial in H_{n+1}^{(alpha)} and the claimed limit
-    "r3": ({(0, 1): 1, (2, 0): 1}, 6),
-    "r4": ({(0, 0, 1): 2, (1, 1, 0): 3, (3, 0, 0): 1}, 24),
-    "r5": (
-        {
-            (0, 0, 0, 1): 6,
-            (1, 0, 1, 0): 8,
-            (0, 2, 0, 0): 3,
-            (2, 1, 0, 0): 6,
-            (4, 0, 0, 0): 1,
-        },
-        120,
-    ),
-}
-
-
 def corollary_2_4_partial(variant: str, N: int, float_mode: bool = False) -> SeriesEstimate:
     """Partial sum of a displayed harmonic-polynomial series over n(n+1).
 
-    Variants ``r3``/``r4``/``r5`` claim the limits 3!, 4!, 5!.  The series
-    sums G_{r-1} ((r-1)! times the lemma_c_partial terms); the hard-coded
-    display numerator must be the same polynomial, which is checked
-    exactly, once, before any term is summed.
+    Variant ``r<r>``, for r = 3, 4, 5, claims the limit r!.  The series sums
+    G_{r-1} ((r-1)! times the lemma_c_partial terms); the display numerator,
+    the finite identities' literal ``identity_suite._DISPLAYS[r]``, must be
+    the same polynomial, which is checked exactly, once, before any term is
+    summed.
     """
-    if variant not in _COROLLARY_DISPLAYS:
-        raise DomainError(
-            f"unknown variant {variant!r}; expected one of {sorted(_COROLLARY_DISPLAYS)}"
-        )
-    display, limit = _COROLLARY_DISPLAYS[variant]
-    target_id, k = f"cor2.4-{variant}", int(variant[1:]) - 1
-    _crosscheck(target_id, display, k)
+    variants = ["r3", "r4", "r5"]
+    if variant not in variants:
+        raise DomainError(f"unknown variant {variant!r}; expected one of {variants}")
+    target_id, r = f"cor2.4-{variant}", int(variant[1:])
+    _crosscheck(target_id, _DISPLAYS[r], r - 1)
     return _log_weight_series(
-        target_id, k, Fraction(1), N, Fraction(limit), float_mode=float_mode
+        target_id, r - 1, Fraction(1), N, Fraction(math.factorial(r)), float_mode=float_mode
     )
 
 
@@ -786,7 +767,7 @@ def eq31_series(r: int, x: RationalLike, N: int, float_mode: bool = False) -> Se
     for k, value in enumerate(binomial_inverse(inner)):
         if value != 1 / (x + k + 1) ** (r + 2):
             raise ArithmeticError(f"{target_id}: inner term does not collapse at k={k}")
-    return hurwitz_partial(x, r + 2, N, float_mode, target_id=target_id)
+    return hurwitz_partial(x, r + 2, N, float_mode)._replace(target_id=target_id)
 
 
 def eq32_series(r: int, N: int, float_mode: bool = False) -> SeriesEstimate:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import harmonic_beta
 from harmonic_beta.cli import _FLAGS, _NO_CSV, _REQUIRED, _TARGETS, _parse, build_parser, run
-from harmonic_beta.harmonic_core import format_rational, harmonic_function
+from harmonic_beta.harmonic_core import format_rational, harmonic_function, harmonic_number
 from harmonic_beta.identity_suite import CHECK_GROUPS, IdentityReport
 from harmonic_beta.reporting import dumps, format_float, render_estimate, render_value, report_line
 from harmonic_beta.series_lab import PiPower, SeriesEstimate
@@ -37,15 +37,21 @@ class TestComputeCommand:
         code, out, _ = invoke(capsys, "compute", "H", "--n", "2", "--x", "1", "--alpha", "1")
         assert code == 0 and out == "13/12\n"
 
-    @pytest.mark.parametrize("x", ["1/2", "7/3", "-49/100"])
+    @pytest.mark.parametrize("x", [None, "1/2", "7/3", "-49/100"])
     @pytest.mark.parametrize("alpha", [1, 2, 4, 13, 30])
     def test_shifted_harmonic_by_the_kernel_equals_the_direct_sum(self, capsys, x, alpha):
-        # compute H --x sums on HarmonicNumerators; harmonic_function is its reference
+        # compute H sums on HarmonicNumerators; harmonic_number (without --x) and
+        # harmonic_function (with it) are its references
         for n in (0, 1, 2, 5, 64, 200):
+            flags = [] if x is None else [f"--x={x}"]
             code, out, _ = invoke(
-                capsys, "compute", "H", "--n", str(n), f"--x={x}", "--alpha", str(alpha)
+                capsys, "compute", "H", "--n", str(n), *flags, "--alpha", str(alpha)
             )
-            assert (code, out) == (0, format_rational(harmonic_function(n, Fraction(x), alpha)) + "\n")
+            if x is None:
+                expected = harmonic_number(n, alpha)
+            else:
+                expected = harmonic_function(n, Fraction(x), alpha)
+            assert (code, out) == (0, format_rational(expected) + "\n")
 
     def test_beta(self, capsys):
         code, out, _ = invoke(capsys, "compute", "F", "--n", "3", "--x", "0")

@@ -40,6 +40,7 @@ from harmonic_beta.identity_suite import (
     generic_check,
     run_all,
 )
+from harmonic_beta.series_lab import _normalised, corollary_2_4_partial
 
 rational_seqs = st.lists(
     st.fractions(max_denominator=50, min_value=-50, max_value=50), max_size=32
@@ -202,10 +203,9 @@ class TestTheorem23:
         assert all(r.status == PASS for r in reports)
 
     def test_wrong_display_coefficient_fails_exactly_its_forms(self, monkeypatch):
-        def wrong_r3(h1, h2, h3):
-            return 2 * h3 + 4 * h1 * h2 + h1**3  # the display has 3 * h1 * h2
-
-        monkeypatch.setitem(identity_suite._DISPLAYS, 4, wrong_r3)
+        wrong = dict(identity_suite._DISPLAYS[4])
+        wrong[(1, 1, 0)] = 4  # the display has 3 * h1 * h2
+        monkeypatch.setitem(identity_suite._DISPLAYS, 4, wrong)
         reports = run_all(6, 2, [Fraction(0), Fraction(1, 2)])
         failing = {r.identity_id for r in reports if r.status == FAIL}
         assert failing == {"thm2.3b", "eq21", "thm2.3d"}
@@ -215,9 +215,15 @@ class TestTheorem23:
         point = next(
             r for r in reports if r.identity_id == "thm2.3b" and r.params == {"n": n, "x": x}
         )
-        h = [harmonic_function(n, x, alpha) for alpha in (1, 2, 3)]
+        h1, h2, h3 = (harmonic_function(n, x, alpha) for alpha in (1, 2, 3))
         assert point.status == FAIL
-        assert point.witness == (alt_power_sum(n, x, 4), wrong_r3(*h) * beta_F(n, x) / 6)
+        wrong_display = 2 * h3 + 4 * h1 * h2 + h1**3
+        assert point.witness == (alt_power_sum(n, x, 4), wrong_display * beta_F(n, x) / 6)
+        # Corollary 2.4 crosschecks the same table: r4 reads weight 4, r3 and r5 do not
+        with pytest.raises(ArithmeticError, match="^cor2.4-r4: term routes disagree$"):
+            corollary_2_4_partial("r4", 50)
+        for variant in ("r3", "r5"):
+            assert corollary_2_4_partial(variant, 50).contains_claim()
 
 
 class TestTheorem25:
@@ -462,6 +468,11 @@ class TestIdentityTable:
             assert [ref() for ref in dead] == [None] * len(dead)
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("s", [2, 3, 4, 5])
+    def test_each_literal_display_is_the_bell_polynomial_of_its_order(self, s):
+        # the displays are written out, not derived; this pins them symbolically
+        assert _normalised(identity_suite._DISPLAYS[s]) == _normalised(bell_expansion(s - 1).terms)
 
     def test_readme_lists_every_identity_with_its_group_and_grid(self):
         # README's catalog table: | `id` | `group` | grid | what it states |

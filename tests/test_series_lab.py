@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from harmonic_beta import series_lab
+from harmonic_beta import identity_suite, series_lab
 from harmonic_beta.beta_engine import (
     alt_power_sum,
     bell_expansion,
@@ -38,7 +38,6 @@ from harmonic_beta.series_lab import (
 )
 from harmonic_beta.series_lab import (
     _CHUNK,
-    _COROLLARY_DISPLAYS,
     _EQ31_R_MAX,
     _TERM_CHECK_CAP,
     _checkpoint_lattice,
@@ -414,9 +413,9 @@ class TestClosedForm:
 
         for name in ("_closed_form_sums", "_direct_partials", "_log_weight_ball"):
             monkeypatch.setattr(series_lab, name, unsummed)
-        display = dict(_COROLLARY_DISPLAYS["r4"][0])
+        display = dict(identity_suite._DISPLAYS[4])
         display[(1, 1, 0)] += 1
-        monkeypatch.setitem(_COROLLARY_DISPLAYS, "r4", (display, 24))
+        monkeypatch.setitem(identity_suite._DISPLAYS, 4, display)
         leibniz = dict(_leibniz_route_terms(2))
         leibniz[(0, 0, 1)] += 1
         monkeypatch.setattr(series_lab, "_leibniz_route_terms", lambda r: leibniz)
@@ -441,7 +440,7 @@ class TestClosedForm:
         ]
         # h1^2 + h2 as G_2 with a padded exponent tuple and a zero coefficient
         padded = {(2, 0, 0): 1, (0, 1, 0): 1, (1, 0, 0): 0}
-        monkeypatch.setitem(_COROLLARY_DISPLAYS, "r3", (padded, 6))
+        monkeypatch.setitem(identity_suite._DISPLAYS, 3, padded)
         leibniz = {exponents + (0,): c for exponents, c in bell_expansion(2).terms.items()}
         leibniz[(0, 0, 0, 1)] = 0
         monkeypatch.setattr(series_lab, "_leibniz_route_terms", lambda r: leibniz)
