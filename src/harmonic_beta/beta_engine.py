@@ -79,9 +79,10 @@ class BellExpansion(NamedTuple):
     """Integer-coefficient polynomial in formal generators h_1..h_r.
 
     ``terms`` maps exponent vectors (e_1, ..., e_r) to positive integer
-    coefficients, stored in graded-lex order so that iteration and the text
-    form are byte-stable.  Every monomial has weight sum(alpha*e_alpha) = r
-    and the coefficients sum to r!.
+    coefficients, stored in graded-lex order, which keeps iteration and
+    every form :func:`~harmonic_beta.reporting.render_bell` gives byte-stable.
+    Every monomial has weight sum(alpha*e_alpha) = r and the coefficients
+    sum to r!.
     """
 
     order: int
@@ -102,32 +103,6 @@ class BellExpansion(NamedTuple):
                     term *= Fraction(values[alpha_idx]) ** e
             total += term
         return total
-
-    def coefficient_sum(self) -> int:
-        return sum(self.terms.values())
-
-    def text(self) -> str:
-        """Render like ``"2*h3 + 3*h1*h2 + h1^3"`` (graded-lex term order)."""
-        if not self.terms:
-            return "0"
-        parts: list[str] = []
-        for exponents, coeff in self.terms.items():
-            factors: list[str] = []
-            for alpha_idx, e in enumerate(exponents):
-                if e == 1:
-                    factors.append(f"h{alpha_idx + 1}")
-                elif e > 1:
-                    factors.append(f"h{alpha_idx + 1}^{e}")
-            if not factors:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append("*".join(factors))
-            else:
-                parts.append(f"{coeff}*" + "*".join(factors))
-        return " + ".join(parts)
-
-    def __str__(self) -> str:
-        return self.text()
 
 
 _expansion_cache: dict[int, BellExpansion] = {0: BellExpansion(0, {(): 1})}

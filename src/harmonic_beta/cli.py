@@ -18,7 +18,7 @@ import functools
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import beta_engine, float_oracle, harmonic_core, identity_suite, reporting, series_lab
 from .harmonic_core import DomainError, parse_rational
@@ -172,15 +172,9 @@ def _table_parser(sub, command: str, summary: str, default_format: str) -> argpa
         else:
             kind = _count if flag.endswith("-max") else int
         parser.add_argument(f"--{flag}", type=kind, help=f"read by {readers}")
-    _output_flags(parser, default_format)
-    return parser
-
-
-def _output_flags(parser: argparse.ArgumentParser, default_format: str) -> None:
-    parser.add_argument(
-        "--format", choices=["text", "json", "csv"], default=default_format
-    )
+    parser.add_argument("--format", choices=["text", "json", "csv"], default=default_format)
     parser.add_argument("--out", default=None, help="write output to this file")
+    return parser
 
 
 def _parse(parser: _Parser, argv: list[str]) -> argparse.Namespace:
@@ -202,20 +196,9 @@ def run(argv: Sequence[str]) -> int:
     parser = build_parser()
     try:
         args = _parse(parser, list(argv))
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
-    handler: Callable[[argparse.Namespace], tuple[int, str]]
-    handler = {
-        "compute": _run_compute,
-        "verify": _run_verify,
-        "series": _run_series,
-        "oracle": _run_oracle,
-    }[args.command]
-    try:
         _check_flags(parser, args)
-        code, text = handler(args)
-    except SystemExit as exc:  # parser.error() after parsing
+        code, text = _HANDLERS[args.command](args)
+    except SystemExit as exc:  # parser.error() or --help, in parsing or after it
         code = exc.code
         return code if isinstance(code, int) else 2
     except DomainError as exc:
@@ -282,8 +265,7 @@ def _run_compute(args) -> tuple[int, str]:
     if what == "bell":
         return 0, reporting.render_bell(beta_engine.bell_expansion(args.r), args.format)
     if what == "bernoulli":
-        table = harmonic_core.bernoulli_table(args.N)
-        return 0, reporting.render_bernoulli(table.values, args.format)
+        return 0, reporting.render_bernoulli(harmonic_core.bernoulli_table(args.N), args.format)
     if what == "zeta-even":
         claim = series_lab.PiPower(harmonic_core.zeta_even_coefficient(args.n), 2 * args.n)
         return 0, reporting.render_pi_power(claim, args.format)
@@ -400,6 +382,15 @@ def _run_oracle(args) -> tuple[int, str]:
         oracle=oracle,
     )
     return (0 if ok else 1), reporting.render_reports([report], args.format)
+
+
+# Each command's handler: it computes the record and returns (exit code, output text).
+_HANDLERS = {
+    "compute": _run_compute,
+    "verify": _run_verify,
+    "series": _run_series,
+    "oracle": _run_oracle,
+}
 
 
 if __name__ == "__main__":

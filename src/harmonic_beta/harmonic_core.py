@@ -29,10 +29,8 @@ RationalLike = Union[Fraction, int]
 __all__ = [
     "DomainError",
     "HarmonicNumerators",
-    "BernoulliTable",
     "parse_rational",
     "format_rational",
-    "binomial",
     "harmonic_number",
     "harmonic_function",
     "bernoulli_table",
@@ -178,15 +176,6 @@ def _reduced_fraction(numerator: int, denominator: int, base: int) -> Fraction:
     return _coprime_fraction(numerator, denominator)
 
 
-def binomial(n: int, k: int) -> int:
-    """C(n, k) with the convention that out-of-range k gives 0."""
-    if n < 0:
-        raise DomainError(f"binomial requires n >= 0, got n={n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 def _check_power_sum(name: str, n: int, alpha: int) -> None:
     """Refuse, for the power sum ``name``, n < 0 and then alpha < 1."""
     if n < 0:
@@ -247,7 +236,6 @@ class HarmonicNumerators:
                 f"harmonic rows require 1 <= lowest <= order, got lowest={lowest}, order={order}"
             )
         self.x = _check_shift(x, "HarmonicNumerators")
-        self.order = order
         self.lowest = lowest
         self.q = self.x.denominator
         self._d = self.x.numerator + self.q  # the next base, d_0 at first
@@ -343,23 +331,9 @@ def _run(d: int, q: int, lowest: int, orders: int, n: int) -> tuple[int, list[in
     )
 
 
-class BernoulliTable:
-    """Bernoulli numbers B_0..B_N (convention B_1 = -1/2)."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: tuple[Fraction, ...]) -> None:
-        self.values = values
-
-    def __getitem__(self, index: int) -> Fraction:
-        return self.values[index]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def bernoulli_table(n_max: int) -> BernoulliTable:
-    """B_0..B_N from the recurrence sum(C(n+1,k)*B_k, k=0..n) = 0, B_0 = 1."""
+def bernoulli_table(n_max: int) -> tuple[Fraction, ...]:
+    """The Bernoulli numbers B_0..B_N (convention B_1 = -1/2), from the
+    recurrence sum(C(n+1,k)*B_k, k=0..n) = 0, B_0 = 1."""
     if n_max < 0:
         raise DomainError(f"bernoulli_table requires N >= 0, got N={n_max}")
     values: list[Fraction] = [Fraction(1)]
@@ -368,7 +342,7 @@ def bernoulli_table(n_max: int) -> BernoulliTable:
         for k in range(n):
             acc += math.comb(n + 1, k) * values[k]
         values.append(-acc / (n + 1))
-    return BernoulliTable(values=tuple(values))
+    return tuple(values)
 
 
 def zeta_even_coefficient(n: int) -> Fraction:

@@ -4,8 +4,9 @@ One renderer per record kind takes the record and a format (``"json"``,
 ``"csv"`` or ``"text"``) and returns the output text: identity and oracle
 reports, a series estimate, a compute H/F/dF value, and the Bell, Bernoulli
 and zeta-even forms, which have no CSV form.  Each renderer forms its cells
-once and lays out every format from them; the modules that compute the
-records know no output format.
+once and lays out every format from them, and :func:`render_bell` forms
+G_r's text itself; the modules that compute the records know no output
+format, and every CSV form is written by one writer.
 
 The JSON emitter is deliberately tiny: keys keep insertion order, floats are
 printed with 17 significant digits, rationals are canonical ``"p/q"``
@@ -231,20 +232,31 @@ def render_value(op: str, params: dict, value: Fraction, fmt: str) -> str:
     if fmt == "json":
         return dumps({"op": op, **cells}) + "\n"
     if fmt == "csv":
-        return f"{','.join(cells)}\n{','.join(map(str, cells.values()))}\n"
+        return _csv(list(cells), [list(cells.values())])
     return cells["value"] + "\n"
 
 
 def render_bell(expansion: BellExpansion, fmt: str) -> str:
     """compute bell's output: json the order, each monomial's exponents and
-    coefficient, and the text form; text the text form alone."""
+    coefficient, and the text form; text the text form alone.  The text form
+    joins the terms in the expansion's graded-lex order, as in
+    ``"2*h3 + 3*h1*h2 + h1^3"``, and is ``"0"`` for an empty expansion."""
+    parts = []
+    for exponents, coeff in expansion.terms.items():
+        factors = [
+            f"h{alpha}" if e == 1 else f"h{alpha}^{e}" for alpha, e in enumerate(exponents, 1) if e
+        ]
+        if coeff != 1 or not factors:
+            factors.insert(0, str(coeff))
+        parts.append("*".join(factors))
+    text = " + ".join(parts) or "0"
     if fmt == "json":
         terms = [
             {"monomial": list(exponents), "coefficient": coeff}
             for exponents, coeff in expansion.terms.items()
         ]
-        return dumps({"order": expansion.order, "terms": terms, "text": expansion.text()}) + "\n"
-    return expansion.text() + "\n"
+        return dumps({"order": expansion.order, "terms": terms, "text": text}) + "\n"
+    return text + "\n"
 
 
 def render_bernoulli(values: Sequence[Fraction], fmt: str) -> str:

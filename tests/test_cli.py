@@ -690,7 +690,6 @@ class TestDumps:
             harmonic_beta.QuadratureResult(1.0, 0.0, 15),
             harmonic_beta.MonteCarloResult(0.5, 0.01),
             harmonic_beta.BellExpansion(1, {(1,): 1}),
-            harmonic_beta.BernoulliTable((Fraction(1),)),
         ],
         ids=lambda record: type(record).__name__,
     )
@@ -702,6 +701,8 @@ class TestDumps:
     def test_plain_sequences_are_arrays(self):
         text = dumps({"w": (Fraction(1, 2), 3), "v": [1.0, None]})
         assert text == '{"w": ["1/2", 3], "v": [1.0, null]}'
+        # the Bernoulli table is a plain tuple
+        assert dumps(harmonic_beta.bernoulli_table(4)) == '["1", "-1/2", "1/6", "0", "-1/30"]'
 
 
 class TestOutputFile:

@@ -17,7 +17,6 @@ from harmonic_beta.harmonic_core import (
     DomainError,
     HarmonicNumerators,
     bernoulli_table,
-    binomial,
     format_rational,
     harmonic_function,
     harmonic_number,
@@ -28,27 +27,6 @@ from harmonic_beta.harmonic_core import (
 x_values = st.fractions(
     min_value=Fraction(-9, 10), max_value=Fraction(5), max_denominator=30
 )
-
-
-class TestBinomial:
-    def test_small_entries(self):
-        assert binomial(5, 2) == 10
-        assert binomial(7, 0) == 1
-        assert binomial(4, 6) == 0
-        assert binomial(3, -1) == 0
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(DomainError):
-            binomial(-1, 0)
-
-    @given(st.integers(0, 80), st.integers(-5, 85))
-    def test_matches_math_comb(self, n, k):
-        expected = math.comb(n, k) if 0 <= k <= n else 0
-        assert binomial(n, k) == expected
-
-    @given(st.integers(1, 60), st.integers(0, 60))
-    def test_pascal_recurrence(self, n, k):
-        assert binomial(n, k) == binomial(n - 1, k) + binomial(n - 1, k - 1)
 
 
 class TestHarmonicNumber:
@@ -249,7 +227,7 @@ class TestBernoulli:
     def test_against_akiyama_tanigawa_oracle(self):
         table = bernoulli_table(24)
         oracle = _akiyama_tanigawa(24)
-        for k, value in enumerate(table.values):
+        for k, value in enumerate(table):
             expected = -oracle[k] if k == 1 else oracle[k]
             assert value == expected
 
