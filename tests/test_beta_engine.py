@@ -193,6 +193,13 @@ class TestBellExpansion:
     def test_text_is_stable(self):
         assert render_bell(bell_expansion(5), "text") == render_bell(bell_expansion(5), "text")
 
+    def test_json_form(self):
+        assert render_bell(bell_expansion(2), "json") == (
+            '{"order": 2, "terms": [{"monomial": [0, 1], "coefficient": 1}, '
+            '{"monomial": [2, 0], "coefficient": 1}], "text": "h2 + h1^2"}\n'
+        )
+        assert render_bell(BellExpansion(0, {}), "json") == '{"order": 0, "terms": [], "text": "0"}\n'
+
     def test_matches_complete_bell_recurrence_oracle(self):
         # independent symbolic route using the classic recurrence
         # B_{m+1} = sum_k C(m,k) B_{m-k} x_{k+1}, with x_a = (a-1)! h_a

@@ -18,8 +18,20 @@ import harmonic_beta
 from harmonic_beta.cli import _FLAGS, _NO_CSV, _REQUIRED, _TARGETS, _parse, build_parser, run
 from harmonic_beta.harmonic_core import format_rational, harmonic_function, harmonic_number
 from harmonic_beta.identity_suite import CHECK_GROUPS, IdentityReport
-from harmonic_beta.reporting import dumps, format_float, render_estimate, render_value, report_line
+from harmonic_beta.reporting import (
+    dumps,
+    format_float,
+    render_bernoulli,
+    render_estimate,
+    render_value,
+    report_line,
+)
 from harmonic_beta.series_lab import PiPower, SeriesEstimate
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in harmonic_beta.__all__ if not hasattr(harmonic_beta, name)]
+    assert missing == []
 
 
 def invoke(capsys, *argv):
@@ -666,6 +678,17 @@ class TestRenderValue:
     def test_render_is_pinned(self, op, params, value, forms):
         for fmt, text in zip(("json", "csv", "text"), forms):
             assert render_value(op, params, value, fmt) == text
+
+    def test_csv_cells_are_quoted_by_the_csv_writer(self):
+        text = render_value("H", {"tag": 'a,"b', "x": Fraction(-1, 2)}, Fraction(1), "csv")
+        assert text == 'tag,x,value\n"a,""b",-1/2,1\n'
+
+
+class TestRenderBernoulli:
+    def test_render_is_pinned(self):
+        values = (Fraction(1), Fraction(-1, 2), Fraction(1, 6))
+        assert render_bernoulli(values, "json") == '{"values": ["1", "-1/2", "1/6"]}\n'
+        assert render_bernoulli(values, "text") == "B_0 = 1\nB_1 = -1/2\nB_2 = 1/6\n"
 
 
 class TestFloatFormatting:

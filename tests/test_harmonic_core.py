@@ -211,6 +211,16 @@ def _akiyama_tanigawa(n: int) -> list[Fraction]:
 
 
 class TestBernoulli:
+    def test_table_is_a_plain_tuple_of_fractions(self):
+        table = bernoulli_table(6)
+        assert type(table) is tuple and len(table) == 7
+        assert all(type(value) is Fraction for value in table)
+        assert bernoulli_table(0) == (Fraction(1),)
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(DomainError, match="requires N >= 0, got N=-1"):
+            bernoulli_table(-1)
+
     def test_displayed_coefficients(self):
         table = bernoulli_table(8)
         assert table[1] == Fraction(-1, 2)
