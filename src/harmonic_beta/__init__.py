@@ -24,15 +24,10 @@ from .harmonic_core import (
     zeta_even_coefficient,
 )
 from .identity_suite import (
+    CHECK_GROUPS,
     IdentityReport,
     binomial_inverse,
-    check_beta_equality,
     check_inversion,
-    check_lemma_a,
-    check_theorem_2_2,
-    check_theorem_2_3,
-    check_theorem_2_5,
-    check_theorem_2_6_finite,
     generic_check,
     run_all,
 )
@@ -53,6 +48,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "BellExpansion",
+    "CHECK_GROUPS",
     "DomainError",
     "EXACT_N_MAX",
     "IdentityReport",
@@ -66,13 +62,7 @@ __all__ = [
     "bernoulli_table",
     "beta_F",
     "binomial_inverse",
-    "check_beta_equality",
     "check_inversion",
-    "check_lemma_a",
-    "check_theorem_2_2",
-    "check_theorem_2_3",
-    "check_theorem_2_5",
-    "check_theorem_2_6_finite",
     "corollary_2_4_partial",
     "cube_monte_carlo",
     "derivative_F",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -305,7 +306,7 @@ def _run_verify(args) -> tuple[int, str]:
     else:
         reports = identity_suite.CHECK_GROUPS[args.target](args.n_max, args.r_max, args.x)
     if args.target != "all":  # run_all returns its reports sorted
-        reports.sort(key=IdentityReport.sort_key)
+        reports.sort(key=operator.attrgetter("identity_id"))
     failed = sum(1 for r in reports if r.status == identity_suite.FAIL)
     return (1 if failed else 0), reporting.render_reports(reports, args.format)
 

@@ -34,12 +34,6 @@ __all__ = [
     "DEFAULT_X_SAMPLES",
     "binomial_inverse",
     "generic_check",
-    "check_theorem_2_2",
-    "check_theorem_2_3",
-    "check_theorem_2_5",
-    "check_theorem_2_6_finite",
-    "check_beta_equality",
-    "check_lemma_a",
     "check_inversion",
     "deliberate_mismatch_check",
     "run_all",
@@ -60,7 +54,10 @@ SKIPPED = "skipped"
 
 
 class IdentityReport(NamedTuple):
-    """Machine-readable verdict for one identity at one parameter tuple."""
+    """Machine-readable verdict for one identity at one parameter tuple.
+
+    A group emits each identity's reports in output order: by r, n, then x by value.
+    """
 
     identity_id: str
     params: dict
@@ -72,14 +69,6 @@ class IdentityReport(NamedTuple):
     @property
     def passed(self) -> bool:
         return self.status == PASS
-
-    def sort_key(self) -> tuple:
-        return (
-            self.identity_id,
-            self.params.get("r", -1),
-            self.params.get("n", -1),
-            Fraction(self.params.get("x", 0)),
-        )
 
 
 def _difference_table(row: list[int]) -> list[int]:
@@ -270,10 +259,12 @@ GROUP_AXES: dict[str, frozenset[str]] = {
 
 
 def _grid(axes: str, n_max: int, r_max: int, xs: Sequence[RationalLike]) -> list[dict]:
-    """The points of an ``axes`` grid: r outermost, then x, then n."""
+    """The points of an ``axes`` grid in output order: r outermost, then n,
+    then x in ascending value, whatever the order of ``xs``."""
     points = [{"n": n} for n in range(n_max + 1)]
     if "x" in axes:
-        points = [{**point, "x": Fraction(x)} for x in xs for point in points]
+        xs = sorted(map(Fraction, xs))
+        points = [{**point, "x": x} for point in points for x in xs]
     if "r" in axes:
         points = [{"r": r, **point} for r in range(r_max + 1) for point in points]
     return points
@@ -298,62 +289,18 @@ def _check_group(
     return reports
 
 
-def check_theorem_2_2(
-    n_max: int = 50, x_samples: Sequence[RationalLike] = DEFAULT_X_SAMPLES
-) -> list[IdentityReport]:
-    """First-order family: eq15, its inversion thm2.2a, and their x = 0 forms eq16, thm2.2b."""
-    return _check_group("thm2.2", n_max, None, x_samples)
+#: The seed of :func:`check_inversion`'s random sequences.
+_INVERSION_SEED = 20240601
 
 
-def check_theorem_2_3(
-    n_max: int = 50, x_samples: Sequence[RationalLike] = DEFAULT_X_SAMPLES
-) -> list[IdentityReport]:
-    """Second/third-order family: thm2.3a/b, their inversions eq20/eq21, x = 0 forms thm2.3c/d."""
-    return _check_group("thm2.3", n_max, None, x_samples)
-
-
-def check_theorem_2_5(
-    n_max: int = 50, x_samples: Sequence[RationalLike] = DEFAULT_X_SAMPLES
-) -> list[IdentityReport]:
-    """Fourth-order family: eq28, its inversion thm2.5a, and their x = 0 forms eq29, thm2.5b."""
-    return _check_group("thm2.5", n_max, None, x_samples)
-
-
-def check_theorem_2_6_finite(
-    r_max: int = 6,
-    n_max: int = 30,
-    x_samples: Sequence[RationalLike] = (Fraction(0), Fraction(1, 2)),
-) -> list[IdentityReport]:
-    """General-order finite identity (``thm2.6-finite``), exact for every (r, n, x)."""
-    return _check_group("thm2.6", n_max, r_max, x_samples)
-
-
-def check_beta_equality(
-    n_max: int = 50, x_samples: Sequence[RationalLike] = DEFAULT_X_SAMPLES
-) -> list[IdentityReport]:
-    """Product form vs alternating-sum form of F_n(x) (``beta-eq``)."""
-    return _check_group("beta-eq", n_max, None, x_samples)
-
-
-def check_lemma_a(
-    n_max: int = 40,
-    r_max: int = 8,
-    x_samples: Sequence[RationalLike] = DEFAULT_X_SAMPLES,
-) -> list[IdentityReport]:
-    """Derivative closure (``lemma-a``): F_n^(r)(x) == r!(-1)^r aps(n,x,r+1)."""
-    return _check_group("lemma-a", n_max, r_max, x_samples)
-
-
-def check_inversion(
-    count: int = 1000, max_len: int = 64, seed: int = 20240601, n_max: int = 50
-) -> list[IdentityReport]:
+def check_inversion(count: int = 1000, max_len: int = 64, n_max: int = 50) -> list[IdentityReport]:
     """Involution on random rational sequences plus the forward/inverted duality.
 
     ``inversion`` entries index random trials (params n = trial index);
     ``inversion-duality`` checks that transforming the eq16 sequence yields
     the thm2.2b right-hand side.
     """
-    rng = random.Random(seed)
+    rng = random.Random(_INVERSION_SEED)
     reports: list[IdentityReport] = []
     for trial in range(count):
         length = rng.randint(0, max_len)
@@ -383,8 +330,9 @@ def deliberate_mismatch_check(n_max: int = 10) -> list[IdentityReport]:
     return _check_group("fixture-fail", n_max, None, None)
 
 
-#: The check groups by ``verify`` target, each called as (n_max, r_max, xs)
-#: and optionally the sweep's shared reference rows, built to at least
+#: The check groups by ``verify`` target, and the one way to run one:
+#: ``CHECK_GROUPS[group](n_max, r_max, xs)``, None for an axis the group
+#: lacks, and optionally the sweep's shared reference rows, built to at least
 #: (n_max, r_max).  This is the one list of groups, which :func:`run_all`
 #: reads; fixture-fail, which must fail, is none of them.
 CHECK_GROUPS: dict[str, Callable[..., list[IdentityReport]]] = {
@@ -402,7 +350,8 @@ def run_all(
     r_max: int = 6,
     x_samples: Sequence[RationalLike] = DEFAULT_X_SAMPLES,
 ) -> list[IdentityReport]:
-    """Run every check group in turn on one set of reference rows; merge the reports sorted."""
+    """Run every check group in turn on one set of reference rows; merge the
+    reports by a stable sort on identity_id, as each group emits them in order."""
     xs = [Fraction(x) for x in x_samples]
     refs = _References(n_max, r_max)
     merged: list[IdentityReport] = []
@@ -410,5 +359,5 @@ def run_all(
         if name == "inversion":  # it reads no rows: free them before it runs
             refs = None
         merged += group(min(n_max, _RUN_ALL_N_CAPS.get(name, n_max)), r_max, xs, refs)
-    merged.sort(key=IdentityReport.sort_key)
+    merged.sort(key=operator.attrgetter("identity_id"))
     return merged

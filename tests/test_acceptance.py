@@ -11,13 +11,7 @@ from fractions import Fraction
 from harmonic_beta.beta_engine import alt_power_sum, bell_expansion, derivative_F
 from harmonic_beta.float_oracle import cube_monte_carlo, log_moment_quadrature
 from harmonic_beta.harmonic_core import bernoulli_table, zeta_even_coefficient
-from harmonic_beta.identity_suite import (
-    check_inversion,
-    check_theorem_2_2,
-    check_theorem_2_3,
-    check_theorem_2_5,
-    check_theorem_2_6_finite,
-)
+from harmonic_beta.identity_suite import CHECK_GROUPS, check_inversion
 from harmonic_beta.series_lab import (
     corollary_2_4_partial,
     eq31_series,
@@ -76,9 +70,9 @@ def test_criterion_02_derivative_closure():
 def test_criterion_03_finite_identity_sweeps():
     start = time.perf_counter()
     reports = (
-        check_theorem_2_2(50, X_SWEEP)
-        + check_theorem_2_3(50, X_SWEEP)
-        + check_theorem_2_5(50, X_SWEEP)
+        CHECK_GROUPS["thm2.2"](50, None, X_SWEEP)
+        + CHECK_GROUPS["thm2.3"](50, None, X_SWEEP)
+        + CHECK_GROUPS["thm2.5"](50, None, X_SWEEP)
     )
     elapsed = time.perf_counter() - start
     ok = bool(reports) and all(r.passed for r in reports) and elapsed < 30
@@ -87,7 +81,7 @@ def test_criterion_03_finite_identity_sweeps():
 
 def test_criterion_04_general_order_finite_identity():
     start = time.perf_counter()
-    reports = check_theorem_2_6_finite(6, 30, (Fraction(0), Fraction(1, 2)))
+    reports = CHECK_GROUPS["thm2.6"](30, 6, (Fraction(0), Fraction(1, 2)))
     elapsed = time.perf_counter() - start
     ok = bool(reports) and all(r.passed for r in reports) and elapsed < 30
     _report(4, f"general-order identity r<=6 n<=30 ({elapsed:.1f}s < 30s)", ok)

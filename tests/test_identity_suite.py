@@ -27,15 +27,8 @@ from harmonic_beta.identity_suite import (
     DEFAULT_X_SAMPLES,
     GROUP_AXES,
     IDENTITIES,
-    IdentityReport,
     binomial_inverse,
-    check_beta_equality,
     check_inversion,
-    check_lemma_a,
-    check_theorem_2_2,
-    check_theorem_2_3,
-    check_theorem_2_5,
-    check_theorem_2_6_finite,
     deliberate_mismatch_check,
     generic_check,
     run_all,
@@ -52,6 +45,17 @@ mixed_seqs = st.lists(
 )
 
 SHARED_ROW_XS = (Fraction(0), Fraction(1, 2), Fraction(7, 3), Fraction(-49, 100))
+
+
+def reference_order(report):
+    """The output order: by identity id, then r, then n, then x by value."""
+    params = report.params
+    return (
+        report.identity_id,
+        params.get("r", -1),
+        params.get("n", -1),
+        Fraction(params.get("x", 0)),
+    )
 
 
 def _direct_binomial_inverse(seq):
@@ -158,7 +162,7 @@ def _brute_alternating(n, term):
 
 class TestTheorem22:
     def test_sweep_passes(self):
-        reports = check_theorem_2_2(12, [Fraction(0), Fraction(1, 2), Fraction(7, 3)])
+        reports = CHECK_GROUPS["thm2.2"](12, None, [Fraction(0), Fraction(1, 2), Fraction(7, 3)])
         assert reports and all(r.status == PASS for r in reports)
 
     def test_x0_spot_value_brute_force(self):
@@ -180,7 +184,7 @@ class TestTheorem22:
 
 class TestTheorem23:
     def test_sweep_passes(self):
-        reports = check_theorem_2_3(10, [Fraction(0), Fraction(1, 2), Fraction(7, 3)])
+        reports = CHECK_GROUPS["thm2.3"](10, None, [Fraction(0), Fraction(1, 2), Fraction(7, 3)])
         assert reports and all(r.status == PASS for r in reports)
 
     def test_r2_display_at_origin(self):
@@ -199,7 +203,7 @@ class TestTheorem23:
         assert lhs == Fraction(1, 8)
 
     def test_deeper_sweep_single_x(self):
-        reports = check_theorem_2_3(25, [Fraction(7, 3)])
+        reports = CHECK_GROUPS["thm2.3"](25, None, [Fraction(7, 3)])
         assert all(r.status == PASS for r in reports)
 
     def test_wrong_display_coefficient_fails_exactly_its_forms(self, monkeypatch):
@@ -228,7 +232,7 @@ class TestTheorem23:
 
 class TestTheorem25:
     def test_sweep_passes(self):
-        reports = check_theorem_2_5(10, [Fraction(0), Fraction(1, 2)])
+        reports = CHECK_GROUPS["thm2.5"](10, None, [Fraction(0), Fraction(1, 2)])
         assert reports and all(r.status == PASS for r in reports)
 
     def test_coefficient_sum_case(self):
@@ -249,7 +253,7 @@ class TestTheorem25:
         assert lhs == rhs
 
     def test_deeper_sweep_single_x(self):
-        reports = check_theorem_2_5(25, [Fraction(1, 2)])
+        reports = CHECK_GROUPS["thm2.5"](25, None, [Fraction(1, 2)])
         assert all(r.status == PASS for r in reports)
 
 
@@ -285,28 +289,28 @@ class TestTheorem26Finite:
         assert mixed_sum(*derivative_rows(0, 0, 2)[0], 2) == 1
 
     def test_sweep_passes(self):
-        reports = check_theorem_2_6_finite(4, 12, [Fraction(0), Fraction(1, 2)])
+        reports = CHECK_GROUPS["thm2.6"](12, 4, [Fraction(0), Fraction(1, 2)])
         assert reports and all(r.status == PASS for r in reports)
 
     def test_all_params_recorded(self):
-        reports = check_theorem_2_6_finite(1, 2, [Fraction(0)])
+        reports = CHECK_GROUPS["thm2.6"](2, 1, [Fraction(0)])
         assert {tuple(sorted(r.params)) for r in reports} == {("n", "r", "x")}
 
 
 class TestOtherChecks:
     def test_beta_equality(self):
-        reports = check_beta_equality(15, [Fraction(0), Fraction(-49, 100)])
+        reports = CHECK_GROUPS["beta-eq"](15, None, [Fraction(0), Fraction(-49, 100)])
         assert all(r.status == PASS for r in reports)
 
     def test_lemma_a(self):
-        reports = check_lemma_a(10, 4, [Fraction(0), Fraction(1, 2)])
+        reports = CHECK_GROUPS["lemma-a"](10, 4, [Fraction(0), Fraction(1, 2)])
         assert all(r.status == PASS for r in reports)
 
     def test_out_of_domain_x_is_skipped(self):
         # the shared rows are built inside generic_check, so a bad x skips
         for reports in (
-            check_theorem_2_6_finite(1, 2, [Fraction(-1)]),
-            check_lemma_a(2, 1, [Fraction(-1)]),
+            CHECK_GROUPS["thm2.6"](2, 1, [Fraction(-1)]),
+            CHECK_GROUPS["lemma-a"](2, 1, [Fraction(-1)]),
         ):
             assert len(reports) == 6
             assert all(r.status == SKIPPED for r in reports)
@@ -356,12 +360,12 @@ class TestStandardSweepInvariant:
     def test_every_check_passes_on_the_standard_grid(self):
         xs = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(7, 3)]
         groups = [
-            check_theorem_2_2(25, xs),
-            check_theorem_2_3(25, xs),
-            check_theorem_2_5(25, xs),
-            check_theorem_2_6_finite(6, 25, xs),
-            check_lemma_a(25, 6, xs),
-            check_beta_equality(25, xs),
+            CHECK_GROUPS["thm2.2"](25, None, xs),
+            CHECK_GROUPS["thm2.3"](25, None, xs),
+            CHECK_GROUPS["thm2.5"](25, None, xs),
+            CHECK_GROUPS["thm2.6"](25, 6, xs),
+            CHECK_GROUPS["lemma-a"](25, 6, xs),
+            CHECK_GROUPS["beta-eq"](25, None, xs),
         ]
         for reports in groups:
             assert reports and all(r.status == PASS for r in reports)
@@ -371,29 +375,37 @@ class TestRunAll:
     def test_small_run_all_sorted_and_green(self):
         reports = run_all(n_max=6, r_max=2, x_samples=[Fraction(0), Fraction(1, 2)])
         assert all(r.status == PASS for r in reports)
-        keys = [r.sort_key() for r in reports]
+        keys = [reference_order(r) for r in reports]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("group", CHECK_GROUPS)
+    def test_each_group_emits_each_identity_in_output_order(self, group):
+        # so run_all and verify order a merged list by a stable sort on the id alone
+        xs = [Fraction(7, 3), Fraction(-49, 100), Fraction(0), Fraction(1, 2)]
+        reports = CHECK_GROUPS[group](3, 1, xs)
+        by_id = sorted(reports, key=lambda r: r.identity_id)
+        assert by_id == sorted(reports, key=reference_order)
 
     def test_single_worker_gives_same_reports(self):
         # run_all is the sorted concatenation of the table's seven groups,
         # and each table entry calls its check with the same arguments
         xs = [Fraction(0)]
         groups = (
-            check_theorem_2_2(4, xs)
-            + check_theorem_2_3(4, xs)
-            + check_theorem_2_5(4, xs)
-            + check_theorem_2_6_finite(1, 4, xs)
-            + check_lemma_a(4, 1, xs)
-            + check_beta_equality(4, xs)
+            CHECK_GROUPS["thm2.2"](4, None, xs)
+            + CHECK_GROUPS["thm2.3"](4, None, xs)
+            + CHECK_GROUPS["thm2.5"](4, None, xs)
+            + CHECK_GROUPS["thm2.6"](4, 1, xs)
+            + CHECK_GROUPS["lemma-a"](4, 1, xs)
+            + CHECK_GROUPS["beta-eq"](4, None, xs)
             + check_inversion(n_max=4)
         )
         table = [report for group in CHECK_GROUPS.values() for report in group(4, 1, xs)]
         merged = run_all(n_max=4, r_max=1, x_samples=xs)
         strip = lambda rs: [(r.identity_id, tuple(sorted(r.params.items())), r.status) for r in rs]
-        expected = strip(sorted(groups, key=IdentityReport.sort_key))
+        expected = strip(sorted(groups, key=reference_order))
         assert len(CHECK_GROUPS) == 7
         assert strip(merged) == expected
-        assert strip(sorted(table, key=IdentityReport.sort_key)) == expected
+        assert strip(sorted(table, key=reference_order)) == expected
         # at n_max = 50 run_all reads prefixes of its shared rows, while each
         # standalone group builds its own under run_all's n caps of 30 and 40
         caps = {"thm2.6": 30, "lemma-a": 40}
@@ -404,7 +416,7 @@ class TestRunAll:
                 for name, group in CHECK_GROUPS.items()
                 for report in group(caps.get(name, 50), r_max, DEFAULT_X_SAMPLES)
             ]
-            standalone.sort(key=IdentityReport.sort_key)
+            standalone.sort(key=reference_order)
             assert full(run_all(50, r_max)) == full(standalone)
 
     def test_out_of_domain_x_on_shared_rows_is_skipped(self):
@@ -421,9 +433,9 @@ class TestRunAll:
             return sorted((r.identity_id, r.params.get("n")) for r in reports)
 
         for call in (
-            lambda xs: check_theorem_2_2(2, xs),
-            lambda xs: check_theorem_2_3(2, xs),
-            lambda xs: check_theorem_2_5(2, xs),
+            lambda xs: CHECK_GROUPS["thm2.2"](2, None, xs),
+            lambda xs: CHECK_GROUPS["thm2.3"](2, None, xs),
+            lambda xs: CHECK_GROUPS["thm2.5"](2, None, xs),
             lambda xs: run_all(2, 1, xs),
         ):
             reports = call([Fraction(-1)])
@@ -487,6 +499,17 @@ class TestIdentityTable:
         assert set(listed) == set(IDENTITIES) | {"inversion"}
         assert listed.pop("inversion") == ("inversion", "n")
         assert listed == {i: (row.group, row.axes) for i, row in IDENTITIES.items()}
+
+
+def test_readme_library_use_block_runs(capsys):
+    # every name the block imports still exists, and its assertions hold
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library use\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    bell, estimate = capsys.readouterr().out.splitlines()
+    assert bell.startswith("120*h6 + 144*h1*h5 + ") and bell.endswith(" + h1^6")
+    assert estimate.startswith('{"target_id": "lemma-c(r=3)", "N": 10000, ')
 
 
 # (x, s, n): the entry n of the alternating row at (x, s) is off by 1/D**s
