@@ -192,7 +192,8 @@ def log_moment_quadrature(n: int, m: int, x: RationalLike) -> QuadratureResult:
     the (1-e**(-u))**n factor enveloped by 1) drops below 1e-14 of the
     accumulated value; the accumulated value only grows with U, so the
     relative target is conservative.  The error estimate must be within
-    1e-8 of |value|.
+    1e-8 of |value|.  An x + 1 or an integral past binary64's range raises
+    DomainError.
     """
     if n < 0:
         raise DomainError(f"log_moment_quadrature requires n >= 0, got n={n}")
@@ -233,6 +234,11 @@ def log_moment_quadrature(n: int, m: int, x: RationalLike) -> QuadratureResult:
     else:
         raise QuadratureError(
             f"tail target not reached within iteration budget (n={n}, m={m}, x={x})"
+        )
+    if not math.isfinite(value):
+        raise DomainError(
+            f"log_moment_quadrature requires an integral within the float range "
+            f"(n={n}, m={m}, x={x})"
         )
     if not abserr <= 1e-8 * abs(value):
         raise QuadratureError(

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import harmonic_beta
+from harmonic_beta import beta_engine, float_oracle, harmonic_core, identity_suite, series_lab
 from harmonic_beta.cli import _FLAGS, _NO_CSV, _REQUIRED, _TARGETS, _parse, build_parser, run
 from harmonic_beta.harmonic_core import format_rational, harmonic_function, harmonic_number
 from harmonic_beta.identity_suite import CHECK_GROUPS, IdentityReport
@@ -32,6 +33,25 @@ from harmonic_beta.series_lab import PiPower, SeriesEstimate
 def test_every_exported_name_resolves():
     missing = [name for name in harmonic_beta.__all__ if not hasattr(harmonic_beta, name)]
     assert missing == []
+    # the package's surface is its modules' __all__, each name declared once
+    modules = [harmonic_core, beta_engine, identity_suite, series_lab, float_oracle]
+    assert harmonic_beta.__all__ == ["__version__", *(n for m in modules for n in m.__all__)]
+    assert len(set(harmonic_beta.__all__)) == len(harmonic_beta.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(harmonic_beta, name) is getattr(module, name), name
+    # the surface before it was derived; none of these may leave it
+    earlier = {
+        "__version__", "BellExpansion", "CHECK_GROUPS", "DomainError", "EXACT_N_MAX",
+        "IdentityReport", "MonteCarloResult", "PiPower", "QuadratureError",
+        "QuadratureResult", "SeriesEstimate", "alt_power_sum", "bell_expansion",
+        "bernoulli_table", "beta_F", "binomial_inverse", "check_inversion",
+        "corollary_2_4_partial", "cube_monte_carlo", "derivative_F", "eq31_series",
+        "eq32_series", "format_rational", "generic_check", "harmonic_function",
+        "harmonic_number", "hurwitz_partial", "lemma_c_partial", "log_moment_quadrature",
+        "multi_integral_exact", "parse_rational", "run_all", "zeta_even_coefficient",
+    }
+    assert len(earlier) == 33 and earlier <= set(harmonic_beta.__all__)
 
 
 def invoke(capsys, *argv):
@@ -181,6 +201,23 @@ class TestArgumentValidation:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "requires x + 1 within the float range" in err
+
+    @pytest.mark.parametrize(
+        "n, m, x, message",
+        [
+            # 30!/(x+1)**31 is about 2**1137: the quadrature's integral is inf
+            ("0", "30", "-9999999999/10000000000",
+             "log_moment_quadrature requires an integral within the float range"),
+            # about 2**-30786 and 2**-14501: both sides round to 0, a vacuous pass
+            ("0", "30", f"1{'0' * 300}", "oracle quad requires a value within the normal float range"),
+            ("100", "30", "9" * 35, "oracle quad requires a value within the normal float range"),
+        ],
+        ids=["above", "below-large-x", "below-large-n"],
+    )
+    def test_quad_value_past_the_float_range_exits_two(self, capsys, n, m, x, message):
+        code, out, err = invoke(capsys, "oracle", "quad", "--n", n, "--m", m, f"--x={x}")
+        assert (code, out) == (2, "")
+        assert err == f"error: {message} (n={n}, m={m}, x={x})\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -107,6 +107,13 @@ class TestLogMomentQuadrature:
         exact = float(derivative_F(0, x, 30))
         assert abs(value - exact) <= 1e-9 * abs(exact)
 
+    def test_value_inside_the_float_range_is_not_refused(self, capsys):
+        # F_0^(20)(x) = 20!/(x+1)**21 is about 2.43e270, inside the float range,
+        # so neither oracle quad refusal applies
+        x = Fraction(-999999999999, 1000000000000)
+        assert run(["oracle", "quad", "--n", "0", "--m", "20", f"--x={x}"]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "pass"
+
     def test_evaluation_cap_raises(self, monkeypatch, capsys):
         monkeypatch.setattr(float_oracle, "EVALUATION_CAP", 100)
         with pytest.raises(QuadratureError, match="evaluation cap 100 exceeded"):
@@ -148,6 +155,8 @@ class TestLogMomentQuadrature:
             log_moment_quadrature(-1, 1, 0)
         with pytest.raises(DomainError):
             log_moment_quadrature(1, -1, 0)
+        with pytest.raises(DomainError, match="requires an integral within the float range"):
+            log_moment_quadrature(0, 30, Fraction(-9999999999, 10000000000))
 
 
 class TestCubeMonteCarlo:
