@@ -33,8 +33,8 @@ on the integer numerators, and build one reduced Fraction per derivative.
 The recurrence is again weight-homogeneous, so it is exact on N.  Float-mode
 log-weight series (:mod:`~harmonic_beta.series_lab`) run the same
 recurrence, :func:`_bell_values`, on binary64 arrays.
-:meth:`BellExpansion.evaluate` substitutes Fraction values into the
-polynomial directly; it is the reference route the tests compare them with.
+:func:`bell_expansion` gives G_r's terms themselves; the tests substitute
+Fraction values into them monomial by monomial as the reference route.
 
 :func:`alt_power_row` gives sum(C(n,k) * (-1)**k / (x+k+1)**r) for every
 n <= n_max at once; :func:`alt_power_sum` is its one-point call.
@@ -46,7 +46,8 @@ import math
 import operator
 from fractions import Fraction
 from itertools import accumulate
-from typing import Mapping, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .harmonic_core import (
     DomainError,
@@ -57,7 +58,6 @@ from .harmonic_core import (
 )
 
 __all__ = [
-    "BellExpansion",
     "beta_F",
     "alt_power_sum",
     "alt_power_row",
@@ -75,37 +75,7 @@ def _graded_lex_key(exponents: Monomial) -> tuple[int, tuple[int, ...]]:
     return (sum(exponents), tuple(-e for e in exponents))
 
 
-class BellExpansion(NamedTuple):
-    """Integer-coefficient polynomial in formal generators h_1..h_r.
-
-    ``terms`` maps exponent vectors (e_1, ..., e_r) to positive integer
-    coefficients, stored in graded-lex order, which keeps iteration and
-    every form :func:`~harmonic_beta.reporting.render_bell` gives byte-stable.
-    Every monomial has weight sum(alpha*e_alpha) = r and the coefficients
-    sum to r!.
-    """
-
-    order: int
-    terms: Mapping[Monomial, int]
-
-    def evaluate(self, values: Sequence[RationalLike]) -> Fraction:
-        """Substitute h_alpha = values[alpha-1] and evaluate exactly."""
-        if len(values) < self.order:
-            raise DomainError(
-                f"expansion of order {self.order} needs {self.order} generator "
-                f"values, got {len(values)}"
-            )
-        total = Fraction(0)
-        for exponents, coeff in self.terms.items():
-            term = Fraction(coeff)
-            for alpha_idx, e in enumerate(exponents):
-                if e:
-                    term *= Fraction(values[alpha_idx]) ** e
-            total += term
-        return total
-
-
-_expansion_cache: dict[int, BellExpansion] = {0: BellExpansion(0, {(): 1})}
+_expansion_cache: dict[int, Mapping[Monomial, int]] = {0: MappingProxyType({(): 1})}
 
 
 def _step(terms: Mapping[Monomial, int], r: int) -> dict[Monomial, int]:
@@ -131,16 +101,22 @@ def _step(terms: Mapping[Monomial, int], r: int) -> dict[Monomial, int]:
     return out
 
 
-def bell_expansion(r: int) -> BellExpansion:
-    """The order-r expansion G_r, cached per r."""
+def bell_expansion(r: int) -> Mapping[Monomial, int]:
+    """G_r's terms, cached per r: a read-only mapping of exponent vectors
+    (e_1, ..., e_r) to positive integer coefficients.
+
+    The terms are in graded-lex order, which keeps iteration and every form
+    :func:`~harmonic_beta.reporting.render_bell` gives byte-stable.  Every
+    monomial has weight sum(alpha*e_alpha) = r and the coefficients sum to r!.
+    """
     if r < 0:
         raise DomainError(f"bell_expansion requires r >= 0, got r={r}")
     if r not in _expansion_cache:
         top = max(_expansion_cache)
-        terms = _expansion_cache[top].terms
+        terms = _expansion_cache[top]
         for k in range(top, r):
             terms = dict(sorted(_step(terms, k).items(), key=lambda kv: _graded_lex_key(kv[0])))
-            _expansion_cache[k + 1] = BellExpansion(k + 1, terms)
+            _expansion_cache[k + 1] = MappingProxyType(terms)
     return _expansion_cache[r]
 
 

@@ -264,7 +264,7 @@ def _check_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> N
 def _run_compute(args) -> tuple[int, str]:
     what = args.target
     if what == "bell":
-        return 0, reporting.render_bell(beta_engine.bell_expansion(args.r), args.format)
+        return 0, reporting.render_bell(args.r, beta_engine.bell_expansion(args.r), args.format)
     if what == "bernoulli":
         return 0, reporting.render_bernoulli(harmonic_core.bernoulli_table(args.N), args.format)
     if what == "zeta-even":

@@ -20,9 +20,9 @@ from __future__ import annotations
 import io
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
-from .beta_engine import BellExpansion
+from .beta_engine import Monomial
 from .harmonic_core import format_rational
 from .identity_suite import IdentityReport
 from .series_lab import PiPower, SeriesEstimate
@@ -236,13 +236,13 @@ def render_value(op: str, params: dict, value: Fraction, fmt: str) -> str:
     return cells["value"] + "\n"
 
 
-def render_bell(expansion: BellExpansion, fmt: str) -> str:
-    """compute bell's output: json the order, each monomial's exponents and
-    coefficient, and the text form; text the text form alone.  The text form
-    joins the terms in the expansion's graded-lex order, as in
-    ``"2*h3 + 3*h1*h2 + h1^3"``, and is ``"0"`` for an empty expansion."""
+def render_bell(r: int, terms: Mapping[Monomial, int], fmt: str) -> str:
+    """compute bell's output for G_r's ``terms``: json the order r, each
+    monomial's exponents and coefficient, and the text form; text the text
+    form alone.  The text form joins the terms in their graded-lex order, as
+    in ``"2*h3 + 3*h1*h2 + h1^3"``, and is ``"0"`` for no terms."""
     parts = []
-    for exponents, coeff in expansion.terms.items():
+    for exponents, coeff in terms.items():
         factors = [
             f"h{alpha}" if e == 1 else f"h{alpha}^{e}" for alpha, e in enumerate(exponents, 1) if e
         ]
@@ -251,11 +251,8 @@ def render_bell(expansion: BellExpansion, fmt: str) -> str:
         parts.append("*".join(factors))
     text = " + ".join(parts) or "0"
     if fmt == "json":
-        terms = [
-            {"monomial": list(exponents), "coefficient": coeff}
-            for exponents, coeff in expansion.terms.items()
-        ]
-        return dumps({"order": expansion.order, "terms": terms, "text": text}) + "\n"
+        cells = [{"monomial": list(e), "coefficient": c} for e, c in terms.items()]
+        return dumps({"order": r, "terms": cells, "text": text}) + "\n"
     return text + "\n"
 
 

@@ -259,15 +259,18 @@ def hurwitz_partial(x: RationalLike, s: int, N: int, float_mode: bool = False) -
     """Partial sum of sum(1/(n+x+1)**s, n >= 0) with an integral-test bracket.
 
     tail in [1/((s-1)(N+x+1)**(s-1)), 1/((s-1)(N+x)**(s-1))].  In float mode
-    the bracket also encloses the rounding error (:func:`_hurwitz_ball`);
-    exact mode refuses s > _EXACT_S_MAX before any work.
+    the bracket also encloses the rounding error (:func:`_hurwitz_ball`).
+    Each mode refuses what it cannot sum before any work: float mode the
+    inputs :func:`_check_float_hurwitz` refuses, exact mode s > _EXACT_S_MAX.
     """
     x = _check_shift(x, "hurwitz_partial")
     if s <= 1:
         raise DomainError(f"hurwitz_partial requires s >= 2 (divergent otherwise), got s={s}")
     if N < 1:
         raise DomainError(f"hurwitz_partial requires N >= 1, got N={N}")
-    if not float_mode and s > _EXACT_S_MAX:
+    if float_mode:
+        _check_float_hurwitz(x, s, N)
+    elif s > _EXACT_S_MAX:
         raise DomainError(f"exact mode sums zeta only up to s = {_EXACT_S_MAX}; got s={s}")
     target_id = f"zeta(x={format_rational(x)},s={s})"
 
@@ -355,15 +358,10 @@ def _ball_estimate(
     )
 
 
-def _hurwitz_ball(x: Fraction, s: int, N: int) -> tuple[float, Fraction]:
-    """sum((q/(q(n+1)+p))**s, n = 0..N-1) for x = p/q, as (float sum, radius).
-
-    The products q(n+1) and the denominators d = q(n+1)+p are exact binary64
-    integers.  t = q/d is one rounding, t(1 + delta); its s-th power by
-    s - 1 products is t**s * (1 + delta)**s times s - 1 further factors, so
-    2s - 1 roundings, and with the sum's one rounding K = 2s.  Rejects inputs
-    where q(N+1) or d reaches 2**53 or a term could leave [2**-1000, 2**960].
-    """
+def _check_float_hurwitz(x: Fraction, s: int, N: int) -> None:
+    """Refuse a float-mode sum of (1/(n+x+1))**s, n < N, that :func:`_hurwitz_ball`
+    cannot bound: q(N+1) or a denominator d reaching 2**53, or a term that could
+    leave [2**-1000, 2**960].  Cheap, so callers run it before any other work."""
     p, q = x.numerator, x.denominator
     top = q * (N + 1) + max(p, 0)
     if top >= _FLOAT_INT_LIMIT:
@@ -375,6 +373,18 @@ def _hurwitz_ball(x: Fraction, s: int, N: int) -> tuple[float, Fraction]:
         raise DomainError(
             f"float mode: (1/(n+x+1))**{s} leaves the normal float range for x={x}, N={N}"
         )
+
+
+def _hurwitz_ball(x: Fraction, s: int, N: int) -> tuple[float, Fraction]:
+    """sum((q/(q(n+1)+p))**s, n = 0..N-1) for x = p/q, as (float sum, radius).
+
+    The products q(n+1) and the denominators d = q(n+1)+p are exact binary64
+    integers.  t = q/d is one rounding, t(1 + delta); its s-th power by
+    s - 1 products is t**s * (1 + delta)**s times s - 1 further factors, so
+    2s - 1 roundings, and with the sum's one rounding K = 2s.  Takes only
+    inputs that :func:`_check_float_hurwitz` admits.
+    """
+    p, q = x.numerator, x.denominator
     import numpy as np
 
     def chunks() -> Iterator[np.ndarray]:
@@ -465,17 +475,6 @@ def _checkpoint_lattice(n_max: int) -> set[int]:
     return points
 
 
-def _normalised(poly_terms: PolyTerms) -> dict[Monomial, int]:
-    """The same polynomial with trailing zero exponents stripped and no zero coefficients."""
-    out: dict[Monomial, int] = {}
-    for exponents, coeff in poly_terms.items():
-        key = tuple(exponents)
-        while key and not key[-1]:
-            key = key[:-1]
-        out[key] = out.get(key, 0) + coeff
-    return {key: coeff for key, coeff in out.items() if coeff}
-
-
 def _closed_form_sums(k: int, stops: list[int]) -> list[tuple[int, int]]:
     """(S, L) for each m in ``stops``, with T_k(m) = (k+1)! - S/((m+1) * L**k).
 
@@ -553,7 +552,7 @@ def _log_weight_series(
     """
     if N < 1:
         raise DomainError(f"series requires N >= 1, got N={N}")
-    d_coeffs = _log_moment_coefficients(bell_expansion(k).terms, scale)
+    d_coeffs = _log_moment_coefficients(bell_expansion(k), scale)
 
     if float_mode:
         total, radius = _log_weight_ball(k, N)
@@ -685,12 +684,12 @@ def _bell_order(k: int, float_mode: bool) -> int:
 
 
 def _crosscheck(target_id: str, route: PolyTerms, k: int) -> None:
-    """Raise ArithmeticError unless ``route`` is the polynomial G_k.
+    """Raise ArithmeticError unless ``route`` has exactly G_k's terms.
 
-    Exponent tuples are compared without trailing zeros and zero
-    coefficients are dropped.  Equal polynomials agree at every n, so this
-    is at least as strict as comparing the two routes term by term."""
-    if _normalised(route) != _normalised(bell_expansion(k).terms):
+    Equal polynomials agree at every n, so this is at least as strict as
+    comparing the two routes term by term; a route with an extra zero
+    exponent or a zero coefficient fails it."""
+    if route != bell_expansion(k):
         raise ArithmeticError(f"{target_id}: term routes disagree")
 
 
@@ -733,7 +732,7 @@ def _leibniz_route_terms(r: int) -> PolyTerms:
     out: dict[Monomial, int] = {}
     for l in range(r + 1):
         c = math.comb(r, l) * math.factorial(l)
-        for exponents, coeff in bell_expansion(r - l).terms.items():
+        for exponents, coeff in bell_expansion(r - l).items():
             padded = list(exponents) + [0] * (r + 1 - len(exponents))
             padded[l] += 1
             key = tuple(padded)
@@ -761,6 +760,8 @@ def eq31_series(r: int, x: RationalLike, N: int, float_mode: bool = False) -> Se
     x = _check_shift(x, "eq31_series")
     if N < 1:
         raise DomainError(f"eq31_series requires N >= 1, got N={N}")
+    if float_mode:
+        _check_float_hurwitz(x, r + 2, N)
     target_id = f"eq31(r={r},x={format_rational(x)})"
     rows = derivative_rows(min(N, _TERM_CHECK_CAP) - 1, x, r)
     inner = [mixed_sum(*row, r) for row in rows]

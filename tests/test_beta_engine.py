@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from harmonic_beta import beta_engine
 from harmonic_beta.beta_engine import (
-    BellExpansion,
     _bell_values,
     alt_power_row,
     alt_power_sum,
@@ -24,6 +24,36 @@ x_values = st.fractions(
 )
 
 X_SAMPLES = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(7, 3), Fraction(-49, 100))
+
+
+def _evaluate(poly, values):
+    """sum(coeff * prod(values[i]**e_i)) over the monomials of ``poly``."""
+    return sum(
+        coeff * math.prod(v**e for v, e in zip(values, exponents))
+        for exponents, coeff in poly.items()
+    )
+
+
+def _partitions(r, largest=None):
+    """Every partition of r as a tuple of parts, largest first."""
+    if r == 0:
+        yield ()
+        return
+    for part in range(min(r, largest or r), 0, -1):
+        for rest in _partitions(r - part, part):
+            yield (part, *rest)
+
+
+def _cycle_index(r):
+    """G_r by h_r = sum(p_lambda/z_lambda) over the partitions lambda of r
+    (Macdonald, Symmetric Functions and Hall Polynomials, ch. I): the monomial
+    with e_a parts a has coefficient r!/z_lambda, z_lambda = prod(a**e_a * e_a!)."""
+    out = {}
+    for parts in _partitions(r):
+        exponents = tuple(parts.count(a) for a in range(1, r + 1))
+        z = math.prod(a**e * math.factorial(e) for a, e in enumerate(exponents, 1))
+        out[exponents] = math.factorial(r) // z
+    return out
 
 
 class TestBetaF:
@@ -149,22 +179,21 @@ class TestAltPowerSum:
 
 class TestBellExpansion:
     def test_order_zero_is_constant_one(self):
-        exp = bell_expansion(0)
-        assert dict(exp.terms) == {(): 1}
-        assert exp.evaluate([]) == 1
+        assert dict(bell_expansion(0)) == {(): 1}
+        assert _evaluate(bell_expansion(0), []) == 1
 
     def test_order_two(self):
-        assert dict(bell_expansion(2).terms) == {(0, 1): 1, (2, 0): 1}
+        assert dict(bell_expansion(2)) == {(0, 1): 1, (2, 0): 1}
 
     def test_order_three(self):
-        assert dict(bell_expansion(3).terms) == {
+        assert dict(bell_expansion(3)) == {
             (0, 0, 1): 2,
             (1, 1, 0): 3,
             (3, 0, 0): 1,
         }
 
     def test_order_four(self):
-        assert dict(bell_expansion(4).terms) == {
+        assert dict(bell_expansion(4)) == {
             (0, 0, 0, 1): 6,
             (1, 0, 1, 0): 8,
             (0, 2, 0, 0): 3,
@@ -174,44 +203,58 @@ class TestBellExpansion:
 
     def test_grading_and_coefficient_sum(self):
         for r in range(13):
-            exp = bell_expansion(r)
-            for exponents, coeff in exp.terms.items():
+            terms = bell_expansion(r)
+            for exponents, coeff in terms.items():
                 assert coeff > 0
                 assert sum((i + 1) * e for i, e in enumerate(exponents)) == r
-            assert sum(exp.terms.values()) == math.factorial(r)
+            assert sum(terms.values()) == math.factorial(r)
+
+    def test_every_coefficient_is_the_cycle_index(self):
+        # the cycle index has a monomial for every partition of r, so this
+        # pins the whole of G_r: no monomial missing or extra
+        for r in range(31):
+            assert dict(bell_expansion(r)) == _cycle_index(r)
+
+    def test_terms_are_read_only(self, monkeypatch):
+        # a cache of G_0..G_3 alone, so G_4 is built from G_3 after the writes
+        cache = {r: bell_expansion(r) for r in range(4)}
+        monkeypatch.setattr(beta_engine, "_expansion_cache", cache)
+        with pytest.raises(TypeError):
+            bell_expansion(3)[(0, 0, 1)] = 5
+        with pytest.raises(TypeError):
+            del bell_expansion(3)[(0, 0, 1)]
+        assert dict(bell_expansion(3)) == _cycle_index(3)
+        assert dict(bell_expansion(4)) == _cycle_index(4)
 
     def test_text_form(self):
-        assert render_bell(bell_expansion(0), "text") == "1\n"
-        assert render_bell(bell_expansion(2), "text") == "h2 + h1^2\n"
-        assert render_bell(bell_expansion(3), "text") == "2*h3 + 3*h1*h2 + h1^3\n"
+        assert render_bell(0, bell_expansion(0), "text") == "1\n"
+        assert render_bell(2, bell_expansion(2), "text") == "h2 + h1^2\n"
+        assert render_bell(3, bell_expansion(3), "text") == "2*h3 + 3*h1*h2 + h1^3\n"
         assert (
-            render_bell(bell_expansion(4), "text")
+            render_bell(4, bell_expansion(4), "text")
             == "6*h4 + 8*h1*h3 + 3*h2^2 + 6*h1^2*h2 + h1^4\n"
         )
-        assert render_bell(BellExpansion(0, {}), "text") == "0\n"
+        assert render_bell(0, {}, "text") == "0\n"
 
     def test_text_is_stable(self):
-        assert render_bell(bell_expansion(5), "text") == render_bell(bell_expansion(5), "text")
+        text = render_bell(5, bell_expansion(5), "text")
+        assert render_bell(5, bell_expansion(5), "text") == text
 
     def test_json_form(self):
-        assert render_bell(bell_expansion(2), "json") == (
+        assert render_bell(2, bell_expansion(2), "json") == (
             '{"order": 2, "terms": [{"monomial": [0, 1], "coefficient": 1}, '
             '{"monomial": [2, 0], "coefficient": 1}], "text": "h2 + h1^2"}\n'
         )
-        assert render_bell(BellExpansion(0, {}), "json") == '{"order": 0, "terms": [], "text": "0"}\n'
+        assert render_bell(0, {}, "json") == '{"order": 0, "terms": [], "text": "0"}\n'
 
     def test_matches_complete_bell_recurrence_oracle(self):
         # independent symbolic route using the classic recurrence
         # B_{m+1} = sum_k C(m,k) B_{m-k} x_{k+1}, with x_a = (a-1)! h_a
         for r in range(9):
-            assert _complete_bell_poly(r) == dict(bell_expansion(r).terms)
+            assert _complete_bell_poly(r) == dict(bell_expansion(r))
 
     def test_cache_returns_same_object(self):
         assert bell_expansion(6) is bell_expansion(6)
-
-    def test_evaluate_requires_enough_values(self):
-        with pytest.raises(DomainError):
-            bell_expansion(3).evaluate([Fraction(1)])
 
 
 def _poly_mul(a: dict, b: dict, size: int) -> dict:
@@ -293,7 +336,7 @@ class TestDerivativeF:
         expansion = bell_expansion(r)
         rows = HarmonicNumerators(x, r)
         rows.advance(n + 1)
-        expected = -expansion.evaluate(rows.values()) * beta_F(n, x)
+        expected = -_evaluate(expansion, rows.values()) * beta_F(n, x)
         assert derivative_F(n, x, r) == expected
 
 
@@ -311,7 +354,7 @@ class TestIntegerBellEvaluation:
         # G_r(H) = (q/L)**r * G_r(N) on the integer numerators; the reference
         # substitutes the Fraction values of direct sums into G_r
         harmonics = [harmonic_function(n, x, a) for a in range(1, r + 1)]
-        expected = bell_expansion(r).evaluate(harmonics) * beta_F(n, x)
+        expected = _evaluate(bell_expansion(r), harmonics) * beta_F(n, x)
         expected = -expected if r % 2 else expected
         assert derivative_F(n, x, r) == expected
         assert derivative_rows(n, x, r)[n][1][r] == expected
@@ -332,14 +375,14 @@ class TestIntegerBellEvaluation:
     def test_bell_recurrence_equals_the_step_polynomial(self, case):
         k, numerators = case
         values = _bell_values(numerators, k)
-        assert values == [bell_expansion(j).evaluate(numerators) for j in range(k + 1)]
+        assert values == [_evaluate(bell_expansion(j), numerators) for j in range(k + 1)]
 
     @pytest.mark.parametrize(
         "numerators",
         [[1] * 30, [0] * 29 + [7], [(-3) ** a * (a + 5) for a in range(30)]],
     )
     def test_bell_recurrence_at_order_30(self, numerators):
-        assert _bell_values(numerators, 30)[30] == bell_expansion(30).evaluate(numerators)
+        assert _bell_values(numerators, 30)[30] == _evaluate(bell_expansion(30), numerators)
 
     @settings(max_examples=60, deadline=None)
     @given(

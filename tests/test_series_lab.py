@@ -61,7 +61,7 @@ PI_100 = Fraction(
 
 def reference_partials(k, stops):
     """The per-term loop: sum G_k(H_{n+1}, ...)/(n(n+1)) one Fraction term at a time."""
-    poly = bell_expansion(k).terms
+    poly = bell_expansion(k)
     h = [Fraction(1)] * k  # H_{n+1}^{(alpha)}, starts at n = 0
     running = Fraction(0)
     out = []
@@ -99,7 +99,7 @@ def _evaluate(poly, values):
 def _block_parts(k):
     """[(f, w_f, R_f)]: G_k(H + delta) = sum_f H**f * R_f(delta), w_f the weight of R_f."""
     parts = {}  # f -> R_f
-    for exponents, coeff in bell_expansion(k).terms.items():
+    for exponents, coeff in bell_expansion(k).items():
         for f in itertools.product(*(range(e + 1) for e in exponents)):
             c = coeff
             for e, fe in zip(exponents, f):
@@ -308,7 +308,7 @@ class TestLemmaCPartial:
         lattice = _checkpoint_lattice(N)
         stops = sorted(lattice | {N})
         refs = [scale * p for p in reference_partials(k, stops)]
-        d_coeffs = _log_moment_coefficients(bell_expansion(k).terms, scale)
+        d_coeffs = _log_moment_coefficients(bell_expansion(k), scale)
         envelope = min(
             p + _raw_tail_bound(d_coeffs, n) for n, p in zip(stops, refs) if n in lattice
         )
@@ -433,20 +433,24 @@ class TestClosedForm:
                 captured = capsys.readouterr()
                 assert (captured.out, captured.err) == ("", f"check failed: {message}\n")
 
-    def test_crosscheck_ignores_padding_and_zero_coefficients(self, monkeypatch):
-        expected = [
-            (corollary_2_4_partial("r3", 50, float_mode), eq32_series(1, 50, float_mode))
-            for float_mode in (False, True)
-        ]
-        # h1^2 + h2 as G_2 with a padded exponent tuple and a zero coefficient
-        padded = {(2, 0, 0): 1, (0, 1, 0): 1, (1, 0, 0): 0}
-        monkeypatch.setitem(identity_suite._DISPLAYS, 3, padded)
-        leibniz = {exponents + (0,): c for exponents, c in bell_expansion(2).terms.items()}
-        leibniz[(0, 0, 0, 1)] = 0
-        monkeypatch.setattr(series_lab, "_leibniz_route_terms", lambda r: leibniz)
-        for float_mode, (cor, eq32) in zip((False, True), expected):
-            assert corollary_2_4_partial("r3", 50, float_mode) == cor
-            assert eq32_series(1, 50, float_mode) == eq32
+    @pytest.mark.parametrize("float_mode", [False, True])
+    def test_crosscheck_refuses_padding_and_zero_coefficients(self, monkeypatch, float_mode):
+        # G_2 = h1^2 + h2 and G_3 with a padded exponent tuple, then with a
+        # zero coefficient: the same polynomials, but not the same terms
+        g2, g3 = dict(bell_expansion(2)), dict(bell_expansion(3))
+        for display, leibniz in (
+            ({e + (0,): c for e, c in g2.items()}, {e + (0,): c for e, c in g3.items()}),
+            ({**g2, (1, 0): 0}, {**g3, (0, 0, 0): 0}),
+        ):
+            monkeypatch.setitem(identity_suite._DISPLAYS, 3, display)
+            monkeypatch.setattr(series_lab, "_leibniz_route_terms", lambda r: leibniz)
+            for call, target_id in (
+                (lambda: corollary_2_4_partial("r3", 50, float_mode), "cor2.4-r3"),
+                (lambda: eq32_series(1, 50, float_mode), "eq32(r=1)"),
+            ):
+                with pytest.raises(ArithmeticError) as raised:
+                    call()
+                assert str(raised.value) == f"{target_id}: term routes disagree"
 
 
 @st.composite
@@ -581,7 +585,7 @@ class TestFloatBall:
         scale = Fraction(1, 3)
         est = _log_weight_series("t", k, scale, N, None, sign=sign, float_mode=True)
         exact = sign * scale * block_partials(k, [N])[0]
-        tail = sign * _raw_tail_bound(_log_moment_coefficients(bell_expansion(k).terms, scale), N)
+        tail = sign * _raw_tail_bound(_log_moment_coefficients(bell_expansion(k), scale), N)
         low, high = est.bounds()
         assert low <= min(exact, exact + tail) and max(exact, exact + tail) <= high
 
@@ -631,17 +635,35 @@ class TestFloatBall:
             lambda: _log_weight_ball(20, 10),  # G_20's recurrence holds 19! >= 2**53
             lambda: _log_weight_ball(19, 22_631_579),  # N * 190 products of G_19 > budget
             lambda: eq32_series(19, 20_000, float_mode=True),  # G_20 holds 19!
-            lambda: _hurwitz_ball(Fraction(1, 2**52), 2, 2),  # q(N+1)+p >= 2**53
+            lambda: hurwitz_partial(Fraction(1, 2**52), 2, 2, True),  # q(N+1)+p >= 2**53
             # q(N+1) = 2**53 + 1 is not a float although q(N+1)+p < 2**53
-            lambda: _hurwitz_ball(Fraction(1 - 3002399751580331, 3002399751580331), 2, 2),
-            lambda: _hurwitz_ball(Fraction(0), 80, 20_000),  # 1/n**80 underflows
-            lambda: _hurwitz_ball(Fraction(-999, 1000), 100, 1),  # 1000**100 overflows
+            lambda: hurwitz_partial(Fraction(1 - 3002399751580331, 3002399751580331), 2, 2, True),
+            lambda: hurwitz_partial(Fraction(0), 80, 20_000, True),  # 1/n**80 underflows
+            lambda: hurwitz_partial(Fraction(-999, 1000), 100, 1, True),  # 1000**100 overflows
             lambda: lemma_c_partial(21, 20_000, float_mode=True),  # G_20 holds 19!
         ],
     )
     def test_inputs_past_the_float_caps_are_rejected(self, call):
         with pytest.raises(DomainError, match="float mode"):
             call()
+
+    def test_hurwitz_refusals_come_before_any_work(self, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError(f"work started: {args}")
+
+        # the pi-power claim of an even s, and eq31's term checks
+        monkeypatch.setattr(series_lab, "zeta_even_coefficient", unbuilt)
+        monkeypatch.setattr(series_lab, "derivative_rows", unbuilt)
+        with pytest.raises(DomainError) as raised:
+            hurwitz_partial(0, 4000, 20_000, float_mode=True)
+        assert str(raised.value) == (
+            "float mode: (1/(n+x+1))**4000 leaves the normal float range for x=0, N=20000"
+        )
+        with pytest.raises(DomainError) as raised:
+            eq31_series(8, Fraction(-999999999999, 10**12), 20_000, float_mode=True)
+        assert str(raised.value) == (
+            "float mode requires q(N+1)+max(p,0) < 2**53, got 20001000000000000"
+        )
 
     def test_term_budget_refuses_before_any_float_work(self, monkeypatch):
         budget = series_lab._FLOAT_TERM_BUDGET
@@ -729,7 +751,7 @@ class TestCorollary24Partial:
                     m = n + 1
                     for alpha in range(r - 1):
                         h[alpha] += Fraction(1, m ** (alpha + 1))
-                numerator = expansion.evaluate(h)
+                numerator = _evaluate(expansion, h)
                 expected = numerator / (math.factorial(r - 1) * (n + 1))
                 assert alt_power_sum(n, 0, r) == expected
 
@@ -824,8 +846,8 @@ class TestTheorem26Series:
         assert checked == [30, _TERM_CHECK_CAP]
 
     def test_leibniz_route_matches_recursion_route_symbolically(self):
-        for r in range(7):
-            assert _leibniz_route_terms(r) == dict(bell_expansion(r + 1).terms)
+        for r in range(19):  # through eq32's float-mode cap, r = 18
+            assert _leibniz_route_terms(r) == dict(bell_expansion(r + 1))
 
     def test_domain(self, monkeypatch):
         def unbuilt(*args):
@@ -860,6 +882,15 @@ class TestMultiIntegralExact:
         for n in range(7):
             for r in (1, 2, 3):
                 assert multi_integral_exact(n, r) == alt_power_sum(n, 0, r)
+
+    def test_equals_the_nested_recurrence(self):
+        # I_1(n) = 1/(n+1) and I_r(n) = (1/(n+1)) * sum(I_(r-1)(j), j <= n)
+        row = [Fraction(1, n + 1) for n in range(101)]
+        for r in range(1, 11):
+            if r > 1:
+                row = [total / (n + 1) for n, total in enumerate(itertools.accumulate(row))]
+            for n in (0, 1, 5, 40, 100):
+                assert multi_integral_exact(n, r) == row[n]
 
 
 class TestSerialization:
