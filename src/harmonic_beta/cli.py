@@ -294,11 +294,6 @@ def _run_compute(args) -> tuple[int, str]:
 
 def _run_verify(args) -> tuple[int, str]:
     """Run the target on the flags its row reads; a flag it leaves out is None."""
-    xs = args.x or ()
-    for i, x in enumerate(xs):
-        if x in xs[:i]:
-            raise DomainError(f"verify --x repeats {x}")
-        harmonic_core._check_shift(x, "verify")
     if args.target == "all":
         reports = identity_suite.run_all(args.n_max, args.r_max, args.x)
     elif args.target == "fixture-fail":

@@ -1,8 +1,8 @@
 """Exact verification of the finite identity catalog over parameter sweeps.
 
 Each check evaluates both sides of an identity at every point of a parameter
-grid and emits one :class:`IdentityReport` per point.  Failures are recorded
-with witnesses rather than raised, so a sweep always runs to completion.
+grid and emits one :class:`IdentityReport` per point.  A bad sweep is refused
+before any work; failures are recorded with witnesses rather than raised.
 The display polynomials checked here are written out with their literal
 coefficients on purpose: the generic Bell recursion is exercised elsewhere,
 and hard-coding the displays keeps the two routes independent.
@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .beta_engine import Monomial, alt_power_row, beta_F, derivative_rows, mixed_sum
-from .harmonic_core import DomainError, RationalLike, harmonic_number
+from .harmonic_core import DomainError, RationalLike, _check_shift, harmonic_number
 
 __all__ = [
     "IdentityReport",
@@ -50,7 +50,6 @@ DEFAULT_X_SAMPLES: tuple[Fraction, ...] = (
 
 PASS = "pass"
 FAIL = "fail"
-SKIPPED = "skipped"
 
 
 class IdentityReport(NamedTuple):
@@ -106,20 +105,11 @@ def generic_check(
     rhs: Evaluator,
     grid: Iterable[Mapping[str, object]],
 ) -> list[IdentityReport]:
-    """Exact lhs == rhs comparison at every grid point.
-
-    Precondition violations (:class:`DomainError`) become skipped entries
-    with a reason instead of aborting the sweep.
-    """
+    """Exact lhs == rhs comparison at every grid point; a route's DomainError propagates."""
     reports: list[IdentityReport] = []
     for params in grid:
         params = dict(params)
-        try:
-            left = lhs(**params)
-            right = rhs(**params)
-        except DomainError as exc:
-            reports.append(IdentityReport(identity_id, params, SKIPPED, reason=str(exc)))
-            continue
+        left, right = lhs(**params), rhs(**params)
         if left == right:
             reports.append(IdentityReport(identity_id, params, PASS))
         else:
@@ -137,10 +127,8 @@ class _References:
     for ``x=None`` (the x = 0 forms) at H_n(0,1..s-1) times the literal
     1/(n+1); ``inverted(x, s)`` is binomial_inverse(display(x, s)), and
     ``eq16_inverted()`` that of H_{n+1}/(n+1) from harmonic_number.  The
-    routes read prefixes of the rows and build them, so an out-of-domain x
-    still becomes a skipped report of :func:`generic_check`.  The rows close
-    over locals, not self: dropping the object frees them without the
-    cyclic collector.
+    routes read prefixes of the rows.  The rows close over locals, not self:
+    dropping the object frees them without the cyclic collector.
     """
 
     def __init__(self, n_max: int, r_max: int) -> None:
@@ -270,12 +258,27 @@ def _grid(axes: str, n_max: int, r_max: int, xs: Sequence[RationalLike]) -> list
     return points
 
 
+def _check_sweep(axes: str, n_max: int, r_max: int | None, xs, **counts: int) -> None:
+    """Refuse, before any row is built or trial drawn, a sweep over ``axes`` with a count None
+    or below 0, or on an x axis with no x, a repeat or an x <= -1, in the caller's order."""
+    for name, value in {"n_max": n_max, "r_max": r_max if "r" in axes else 0, **counts}.items():
+        if value is None or value < 0:
+            raise DomainError(f"verify requires {name} >= 0, got {name}={value}")
+    if "x" in axes and not xs:
+        raise DomainError("verify requires at least one x")
+    for i, x in enumerate(xs if "x" in axes else ()):
+        if x in xs[:i]:
+            raise DomainError(f"verify --x repeats {x}")
+        _check_shift(x, "verify")
+
+
 def _check_group(
     group: str, n_max: int, r_max: int | None, xs: Sequence[RationalLike] | None, refs=None
 ) -> list[IdentityReport]:
     """Every row of ``group`` over its grid.  A group reads only its axes:
     it ignores r_max and xs where it has none, and builds its own rows
     without refs."""
+    _check_sweep(GROUP_AXES[group], n_max, r_max, xs)
     refs = refs or _References(n_max, r_max if "r" in GROUP_AXES[group] else 0)
     reports: list[IdentityReport] = []
     for identity_id, row in IDENTITIES.items():
@@ -300,6 +303,7 @@ def check_inversion(count: int = 1000, max_len: int = 64, n_max: int = 50) -> li
     ``inversion-duality`` checks that transforming the eq16 sequence yields
     the thm2.2b right-hand side.
     """
+    _check_sweep("n", n_max, None, None, count=count, max_len=max_len)
     rng = random.Random(_INVERSION_SEED)
     reports: list[IdentityReport] = []
     for trial in range(count):
@@ -353,6 +357,7 @@ def run_all(
     """Run every check group in turn on one set of reference rows; merge the
     reports by a stable sort on identity_id, as each group emits them in order."""
     xs = [Fraction(x) for x in x_samples]
+    _check_sweep("nrx", n_max, r_max, xs)
     refs = _References(n_max, r_max)
     merged: list[IdentityReport] = []
     for name, group in CHECK_GROUPS.items():

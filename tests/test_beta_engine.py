@@ -19,19 +19,13 @@ from harmonic_beta.beta_engine import (
 from harmonic_beta.harmonic_core import DomainError, HarmonicNumerators, harmonic_function
 from harmonic_beta.reporting import render_bell
 
+from polynomials import evaluate
+
 x_values = st.fractions(
     min_value=Fraction(-9, 10), max_value=Fraction(4), max_denominator=24
 )
 
 X_SAMPLES = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(7, 3), Fraction(-49, 100))
-
-
-def _evaluate(poly, values):
-    """sum(coeff * prod(values[i]**e_i)) over the monomials of ``poly``."""
-    return sum(
-        coeff * math.prod(v**e for v, e in zip(values, exponents))
-        for exponents, coeff in poly.items()
-    )
 
 
 def _partitions(r, largest=None):
@@ -180,7 +174,7 @@ class TestAltPowerSum:
 class TestBellExpansion:
     def test_order_zero_is_constant_one(self):
         assert dict(bell_expansion(0)) == {(): 1}
-        assert _evaluate(bell_expansion(0), []) == 1
+        assert evaluate(bell_expansion(0), []) == 1
 
     def test_order_two(self):
         assert dict(bell_expansion(2)) == {(0, 1): 1, (2, 0): 1}
@@ -336,7 +330,7 @@ class TestDerivativeF:
         expansion = bell_expansion(r)
         rows = HarmonicNumerators(x, r)
         rows.advance(n + 1)
-        expected = -_evaluate(expansion, rows.values()) * beta_F(n, x)
+        expected = -evaluate(expansion, rows.values()) * beta_F(n, x)
         assert derivative_F(n, x, r) == expected
 
 
@@ -354,7 +348,7 @@ class TestIntegerBellEvaluation:
         # G_r(H) = (q/L)**r * G_r(N) on the integer numerators; the reference
         # substitutes the Fraction values of direct sums into G_r
         harmonics = [harmonic_function(n, x, a) for a in range(1, r + 1)]
-        expected = _evaluate(bell_expansion(r), harmonics) * beta_F(n, x)
+        expected = evaluate(bell_expansion(r), harmonics) * beta_F(n, x)
         expected = -expected if r % 2 else expected
         assert derivative_F(n, x, r) == expected
         assert derivative_rows(n, x, r)[n][1][r] == expected
@@ -375,14 +369,14 @@ class TestIntegerBellEvaluation:
     def test_bell_recurrence_equals_the_step_polynomial(self, case):
         k, numerators = case
         values = _bell_values(numerators, k)
-        assert values == [_evaluate(bell_expansion(j), numerators) for j in range(k + 1)]
+        assert values == [evaluate(bell_expansion(j), numerators) for j in range(k + 1)]
 
     @pytest.mark.parametrize(
         "numerators",
         [[1] * 30, [0] * 29 + [7], [(-3) ** a * (a + 5) for a in range(30)]],
     )
     def test_bell_recurrence_at_order_30(self, numerators):
-        assert _bell_values(numerators, 30)[30] == _evaluate(bell_expansion(30), numerators)
+        assert _bell_values(numerators, 30)[30] == evaluate(bell_expansion(30), numerators)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -522,11 +522,11 @@ class TestReportLine:
             ),
             (
                 IdentityReport(
-                    "lemma-a", {"n": 0, "x": Fraction(0), "r": 4}, "skipped",
+                    "lemma-a", {"n": 0, "x": Fraction(0), "r": 4}, "fail",
                     reason='needs "x" > -1\u00e9',
                 ),
                 '{"identity_id": "lemma-a", "params": {"n": 0, "x": "0", "r": 4}, '
-                '"status": "skipped", "reason": "needs \\"x\\" > -1\\u00e9", "elapsed_ms": 0}',
+                '"status": "fail", "reason": "needs \\"x\\" > -1\\u00e9", "elapsed_ms": 0}',
             ),
             (
                 IdentityReport(
@@ -552,7 +552,7 @@ class TestReportLine:
                 '"generator": "numpy-sfc64"}, "elapsed_ms": 0}',
             ),
         ],
-        ids=["pass", "fail-witness", "skipped-reason", "oracle-quad", "oracle-mc"],
+        ids=["pass", "fail-witness", "fail-reason", "oracle-quad", "oracle-mc"],
     )
     def test_line_is_pinned_and_keeps_its_key_order(self, report, line):
         assert report_line(report) == line

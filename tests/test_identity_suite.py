@@ -1,9 +1,11 @@
 import gc
 import math
 import random
+import re
 import weakref
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,6 @@ from harmonic_beta.harmonic_core import DomainError, harmonic_function, harmonic
 from harmonic_beta.identity_suite import (
     FAIL,
     PASS,
-    SKIPPED,
     CHECK_GROUPS,
     DEFAULT_X_SAMPLES,
     GROUP_AXES,
@@ -34,6 +35,8 @@ from harmonic_beta.identity_suite import (
     run_all,
 )
 from harmonic_beta.series_lab import corollary_2_4_partial
+
+from polynomials import evaluate
 
 rational_seqs = st.lists(
     st.fractions(max_denominator=50, min_value=-50, max_value=50), max_size=32
@@ -55,14 +58,6 @@ def reference_order(report):
         params.get("r", -1),
         params.get("n", -1),
         Fraction(params.get("x", 0)),
-    )
-
-
-def _evaluate(poly, values):
-    """sum(coeff * prod(values[i]**e_i)) over the monomials of ``poly``."""
-    return sum(
-        coeff * math.prod(v**e for v, e in zip(values, exponents))
-        for exponents, coeff in poly.items()
     )
 
 
@@ -142,18 +137,14 @@ class TestGenericCheck:
         assert reports[0].params == {"n": 0}
         assert reports[0].witness == (Fraction(1), Fraction(1, 2))
 
-    def test_precondition_violation_becomes_skip(self):
+    def test_precondition_violation_propagates(self):
         def touchy(n):
             if n % 2:
                 raise DomainError("odd n unsupported")
             return Fraction(n)
 
-        reports = generic_check(
-            "touchy", touchy, lambda n: Fraction(n), [{"n": n} for n in range(4)]
-        )
-        assert [r.status for r in reports] == [PASS, SKIPPED, PASS, SKIPPED]
-        assert reports[1].reason == "odd n unsupported"
-        assert reports[1].witness is None
+        with pytest.raises(DomainError, match="^odd n unsupported$"):
+            generic_check("touchy", touchy, lambda n: Fraction(n), [{"n": n} for n in range(4)])
 
     def test_witness_only_on_fail(self):
         for report in deliberate_mismatch_check(3) + generic_check(
@@ -278,7 +269,7 @@ class TestDerivativeRows:
             base = beta_F(n, x)
             direct = [harmonic_function(n, x, a) for a in range(1, 7)]
             for j, value in enumerate(derivatives):
-                expected = _evaluate(bell_expansion(j), direct) * base
+                expected = evaluate(bell_expansion(j), direct) * base
                 assert value == (-expected if j % 2 else expected)
 
     def test_out_of_domain_x_raises(self):
@@ -314,14 +305,10 @@ class TestOtherChecks:
         reports = CHECK_GROUPS["lemma-a"](10, 4, [Fraction(0), Fraction(1, 2)])
         assert all(r.status == PASS for r in reports)
 
-    def test_out_of_domain_x_is_skipped(self):
-        # the shared rows are built inside generic_check, so a bad x skips
-        for reports in (
-            CHECK_GROUPS["thm2.6"](2, 1, [Fraction(-1)]),
-            CHECK_GROUPS["lemma-a"](2, 1, [Fraction(-1)]),
-        ):
-            assert len(reports) == 6
-            assert all(r.status == SKIPPED for r in reports)
+    def test_out_of_domain_x_is_refused(self):
+        for name in ("thm2.6", "lemma-a"):
+            with pytest.raises(DomainError, match=r"^verify requires x > -1, got x=-1$"):
+                CHECK_GROUPS[name](2, 1, [Fraction(-1)])
 
     def test_inversion_check(self):
         reports = check_inversion(count=50, max_len=24, n_max=15)
@@ -394,7 +381,7 @@ class TestRunAll:
         by_id = sorted(reports, key=lambda r: r.identity_id)
         assert by_id == sorted(reports, key=reference_order)
 
-    def test_single_worker_gives_same_reports(self):
+    def test_run_all_is_the_sorted_concatenation_of_the_groups(self):
         # run_all is the sorted concatenation of the table's seven groups,
         # and each table entry calls its check with the same arguments
         xs = [Fraction(0)]
@@ -427,33 +414,74 @@ class TestRunAll:
             standalone.sort(key=reference_order)
             assert full(run_all(50, r_max)) == full(standalone)
 
-    def test_out_of_domain_x_on_shared_rows_is_skipped(self):
+    def test_out_of_domain_x_on_shared_rows_is_refused(self):
         refs = identity_suite._References(4, 2)
         for name in ("thm2.6", "lemma-a", "beta-eq"):
-            reports = CHECK_GROUPS[name](3, 2, [Fraction(-1), Fraction(1, 2)], refs)
-            bad = [r for r in reports if r.params["x"] == -1]
-            assert bad and all(r.status == SKIPPED and r.reason for r in bad), name
-            assert all(r.status == PASS for r in reports if r not in bad), name
+            with pytest.raises(DomainError, match=r"^verify requires x > -1, got x=-1$"):
+                CHECK_GROUPS[name](3, 2, [Fraction(-1), Fraction(1, 2)], refs)
+        # refused before any shared row is built
+        for rows in (refs.derivatives, refs.alternating, refs.display, refs.inverted):
+            assert rows.cache_info().currsize == 0
 
-    def test_out_of_domain_x_skips_the_display_forms_at_x(self):
-        # the x = 0 forms read no rows at x, so they still run
-        def counts(reports):
-            return sorted((r.identity_id, r.params.get("n")) for r in reports)
-
+    def test_out_of_domain_x_refuses_the_display_groups_and_run_all(self):
+        # the x = 0 forms read no rows at x, but the whole sweep is refused
         for call in (
             lambda xs: CHECK_GROUPS["thm2.2"](2, None, xs),
             lambda xs: CHECK_GROUPS["thm2.3"](2, None, xs),
             lambda xs: CHECK_GROUPS["thm2.5"](2, None, xs),
             lambda xs: run_all(2, 1, xs),
         ):
-            reports = call([Fraction(-1)])
-            assert counts(reports) == counts(call([Fraction(1, 2)]))
-            bad = [r for r in reports if r.params.get("x") == -1]
-            assert bad and all(
-                r.status == SKIPPED and r.reason.endswith("requires x > -1, got x=-1")
-                for r in bad
-            )
-            assert all(r.status == PASS for r in reports if r not in bad)
+            with pytest.raises(DomainError, match=r"^verify requires x > -1, got x=-1$"):
+                call([Fraction(-1)])
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("a refused sweep built a row or drew a trial")
+
+
+class TestBadSweepIsRefused:
+    """A bad or empty sweep raises DomainError before any row or trial."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        monkeypatch.setattr(identity_suite, "derivative_rows", _must_not_run)
+        monkeypatch.setattr(identity_suite, "alt_power_row", _must_not_run)
+        monkeypatch.setattr(identity_suite, "random", SimpleNamespace(Random=_must_not_run))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: CHECK_GROUPS["beta-eq"](3, None, [Fraction(-2)]), "x > -1, got x=-2"),
+            (lambda: CHECK_GROUPS["beta-eq"](3, None, []), "at least one x"),
+            (lambda: CHECK_GROUPS["beta-eq"](3, None, None), "at least one x"),
+            (lambda: CHECK_GROUPS["lemma-a"](3, -1, [Fraction(0)]), "r_max >= 0, got r_max=-1"),
+            (lambda: CHECK_GROUPS["thm2.6"](3, None, [Fraction(0)]), "r_max >= 0, got r_max=None"),
+            (lambda: CHECK_GROUPS["thm2.2"](-1, None, [Fraction(0)]), "n_max >= 0, got n_max=-1"),
+            (lambda: CHECK_GROUPS["inversion"](-1, None, None), "n_max >= 0, got n_max=-1"),
+            (lambda: run_all(2, 1, []), "at least one x"),
+            (lambda: run_all(2, -1), "r_max >= 0, got r_max=-1"),
+            (lambda: run_all(-1), "n_max >= 0, got n_max=-1"),
+            (lambda: deliberate_mismatch_check(-1), "n_max >= 0, got n_max=-1"),
+            (lambda: check_inversion(count=-1), "count >= 0, got count=-1"),
+            (lambda: check_inversion(max_len=-1), "max_len >= 0, got max_len=-1"),
+            (lambda: check_inversion(n_max=-1), "n_max >= 0, got n_max=-1"),
+        ],
+    )
+    def test_refused_before_any_work(self, call, message):
+        with pytest.raises(DomainError, match=f"^verify requires {re.escape(message)}$"):
+            call()
+
+    @pytest.mark.parametrize(
+        "xs, message",
+        [
+            ([Fraction(1, 2), Fraction(-2), Fraction(1, 2)], "verify requires x > -1, got x=-2"),
+            ([Fraction(1, 2), Fraction(1, 2), Fraction(-2)], "verify --x repeats 1/2"),
+        ],
+    )
+    def test_xs_are_checked_in_the_callers_order(self, xs, message):
+        for call in (lambda: CHECK_GROUPS["beta-eq"](3, None, xs), lambda: run_all(2, 1, xs)):
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                call()
 
 
 class TestIdentityTable:

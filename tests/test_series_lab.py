@@ -52,6 +52,8 @@ from harmonic_beta.series_lab import (
     _raw_tail_bound,
 )
 
+from polynomials import evaluate
+
 # pi to 100 decimals, truncated: PI_100 < pi < PI_100 + 10**-100
 PI_100 = Fraction(
     "3.1415926535897932384626433832795028841971693993751058209749445923"
@@ -85,14 +87,6 @@ def closed_form_partials(k, stops):
     """T_k(m) = (k+1)! - S/((m+1) L**k) at each stop from the closed form's (S, L)."""
     sums = _closed_form_sums(k, stops)
     return [math.factorial(k + 1) - Fraction(S, (m + 1) * L**k) for m, (S, L) in zip(stops, sums)]
-
-
-def _evaluate(poly, values):
-    """sum(coeff * prod(values[i]**e_i)) over the monomials of ``poly``."""
-    return sum(
-        coeff * math.prod(v**e for v, e in zip(values, exponents))
-        for exponents, coeff in poly.items()
-    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -140,7 +134,7 @@ def block_partials(k, stops):
                 unit = a * block.L
                 diff = unit // n - unit // (n + 1)
                 for i, (_, _, rest) in enumerate(parts):
-                    sums[i] += _evaluate(rest, block.numerators) * diff
+                    sums[i] += evaluate(rest, block.numerators) * diff
             base_numerators = base.numerators  # H_a; advance rebinds the list
             g = base.advance(b + 1 - a)
             h = base.L // block.L
@@ -148,7 +142,7 @@ def block_partials(k, stops):
                 f: g ** (k - w_f) * (s * h ** (w_f + 1) // a)
                 for (f, w_f, _), s in zip(parts, sums)
             }
-            acc = acc * g ** (k + 1) + _evaluate(block_poly, base_numerators)
+            acc = acc * g ** (k + 1) + evaluate(block_poly, base_numerators)
             a = b + 1
         out.append(Fraction(acc, base.L ** (k + 1)))
     return out
@@ -751,7 +745,7 @@ class TestCorollary24Partial:
                     m = n + 1
                     for alpha in range(r - 1):
                         h[alpha] += Fraction(1, m ** (alpha + 1))
-                numerator = _evaluate(expansion, h)
+                numerator = evaluate(expansion, h)
                 expected = numerator / (math.factorial(r - 1) * (n + 1))
                 assert alt_power_sum(n, 0, r) == expected
 
