@@ -37,10 +37,10 @@ __all__ = ["run", "main"]
 # G_30 has 5,604 monomials; zeta-even --n needs B_2n, so it stops at half the
 # bernoulli cap.  oracle quad computes compute dF's derivative_F(n, x, m), so
 # it takes dF's caps; an mc sample draws --r uniforms and its time is linear
-# in --samples, and --n sizes the exact reference sum.  compute H sums on
-# the harmonic kernel, H_n^(alpha) without --x and harmonic_function(n, x,
-# alpha) with it.  Each verify --x sample adds a sweep's worth
-# of work.  The target of a verify group reads the flag of each grid axis in
+# in --samples, and --n sizes the exact reference sum.  compute H is
+# harmonic_number(n, alpha) without --x and harmonic_function(n, x, alpha)
+# with it.  Each verify --x sample adds a sweep's worth of work.  The target
+# of a verify group reads the flag of each grid axis in
 # identity_suite.GROUP_AXES, as _SWEEP maps them, and all reads every flag.
 _REQUIRED = object()
 _NEEDED = (_REQUIRED, None)
@@ -107,13 +107,6 @@ def _rational_list(text: str) -> list[Fraction]:
     return [_rational(piece) for piece in text.split(",")]
 
 
-def _count(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser whose errors are the one line ``prog: error: message``.
 
@@ -161,17 +154,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _table_parser(sub, command: str, summary: str, default_format: str) -> argparse.ArgumentParser:
     """The subparser of a _TARGETS command: its targets and every flag one of
     them reads, each defaulting to None so _check_flags sees what was given.
-    --n-max and --r-max refuse negatives, so no sweep is empty; verify's --x
-    is a comma-separated sample list."""
+    verify's --x is a comma-separated sample list; identity_suite refuses a
+    bad sweep, a negative --n-max or --r-max among them."""
     parser = sub.add_parser(command, help=summary)
     targets = _TARGETS[command]
     parser.add_argument("target", choices=list(targets))
     for flag in _FLAGS[command]:
         readers = ", ".join(target for target, reads in targets.items() if flag in reads)
+        kind = int
         if flag == "x":
             kind = _rational_list if command == "verify" else _rational
-        else:
-            kind = _count if flag.endswith("-max") else int
         parser.add_argument(f"--{flag}", type=kind, help=f"read by {readers}")
     parser.add_argument("--format", choices=["text", "json", "csv"], default=default_format)
     parser.add_argument("--out", default=None, help="write output to this file")
@@ -274,14 +266,10 @@ def _run_compute(args) -> tuple[int, str]:
         value = beta_engine.beta_F(args.n, args.x)
     elif what == "dF":
         value = beta_engine.derivative_F(args.n, args.x, args.r)
-    else:  # by the harmonic kernel at order alpha alone: harmonic_number(n, alpha)
-        # sums the bases k + 1 for k < n, harmonic_function(n, x, alpha) k + x + 1 for k <= n
-        name = "harmonic_number" if args.x is None else "harmonic_function"
-        harmonic_core._check_power_sum(name, args.n, args.alpha)
-        x = harmonic_core._check_shift(args.x or 0, name)
-        state = harmonic_core.HarmonicNumerators(x, args.alpha, lowest=args.alpha)
-        state.advance(args.n if args.x is None else args.n + 1)
-        value = state.values()[0]
+    elif args.x is None:
+        value = harmonic_core.harmonic_number(args.n, args.alpha)
+    else:
+        value = harmonic_core.harmonic_function(args.n, args.x, args.alpha)
     # the value's params are the flags its row reads, in the row's order
     params = {flag: getattr(args, flag) for flag in _TARGETS["compute"][what]}
     if args.x is None:  # H without --x

@@ -19,6 +19,7 @@ from __future__ import annotations
 import decimal
 import functools
 import math
+import numbers
 import operator
 import re
 from fractions import Fraction
@@ -185,17 +186,17 @@ def _check_power_sum(name: str, n: int, alpha: int) -> None:
 
 
 def harmonic_number(n: int, alpha: int) -> Fraction:
-    """Generalized harmonic number: sum of 1/k**alpha for k = 1..n (0 for n = 0).
-
-    The CLI's ``compute H`` without ``--x`` takes the same value from
-    :class:`HarmonicNumerators`; this direct sum is its reference.
-    """
+    """Generalized harmonic number: sum of 1/k**alpha for k = 1..n, that is
+    harmonic_function(n - 1, 0, alpha), and 0 for n = 0."""
     _check_power_sum("harmonic_number", n, alpha)
-    return sum((Fraction(1, k**alpha) for k in range(1, n + 1)), Fraction(0))
+    return harmonic_function(n - 1, 0, alpha) if n else Fraction(0)
 
 
 def _check_shift(x: RationalLike, name: str) -> Fraction:
-    """x as a Fraction; refuse, for ``name``, x <= -1, where a base k + x + 1 is not positive."""
+    """x as a Fraction; refuse, for ``name``, an x that is not a numbers.Rational
+    (a float, a Decimal, a str) and an x <= -1, where a base k + x + 1 is not positive."""
+    if not isinstance(x, numbers.Rational):
+        raise DomainError(f"{name} requires a rational x, got {type(x).__name__} {x!r}")
     x = Fraction(x)
     if x <= -1:
         raise DomainError(f"{name} requires x > -1, got x={x}")
@@ -205,15 +206,13 @@ def _check_shift(x: RationalLike, name: str) -> Fraction:
 def harmonic_function(n: int, x: RationalLike, alpha: int) -> Fraction:
     """Shifted power sum: sum of 1/(k+x+1)**alpha for k = 0..n, exact.
 
-    At x = 0 this equals ``harmonic_number(n + 1, alpha)``.  The CLI's
-    ``compute H --x`` takes the same value from :class:`HarmonicNumerators`;
-    this direct sum is its reference.
+    Summed on :class:`HarmonicNumerators` at order alpha alone, over the n + 1
+    bases k + x + 1.  At x = 0 this equals ``harmonic_number(n + 1, alpha)``.
     """
     _check_power_sum("harmonic_function", n, alpha)
-    x = _check_shift(x, "harmonic_function")
-    return sum(
-        (Fraction(1, 1) / (k + x + 1) ** alpha for k in range(n + 1)), Fraction(0)
-    )
+    state = HarmonicNumerators(_check_shift(x, "harmonic_function"), alpha, lowest=alpha)
+    state.advance(n + 1)
+    return state.values()[0]
 
 
 class HarmonicNumerators:

@@ -17,6 +17,7 @@ group called with ``refs=None`` builds its own.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import random
@@ -24,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .beta_engine import Monomial, alt_power_row, beta_F, derivative_rows, mixed_sum
-from .harmonic_core import DomainError, RationalLike, _check_shift, harmonic_number
+from .harmonic_core import DomainError, RationalLike, _check_shift
 
 __all__ = [
     "IdentityReport",
@@ -126,7 +127,7 @@ class _References:
     s at H_n(x,1..s-1) times F_n(x), both from the derivative rows at x, or
     for ``x=None`` (the x = 0 forms) at H_n(0,1..s-1) times the literal
     1/(n+1); ``inverted(x, s)`` is binomial_inverse(display(x, s)), and
-    ``eq16_inverted()`` that of H_{n+1}/(n+1) from harmonic_number.  The
+    ``eq16_inverted()`` that of H_{n+1}/(n+1), H_{n+1} a running sum of 1/j.  The
     routes read prefixes of the rows.  The rows close over locals, not self:
     dropping the object frees them without the cyclic collector.
     """
@@ -153,7 +154,8 @@ class _References:
         self.alternating = functools.cache(lambda x, s: alt_power_row(n_max, x, s))
         self.display = display
         self.inverted = functools.cache(lambda x, s: binomial_inverse(display(x, s)))
-        eq16 = lambda: [harmonic_number(k + 1, 1) / (k + 1) for k in range(n_max + 1)]
+        harmonic = lambda: itertools.accumulate(Fraction(1, j) for j in range(1, n_max + 2))
+        eq16 = lambda: [h / (k + 1) for k, h in enumerate(harmonic())]
         self.eq16_inverted = functools.cache(lambda: binomial_inverse(eq16()))
 
 
@@ -356,7 +358,7 @@ def run_all(
 ) -> list[IdentityReport]:
     """Run every check group in turn on one set of reference rows; merge the
     reports by a stable sort on identity_id, as each group emits them in order."""
-    xs = [Fraction(x) for x in x_samples]
+    xs = list(x_samples)
     _check_sweep("nrx", n_max, r_max, xs)
     refs = _References(n_max, r_max)
     merged: list[IdentityReport] = []

@@ -67,6 +67,7 @@ from .harmonic_core import (
     _check_shift,
     _reduced_fraction,
     format_rational,
+    harmonic_function,
     harmonic_number,
     zeta_even_coefficient,
 )
@@ -285,10 +286,8 @@ def hurwitz_partial(x: RationalLike, s: int, N: int, float_mode: bool = False) -
             target_id, N, total, radius, scale=1, tail_low=tail_low, tail_high=tail_high,
             sign=1, claimed_limit=claimed,
         )
-    # sum((q/d_n)**s, n < N) = q**s * N_s / L**s: the harmonic kernel at order s alone
-    state = HarmonicNumerators(x, s, lowest=s)
-    state.advance(N)
-    return SeriesEstimate(target_id, N, state.values()[0], True, tail_low, tail_high, claimed)
+    partial = harmonic_function(N - 1, x, s)
+    return SeriesEstimate(target_id, N, partial, True, tail_low, tail_high, claimed)
 
 
 # -- float mode: binary64 sums with a rigorous radius -------------------------

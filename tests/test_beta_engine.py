@@ -16,10 +16,10 @@ from harmonic_beta.beta_engine import (
     derivative_rows,
     mixed_sum,
 )
-from harmonic_beta.harmonic_core import DomainError, HarmonicNumerators, harmonic_function
+from harmonic_beta.harmonic_core import DomainError, HarmonicNumerators
 from harmonic_beta.reporting import render_bell
 
-from polynomials import evaluate
+from references import direct_harmonic_function, evaluate
 
 x_values = st.fractions(
     min_value=Fraction(-9, 10), max_value=Fraction(4), max_denominator=24
@@ -303,7 +303,7 @@ class TestDerivativeF:
     def test_first_derivative_log_form(self):
         for n in range(8):
             for x in X_SAMPLES:
-                expected = -harmonic_function(n, x, 1) * beta_F(n, x)
+                expected = -direct_harmonic_function(n, x, 1) * beta_F(n, x)
                 assert derivative_F(n, x, 1) == expected
 
     @given(st.integers(0, 25), x_values, st.integers(0, 6))
@@ -347,7 +347,7 @@ class TestIntegerBellEvaluation:
     def test_integer_route_equals_fraction_evaluation(self, n, x, r):
         # G_r(H) = (q/L)**r * G_r(N) on the integer numerators; the reference
         # substitutes the Fraction values of direct sums into G_r
-        harmonics = [harmonic_function(n, x, a) for a in range(1, r + 1)]
+        harmonics = [direct_harmonic_function(n, x, a) for a in range(1, r + 1)]
         expected = evaluate(bell_expansion(r), harmonics) * beta_F(n, x)
         expected = -expected if r % 2 else expected
         assert derivative_F(n, x, r) == expected

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import harmonic_beta
 from harmonic_beta import beta_engine, float_oracle, harmonic_core, identity_suite, series_lab
 from harmonic_beta.cli import _FLAGS, _NO_CSV, _REQUIRED, _TARGETS, _parse, build_parser, run
-from harmonic_beta.harmonic_core import format_rational, harmonic_function, harmonic_number
+from harmonic_beta.harmonic_core import format_rational
 from harmonic_beta.identity_suite import CHECK_GROUPS, IdentityReport
 from harmonic_beta.reporting import (
     dumps,
@@ -28,6 +28,8 @@ from harmonic_beta.reporting import (
     report_line,
 )
 from harmonic_beta.series_lab import PiPower, SeriesEstimate
+
+from references import direct_harmonic_function, direct_harmonic_number
 
 
 def test_every_exported_name_resolves():
@@ -72,17 +74,16 @@ class TestComputeCommand:
     @pytest.mark.parametrize("x", [None, "1/2", "7/3", "-49/100"])
     @pytest.mark.parametrize("alpha", [1, 2, 4, 13, 30])
     def test_shifted_harmonic_by_the_kernel_equals_the_direct_sum(self, capsys, x, alpha):
-        # compute H sums on HarmonicNumerators; harmonic_number (without --x) and
-        # harmonic_function (with it) are its references
+        # compute H sums on the harmonic kernel; the direct sums are its references
         for n in (0, 1, 2, 5, 64, 200):
             flags = [] if x is None else [f"--x={x}"]
             code, out, _ = invoke(
                 capsys, "compute", "H", "--n", str(n), *flags, "--alpha", str(alpha)
             )
             if x is None:
-                expected = harmonic_number(n, alpha)
+                expected = direct_harmonic_number(n, alpha)
             else:
-                expected = harmonic_function(n, Fraction(x), alpha)
+                expected = direct_harmonic_function(n, Fraction(x), alpha)
             assert (code, out) == (0, format_rational(expected) + "\n")
 
     def test_beta(self, capsys):
@@ -169,12 +170,20 @@ class TestArgumentValidation:
 
     @pytest.mark.parametrize(
         "argv",
-        [("verify", "thm2.2", "--n-max", "-1"), ("verify", "thm2.6", "--r-max", "-1")],
+        [
+            ("verify", "thm2.2", "--n-max", "-1"),
+            ("verify", "thm2.6", "--r-max", "-1"),
+            ("verify", "inversion", "--n-max", "-1"),
+            ("verify", "all", "--r-max", "-1"),
+            ("verify", "fixture-fail", "--n-max", "-1"),
+        ],
     )
     def test_negative_sweep_bound_exits_two(self, capsys, argv):
+        # the library refuses the sweep, as it does for every caller
         code, out, err = invoke(capsys, *argv)
-        assert code == 2 and out == ""
-        assert "must be >= 0" in err
+        name = argv[2].removeprefix("--").replace("-", "_")
+        assert (code, out) == (2, "")
+        assert err == f"error: verify requires {name} >= 0, got {name}=-1\n"
 
     @pytest.mark.parametrize("target", ["thm2.2", "thm2.6", "lemma-a", "beta-eq", "all"])
     def test_out_of_domain_x_exits_two(self, capsys, target):
@@ -223,7 +232,7 @@ class TestArgumentValidation:
         "argv",
         [
             ("compute", "F", "--n", "1", "--x", "0.5"),
-            ("verify", "thm2.2", "--n-max", "-1"),
+            ("verify", "thm2.2", "--n-max", "1.5"),
             ("compute", "dF", "--n", "2"),
             ("frobnicate",),
         ],

@@ -1,7 +1,10 @@
 import contextlib
+import decimal
 import math
 import sys
 from fractions import Fraction
+
+import numpy as np
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +26,12 @@ from harmonic_beta.harmonic_core import (
     parse_rational,
     zeta_even_coefficient,
 )
+from harmonic_beta.beta_engine import beta_F
+from harmonic_beta.float_oracle import log_moment_quadrature
+from harmonic_beta.identity_suite import CHECK_GROUPS, run_all
+from harmonic_beta.series_lab import hurwitz_partial
+
+from references import direct_harmonic_function, direct_harmonic_number
 
 x_values = st.fractions(
     min_value=Fraction(-9, 10), max_value=Fraction(5), max_denominator=30
@@ -78,6 +87,45 @@ class TestHarmonicFunction:
             harmonic_function(2, Fraction(-3, 2), 1)
 
 
+@pytest.mark.parametrize("alpha", [1, 2, 7, 12])
+@pytest.mark.parametrize("n", [0, 1, 2, 17, 300])
+def test_kernel_sums_equal_the_direct_sums(n, alpha):
+    # harmonic_number and harmonic_function sum on the harmonic kernel; the
+    # tests' direct Fraction sums are their independent reference
+    assert harmonic_number(n, alpha) == direct_harmonic_number(n, alpha)
+    for x in map(Fraction, ("0", "1/2", "7/3", "-49/100", "-999/1000")):
+        assert harmonic_function(n, x, alpha) == direct_harmonic_function(n, x, alpha)
+
+
+class TestShiftIsAnExactRational:
+    def test_binary64_and_text_x_are_refused(self):
+        calls = [
+            lambda: CHECK_GROUPS["beta-eq"](2, None, [0.1]),
+            lambda: run_all(1, 0, [0.1]),
+            lambda: beta_F(1, 0.5),
+            lambda: harmonic_function(1, 0.25, 1),
+            lambda: hurwitz_partial(0.1, 2, 100),
+            lambda: log_moment_quadrature(1, 1, 0.5),
+            lambda: beta_F(1, "1/2"),
+            lambda: harmonic_function(1, decimal.Decimal("0.5"), 1),
+            lambda: harmonic_function(1, np.float64(0.5), 1),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="requires a rational x, got "):
+                call()
+        # the message names the function and the type
+        message = "^harmonic_function requires a rational x, got float 0.25$"
+        with pytest.raises(DomainError, match=message):
+            harmonic_function(1, 0.25, 1)
+        with pytest.raises(DomainError, match="^beta_F requires a rational x, got str '1/2'$"):
+            beta_F(1, "1/2")
+
+    @pytest.mark.parametrize("x", [1, True, np.int64(1), Fraction(1)])
+    def test_ints_bools_numpy_ints_and_fractions_pass(self, x):
+        assert harmonic_function(1, x, 1) == Fraction(5, 6)
+        assert beta_F(1, x) == Fraction(1, 6)
+
+
 def _harmonic_vector(n, x, r):
     """(H_n(x,1), ..., H_n(x,r)) from one harmonic state advanced past n."""
     rows = HarmonicNumerators(x, r)
@@ -106,7 +154,7 @@ class TestHarmonicVector:
         values = _harmonic_vector(n, x, r)
         assert len(values) == r
         for alpha in range(1, r + 1):
-            assert values[alpha - 1] == harmonic_function(n, x, alpha)
+            assert values[alpha - 1] == direct_harmonic_function(n, x, alpha)
 
 
 class TestHarmonicNumerators:
@@ -136,7 +184,7 @@ class TestHarmonicNumerators:
             rows.advance()
             bases_lcm = math.lcm(bases_lcm, x.denominator * (k + 1) + x.numerator)
             assert rows.L == bases_lcm
-            expected = tuple(harmonic_function(k, x, a) for a in range(1, order + 1))
+            expected = tuple(direct_harmonic_function(k, x, a) for a in range(1, order + 1))
             assert rows.values() == expected
 
     def test_advance_returns_growth_factor(self):

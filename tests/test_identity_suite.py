@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmonic_beta import identity_suite
+from harmonic_beta import harmonic_core, identity_suite
 from harmonic_beta.beta_engine import (
     alt_power_sum,
     bell_expansion,
@@ -20,7 +20,7 @@ from harmonic_beta.beta_engine import (
     derivative_rows,
     mixed_sum,
 )
-from harmonic_beta.harmonic_core import DomainError, harmonic_function, harmonic_number
+from harmonic_beta.harmonic_core import DomainError, harmonic_number
 from harmonic_beta.identity_suite import (
     FAIL,
     PASS,
@@ -36,7 +36,7 @@ from harmonic_beta.identity_suite import (
 )
 from harmonic_beta.series_lab import corollary_2_4_partial
 
-from polynomials import evaluate
+from references import direct_harmonic_function, evaluate
 
 rational_seqs = st.lists(
     st.fractions(max_denominator=50, min_value=-50, max_value=50), max_size=32
@@ -218,7 +218,7 @@ class TestTheorem23:
         point = next(
             r for r in reports if r.identity_id == "thm2.3b" and r.params == {"n": n, "x": x}
         )
-        h1, h2, h3 = (harmonic_function(n, x, alpha) for alpha in (1, 2, 3))
+        h1, h2, h3 = (direct_harmonic_function(n, x, alpha) for alpha in (1, 2, 3))
         assert point.status == FAIL
         wrong_display = 2 * h3 + 4 * h1 * h2 + h1**3
         assert point.witness == (alt_power_sum(n, x, 4), wrong_display * beta_F(n, x) / 6)
@@ -262,12 +262,12 @@ class TestDerivativeRows:
         rows = derivative_rows(12, x, 6)
         assert len(rows) == 13
         for n, (harmonics, derivatives) in enumerate(rows):
-            assert list(harmonics) == [harmonic_function(n, x, a) for a in range(1, 8)]
+            assert list(harmonics) == [direct_harmonic_function(n, x, a) for a in range(1, 8)]
             assert derivatives == [derivative_F(n, x, j) for j in range(7)]
             # derivative_F shares the integer evaluator; the Fraction
             # substitution into G_j over direct sums is the independent route
             base = beta_F(n, x)
-            direct = [harmonic_function(n, x, a) for a in range(1, 7)]
+            direct = [direct_harmonic_function(n, x, a) for a in range(1, 7)]
             for j, value in enumerate(derivatives):
                 expected = evaluate(bell_expansion(j), direct) * base
                 assert value == (-expected if j % 2 else expected)
@@ -315,6 +315,13 @@ class TestOtherChecks:
         assert all(r.status == PASS for r in reports)
         ids = {r.identity_id for r in reports}
         assert ids == {"inversion", "inversion-duality"}
+
+    def test_inversion_duality_reads_no_harmonic_kernel(self, monkeypatch):
+        # eq16's H_{k+1} is a running sum of 1/j, not thm2.2b's own route
+        monkeypatch.setattr(harmonic_core, "HarmonicNumerators", _must_not_run)
+        assert identity_suite._References(20, 0).eq16_inverted() == [
+            Fraction(1, (n + 1) ** 2) for n in range(21)
+        ]
 
     def test_inversion_check_fails_on_a_perturbed_transform(self, monkeypatch):
         original = identity_suite._difference_table
@@ -372,6 +379,8 @@ class TestRunAll:
         assert all(r.status == PASS for r in reports)
         keys = [reference_order(r) for r in reports]
         assert keys == sorted(keys)
+        # the samples may be any iterable, checked before any conversion
+        assert run_all(6, 2, iter([Fraction(0), Fraction(1, 2)])) == reports
 
     @pytest.mark.parametrize("group", CHECK_GROUPS)
     def test_each_group_emits_each_identity_in_output_order(self, group):

@@ -21,7 +21,6 @@ from harmonic_beta.reporting import render_estimate
 from harmonic_beta.harmonic_core import (
     DomainError,
     HarmonicNumerators,
-    harmonic_function,
     harmonic_number,
 )
 from harmonic_beta.series_lab import (
@@ -52,7 +51,7 @@ from harmonic_beta.series_lab import (
     _raw_tail_bound,
 )
 
-from polynomials import evaluate
+from references import direct_harmonic_function, evaluate
 
 # pi to 100 decimals, truncated: PI_100 < pi < PI_100 + 10**-100
 PI_100 = Fraction(
@@ -163,7 +162,7 @@ class TestHurwitzPartial:
     def test_kernel_partial_equals_the_shifted_power_sum(self, x, s):
         # the order-s harmonic kernel against one Fraction per term
         for N in (1, 2, 15, 16, 17, 40, 100):
-            assert hurwitz_partial(x, s, N).partial == harmonic_function(N - 1, x, s)
+            assert hurwitz_partial(x, s, N).partial == direct_harmonic_function(N - 1, x, s)
 
     def test_bracket_contains_claim_s2(self):
         for N in (10, 100, 1000):
