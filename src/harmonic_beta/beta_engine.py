@@ -213,16 +213,15 @@ def _derivatives(
 
 
 def derivative_rows(
-    n_max: int, x: RationalLike, r_max: int, harmonic_order: int | None = None
+    n_max: int, x: RationalLike, r_max: int
 ) -> list[tuple[tuple[Fraction, ...], list[Fraction]]]:
-    """Row n = ((H_n(x,1), ..., H_n(x,h)), [F_n^(0)(x), ..., F_n^(r_max)(x)]).
+    """Row n = ((H_n(x,1), ..., H_n(x,r_max+1)), [F_n^(0)(x), ..., F_n^(r_max)(x)]).
 
-    h is ``harmonic_order``, r_max + 1 by default; it must be at least
-    r_max.  One harmonic pass serves every n <= n_max, beside the one F_n
+    One harmonic pass serves every n <= n_max, beside the one F_n
     recurrence F_n = F_{n-1} * n/(x+n+1); the derivatives come from the
     integer evaluation :func:`derivative_F` uses.
     """
-    state = HarmonicNumerators(x, r_max + 1 if harmonic_order is None else harmonic_order)
+    state = HarmonicNumerators(x, r_max + 1)
     f_val = Fraction(1)
     rows = []
     for n in range(n_max + 1):

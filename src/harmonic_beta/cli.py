@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import operator
 import os
 import sys
 from fractions import Fraction
@@ -24,7 +23,7 @@ from typing import Sequence
 from . import beta_engine, float_oracle, harmonic_core, identity_suite, reporting, series_lab
 from .harmonic_core import DomainError, parse_rational
 from .identity_suite import IdentityReport
-from .series_lab import EXACT_N_MAX
+from .series_lab import EXACT_N_MAX, FLOAT_N_MAX
 
 __all__ = ["run", "main"]
 
@@ -90,11 +89,6 @@ _FLAGS = {
 # compute targets with no CSV form
 _NO_CSV = ("bell", "bernoulli", "zeta-even")
 
-# Largest --N float mode sums, refused before any work; it binds zeta and
-# eq31, as the log-weight targets stop at N(N+1) < 2**53.  README lists the
-# time of the worst allowed runs.
-_FLOAT_N_MAX = 10**8
-
 
 def _rational(text: str) -> Fraction:
     try:
@@ -141,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--float",
         dest="float_mode",
         action="store_true",
-        help=f"required for, and only for, {EXACT_N_MAX} < N <= {_FLOAT_N_MAX}: sum in "
+        help=f"required for, and only for, {EXACT_N_MAX} < N <= {FLOAT_N_MAX}: sum in "
         "binary64 and widen the bracket by a rigorous rounding radius (tail_low may "
         "then be negative)",
     )
@@ -288,8 +282,6 @@ def _run_verify(args) -> tuple[int, str]:
         reports = identity_suite.deliberate_mismatch_check(args.n_max)
     else:
         reports = identity_suite.CHECK_GROUPS[args.target](args.n_max, args.r_max, args.x)
-    if args.target != "all":  # run_all returns its reports sorted
-        reports.sort(key=operator.attrgetter("identity_id"))
     failed = sum(1 for r in reports if r.status == identity_suite.FAIL)
     return (1 if failed else 0), reporting.render_reports(reports, args.format)
 
@@ -309,8 +301,6 @@ def _run_series(args) -> tuple[int, str]:
             f"--float needs --N above the exact-mode threshold {EXACT_N_MAX}, "
             f"got {args.N}; up to it series sums exactly"
         )
-    if args.N > _FLOAT_N_MAX:
-        raise DomainError(f"float mode caps --N at {_FLOAT_N_MAX}, got {args.N}")
     target = args.target
     if target == "zeta":
         estimate = series_lab.hurwitz_partial(args.x, args.s, args.N, float_mode)

@@ -56,7 +56,8 @@ FAIL = "fail"
 class IdentityReport(NamedTuple):
     """Machine-readable verdict for one identity at one parameter tuple.
 
-    A group emits each identity's reports in output order: by r, n, then x by value.
+    A group returns its reports in output order: by identity_id, then r, n,
+    then x by value.
     """
 
     identity_id: str
@@ -121,9 +122,9 @@ def generic_check(
 class _References:
     """The reference rows of one sweep for n <= n_max, each built on first use.
 
-    ``derivatives(x)`` is derivative_rows(n_max, x, r_max) with harmonic
-    order max(r_max + 1, 4), enough for every display; ``alternating(x, s)``
-    is alt_power_row(n_max, x, s); ``display(x, s)`` is the display of weight
+    ``derivatives(x)`` is derivative_rows(n_max, x, max(r_max, 3)), whose
+    harmonic orders 1..4 serve every display; ``alternating(x, s)`` is
+    alt_power_row(n_max, x, s); ``display(x, s)`` is the display of weight
     s at H_n(x,1..s-1) times F_n(x), both from the derivative rows at x, or
     for ``x=None`` (the x = 0 forms) at H_n(0,1..s-1) times the literal
     1/(n+1); ``inverted(x, s)`` is binomial_inverse(display(x, s)), and
@@ -133,10 +134,8 @@ class _References:
     """
 
     def __init__(self, n_max: int, r_max: int) -> None:
-        order = max(r_max + 1, 4)
-        derivatives = functools.cache(
-            lambda x: derivative_rows(n_max, x, r_max, harmonic_order=order)
-        )
+        # the weight-5 display reads H_1..H_4
+        derivatives = functools.cache(lambda x: derivative_rows(n_max, x, max(r_max, 3)))
 
         @functools.cache
         def display(x: Fraction | None, s: int) -> list[Fraction]:
@@ -283,7 +282,7 @@ def _check_group(
     _check_sweep(GROUP_AXES[group], n_max, r_max, xs)
     refs = refs or _References(n_max, r_max if "r" in GROUP_AXES[group] else 0)
     reports: list[IdentityReport] = []
-    for identity_id, row in IDENTITIES.items():
+    for identity_id, row in sorted(IDENTITIES.items()):
         if row.group == group:
             reports += generic_check(
                 identity_id,

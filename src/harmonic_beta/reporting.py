@@ -39,7 +39,7 @@ __all__ = [
     "render_pi_power",
 ]
 
-CSV_COLUMNS = ["identity_id", "n", "x", "r", "status", "lhs", "rhs", "elapsed_ms"]
+CSV_COLUMNS = ["identity_id", "n", "x", "r", "status", "lhs", "rhs"]
 
 ESTIMATE_COLUMNS = ["target_id", "N", "partial", "exact", "tail_low", "tail_high", "claimed_limit"]
 
@@ -115,8 +115,7 @@ def report_line(report: IdentityReport) -> str:
     """One report's JSON line, written directly in the form ``dumps`` gives:
     identity_id, params as n/x/r, status, then witness, reason and oracle
     when present.  A rational's text is digits, "-" and "/" alone, so needs
-    no escaping.  elapsed_ms is always 0, kept so the report format does not
-    change.
+    no escaping.
     """
     params = report.params
     fields = []
@@ -137,15 +136,15 @@ def report_line(report: IdentityReport) -> str:
         line += f', "reason": {encode_basestring_ascii(report.reason)}'
     if report.oracle is not None:
         line += f', "oracle": {dumps(report.oracle)}'
-    return line + ', "elapsed_ms": 0}'
+    return line + "}"
 
 
 def render_reports(reports: Sequence[IdentityReport], fmt: str) -> str:
     """verify's and oracle's output.
 
     json: one :func:`report_line` per report.  csv: one row per report under
-    CSV_COLUMNS, elapsed_ms 0 as in report_line.  text: one line per report,
-    its point as r, n, x and its witness on a failure, then the pass count.
+    CSV_COLUMNS.  text: one line per report, its point as r, n, x and its
+    witness on a failure, then the pass count.
     """
     if fmt == "json":
         return "\n".join(map(report_line, reports)) + "\n"
@@ -160,7 +159,7 @@ def render_reports(reports: Sequence[IdentityReport], fmt: str) -> str:
         lhs, rhs = map(format_rational, report.witness) if report.witness else ("", "")
         if fmt == "csv":
             n, x, r = (point.get(key, "") for key in "nxr")
-            rows.append([report.identity_id, n, x, r, report.status, lhs, rhs, 0])
+            rows.append([report.identity_id, n, x, r, report.status, lhs, rhs])
         else:
             bits = [report.identity_id, *(f"{key}={point[key]}" for key in "rnx" if key in point)]
             line = f"{' '.join(bits)}: {report.status}"

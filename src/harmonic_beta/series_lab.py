@@ -79,6 +79,7 @@ if TYPE_CHECKING:
 __all__ = [
     "EXACT_BELL_MAX",
     "EXACT_N_MAX",
+    "FLOAT_N_MAX",
     "PiPower",
     "SeriesEstimate",
     "hurwitz_partial",
@@ -91,6 +92,10 @@ __all__ = [
 
 #: Largest N for which the CLI runs exact rational accumulation by default.
 EXACT_N_MAX = 10_000
+
+#: Largest N float-mode hurwitz_partial and eq31_series sum; the log-weight
+#: targets stop below it, at N(N+1) < 2**53.  README times the worst runs.
+FLOAT_N_MAX = 10**8
 
 #: Highest Bell order G_k an exact-mode log-weight series sums: lemma-c needs
 #: G_{r-1} and eq32 G_{r+1}.  The cost grows with the order; at N = 10**4
@@ -358,9 +363,12 @@ def _ball_estimate(
 
 
 def _check_float_hurwitz(x: Fraction, s: int, N: int) -> None:
-    """Refuse a float-mode sum of (1/(n+x+1))**s, n < N, that :func:`_hurwitz_ball`
-    cannot bound: q(N+1) or a denominator d reaching 2**53, or a term that could
-    leave [2**-1000, 2**960].  Cheap, so callers run it before any other work."""
+    """Refuse a float-mode sum of (1/(n+x+1))**s, n < N, that is too long,
+    N > FLOAT_N_MAX, or that :func:`_hurwitz_ball` cannot bound: q(N+1) or a
+    denominator d reaching 2**53, or a term that could leave [2**-1000, 2**960].
+    Cheap, so callers run it before any other work."""
+    if N > FLOAT_N_MAX:
+        raise DomainError(f"float mode caps --N at {FLOAT_N_MAX}, got {N}")
     p, q = x.numerator, x.denominator
     top = q * (N + 1) + max(p, 0)
     if top >= _FLOAT_INT_LIMIT:

@@ -257,7 +257,7 @@ class TestVerifyCommand:
     def test_report_shape(self, capsys):
         _, out, _ = invoke(capsys, "verify", "beta-eq", "--n-max", "0", "--x", "1/2")
         entry = json.loads(out.strip().splitlines()[0])
-        assert list(entry) == ["identity_id", "params", "status", "elapsed_ms"]
+        assert list(entry) == ["identity_id", "params", "status"]
         assert entry["params"] == {"n": 0, "x": "1/2"}
 
     def test_fixture_fail_exits_one_with_witness(self, capsys):
@@ -272,8 +272,8 @@ class TestVerifyCommand:
             capsys, "verify", "fixture-fail", "--n-max", "2", "--format", "csv"
         )
         lines = out.strip().splitlines()
-        assert lines[0] == "identity_id,n,x,r,status,lhs,rhs,elapsed_ms"
-        assert lines[1] == "fixture-fail,0,,,fail,1,1/2,0"
+        assert lines[0] == "identity_id,n,x,r,status,lhs,rhs"
+        assert lines[1] == "fixture-fail,0,,,fail,1,1/2"
 
     def test_text_output_summary(self, capsys):
         code, out, _ = invoke(
@@ -331,22 +331,22 @@ class TestVerifyCommand:
         )
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "f7085c69a685ca27941cecca3e87eec06dc02cb0f90ced63fc333448f7e4a512"
+        assert digest == "9d9c4da0efd22484534f6120f96cffc5b9d26b50a292c9e3f94ff6457afe4b91"
 
     @pytest.mark.parametrize(
         "argv,digest",
         [
             (
                 "oracle mc --n 1 --r 2 --samples 10000000 --seed 42",
-                "fe0df91eded0ab22241c7321e22f7b52df91378e934535a02303383c5537da01",
+                "7bcf48174673ee919a4ac3f84f46f295121fe0fc715478cbb45357ffd6932d47",
             ),
             (
                 "oracle mc --n 3 --r 2 --samples 10000000 --seed 11",
-                "d03f95c021a899797a1cecd0211920f45d98f19a83cc165549f15cf3d6b38250",
+                "78131d29e27c7abdf42023f7e3446ac0e05ab98c4fecc24845966aa364169d9c",
             ),
             (
                 "oracle mc --n 5 --r 3 --samples 10000000 --seed 7",
-                "13f8846492702c91cb2ef015faef3d6e585013ca8e203beb198e0c03b3c1fb49",
+                "09783b2f01bf2f3748fc6cfee8554fa239e06a60529bb7388ba2d8999d6dcef3",
             ),
         ],
     )
@@ -520,14 +520,14 @@ class TestReportLine:
             (
                 IdentityReport("thm2.2a", {"n": 3, "x": Fraction(-49, 100)}, "pass"),
                 '{"identity_id": "thm2.2a", "params": {"n": 3, "x": "-49/100"}, '
-                '"status": "pass", "elapsed_ms": 0}',
+                '"status": "pass"}',
             ),
             (
                 IdentityReport(
                     "fixture-fail", {"n": 2}, "fail", witness=(Fraction(7, 4), Fraction(2))
                 ),
                 '{"identity_id": "fixture-fail", "params": {"n": 2}, "status": "fail", '
-                '"witness": {"lhs": "7/4", "rhs": "2"}, "elapsed_ms": 0}',
+                '"witness": {"lhs": "7/4", "rhs": "2"}}',
             ),
             (
                 IdentityReport(
@@ -535,7 +535,7 @@ class TestReportLine:
                     reason='needs "x" > -1\u00e9',
                 ),
                 '{"identity_id": "lemma-a", "params": {"n": 0, "x": "0", "r": 4}, '
-                '"status": "fail", "reason": "needs \\"x\\" > -1\\u00e9", "elapsed_ms": 0}',
+                '"status": "fail", "reason": "needs \\"x\\" > -1\\u00e9"}',
             ),
             (
                 IdentityReport(
@@ -546,7 +546,7 @@ class TestReportLine:
                 '{"identity_id": "oracle-quad", "params": {"n": 2, "x": "1/2", "r": 1}, '
                 '"status": "fail", "reason": "expected -0.10000000000000001", '
                 '"oracle": {"value": -0.10000000000000001, "err": 1.0000000000000001e-17, '
-                '"evals": 60}, "elapsed_ms": 0}',
+                '"evals": 60}}',
             ),
             (
                 IdentityReport(
@@ -558,7 +558,7 @@ class TestReportLine:
                 ),
                 '{"identity_id": "oracle-mc", "params": {"n": 1, "r": 2}, "status": "pass", '
                 '"oracle": {"estimate": 0.75, "stderr": 0.5, "samples": 10, "seed": 42, '
-                '"generator": "numpy-sfc64"}, "elapsed_ms": 0}',
+                '"generator": "numpy-sfc64"}}',
             ),
         ],
         ids=["pass", "fail-witness", "fail-reason", "oracle-quad", "oracle-mc"],
@@ -566,7 +566,7 @@ class TestReportLine:
     def test_line_is_pinned_and_keeps_its_key_order(self, report, line):
         assert report_line(report) == line
         loaded = json.loads(line)
-        keys = ["identity_id", "params", "status", "witness", "reason", "oracle", "elapsed_ms"]
+        keys = ["identity_id", "params", "status", "witness", "reason", "oracle"]
         assert list(loaded) == [key for key in keys if key in loaded]
         assert list(loaded["params"]) == [key for key in "nxr" if key in report.params]
         assert dumps(loaded) == line

@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import random
@@ -384,11 +385,28 @@ class TestRunAll:
 
     @pytest.mark.parametrize("group", CHECK_GROUPS)
     def test_each_group_emits_each_identity_in_output_order(self, group):
-        # so run_all and verify order a merged list by a stable sort on the id alone
+        # so run_all orders its merged list by a stable sort on the id alone
         xs = [Fraction(7, 3), Fraction(-49, 100), Fraction(0), Fraction(1, 2)]
         reports = CHECK_GROUPS[group](3, 1, xs)
         by_id = sorted(reports, key=lambda r: r.identity_id)
         assert by_id == sorted(reports, key=reference_order)
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            *(
+                functools.partial(group, 3, 1, [Fraction(1, 2), Fraction(0)])
+                for group in CHECK_GROUPS.values()
+            ),
+            functools.partial(deliberate_mismatch_check, 3),
+            functools.partial(check_inversion, 5, 4, 3),
+        ],
+        ids=[*CHECK_GROUPS, "fixture-fail", "check_inversion"],
+    )
+    def test_each_check_returns_its_reports_in_output_order(self, check):
+        # so verify prints a single group's reports as they come, unsorted
+        reports = check()
+        assert reports == sorted(reports, key=reference_order)
 
     def test_run_all_is_the_sorted_concatenation_of_the_groups(self):
         # run_all is the sorted concatenation of the table's seven groups,

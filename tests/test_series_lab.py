@@ -26,6 +26,7 @@ from harmonic_beta.harmonic_core import (
 from harmonic_beta.series_lab import (
     EXACT_BELL_MAX,
     EXACT_N_MAX,
+    FLOAT_N_MAX,
     PiPower,
     SeriesEstimate,
     corollary_2_4_partial,
@@ -657,6 +658,22 @@ class TestFloatBall:
         assert str(raised.value) == (
             "float mode requires q(N+1)+max(p,0) < 2**53, got 20001000000000000"
         )
+
+    def test_hurwitz_length_cap_binds_library_calls_before_any_work(self, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError(f"work started: {args}")
+
+        # the float sum itself, and eq31's term checks
+        monkeypatch.setattr(series_lab, "_hurwitz_ball", unbuilt)
+        monkeypatch.setattr(series_lab, "derivative_rows", unbuilt)
+        message = f"float mode caps --N at 100000000, got {FLOAT_N_MAX + 1}"
+        for call in (
+            lambda: hurwitz_partial(0, 2, FLOAT_N_MAX + 1, float_mode=True),
+            lambda: eq31_series(0, 0, FLOAT_N_MAX + 1, float_mode=True),
+        ):
+            with pytest.raises(DomainError) as raised:
+                call()
+            assert str(raised.value) == message
 
     def test_term_budget_refuses_before_any_float_work(self, monkeypatch):
         budget = series_lab._FLOAT_TERM_BUDGET
