@@ -303,17 +303,15 @@ def _run_series(args) -> tuple[int, str]:
         )
     target = args.target
     if target == "zeta":
-        estimate = series_lab.hurwitz_partial(args.x, args.s, args.N, float_mode)
+        estimate = series_lab.hurwitz_partial(args.x, args.s, args.N)
     elif target == "lemma-c":
-        estimate = series_lab.lemma_c_partial(args.r, args.N, float_mode)
+        estimate = series_lab.lemma_c_partial(args.r, args.N)
     elif target.startswith("cor2.4-"):
-        estimate = series_lab.corollary_2_4_partial(
-            target.removeprefix("cor2.4-"), args.N, float_mode
-        )
+        estimate = series_lab.corollary_2_4_partial(target.removeprefix("cor2.4-"), args.N)
     elif target == "eq31":
-        estimate = series_lab.eq31_series(args.r, args.x, args.N, float_mode)
+        estimate = series_lab.eq31_series(args.r, args.x, args.N)
     else:  # eq32
-        estimate = series_lab.eq32_series(args.r, args.N, float_mode)
+        estimate = series_lab.eq32_series(args.r, args.N)
     contained = estimate.contains_claim()
     code = 1 if contained is False else 0
     return code, reporting.render_estimate(estimate, args.format)

@@ -26,20 +26,21 @@ each checkpoint G_0..G_k come from one complete-Bell recurrence on integer
 numerators.  The closed form must equal a direct term-by-term sum at every
 checkpoint up to 512, so a verdict does not rest on it alone.
 
-Float mode (the CLI's ``--float``) computes the same terms in binary64 with
-numpy, a chunk of n at a time, and sums them exactly, rounding once at the
-end: each chunk's terms are binned by binary exponent and their mantissas
-added per bin as integers (an exponent-binned accumulator in the manner of
-Neal, *Fast exact summation using small and large superaccumulators*,
-2015), which gives the correctly rounded value ``math.fsum`` gives.  A
-log-weight term takes G_k from the same complete-Bell recurrence as exact
-mode, applied to the chunk's rows of H^(alpha).  numpy
-is imported by the first float-mode sum, so exact mode never loads it.  Only
-correctly rounded + - * / and cumulative sums are used, and every term is
-positive, so an a-priori bound on the roundings along any term's path
-gives a rational radius around the float sum (Higham, *Accuracy and
-Stability of Numerical Algorithms*, ch. 3-4).  The reported bracket then
-encloses the rounding error as well as the tail.
+Above N = EXACT_N_MAX every series runs in float mode (the CLI's ``--float``),
+which computes the same terms in binary64 with numpy, a chunk of n at a
+time, and sums them exactly, rounding once at the end: each chunk's terms
+are binned by binary exponent and their mantissas added per bin as integers
+(an exponent-binned accumulator in the manner of Neal, *Fast exact
+summation using small and large superaccumulators*, 2015), which gives the
+correctly rounded value ``math.fsum`` gives.  A log-weight term takes G_k
+from the same complete-Bell recurrence as exact mode, applied to the
+chunk's rows of H^(alpha).  numpy is imported by the first float-mode sum,
+so exact mode never loads it.  Only correctly rounded + - * / and
+cumulative sums are used, and every term is positive, so an a-priori bound
+on the roundings along any term's path gives a rational radius around the
+float sum (Higham, *Accuracy and Stability of Numerical Algorithms*, ch.
+3-4).  The reported bracket then encloses the rounding error as well as
+the tail.
 
 A :class:`SeriesEstimate` knows no output format:
 ``reporting.render_estimate`` prints it as JSON, CSV or text.
@@ -90,7 +91,7 @@ __all__ = [
     "multi_integral_exact",
 ]
 
-#: Largest N for which the CLI runs exact rational accumulation by default.
+#: Largest N every series sums exactly; above it they sum in float mode.
 EXACT_N_MAX = 10_000
 
 #: Largest N float-mode hurwitz_partial and eq31_series sum; the log-weight
@@ -186,9 +187,9 @@ ClaimedLimit = Union[Fraction, PiPower, None]
 class SeriesEstimate:
     """Partial sum, rigorous tail bracket, and the claimed limit (if any).
 
-    A plain class, not a NamedTuple as the other records are: the tracer in
+    Immutable as the NamedTuple records are, but no tuple: the tracer in
     ``perfbench/tracing.py`` tells one estimate from a tuple of them by
-    ``isinstance(result, tuple)``.
+    ``isinstance(result, tuple)``.  :meth:`_replace` makes a changed copy.
     """
 
     __slots__ = ("target_id", "N", "partial", "exact", "tail_low", "tail_high", "claimed_limit")
@@ -203,8 +204,14 @@ class SeriesEstimate:
         tail_high: Fraction,
         claimed_limit: ClaimedLimit = None,
     ) -> None:
-        self.target_id, self.N, self.partial, self.exact = target_id, N, partial, exact
-        self.tail_low, self.tail_high, self.claimed_limit = tail_low, tail_high, claimed_limit
+        values = (target_id, N, partial, exact, tail_low, tail_high, claimed_limit)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"SeriesEstimate is immutable; cannot change {name}")
+
+    __delattr__ = __setattr__
 
     def _asdict(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -261,11 +268,11 @@ class SeriesEstimate:
 # -- shifted power sums -------------------------------------------------------
 
 
-def hurwitz_partial(x: RationalLike, s: int, N: int, float_mode: bool = False) -> SeriesEstimate:
+def hurwitz_partial(x: RationalLike, s: int, N: int) -> SeriesEstimate:
     """Partial sum of sum(1/(n+x+1)**s, n >= 0) with an integral-test bracket.
 
-    tail in [1/((s-1)(N+x+1)**(s-1)), 1/((s-1)(N+x)**(s-1))].  In float mode
-    the bracket also encloses the rounding error (:func:`_hurwitz_ball`).
+    tail in [1/((s-1)(N+x+1)**(s-1)), 1/((s-1)(N+x)**(s-1))].  Above
+    EXACT_N_MAX the bracket also encloses the rounding error (:func:`_hurwitz_ball`).
     Each mode refuses what it cannot sum before any work: float mode the
     inputs :func:`_check_float_hurwitz` refuses, exact mode s > _EXACT_S_MAX.
     """
@@ -274,7 +281,8 @@ def hurwitz_partial(x: RationalLike, s: int, N: int, float_mode: bool = False) -
         raise DomainError(f"hurwitz_partial requires s >= 2 (divergent otherwise), got s={s}")
     if N < 1:
         raise DomainError(f"hurwitz_partial requires N >= 1, got N={N}")
-    if float_mode:
+    exact = N <= EXACT_N_MAX
+    if not exact:
         _check_float_hurwitz(x, s, N)
     elif s > _EXACT_S_MAX:
         raise DomainError(f"exact mode sums zeta only up to s = {_EXACT_S_MAX}; got s={s}")
@@ -285,14 +293,11 @@ def hurwitz_partial(x: RationalLike, s: int, N: int, float_mode: bool = False) -
     claimed: ClaimedLimit = None
     if x == 0 and s % 2 == 0:
         claimed = PiPower(zeta_even_coefficient(s // 2), s)
-    if float_mode:
-        total, radius = _hurwitz_ball(x, s, N)
-        return _ball_estimate(
-            target_id, N, total, radius, scale=1, tail_low=tail_low, tail_high=tail_high,
-            sign=1, claimed_limit=claimed,
-        )
-    partial = harmonic_function(N - 1, x, s)
-    return SeriesEstimate(target_id, N, partial, True, tail_low, tail_high, claimed)
+    if exact:
+        partial = harmonic_function(N - 1, x, s)
+        return SeriesEstimate(target_id, N, partial, True, tail_low, tail_high, claimed)
+    total, radius = _hurwitz_ball(x, s, N)
+    return _ball_estimate(target_id, N, total, radius, 1, tail_low, tail_high, 1, claimed)
 
 
 # -- float mode: binary64 sums with a rigorous radius -------------------------
@@ -542,14 +547,14 @@ def _log_weight_series(
     N: int,
     claimed_limit: ClaimedLimit,
     sign: int = 1,
-    float_mode: bool = False,
 ) -> SeriesEstimate:
     """sum(sign * scale * G_k(H_{n+1},...)/(n(n+1)), n = 1..N) with tail bracket.
 
     Every log-weight target is this sum for one Bell order k: lemma-c and
     Corollary 2.4 take k = r-1, eq. (32) k = r+1.  A target's own term
     routes (the literal displays, the product rule) are crosschecks it
-    runs against G_k before calling this.
+    runs against G_k before calling this, and a k past N's cap is refused
+    by :func:`_bell_order` first (Corollary 2.4's k <= 4 is under both).
 
     Exact mode takes its partials from :func:`_closed_form_sums`, and
     every stop up to _TERM_CHECK_CAP must equal the direct sum of
@@ -561,7 +566,7 @@ def _log_weight_series(
         raise DomainError(f"series requires N >= 1, got N={N}")
     d_coeffs = _log_moment_coefficients(bell_expansion(k), scale)
 
-    if float_mode:
+    if N > EXACT_N_MAX:
         total, radius = _log_weight_ball(k, N)
         width = _raw_tail_bound(d_coeffs, N)
         return _ball_estimate(
@@ -628,11 +633,10 @@ def _log_weight_ball(k: int, N: int) -> tuple[float, Fraction]:
     2**141 (the coefficients of G_j sum to j!), so the sum of N < 2**27
     terms stays below 2**168.
 
-    Rejects k > 19, n(n+1) reaching 2**53, and N times the recurrence's
-    k(k+1)/2 products above _FLOAT_TERM_BUDGET; the first two are the
-    preconditions of the bound.
+    Takes only k <= 19, which :func:`_bell_order` admits for float mode.
+    Rejects n(n+1) reaching 2**53, a precondition of the bound, and N times
+    the recurrence's k(k+1)/2 products above _FLOAT_TERM_BUDGET.
     """
-    _bell_order(k, float_mode=True)
     if N * (N + 1) >= _FLOAT_INT_LIMIT:
         raise DomainError(f"float mode requires N(N+1) < 2**53, got N={N}")
     products = k * (k + 1) // 2
@@ -667,21 +671,20 @@ def _log_weight_ball(k: int, N: int) -> tuple[float, Fraction]:
 # -- the concrete series targets ----------------------------------------------
 
 
-def _bell_order(k: int, float_mode: bool) -> int:
-    """The Bell order k, refused before anything is built past each mode's cap.
-
-    Float mode stops at k = 19: the rounding bound of :func:`_log_weight_ball`
-    takes the recurrence's coefficients, up to (k-1)!, to be integers below
-    2**53, hence exact binary64 values, and 19! >= 2**53.
-    Exact mode stops at k = EXACT_BELL_MAX, which bounds the time and memory
-    of the closed form's big-integer sums: G_0..G_k at every checkpoint, and
-    harmonic numerators of k orders."""
-    if float_mode and k >= 20:
+def _bell_order(k: int, N: int) -> int:
+    """The Bell order k of a sum to N, refused before anything is built past
+    the cap of N's mode.  Float mode stops at k = 19: the rounding bound of
+    :func:`_log_weight_ball` takes the recurrence's coefficients, up to
+    (k-1)!, to be integers below 2**53, hence exact binary64 values, and
+    19! >= 2**53.  Exact mode stops at k = EXACT_BELL_MAX, which bounds the
+    time and memory of the closed form's big-integer sums: G_0..G_k at every
+    checkpoint, and harmonic numerators of k orders."""
+    if N > EXACT_N_MAX and k >= 20:
         raise DomainError(
             f"float mode sums G_k only up to k = 19 (lemma-c --r <= 20, eq32 --r <= 18); "
             f"got G_{k}"
         )
-    if not float_mode and k > EXACT_BELL_MAX:
+    if N <= EXACT_N_MAX and k > EXACT_BELL_MAX:
         raise DomainError(
             f"exact mode sums G_k only up to k = {EXACT_BELL_MAX} "
             f"(lemma-c --r <= {EXACT_BELL_MAX + 1}, eq32 --r <= {EXACT_BELL_MAX - 1}); "
@@ -700,7 +703,7 @@ def _crosscheck(target_id: str, route: PolyTerms, k: int) -> None:
         raise ArithmeticError(f"{target_id}: term routes disagree")
 
 
-def lemma_c_partial(r: int, N: int, float_mode: bool = False) -> SeriesEstimate:
+def lemma_c_partial(r: int, N: int) -> SeriesEstimate:
     """Partial sum of sum((1/n) * alt_power_sum(n, 0, r), n >= 1); limit r.
 
     Terms are evaluated through the closed form
@@ -710,12 +713,12 @@ def lemma_c_partial(r: int, N: int, float_mode: bool = False) -> SeriesEstimate:
     if r < 1:
         raise DomainError(f"lemma_c_partial requires r >= 1, got r={r}")
     return _log_weight_series(
-        f"lemma-c(r={r})", _bell_order(r - 1, float_mode), Fraction(1, math.factorial(r - 1)),
-        N, Fraction(r), float_mode=float_mode,
+        f"lemma-c(r={r})", _bell_order(r - 1, N), Fraction(1, math.factorial(r - 1)), N,
+        Fraction(r),
     )
 
 
-def corollary_2_4_partial(variant: str, N: int, float_mode: bool = False) -> SeriesEstimate:
+def corollary_2_4_partial(variant: str, N: int) -> SeriesEstimate:
     """Partial sum of a displayed harmonic-polynomial series over n(n+1).
 
     Variant ``r<r>``, for r = 3, 4, 5, claims the limit r!.  The series sums
@@ -729,9 +732,7 @@ def corollary_2_4_partial(variant: str, N: int, float_mode: bool = False) -> Ser
         raise DomainError(f"unknown variant {variant!r}; expected one of {variants}")
     target_id, r = f"cor2.4-{variant}", int(variant[1:])
     _crosscheck(target_id, _DISPLAYS[r], r - 1)
-    return _log_weight_series(
-        target_id, r - 1, Fraction(1), N, Fraction(math.factorial(r)), float_mode=float_mode
-    )
+    return _log_weight_series(target_id, r - 1, Fraction(1), N, Fraction(math.factorial(r)))
 
 
 def _leibniz_route_terms(r: int) -> PolyTerms:
@@ -747,7 +748,7 @@ def _leibniz_route_terms(r: int) -> PolyTerms:
     return out
 
 
-def eq31_series(r: int, x: RationalLike, N: int, float_mode: bool = False) -> SeriesEstimate:
+def eq31_series(r: int, x: RationalLike, N: int) -> SeriesEstimate:
     """The double-sum form of the general-order identity, eq. (31).
 
     By the finite identity its inner binomial sum collapses term by term to
@@ -767,7 +768,7 @@ def eq31_series(r: int, x: RationalLike, N: int, float_mode: bool = False) -> Se
     x = _check_shift(x, "eq31_series")
     if N < 1:
         raise DomainError(f"eq31_series requires N >= 1, got N={N}")
-    if float_mode:
+    if N > EXACT_N_MAX:
         _check_float_hurwitz(x, r + 2, N)
     target_id = f"eq31(r={r},x={format_rational(x)})"
     rows = derivative_rows(min(N, _TERM_CHECK_CAP) - 1, x, r)
@@ -775,10 +776,10 @@ def eq31_series(r: int, x: RationalLike, N: int, float_mode: bool = False) -> Se
     for k, value in enumerate(binomial_inverse(inner)):
         if value != 1 / (x + k + 1) ** (r + 2):
             raise ArithmeticError(f"{target_id}: inner term does not collapse at k={k}")
-    return hurwitz_partial(x, r + 2, N, float_mode)._replace(target_id=target_id)
+    return hurwitz_partial(x, r + 2, N)._replace(target_id=target_id)
 
 
-def eq32_series(r: int, N: int, float_mode: bool = False) -> SeriesEstimate:
+def eq32_series(r: int, N: int) -> SeriesEstimate:
     """The x = 0 log-weight form of the general-order identity, eq. (32).
 
     sum((-1)**r * G_{r+1}(H_{n+1},...)/(n(n+1)), n >= 1) with claimed limit
@@ -788,12 +789,12 @@ def eq32_series(r: int, N: int, float_mode: bool = False) -> SeriesEstimate:
     """
     if r < 0:
         raise DomainError(f"eq32_series requires r >= 0, got r={r}")
-    k = _bell_order(r + 1, float_mode)  # refuses a capped r before any work
+    k = _bell_order(r + 1, N)  # refuses a capped r before any work
     target_id = f"eq32(r={r})"
     _crosscheck(target_id, _leibniz_route_terms(r), k)
     sign = -1 if r % 2 else 1
     return _log_weight_series(
-        target_id, k, Fraction(1), N, Fraction(sign * math.factorial(r + 2)), sign, float_mode
+        target_id, k, Fraction(1), N, Fraction(sign * math.factorial(r + 2)), sign
     )
 
 

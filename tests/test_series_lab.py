@@ -40,6 +40,7 @@ from harmonic_beta.series_lab import (
     _CHUNK,
     _EQ31_R_MAX,
     _TERM_CHECK_CAP,
+    _bell_order,
     _checkpoint_lattice,
     _closed_form_sums,
     _direct_partials,
@@ -59,6 +60,12 @@ PI_100 = Fraction(
     "3.1415926535897932384626433832795028841971693993751058209749445923"
     "078164062862089986280348253421170679"
 )
+
+
+@pytest.fixture
+def float_from_n1(monkeypatch):
+    """Every N >= 1 sums in float mode, as N > EXACT_N_MAX does."""
+    monkeypatch.setattr(series_lab, "EXACT_N_MAX", 0)
 
 
 def reference_partials(k, stops):
@@ -206,10 +213,10 @@ class TestHurwitzPartial:
             hurwitz_partial(0, series_lab._EXACT_S_MAX + 1, 10)
         with pytest.raises(DomainError, match="exact mode"):
             hurwitz_partial(Fraction(-49, 100), 2000, EXACT_N_MAX)
-        assert hurwitz_partial(0, 20, 20_000, float_mode=True).contains_claim()
+        assert hurwitz_partial(0, 20, 20_000).contains_claim()
 
-    def test_float_mode(self):
-        est = hurwitz_partial(0, 2, 2000, float_mode=True)
+    def test_float_mode(self, float_from_n1):
+        est = hurwitz_partial(0, 2, 2000)
         assert est.exact is False
         assert isinstance(est.partial, float)
         assert est.contains_claim()
@@ -228,7 +235,7 @@ class TestRationalVerdicts:
         assert inside.contains_claim() is True
 
     def test_rational_claim_just_outside_float_bracket_is_not_contained(self):
-        est = lemma_c_partial(2, 20_000, float_mode=True)
+        est = lemma_c_partial(2, 20_000)
         assert est.contains_claim() is True
         high = 2 * (1 - Fraction(1, 10**13))
         outside = est._replace(tail_high=high - Fraction(est.partial))
@@ -268,10 +275,11 @@ class TestRationalVerdicts:
 
 
 class TestLemmaCPartial:
-    def test_r1_telescopes_exactly(self):
+    def test_r1_telescopes_exactly(self, monkeypatch):
         for N in (1, 10, 1000, 5000):
             est = lemma_c_partial(1, N)
             assert est.partial == 1 - Fraction(1, N + 1)
+        monkeypatch.setattr(series_lab, "EXACT_N_MAX", 100_000)
         assert lemma_c_partial(1, 100_000).partial == 1 - Fraction(1, 100_001)
 
     @pytest.mark.parametrize("N", [1, 2, 3, 64, 65, 10_000])
@@ -346,8 +354,8 @@ class TestLemmaCPartial:
         with pytest.raises(DomainError):
             lemma_c_partial(0, 10)
 
-    def test_float_mode(self):
-        est = lemma_c_partial(2, 3000, float_mode=True)
+    def test_float_mode(self, float_from_n1):
+        est = lemma_c_partial(2, 3000)
         assert est.exact is False
         assert abs(est.partial - 2.0) < 0.01
         assert est.contains_claim()
@@ -413,24 +421,25 @@ class TestClosedForm:
         leibniz = dict(_leibniz_route_terms(2))
         leibniz[(0, 0, 1)] += 1
         monkeypatch.setattr(series_lab, "_leibniz_route_terms", lambda r: leibniz)
-        for float_mode, N in ((False, 10_000), (True, 20_000)):
+        for N in (EXACT_N_MAX, 20_000):  # exact, then float mode
             for call, target_id, argv in (
-                (lambda: corollary_2_4_partial("r4", N, float_mode), "cor2.4-r4", ["cor2.4-r4"]),
-                (lambda: eq32_series(2, N, float_mode), "eq32(r=2)", ["eq32", "--r", "2"]),
+                (lambda: corollary_2_4_partial("r4", N), "cor2.4-r4", ["cor2.4-r4"]),
+                (lambda: eq32_series(2, N), "eq32(r=2)", ["eq32", "--r", "2"]),
             ):
                 message = f"{target_id}: term routes disagree"
                 with pytest.raises(ArithmeticError) as raised:
                     call()
                 assert str(raised.value) == message
-                argv = ["series", *argv, "--N", str(N)] + (["--float"] if float_mode else [])
+                argv = ["series", *argv, "--N", str(N)] + (["--float"] if N > EXACT_N_MAX else [])
                 assert run(argv) == 1
                 captured = capsys.readouterr()
                 assert (captured.out, captured.err) == ("", f"check failed: {message}\n")
 
-    @pytest.mark.parametrize("float_mode", [False, True])
-    def test_crosscheck_refuses_padding_and_zero_coefficients(self, monkeypatch, float_mode):
+    @pytest.mark.parametrize("exact_n_max", [EXACT_N_MAX, 49])  # N = 50 exact, then float
+    def test_crosscheck_refuses_padding_and_zero_coefficients(self, monkeypatch, exact_n_max):
         # G_2 = h1^2 + h2 and G_3 with a padded exponent tuple, then with a
         # zero coefficient: the same polynomials, but not the same terms
+        monkeypatch.setattr(series_lab, "EXACT_N_MAX", exact_n_max)
         g2, g3 = dict(bell_expansion(2)), dict(bell_expansion(3))
         for display, leibniz in (
             ({e + (0,): c for e, c in g2.items()}, {e + (0,): c for e, c in g3.items()}),
@@ -439,8 +448,8 @@ class TestClosedForm:
             monkeypatch.setitem(identity_suite._DISPLAYS, 3, display)
             monkeypatch.setattr(series_lab, "_leibniz_route_terms", lambda r: leibniz)
             for call, target_id in (
-                (lambda: corollary_2_4_partial("r3", 50, float_mode), "cor2.4-r3"),
-                (lambda: eq32_series(1, 50, float_mode), "eq32(r=1)"),
+                (lambda: corollary_2_4_partial("r3", 50), "cor2.4-r3"),
+                (lambda: eq32_series(1, 50), "eq32(r=1)"),
             ):
                 with pytest.raises(ArithmeticError) as raised:
                     call()
@@ -561,7 +570,9 @@ class TestFloatBall:
             total, radius = _hurwitz_ball(x, s, N)
         exact = hurwitz_partial(x, s, N)
         assert abs(exact.partial - Fraction(total)) <= radius
-        low, high = hurwitz_partial(x, s, N, float_mode=True).bounds()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series_lab, "EXACT_N_MAX", 0)
+            low, high = hurwitz_partial(x, s, N).bounds()
         exact_low, exact_high = exact.bounds()
         assert low <= exact_low and exact_high <= high
 
@@ -577,7 +588,9 @@ class TestFloatBall:
     def test_estimate_brackets_exact_partial_and_tail(self, k_sign, N):
         k, sign = k_sign
         scale = Fraction(1, 3)
-        est = _log_weight_series("t", k, scale, N, None, sign=sign, float_mode=True)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series_lab, "EXACT_N_MAX", 0)
+            est = _log_weight_series("t", k, scale, N, None, sign=sign)
         exact = sign * scale * block_partials(k, [N])[0]
         tail = sign * _raw_tail_bound(_log_moment_coefficients(bell_expansion(k), scale), N)
         low, high = est.bounds()
@@ -626,18 +639,18 @@ class TestFloatBall:
         "call",
         [
             lambda: _log_weight_ball(1, 94_906_266),  # N(N+1) >= 2**53
-            lambda: _log_weight_ball(20, 10),  # G_20's recurrence holds 19! >= 2**53
+            lambda: _bell_order(20, EXACT_N_MAX + 1),  # G_20's recurrence holds 19! >= 2**53
             lambda: _log_weight_ball(19, 22_631_579),  # N * 190 products of G_19 > budget
-            lambda: eq32_series(19, 20_000, float_mode=True),  # G_20 holds 19!
-            lambda: hurwitz_partial(Fraction(1, 2**52), 2, 2, True),  # q(N+1)+p >= 2**53
+            lambda: eq32_series(19, 20_000),  # G_20 holds 19!
+            lambda: hurwitz_partial(Fraction(1, 2**52), 2, 2),  # q(N+1)+p >= 2**53
             # q(N+1) = 2**53 + 1 is not a float although q(N+1)+p < 2**53
-            lambda: hurwitz_partial(Fraction(1 - 3002399751580331, 3002399751580331), 2, 2, True),
-            lambda: hurwitz_partial(Fraction(0), 80, 20_000, True),  # 1/n**80 underflows
-            lambda: hurwitz_partial(Fraction(-999, 1000), 100, 1, True),  # 1000**100 overflows
-            lambda: lemma_c_partial(21, 20_000, float_mode=True),  # G_20 holds 19!
+            lambda: hurwitz_partial(Fraction(1 - 3002399751580331, 3002399751580331), 2, 2),
+            lambda: hurwitz_partial(Fraction(0), 80, 20_000),  # 1/n**80 underflows
+            lambda: hurwitz_partial(Fraction(-999, 1000), 100, 1),  # 1000**100 overflows
+            lambda: lemma_c_partial(21, 20_000),  # G_20 holds 19!
         ],
     )
-    def test_inputs_past_the_float_caps_are_rejected(self, call):
+    def test_inputs_past_the_float_caps_are_rejected(self, float_from_n1, call):
         with pytest.raises(DomainError, match="float mode"):
             call()
 
@@ -649,12 +662,12 @@ class TestFloatBall:
         monkeypatch.setattr(series_lab, "zeta_even_coefficient", unbuilt)
         monkeypatch.setattr(series_lab, "derivative_rows", unbuilt)
         with pytest.raises(DomainError) as raised:
-            hurwitz_partial(0, 4000, 20_000, float_mode=True)
+            hurwitz_partial(0, 4000, 20_000)
         assert str(raised.value) == (
             "float mode: (1/(n+x+1))**4000 leaves the normal float range for x=0, N=20000"
         )
         with pytest.raises(DomainError) as raised:
-            eq31_series(8, Fraction(-999999999999, 10**12), 20_000, float_mode=True)
+            eq31_series(8, Fraction(-999999999999, 10**12), 20_000)
         assert str(raised.value) == (
             "float mode requires q(N+1)+max(p,0) < 2**53, got 20001000000000000"
         )
@@ -668,29 +681,29 @@ class TestFloatBall:
         monkeypatch.setattr(series_lab, "derivative_rows", unbuilt)
         message = f"float mode caps --N at 100000000, got {FLOAT_N_MAX + 1}"
         for call in (
-            lambda: hurwitz_partial(0, 2, FLOAT_N_MAX + 1, float_mode=True),
-            lambda: eq31_series(0, 0, FLOAT_N_MAX + 1, float_mode=True),
+            lambda: hurwitz_partial(0, 2, FLOAT_N_MAX + 1),
+            lambda: eq31_series(0, 0, FLOAT_N_MAX + 1),
         ):
             with pytest.raises(DomainError) as raised:
                 call()
             assert str(raised.value) == message
 
-    def test_term_budget_refuses_before_any_float_work(self, monkeypatch):
+    def test_term_budget_refuses_before_any_float_work(self, monkeypatch, float_from_n1):
         budget = series_lab._FLOAT_TERM_BUDGET
         # G_5's recurrence has 15 products: N = 33 spends 495 of a budget of
         # 500, N = 34 is past it
         monkeypatch.setattr(series_lab, "_FLOAT_TERM_BUDGET", 500)
-        assert lemma_c_partial(6, 33, float_mode=True).N == 33
+        assert lemma_c_partial(6, 33).N == 33
 
         def unsummed(*args):
             raise AssertionError("float work started")
 
         monkeypatch.setattr(series_lab, "_fsum_ball", unsummed)
         with pytest.raises(DomainError, match=r"requires N \* 15 products of G_5 <= 500, got N=34"):
-            lemma_c_partial(6, 34, float_mode=True)
+            lemma_c_partial(6, 34)
         monkeypatch.setattr(series_lab, "_FLOAT_TERM_BUDGET", budget)
         N = budget // 190 + 1  # G_19's recurrence has 190 products
-        for call in (lambda: lemma_c_partial(20, N, True), lambda: eq32_series(18, N, True)):
+        for call in (lambda: lemma_c_partial(20, N), lambda: eq32_series(18, N)):
             with pytest.raises(DomainError, match=r"float mode requires N \* 190 products"):
                 call()
 
@@ -700,9 +713,9 @@ class TestFloatBall:
 
         monkeypatch.setattr(series_lab, "bell_expansion", unbuilt)
         with pytest.raises(DomainError, match="float mode"):
-            lemma_c_partial(1000, 20_000, float_mode=True)
+            lemma_c_partial(1000, 20_000)
         with pytest.raises(DomainError, match="float mode"):
-            eq32_series(19, 20_000, float_mode=True)
+            eq32_series(19, 20_000)
 
     def test_exact_mode_caps_the_bell_order_before_any_work(self, monkeypatch):
         def unbuilt(*args):
@@ -787,6 +800,18 @@ class TestTheorem26Series:
         assert not isinstance(est, tuple)
         assert est._replace(N=11) != est and est._replace(N=11)._replace(N=10) == est
 
+    def test_estimate_refuses_assignment(self):
+        est = hurwitz_partial(0, 2, 10)
+        assert est.contains_claim() is True
+        with pytest.raises(AttributeError):
+            est.tail_high = Fraction(-5)
+        with pytest.raises(AttributeError):
+            del est.tail_high
+        with pytest.raises(AttributeError):
+            est.extra = 1
+        assert est == hurwitz_partial(0, 2, 10) and est.contains_claim() is True
+        assert est._replace(tail_high=Fraction(-5)).contains_claim() is False
+
     def test_eq31_general_x(self):
         x = Fraction(1, 2)
         eq31 = eq31_series(1, x, 120)
@@ -794,10 +819,9 @@ class TestTheorem26Series:
         assert eq31.claimed_limit is None
 
     def test_eq31_float_mode_is_the_float_power_sum(self):
-        eq31 = eq31_series(2, 0, 20_000, float_mode=True)
-        assert eq31 == hurwitz_partial(0, 4, 20_000, float_mode=True)._replace(
-            target_id="eq31(r=2,x=0)"
-        )
+        eq31 = eq31_series(2, 0, 20_000)
+        assert eq31.exact is False
+        assert eq31 == hurwitz_partial(0, 4, 20_000)._replace(target_id="eq31(r=2,x=0)")
 
     def test_eq32_even_r(self):
         eq32 = eq32_series(2, 600)
@@ -815,9 +839,9 @@ class TestTheorem26Series:
 
     @staticmethod
     def _assert_eq31_check_fails(capsys, message):
-        for float_mode in (False, True):  # the checks do not depend on the mode
+        for N in (50, 20_000):  # exact and float mode: the checks do not depend on it
             with pytest.raises(ArithmeticError) as raised:
-                eq31_series(1, 0, 20_000 if float_mode else 50, float_mode)
+                eq31_series(1, 0, N)
             assert str(raised.value) == message
         assert run(["series", "eq31", "--r", "1", "--N", "50"]) == 1
         captured = capsys.readouterr()
@@ -876,6 +900,39 @@ class TestTheorem26Series:
                 call()
 
 
+# Each public series function with its arguments before N.
+_SERIES_FUNCTIONS = [
+    (hurwitz_partial, (0, 2)),
+    (lemma_c_partial, (2,)),
+    (corollary_2_4_partial, ("r3",)),
+    (eq31_series, (0, 0)),
+    (eq32_series, (0,)),
+]
+_SERIES_IDS = [function.__name__ for function, _ in _SERIES_FUNCTIONS]
+
+
+class TestModeThreshold:
+    """N picks the mode: exact up to EXACT_N_MAX, float mode above it."""
+
+    @pytest.mark.parametrize("function, args", _SERIES_FUNCTIONS, ids=_SERIES_IDS)
+    def test_exact_up_to_the_threshold_and_float_above_it(self, function, args):
+        assert function(*args, EXACT_N_MAX).exact is True
+        assert function(*args, EXACT_N_MAX + 1).exact is False
+
+    @pytest.mark.parametrize("function, args", _SERIES_FUNCTIONS, ids=_SERIES_IDS)
+    def test_threshold_is_read_at_call_time(self, monkeypatch, function, args):
+        monkeypatch.setattr(series_lab, "EXACT_N_MAX", 50)
+        assert function(*args, 50).exact is True
+        assert function(*args, 51).exact is False
+
+    @pytest.mark.parametrize("function, args", _SERIES_FUNCTIONS, ids=_SERIES_IDS)
+    def test_no_mode_argument(self, function, args):
+        with pytest.raises(TypeError):
+            function(*args, 20_000, float_mode=True)
+        with pytest.raises(TypeError):
+            function(*args, 20_000, True)
+
+
 class TestMultiIntegralExact:
     def test_unit_cube(self):
         for r in (1, 2, 5):
@@ -928,8 +985,8 @@ class TestSerialization:
         data = json.loads(render_estimate(hurwitz_partial(0, 3, 10), "json"))
         assert "claimed_limit" not in data
 
-    def test_float_partial_stays_float(self):
-        data = json.loads(render_estimate(lemma_c_partial(2, 50, float_mode=True), "json"))
+    def test_float_partial_stays_float(self, float_from_n1):
+        data = json.loads(render_estimate(lemma_c_partial(2, 50), "json"))
         assert isinstance(data["partial"], float)
         assert data["exact"] is False
 
