@@ -23,7 +23,6 @@ from typing import Sequence
 from . import beta_engine, float_oracle, harmonic_core, identity_suite, reporting, series_lab
 from .harmonic_core import DomainError, parse_rational
 from .identity_suite import IdentityReport
-from .series_lab import EXACT_N_MAX, FLOAT_N_MAX
 
 __all__ = ["run", "main"]
 
@@ -135,9 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--float",
         dest="float_mode",
         action="store_true",
-        help=f"required for, and only for, {EXACT_N_MAX} < N <= {FLOAT_N_MAX}: sum in "
-        "binary64 and widen the bracket by a rigorous rounding radius (tail_low may "
-        "then be negative)",
+        help=f"required for, and only for, {series_lab.EXACT_N_MAX} < N <= "
+        f"{series_lab.FLOAT_N_MAX}: sum in binary64 and widen the bracket by a rigorous "
+        "rounding radius (tail_low may then be negative)",
     )
 
     _table_parser(sub, "oracle", "floating-point cross-checks", "json")
@@ -290,15 +289,18 @@ def _run_verify(args) -> tuple[int, str]:
 
 
 def _run_series(args) -> tuple[int, str]:
-    float_mode = args.N > EXACT_N_MAX
+    """Sum the target to --N; --float must be given exactly when N is above
+    the exact-mode threshold, read from series_lab at call time."""
+    exact_n_max = series_lab.EXACT_N_MAX
+    float_mode = args.N > exact_n_max
     if float_mode and not args.float_mode:
         build_parser().error(
-            f"--N {args.N} exceeds the exact-mode threshold {EXACT_N_MAX}; "
+            f"--N {args.N} exceeds the exact-mode threshold {exact_n_max}; "
             "pass --float to sum in binary64 with a rigorous rounding radius"
         )
     if args.float_mode and not float_mode:
         build_parser().error(
-            f"--float needs --N above the exact-mode threshold {EXACT_N_MAX}, "
+            f"--float needs --N above the exact-mode threshold {exact_n_max}, "
             f"got {args.N}; up to it series sums exactly"
         )
     target = args.target

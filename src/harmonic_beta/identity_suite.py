@@ -1,15 +1,17 @@
 """Exact verification of the finite identity catalog over parameter sweeps.
 
-Each check evaluates both sides of an identity at every point of a parameter
-grid and emits one :class:`IdentityReport` per point.  A bad sweep is refused
-before any work; failures are recorded with witnesses rather than raised.
-The display polynomials checked here are written out with their literal
-coefficients on purpose: the generic Bell recursion is exercised elsewhere,
-and hard-coding the displays keeps the two routes independent.
+Each finite identity states that two sequences in n are equal.  A check
+builds both as whole rows for n = 0..n_max, once per (x, r) of its grid,
+compares them entry by entry and emits one :class:`IdentityReport` per
+point.  A bad sweep is refused before any work; failures are recorded with
+witnesses rather than raised.  The display polynomials checked here are
+written out with their literal coefficients on purpose: the generic Bell
+recursion is exercised elsewhere, and hard-coding the displays keeps the
+two routes independent.
 
 Every identity is one row of :data:`IDENTITIES`, keyed by its stable report
 id (``"thm2.2a"``, ``"eq16"``, ...): the ``verify`` target that checks it,
-the axes of its grid and its two routes.  :func:`run_all` builds the
+the axes of its grid and its two row routes.  :func:`run_all` builds the
 reference sides once and shares them with every exact group (``refs``); a
 group called with ``refs=None`` builds its own.
 """
@@ -22,7 +24,7 @@ import math
 import operator
 import random
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .beta_engine import Monomial, alt_power_row, beta_F, derivative_rows, mixed_sum
 from .harmonic_core import DomainError, RationalLike, _check_shift
@@ -34,7 +36,6 @@ __all__ = [
     "CHECK_GROUPS",
     "DEFAULT_X_SAMPLES",
     "binomial_inverse",
-    "generic_check",
     "check_inversion",
     "deliberate_mismatch_check",
     "run_all",
@@ -98,39 +99,18 @@ def binomial_inverse(sequence: Sequence[RationalLike]) -> list[Fraction]:
     return [Fraction(b, denom) for b in _difference_table(row)]
 
 
-Evaluator = Callable[..., Fraction]
-
-
-def generic_check(
-    identity_id: str,
-    lhs: Evaluator,
-    rhs: Evaluator,
-    grid: Iterable[Mapping[str, object]],
-) -> list[IdentityReport]:
-    """Exact lhs == rhs comparison at every grid point; a route's DomainError propagates."""
-    reports: list[IdentityReport] = []
-    for params in grid:
-        params = dict(params)
-        left, right = lhs(**params), rhs(**params)
-        if left == right:
-            reports.append(IdentityReport(identity_id, params, PASS))
-        else:
-            reports.append(IdentityReport(identity_id, params, FAIL, witness=(left, right)))
-    return reports
-
-
 class _References:
-    """The reference rows of one sweep for n <= n_max, each built on first use.
+    """The reference rows of one sweep for n <= n_max, each built on first use
+    and each read by two identities or more.
 
     ``derivatives(x)`` is derivative_rows(n_max, x, max(r_max, 3)), whose
     harmonic orders 1..4 serve every display; ``alternating(x, s)`` is
     alt_power_row(n_max, x, s); ``display(x, s)`` is the display of weight
     s at H_n(x,1..s-1) times F_n(x), both from the derivative rows at x, or
     for ``x=None`` (the x = 0 forms) at H_n(0,1..s-1) times the literal
-    1/(n+1); ``inverted(x, s)`` is binomial_inverse(display(x, s)), and
-    ``eq16_inverted()`` that of H_{n+1}/(n+1), H_{n+1} a running sum of 1/j.  The
-    routes read prefixes of the rows.  The rows close over locals, not self:
-    dropping the object frees them without the cyclic collector.
+    1/(n+1), divided by (s-1)!.  The routes read prefixes of the rows.  The
+    rows close over locals, not self: dropping the object frees them
+    without the cyclic collector.
     """
 
     def __init__(self, n_max: int, r_max: int) -> None:
@@ -146,16 +126,13 @@ class _References:
                     for exponents, coeff in monomials
                 )
                 * (Fraction(1, n + 1) if x is None else f[0])
+                / math.factorial(s - 1)
                 for n, (h, f) in enumerate(derivatives(x or Fraction(0)))
             ]
 
         self.derivatives = derivatives
         self.alternating = functools.cache(lambda x, s: alt_power_row(n_max, x, s))
         self.display = display
-        self.inverted = functools.cache(lambda x, s: binomial_inverse(display(x, s)))
-        harmonic = lambda: itertools.accumulate(Fraction(1, j) for j in range(1, n_max + 2))
-        eq16 = lambda: [h / (k + 1) for k, h in enumerate(harmonic())]
-        self.eq16_inverted = functools.cache(lambda: binomial_inverse(eq16()))
 
 
 #: The display polynomial of weight s, G_(s-1) in H_n(x,1..s-1), with the
@@ -170,27 +147,33 @@ _DISPLAYS: dict[int, dict[Monomial, int]] = {
 }
 
 
-def _forward(s: int) -> tuple[Evaluator, Evaluator]:
-    """alt_power_sum(n, x, s) == display side / (s-1)!, at x = 0 where x is None."""
+#: A row route, called as route(refs, n_max, x, r) with None for an axis
+#: not in the grid: one side of an identity for n = 0..n_max, or a longer
+#: row of which the check reads that prefix.
+Route = Callable[[_References, int, Fraction | None, int | None], Sequence[Fraction]]
+
+
+def _forward(s: int) -> tuple[Route, Route]:
+    """alt_power_sum(n, x, s) == display side, at x = 0 where x is None."""
     return (
-        lambda refs, n, x, r: refs.alternating(x or Fraction(0), s)[n],
-        lambda refs, n, x, r: refs.display(x, s)[n] / math.factorial(s - 1),
+        lambda refs, n_max, x, r: refs.alternating(x or Fraction(0), s),
+        lambda refs, n_max, x, r: refs.display(x, s),
     )
 
 
-def _inverted(s: int) -> tuple[Evaluator, Evaluator]:
-    """binomial_inverse(display side)[n] / (s-1)! == 1/(n+x+1)^s, at x = 0 where x is None."""
+def _inverted(s: int) -> tuple[Route, Route]:
+    """binomial_inverse(display side) == 1/(n+x+1)^s, at x = 0 where x is None."""
     return (
-        lambda refs, n, x, r: refs.inverted(x, s)[n] / math.factorial(s - 1),
-        lambda refs, n, x, r: 1 / ((x or Fraction(0)) + n + 1) ** s,
+        lambda refs, n_max, x, r: binomial_inverse(refs.display(x, s)[: n_max + 1]),
+        lambda refs, n_max, x, r: [1 / ((x or Fraction(0)) + n + 1) ** s for n in range(n_max + 1)],
     )
 
 
 class _Identity(NamedTuple):
     group: str  # the verify target that checks it
     axes: str  # its grid: "n", "nx" or "rnx"
-    lhs: Evaluator  # called as lhs(refs, n, x, r), None for an axis not in axes
-    rhs: Evaluator
+    lhs: Route
+    rhs: Route
 
 
 #: Every finite identity, by report id: the display families of Theorems
@@ -215,28 +198,34 @@ IDENTITIES: dict[str, _Identity] = {
     "thm2.5b": _Identity("thm2.5", "n", *_inverted(5)),
     "thm2.6-finite": _Identity(
         "thm2.6", "rnx",
-        lambda refs, n, x, r: refs.alternating(x, r + 2)[n],
-        lambda refs, n, x, r: mixed_sum(*refs.derivatives(x)[n], r),
+        lambda refs, n_max, x, r: refs.alternating(x, r + 2),
+        lambda refs, n_max, x, r: [mixed_sum(*row, r) for row in refs.derivatives(x)[: n_max + 1]],
     ),
     "lemma-a": _Identity(
         "lemma-a", "rnx",
-        lambda refs, n, x, r: refs.derivatives(x)[n][1][r],
-        lambda refs, n, x, r: (-1) ** r * math.factorial(r) * refs.alternating(x, r + 1)[n],
+        lambda refs, n_max, x, r: [f[r] for _, f in refs.derivatives(x)[: n_max + 1]],
+        lambda refs, n_max, x, r: [
+            (-1) ** r * math.factorial(r) * a for a in refs.alternating(x, r + 1)[: n_max + 1]
+        ],
     ),
     "beta-eq": _Identity(
         "beta-eq", "nx",
-        lambda refs, n, x, r: beta_F(n, x),
-        lambda refs, n, x, r: refs.alternating(x, 1)[n],
+        lambda refs, n_max, x, r: [beta_F(n, x) for n in range(n_max + 1)],
+        lambda refs, n_max, x, r: refs.alternating(x, 1),
     ),
+    # the eq16 sequence H_{k+1}/(k+1), H_{k+1} a running sum of 1/j, transformed
     "inversion-duality": _Identity(
         "inversion", "n",
-        lambda refs, n, x, r: refs.eq16_inverted()[n],
-        lambda refs, n, x, r: Fraction(1, (n + 1) ** 2),
+        lambda refs, n_max, x, r: binomial_inverse([
+            h / (k + 1)
+            for k, h in enumerate(itertools.accumulate(Fraction(1, j) for j in range(1, n_max + 2)))
+        ]),
+        lambda refs, n_max, x, r: [Fraction(1, (n + 1) ** 2) for n in range(n_max + 1)],
     ),
     "fixture-fail": _Identity(
         "fixture-fail", "n",
-        lambda refs, n, x, r: beta_F(n, 0),
-        lambda refs, n, x, r: Fraction(1, n + 2),
+        lambda refs, n_max, x, r: [beta_F(n, 0) for n in range(n_max + 1)],
+        lambda refs, n_max, x, r: [Fraction(1, n + 2) for n in range(n_max + 1)],
     ),
 }
 
@@ -245,18 +234,6 @@ GROUP_AXES: dict[str, frozenset[str]] = {
     group: frozenset().union(*(row.axes for row in IDENTITIES.values() if row.group == group))
     for group in dict.fromkeys(row.group for row in IDENTITIES.values())
 }
-
-
-def _grid(axes: str, n_max: int, r_max: int, xs: Sequence[RationalLike]) -> list[dict]:
-    """The points of an ``axes`` grid in output order: r outermost, then n,
-    then x in ascending value, whatever the order of ``xs``."""
-    points = [{"n": n} for n in range(n_max + 1)]
-    if "x" in axes:
-        xs = sorted(map(Fraction, xs))
-        points = [{**point, "x": x} for point in points for x in xs]
-    if "r" in axes:
-        points = [{"r": r, **point} for r in range(r_max + 1) for point in points]
-    return points
 
 
 def _check_sweep(axes: str, n_max: int, r_max: int | None, xs, **counts: int) -> None:
@@ -276,20 +253,29 @@ def _check_sweep(axes: str, n_max: int, r_max: int | None, xs, **counts: int) ->
 def _check_group(
     group: str, n_max: int, r_max: int | None, xs: Sequence[RationalLike] | None, refs=None
 ) -> list[IdentityReport]:
-    """Every row of ``group`` over its grid.  A group reads only its axes:
-    it ignores r_max and xs where it has none, and builds its own rows
-    without refs."""
+    """Every row of ``group`` over its grid, in output order: r outermost,
+    then n, then x in ascending value, whatever the order of ``xs``.  Each
+    (x, r) pair of sides is built once and compared entry by entry; a
+    route's DomainError propagates.  A group reads only its axes: it
+    ignores r_max and xs where it has none, and builds its own rows without
+    refs."""
     _check_sweep(GROUP_AXES[group], n_max, r_max, xs)
     refs = refs or _References(n_max, r_max if "r" in GROUP_AXES[group] else 0)
     reports: list[IdentityReport] = []
     for identity_id, row in sorted(IDENTITIES.items()):
-        if row.group == group:
-            reports += generic_check(
-                identity_id,
-                lambda n, x=None, r=None: row.lhs(refs, n, x, r),
-                lambda n, x=None, r=None: row.rhs(refs, n, x, r),
-                _grid(row.axes, n_max, r_max, xs),
-            )
+        if row.group != group:
+            continue
+        row_xs = sorted(map(Fraction, xs)) if "x" in row.axes else [None]
+        for r in range(r_max + 1) if "r" in row.axes else [None]:
+            sides = [(x, row.lhs(refs, n_max, x, r), row.rhs(refs, n_max, x, r)) for x in row_xs]
+            for n in range(n_max + 1):
+                for x, lhs, rhs in sides:
+                    params = {axis: v for axis, v in zip("rnx", (r, n, x)) if axis in row.axes}
+                    if lhs[n] == rhs[n]:
+                        reports.append(IdentityReport(identity_id, params, PASS))
+                    else:
+                        witness = (lhs[n], rhs[n])
+                        reports.append(IdentityReport(identity_id, params, FAIL, witness=witness))
     return reports
 
 

@@ -42,18 +42,18 @@ def test_every_exported_name_resolves():
     for module in modules:
         for name in module.__all__:
             assert getattr(harmonic_beta, name) is getattr(module, name), name
-    # the surface before it was derived; none of these may leave it
+    # the surface before it was derived, less generic_check: none of these may leave it
     earlier = {
         "__version__", "CHECK_GROUPS", "DomainError", "EXACT_N_MAX",
         "IdentityReport", "MonteCarloResult", "PiPower", "QuadratureError",
         "QuadratureResult", "SeriesEstimate", "alt_power_sum", "bell_expansion",
         "bernoulli_table", "beta_F", "binomial_inverse", "check_inversion",
         "corollary_2_4_partial", "cube_monte_carlo", "derivative_F", "eq31_series",
-        "eq32_series", "format_rational", "generic_check", "harmonic_function",
+        "eq32_series", "format_rational", "harmonic_function",
         "harmonic_number", "hurwitz_partial", "lemma_c_partial", "log_moment_quadrature",
         "multi_integral_exact", "parse_rational", "run_all", "zeta_even_coefficient",
     }
-    assert len(earlier) == 32 and earlier <= set(harmonic_beta.__all__)
+    assert len(earlier) == 31 and earlier <= set(harmonic_beta.__all__)
 
 
 def invoke(capsys, *argv):
@@ -415,6 +415,24 @@ class TestSeriesCommand:
             "harmonic-beta: error: --float needs --N above the exact-mode threshold "
             f"10000, got {n}; up to it series sums exactly\n"
         )
+
+    def test_threshold_is_read_at_call_time(self, capsys, monkeypatch):
+        # the CLI holds no copy of series_lab.EXACT_N_MAX
+        monkeypatch.setattr(series_lab, "EXACT_N_MAX", 50)
+        argv = ["series", "lemma-c", "--r", "2", "--N", "60"]
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "harmonic-beta: error: --N 60 exceeds the exact-mode threshold 50; "
+            "pass --float to sum in binary64 with a rigorous rounding radius\n"
+        )
+        code, out, _ = invoke(capsys, *argv, "--float")
+        assert code == 0 and json.loads(out)["exact"] is False
+        code, _, err = invoke(capsys, "series", "lemma-c", "--r", "2", "--N", "50", "--float")
+        assert code == 2 and "--float needs --N above the exact-mode threshold 50" in err
+        # a parser built now, outside build_parser's cache, states the patched threshold
+        series_help = build_parser.__wrapped__().commands["series"].format_help()
+        assert "for, 50 < N <= 100000000:" in " ".join(series_help.split())
 
     def test_missing_required_flags(self, capsys):
         assert invoke(capsys, "series", "zeta", "--N", "10")[0] == 2

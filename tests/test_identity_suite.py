@@ -4,6 +4,7 @@ import math
 import random
 import re
 import weakref
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -32,7 +33,6 @@ from harmonic_beta.identity_suite import (
     binomial_inverse,
     check_inversion,
     deliberate_mismatch_check,
-    generic_check,
     run_all,
 )
 from harmonic_beta.series_lab import corollary_2_4_partial
@@ -116,42 +116,43 @@ class TestBinomialInverse:
             assert inverted[n] == Fraction(1, (n + 1) ** 2)
 
 
-class TestGenericCheck:
-    def test_reflexive_pass(self):
-        reports = generic_check(
-            "self", beta_F, beta_F, [{"n": n, "x": Fraction(0)} for n in range(11)]
-        )
-        assert all(r.status == PASS for r in reports)
-
-    def test_two_routes_pass(self):
-        reports = generic_check(
-            "beta-eq",
-            beta_F,
-            lambda n, x: alt_power_sum(n, x, 1),
-            [{"n": n, "x": Fraction(0)} for n in range(11)],
-        )
-        assert all(r.status == PASS for r in reports)
-
+class TestCheckGroup:
     def test_deliberate_mismatch_witness(self):
         reports = deliberate_mismatch_check(10)
         assert all(r.status == FAIL for r in reports)
         assert reports[0].params == {"n": 0}
         assert reports[0].witness == (Fraction(1), Fraction(1, 2))
 
-    def test_precondition_violation_propagates(self):
-        def touchy(n):
-            if n % 2:
-                raise DomainError("odd n unsupported")
-            return Fraction(n)
+    def test_a_routes_domain_error_propagates(self, monkeypatch):
+        def touchy(refs, n_max, x, r):
+            if x:
+                raise DomainError("nonzero x unsupported")
+            return [beta_F(n, x) for n in range(n_max + 1)]
 
-        with pytest.raises(DomainError, match="^odd n unsupported$"):
-            generic_check("touchy", touchy, lambda n: Fraction(n), [{"n": n} for n in range(4)])
+        row = IDENTITIES["beta-eq"]
+        monkeypatch.setitem(IDENTITIES, "beta-eq", row._replace(lhs=touchy))
+        assert all(r.passed for r in CHECK_GROUPS["beta-eq"](3, None, [Fraction(0)]))
+        for call in (
+            lambda: CHECK_GROUPS["beta-eq"](3, None, [Fraction(0), Fraction(1, 2)]),
+            lambda: run_all(3, 1, [Fraction(0), Fraction(1, 2)]),
+        ):
+            with pytest.raises(DomainError, match="^nonzero x unsupported$"):
+                call()
 
     def test_witness_only_on_fail(self):
-        for report in deliberate_mismatch_check(3) + generic_check(
-            "ok", beta_F, beta_F, [{"n": 1, "x": Fraction(0)}]
+        for report in deliberate_mismatch_check(3) + CHECK_GROUPS["beta-eq"](
+            1, None, [Fraction(0)]
         ):
             assert (report.witness is not None) == (report.status == FAIL)
+
+    def test_routes_longer_than_the_sweep_are_read_by_prefix(self, monkeypatch):
+        # a route may return a longer row; the group reads n = 0..n_max of it
+        row = IDENTITIES["fixture-fail"]
+        longer = lambda refs, n_max, x, r: [Fraction(1, n + 1) for n in range(n_max + 5)]
+        monkeypatch.setitem(IDENTITIES, "fixture-fail", row._replace(lhs=longer))
+        reports = deliberate_mismatch_check(3)
+        assert [(r.params, r.status) for r in reports] == [({"n": n}, FAIL) for n in range(4)]
+        assert reports[-1].witness == (Fraction(1, 4), Fraction(1, 5))
 
 
 def _brute_alternating(n, term):
@@ -320,9 +321,11 @@ class TestOtherChecks:
     def test_inversion_duality_reads_no_harmonic_kernel(self, monkeypatch):
         # eq16's H_{k+1} is a running sum of 1/j, not thm2.2b's own route
         monkeypatch.setattr(harmonic_core, "HarmonicNumerators", _must_not_run)
-        assert identity_suite._References(20, 0).eq16_inverted() == [
+        assert IDENTITIES["inversion-duality"].lhs(None, 20, None, None) == [
             Fraction(1, (n + 1) ** 2) for n in range(21)
         ]
+        reports = check_inversion(count=0, n_max=20)
+        assert len(reports) == 21 and all(r.passed for r in reports)
 
     def test_inversion_check_fails_on_a_perturbed_transform(self, monkeypatch):
         original = identity_suite._difference_table
@@ -437,13 +440,26 @@ class TestRunAll:
             standalone.sort(key=reference_order)
             assert full(run_all(50, r_max)) == full(standalone)
 
+    def test_library_defaults(self):
+        # run_all sweeps n = 0..50, r = 0..6 and the five default x, under its
+        # n caps; check_inversion sweeps n = 0..50 and draws 1,000 trials
+        counts = Counter(r.identity_id for r in run_all())
+        assert counts["eq16"] == counts["inversion-duality"] == 51
+        assert counts["eq15"] == 51 * 5
+        assert counts["thm2.6-finite"] == 31 * 7 * 5 and counts["lemma-a"] == 41 * 7 * 5
+        assert counts["inversion"] == 1000
+        assert Counter(r.identity_id for r in check_inversion()) == {
+            "inversion": 1000,
+            "inversion-duality": 51,
+        }
+
     def test_out_of_domain_x_on_shared_rows_is_refused(self):
         refs = identity_suite._References(4, 2)
         for name in ("thm2.6", "lemma-a", "beta-eq"):
             with pytest.raises(DomainError, match=r"^verify requires x > -1, got x=-1$"):
                 CHECK_GROUPS[name](3, 2, [Fraction(-1), Fraction(1, 2)], refs)
         # refused before any shared row is built
-        for rows in (refs.derivatives, refs.alternating, refs.display, refs.inverted):
+        for rows in (refs.derivatives, refs.alternating, refs.display):
             assert rows.cache_info().currsize == 0
 
     def test_out_of_domain_x_refuses_the_display_groups_and_run_all(self):
@@ -528,13 +544,11 @@ class TestIdentityTable:
         for x in (None, Fraction(1, 2)):
             for s in (2, 3):
                 refs.display(x, s)
-                refs.inverted(x, s)
         refs.alternating(Fraction(1, 2), 2)
-        refs.eq16_inverted()
-        rows = [refs, refs.derivatives, refs.alternating, refs.display, refs.inverted]
+        rows = [refs, refs.derivatives, refs.alternating, refs.display]
         gc.disable()
         try:
-            dead = [weakref.ref(value) for value in rows + [refs.eq16_inverted]]
+            dead = [weakref.ref(value) for value in rows]
             del refs, rows
             assert [ref() for ref in dead] == [None] * len(dead)
         finally:

@@ -53,7 +53,7 @@ from harmonic_beta.series_lab import (
     _raw_tail_bound,
 )
 
-from references import direct_harmonic_function, evaluate
+from references import direct_harmonic_function, direct_harmonic_numbers, evaluate
 
 # pi to 100 decimals, truncated: PI_100 < pi < PI_100 + 10**-100
 PI_100 = Fraction(
@@ -925,6 +925,14 @@ class TestModeThreshold:
         assert function(*args, 50).exact is True
         assert function(*args, 51).exact is False
 
+    def test_bell_order_at_the_threshold_names_the_exact_cap(self):
+        # N = EXACT_N_MAX sums exactly, so G_20 is refused by exact mode's cap
+        with pytest.raises(DomainError) as raised:
+            _bell_order(20, EXACT_N_MAX)
+        assert str(raised.value) == (
+            "exact mode sums G_k only up to k = 9 (lemma-c --r <= 10, eq32 --r <= 8); got G_20"
+        )
+
     @pytest.mark.parametrize("function, args", _SERIES_FUNCTIONS, ids=_SERIES_IDS)
     def test_no_mode_argument(self, function, args):
         with pytest.raises(TypeError):
@@ -1002,3 +1010,120 @@ class TestTailMachinery:
             h += Fraction(1, n + 1)
             actual_tail += h / Fraction(n * (n + 1))
         assert bound > actual_tail
+
+    def test_raw_bound_dominates_the_exact_remainder(self):
+        # (k+1)! - T_k(N) = k!/(N+1) * sum(G_j(H_{N+1},...)/j!, j = 0..k), at every
+        # lattice N of exact mode and every exact Bell order k
+        lattice = sorted({2**i for i in range(14)} | {3 * 2**i for i in range(12)})
+        lattice = [N for N in lattice if N <= EXACT_N_MAX]
+        assert lattice == sorted(_checkpoint_lattice(EXACT_N_MAX)) and len(lattice) == 26
+        orders = range(1, EXACT_BELL_MAX + 1)
+        harmonics = [direct_harmonic_numbers([N + 1 for N in lattice], a) for a in orders]
+        pairs = 0
+        for i, N in enumerate(lattice):
+            # H^(a)_{N+1} = numerators[a-1] / L**a, L = lcm(1..N+1)
+            L = math.lcm(*range(1, N + 2))
+            values = [h[i] for h in harmonics]
+            numerators = [v.numerator * (L**a // v.denominator) for a, v in enumerate(values, 1)]
+            g = [evaluate(bell_expansion(j), numerators) for j in range(EXACT_BELL_MAX + 1)]
+            for k in orders:
+                # the remainder is R/((N+1) L**k): G_j(H) = G_j(numerators)/L**j
+                R = sum(
+                    math.factorial(k) // math.factorial(j) * g[j] * L ** (k - j)
+                    for j in range(k + 1)
+                )
+                bound = _raw_tail_bound(_log_moment_coefficients(bell_expansion(k), Fraction(1)), N)
+                assert bound.numerator * (N + 1) * L**k >= R * bound.denominator, (N, k)
+                if N <= 32:  # the remainder formula against the per-term loop
+                    remainder = Fraction(R, (N + 1) * L**k)
+                    assert math.factorial(k + 1) - remainder == reference_partials(k, [N])[0]
+                pairs += 1
+        assert pairs == 234
+
+    @pytest.mark.parametrize("k", [4, 8])
+    def test_log_moment_coefficients_by_a_separate_loop(self, k):
+        # G_4 has an h2**2 term and G_8 an h2**4 term: each cap enters once per power
+        scale = Fraction(1, 3)
+        expected = {}
+        for exponents, coeff in bell_expansion(k).items():
+            d = coeff * scale
+            for alpha, power in enumerate(exponents[1:], start=2):
+                for _ in range(power):
+                    d *= series_lab._zeta_cap(alpha)
+            expected[exponents[0]] = expected.get(exponents[0], 0) + d
+        assert _log_moment_coefficients(bell_expansion(k), scale) == expected
+        if k == 4:  # G_4 = h1**4 + 6 h1**2 h2 + 8 h1 h3 + 3 h2**2 + 6 h4
+            c2, c3, c4 = (series_lab._zeta_cap(alpha) for alpha in (2, 3, 4))
+            assert expected == {4: scale, 2: 6 * c2 * scale, 1: 8 * c3 * scale,
+                                0: (3 * c2**2 + 6 * c4) * scale}
+
+
+def _power_sum(x, s, N):
+    """sum(1/(n+x+1)**s, n = 0..N-1), term by term."""
+    return sum(1 / (Fraction(x) + n + 1) ** s for n in range(N))
+
+
+def _log_weight_sum(c, s, N):
+    """c * sum(alt_power_sum(n, 0, s)/n, n = 1..N), each alternating sum by its binomial sum.
+
+    By Lemma a at x = 0, G_k(H_{n+1},...)/(n(n+1)) = k! * alt_power_sum(n, 0, k+1)/n.
+    """
+    return c * sum(
+        Fraction((-1) ** k * math.comb(n, k), (k + 1) ** s) / n
+        for n in range(1, N + 1)
+        for k in range(n + 1)
+    )
+
+
+# (estimate at N, the partial at N summed term by term, whether it claims a limit)
+_SMALL_N_SERIES = {
+    "zeta-s2": (lambda N: hurwitz_partial(0, 2, N), lambda N: _power_sum(0, 2, N), True),
+    "zeta-s18": (lambda N: hurwitz_partial(0, 18, N), lambda N: _power_sum(0, 18, N), True),
+    "zeta-s3-x": (
+        lambda N: hurwitz_partial(Fraction(-49, 100), 3, N),
+        lambda N: _power_sum(Fraction(-49, 100), 3, N),
+        False,
+    ),
+    **{
+        f"lemma-c-r{r}": (
+            lambda N, r=r: lemma_c_partial(r, N), lambda N, r=r: _log_weight_sum(1, r, N), True
+        )
+        for r in (1, 2, 4, 10)
+    },
+    **{
+        f"cor2.4-r{r}": (
+            lambda N, r=r: corollary_2_4_partial(f"r{r}", N),
+            lambda N, r=r: _log_weight_sum(math.factorial(r - 1), r, N),
+            True,
+        )
+        for r in (3, 4, 5)
+    },
+    "eq31-r0": (lambda N: eq31_series(0, 0, N), lambda N: _power_sum(0, 2, N), True),
+    "eq31-r8": (lambda N: eq31_series(8, 0, N), lambda N: _power_sum(0, 10, N), True),
+    "eq31-r1-x": (
+        lambda N: eq31_series(1, Fraction(1, 2), N),
+        lambda N: _power_sum(Fraction(1, 2), 3, N),
+        False,
+    ),
+    **{
+        f"eq32-r{r}": (
+            lambda N, r=r: eq32_series(r, N),
+            lambda N, r=r: _log_weight_sum((-1) ** r * math.factorial(r + 1), r + 2, N),
+            True,
+        )
+        for r in (0, 1, 8)
+    },
+}
+
+
+class TestSmallestN:
+    """Every series target at N = 1, 2 and 3, where the lattice is shortest."""
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("target", _SMALL_N_SERIES)
+    def test_partial_is_the_direct_sum_and_the_bracket_holds_the_claim(self, target, N):
+        estimate, direct, claims = _SMALL_N_SERIES[target]
+        result = estimate(N)
+        assert (result.N, result.exact) == (N, True)
+        assert result.partial == direct(N)
+        assert result.contains_claim() is (True if claims else None)
