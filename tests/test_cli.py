@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -223,7 +224,13 @@ class TestArgumentValidation:
         ],
         ids=["above", "below-large-x", "below-large-n"],
     )
-    def test_quad_value_past_the_float_range_exits_two(self, capsys, n, m, x, message):
+    def test_quad_value_past_the_float_range_exits_two(self, capsys, monkeypatch, n, m, x, message):
+        # each refusal comes before the exact value: the quadrature's, and the
+        # bound's for a value below the float range
+        def unreachable(*args):
+            raise AssertionError("derivative_F computed for a refused input")
+
+        monkeypatch.setattr(beta_engine, "derivative_F", unreachable)
         code, out, err = invoke(capsys, "oracle", "quad", "--n", n, "--m", m, f"--x={x}")
         assert (code, out) == (2, "")
         assert err == f"error: {message} (n={n}, m={m}, x={x})\n"
@@ -456,6 +463,15 @@ class TestOracleCommand:
         code, out, err = invoke(capsys, "oracle", "quad", "--n", "40", "--m", "0", "--x", "100")
         assert (code, err) == (0, "")
         assert json.loads(out)["status"] == "pass"
+
+    @pytest.mark.parametrize("x", ["-49/100", "0", "7/3", "1000000"])
+    def test_quad_refusal_bound_dominates_the_exact_value(self, x):
+        x = Fraction(x)
+        for n in range(21):
+            for m in range(9):
+                bound = math.factorial(m) * (n + 1) ** m * math.factorial(n) / (x + 1) ** (n + m + 1)
+                exact = abs(beta_engine.derivative_F(n, x, m))
+                assert exact <= bound < Fraction(2) ** harmonic_beta.cli._log2_bound(n, m, x), (n, m)
 
     def test_mc_pass_and_schema(self, capsys):
         code, out, _ = invoke(
