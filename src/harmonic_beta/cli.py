@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks passed / value computed; 1 at least one identity
 failed, a bracket excluded its claimed limit, or an oracle disagreed;
-2 usage or parse error.  Output is byte-stable for identical invocations.
+2 usage or parse error.  Output is byte-stable for identical invocations
+on one host and one numpy build (README, "CLI", says what differs across hosts).
 
 x arguments accept only exact "p/q" rationals; decimals are rejected so the
 verification path can never silently lose exactness.

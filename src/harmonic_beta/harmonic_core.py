@@ -206,40 +206,38 @@ def _check_shift(x: RationalLike, name: str) -> Fraction:
 def harmonic_function(n: int, x: RationalLike, alpha: int) -> Fraction:
     """Shifted power sum: sum of 1/(k+x+1)**alpha for k = 0..n, exact.
 
-    Summed on :class:`HarmonicNumerators` at order alpha alone, over the n + 1
-    bases k + x + 1.  At x = 0 this equals ``harmonic_number(n + 1, alpha)``.
+    Summed by the harmonic kernel's lcm tree (:func:`_run`) at order alpha
+    alone, over the n + 1 bases k + x + 1.  At x = 0 this equals
+    ``harmonic_number(n + 1, alpha)``.
     """
     _check_power_sum("harmonic_function", n, alpha)
-    state = HarmonicNumerators(_check_shift(x, "harmonic_function"), alpha, lowest=alpha)
-    state.advance(n + 1)
-    return state.values()[0]
+    x = _check_shift(x, "harmonic_function")
+    q = x.denominator
+    L, (numerator,) = _run(x.numerator + q, q, alpha, 1, n + 1)
+    return _reduced_fraction(q**alpha * numerator, L**alpha, L)
 
 
 class HarmonicNumerators:
-    """Running H_k(x, lowest..order) as integer numerators over one denominator.
+    """Running H_k(x, 1..order) as integer numerators over one denominator.
 
     With x = p/q in lowest terms every base k + x + 1 equals d_k/q for the
     positive integer d_k = q(k+1) + p.  For L = lcm(d_0..d_k),
 
-        H_k(x, alpha) = q**alpha * numerators[alpha-lowest] / L**alpha,
+        H_k(x, alpha) = q**alpha * numerators[alpha-1] / L**alpha,
 
-    so each base is taken in by integer operations only.  The orders are
-    lowest..order, 1..order by default; a caller that sums one order alone
-    sets lowest = order.  The state starts empty (every sum 0);
-    :meth:`advance` takes in the next bases, the first of them d_0.
+    so each base is taken in by integer operations only.  The state starts
+    empty (every sum 0); :meth:`advance` takes in the next bases, the first
+    of them d_0.
     """
 
-    def __init__(self, x: RationalLike, order: int, lowest: int = 1) -> None:
-        if not 1 <= lowest <= order:
-            raise DomainError(
-                f"harmonic rows require 1 <= lowest <= order, got lowest={lowest}, order={order}"
-            )
+    def __init__(self, x: RationalLike, order: int) -> None:
+        if order < 1:
+            raise DomainError(f"harmonic rows require order >= 1, got order={order}")
         self.x = _check_shift(x, "HarmonicNumerators")
-        self.lowest = lowest
         self.q = self.x.denominator
         self._d = self.x.numerator + self.q  # the next base, d_0 at first
         self.L = 1
-        self.numerators = [0] * (order - lowest + 1)
+        self.numerators = [0] * order
 
     def advance(self, count: int = 1) -> int:
         """Take in the next ``count`` bases; returns the factor g by which L grew.
@@ -257,10 +255,7 @@ class HarmonicNumerators:
         if not count:
             return 1
         L, self.numerators = _join_runs(
-            self.lowest,
-            self.L,
-            self.numerators,
-            *_run(self._d, self.q, self.lowest, len(self.numerators), count),
+            1, self.L, self.numerators, *_run(self._d, self.q, 1, len(self.numerators), count)
         )
         g = L // self.L
         self.L = L
@@ -268,10 +263,9 @@ class HarmonicNumerators:
         return g
 
     def values(self) -> tuple[Fraction, ...]:
-        """(H_k(x,lowest), ..., H_k(x,order)) as reduced Fractions."""
+        """(H_k(x,1), ..., H_k(x,order)) as reduced Fractions."""
         out: list[Fraction] = []
-        q_pow = self.q ** (self.lowest - 1)
-        L_pow = self.L ** (self.lowest - 1)
+        q_pow = L_pow = 1
         for numerator in self.numerators:
             q_pow *= self.q
             L_pow *= self.L

@@ -2,18 +2,20 @@
 
 Exact mode sums rationals; the reported bracket [partial + tail_low,
 partial + tail_high] always contains the true limit.  For the shifted power
-sums the bracket comes from the integral comparison test.  A log-weight
-series sums G_k(H_{n+1},...)/(n(n+1)) for one Bell order k: lemma-c and
-Corollary 2.4 take k = r-1, eq. (32) k = r+1.  Corollary 2.4's displays,
-the literal polynomials ``identity_suite._DISPLAYS`` that the finite
-identities check, and eq. (32)'s product-rule route are crosschecks, each
-compared exactly with G_k before any term is summed.  The tail is bounded
-by capping every H^(alpha) with alpha >= 2 at a rational bound for its
-limit, bounding H_{n+1} <= 1 + ln(n+1), and integrating the resulting
-log-power envelope in closed form.  The published width is additionally
-run through a running minimum over a fixed checkpoint lattice (powers of
-two and three halves thereof), which makes bracket width provably
-non-increasing in N.
+sums the bracket comes from the integral comparison test.  Every
+log-weight target is c * T_k for one Bell order k and a constant c, where
+T_k is the unit series sum(G_k(H_{n+1},...)/(n(n+1)), n >= 1): lemma-c
+takes k = r-1 and c = 1/(r-1)!, Corollary 2.4 k = r-1 and c = 1, eq. (32)
+k = r+1 and c = (-1)**r.  Only T_k is summed and bracketed; the target
+scales the estimate.  Corollary 2.4's displays, the literal polynomials
+``identity_suite._DISPLAYS`` that the finite identities check, and eq.
+(32)'s product-rule route are crosschecks, each compared exactly with G_k
+before any term is summed.  The tail is bounded by capping every
+H^(alpha) with alpha >= 2 at a rational bound for its limit, bounding
+H_{n+1} <= 1 + ln(n+1), and integrating the resulting log-power envelope
+in closed form.  The published width is additionally run through a
+running minimum over a fixed checkpoint lattice (powers of two and three
+halves thereof), which makes bracket width provably non-increasing in N.
 
 Exact mode sums each log-weight series in closed form.  The paper's
 recurrence F_n(x) = n/(n+x+1) * F_{n-1}(x) telescopes sum(F_n(x)/n, n = 1..m)
@@ -297,7 +299,9 @@ def hurwitz_partial(x: RationalLike, s: int, N: int) -> SeriesEstimate:
         partial = harmonic_function(N - 1, x, s)
         return SeriesEstimate(target_id, N, partial, True, tail_low, tail_high, claimed)
     total, radius = _hurwitz_ball(x, s, N)
-    return _ball_estimate(target_id, N, total, radius, 1, tail_low, tail_high, 1, claimed)
+    return SeriesEstimate(
+        target_id, N, total, False, tail_low - radius, tail_high + radius, claimed
+    )
 
 
 # -- float mode: binary64 sums with a rigorous radius -------------------------
@@ -340,31 +344,6 @@ def _fsum_ball(chunks: Iterator[np.ndarray], K: int) -> tuple[float, Fraction]:
         scaled += binned << (lowest - 53 + _SUM_SHIFT)
     total = float(Fraction(scaled, 1 << _SUM_SHIFT))
     return total, Fraction(total) * K / (_FLOAT_INT_LIMIT - 2 * K)
-
-
-def _ball_estimate(
-    target_id: str,
-    N: int,
-    total: float,
-    radius: Fraction,
-    scale: Fraction | int,
-    tail_low: Fraction,
-    tail_high: Fraction,
-    sign: int,
-    claimed_limit: ClaimedLimit,
-) -> SeriesEstimate:
-    """The float-mode estimate of sign * scale * (total +- radius) plus a tail in
-    [tail_low, tail_high]; the tails are measured from the reported float."""
-    center = Fraction(total) * scale
-    low = center - radius * scale + tail_low
-    high = center + radius * scale + tail_high
-    if sign < 0:
-        center, low, high = -center, -high, -low
-    partial = float(center)
-    return SeriesEstimate(
-        target_id, N, partial, False, low - Fraction(partial), high - Fraction(partial),
-        claimed_limit,
-    )
 
 
 def _check_float_hurwitz(x: Fraction, s: int, N: int) -> None:
@@ -436,7 +415,7 @@ def _zeta_cap(alpha: int) -> Fraction:
     return harmonic_number(k0, alpha) + Fraction(1, (alpha - 1) * k0 ** (alpha - 1))
 
 
-def _log_moment_coefficients(poly_terms: PolyTerms, scale: Fraction) -> dict[int, Fraction]:
+def _log_moment_coefficients(poly_terms: PolyTerms) -> dict[int, Fraction]:
     """Collapse a positive harmonic polynomial to coefficients d_j of (1+ln(n+1))**j.
 
     Each generator h_alpha with alpha >= 2 is capped by its limit bound;
@@ -445,7 +424,7 @@ def _log_moment_coefficients(poly_terms: PolyTerms, scale: Fraction) -> dict[int
     out: dict[int, Fraction] = {}
     for exponents, coeff in poly_terms.items():
         j = exponents[0] if exponents else 0
-        d = Fraction(coeff) * scale
+        d = Fraction(coeff)
         for idx in range(1, len(exponents)):
             if exponents[idx]:
                 d *= _zeta_cap(idx + 1) ** exponents[idx]
@@ -541,20 +520,18 @@ def _direct_partials(k: int, stops: list[int]) -> list[Fraction]:
 
 
 def _log_weight_series(
-    target_id: str,
-    k: int,
-    scale: Fraction,
-    N: int,
-    claimed_limit: ClaimedLimit,
-    sign: int = 1,
+    target_id: str, k: int, N: int, claimed_limit: ClaimedLimit
 ) -> SeriesEstimate:
-    """sum(sign * scale * G_k(H_{n+1},...)/(n(n+1)), n = 1..N) with tail bracket.
+    """T_k(N) = sum(G_k(H_{n+1},...)/(n(n+1)), n = 1..N) with tail bracket.
 
-    Every log-weight target is this sum for one Bell order k: lemma-c and
-    Corollary 2.4 take k = r-1, eq. (32) k = r+1.  A target's own term
-    routes (the literal displays, the product rule) are crosschecks it
-    runs against G_k before calling this, and a k past N's cap is refused
-    by :func:`_bell_order` first (Corollary 2.4's k <= 4 is under both).
+    Every log-weight target is c * T_k for one Bell order k and a constant
+    c that the target applies by :func:`_scaled`: lemma-c takes k = r-1 and
+    c = 1/(r-1)!, Corollary 2.4 k = r-1 and c = 1, eq. (32) k = r+1 and
+    c = (-1)**r.  A target's own term routes (the literal displays, the
+    product rule) are crosschecks it runs against G_k before calling this,
+    and a k past N's cap is refused by :func:`_bell_order` first
+    (Corollary 2.4's k <= 4 is under both).  ``claimed_limit`` is the
+    target's own claim, passed through as it is.
 
     Exact mode takes its partials from :func:`_closed_form_sums`, and
     every stop up to _TERM_CHECK_CAP must equal the direct sum of
@@ -564,14 +541,12 @@ def _log_weight_series(
     """
     if N < 1:
         raise DomainError(f"series requires N >= 1, got N={N}")
-    d_coeffs = _log_moment_coefficients(bell_expansion(k), scale)
+    d_coeffs = _log_moment_coefficients(bell_expansion(k))
 
     if N > EXACT_N_MAX:
         total, radius = _log_weight_ball(k, N)
         width = _raw_tail_bound(d_coeffs, N)
-        return _ball_estimate(
-            target_id, N, total, radius, scale, Fraction(0), width, sign, claimed_limit
-        )
+        return SeriesEstimate(target_id, N, total, False, -radius, width + radius, claimed_limit)
 
     lattice = sorted(_checkpoint_lattice(N))  # ascending: the min compares small values first
     stops = sorted({*lattice, N})
@@ -586,21 +561,37 @@ def _log_weight_series(
         if direct != partials[m]:
             raise ArithmeticError(f"{target_id}: closed form differs from the direct sum at N={m}")
     tails = {n: _raw_tail_bound(d_coeffs, n) for n in lattice}
-    best = min(lattice, key=lambda n: partials[n] * scale + tails[n])
-    # width = envelope - partial = tail + scale * (T_k(best) - T_k(N)), the
-    # difference S_N/((N+1) L_N**k) - S_b/((b+1) L_b**k) taken over
-    # (b+1)(N+1) L_N**k, as L_b divides L_N
+    best = min(lattice, key=lambda n: partials[n] + tails[n])
+    # width = envelope - partial = tail + T_k(best) - T_k(N), the difference
+    # S_N/((N+1) L_N**k) - S_b/((b+1) L_b**k) taken over (b+1)(N+1) L_N**k,
+    # as L_b divides L_N
     (S_b, L_b), (S_N, L_N) = sums[best], sums[N]
     difference = _reduced_fraction(
         S_N * (best + 1) - S_b * (N + 1) * (L_N // L_b) ** k,
         (best + 1) * (N + 1) * L_N**k,
         (best + 1) * (N + 1) * L_N,
     )
-    width = tails[best] + scale * difference
-    partial = partials[N] * scale
-    if sign < 0:
-        return SeriesEstimate(target_id, N, -partial, True, -width, Fraction(0), claimed_limit)
-    return SeriesEstimate(target_id, N, partial, True, Fraction(0), width, claimed_limit)
+    width = tails[best] + difference
+    return SeriesEstimate(target_id, N, partials[N], True, Fraction(0), width, claimed_limit)
+
+
+def _scaled(estimate: SeriesEstimate, c: Fraction | int) -> SeriesEstimate:
+    """c * ``estimate`` for a rational c != 0: its bounds are c times the old
+    ones, exactly, and swap ends for c < 0.
+
+    An exact partial and both tails are multiplied by c.  A float partial
+    is c * partial rounded again, and the tails are measured from that
+    float.  The claim is the target's own and is not scaled.
+    """
+    low, high = estimate.tail_low * c, estimate.tail_high * c
+    if c < 0:
+        low, high = high, low
+    if estimate.exact:
+        return estimate._replace(partial=estimate.partial * c, tail_low=low, tail_high=high)
+    center = Fraction(estimate.partial) * c
+    partial = float(center)
+    shift = center - Fraction(partial)
+    return estimate._replace(partial=partial, tail_low=low + shift, tail_high=high + shift)
 
 
 def _log_weight_ball(k: int, N: int) -> tuple[float, Fraction]:
@@ -712,10 +703,8 @@ def lemma_c_partial(r: int, N: int) -> SeriesEstimate:
     """
     if r < 1:
         raise DomainError(f"lemma_c_partial requires r >= 1, got r={r}")
-    return _log_weight_series(
-        f"lemma-c(r={r})", _bell_order(r - 1, N), Fraction(1, math.factorial(r - 1)), N,
-        Fraction(r),
-    )
+    unit = _log_weight_series(f"lemma-c(r={r})", _bell_order(r - 1, N), N, Fraction(r))
+    return _scaled(unit, Fraction(1, math.factorial(r - 1)))
 
 
 def corollary_2_4_partial(variant: str, N: int) -> SeriesEstimate:
@@ -732,7 +721,7 @@ def corollary_2_4_partial(variant: str, N: int) -> SeriesEstimate:
         raise DomainError(f"unknown variant {variant!r}; expected one of {variants}")
     target_id, r = f"cor2.4-{variant}", int(variant[1:])
     _crosscheck(target_id, _DISPLAYS[r], r - 1)
-    return _log_weight_series(target_id, r - 1, Fraction(1), N, Fraction(math.factorial(r)))
+    return _log_weight_series(target_id, r - 1, N, Fraction(math.factorial(r)))
 
 
 def _leibniz_route_terms(r: int) -> PolyTerms:
@@ -792,10 +781,9 @@ def eq32_series(r: int, N: int) -> SeriesEstimate:
     k = _bell_order(r + 1, N)  # refuses a capped r before any work
     target_id = f"eq32(r={r})"
     _crosscheck(target_id, _leibniz_route_terms(r), k)
-    sign = -1 if r % 2 else 1
-    return _log_weight_series(
-        target_id, k, Fraction(1), N, Fraction(sign * math.factorial(r + 2)), sign
-    )
+    sign = (-1) ** r
+    unit = _log_weight_series(target_id, k, N, Fraction(sign * math.factorial(r + 2)))
+    return _scaled(unit, sign)
 
 
 def multi_integral_exact(n: int, r: int) -> Fraction:

@@ -14,7 +14,8 @@ rows and those with ``--float``.  A new row must hold under reduced SIMD
 dispatch (``NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL
 AVX512_SPR"``), or be recorded in ``--format text``: the JSON of ``oracle
 quad`` prints numpy's error estimate to 17 digits, and the dispatch changes
-them.
+them.  CI also runs ``--check`` with numpy and X86_V4 and the AVX-512
+groups disabled.
 
 A change that alters output re-records only the rows it changes, and lists
 each old and new digest in CHANGES.md:

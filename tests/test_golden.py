@@ -54,6 +54,18 @@ def test_ci_keeps_no_digest_of_its_own_and_checks_the_table_without_numpy():
     assert len(checking) == 1 and "pip install" not in checking[0]
 
 
+def test_ci_checks_the_table_under_reduced_simd_dispatch():
+    workflow = (Path(__file__).resolve().parents[1] / ".github/workflows/tests.yml").read_text()
+    tests_job = re.split(r"^  (?=\S)", workflow.split("\njobs:\n")[1], flags=re.M)[1]
+    assert tests_job.startswith("tests:") and "pip install numpy" in tests_job
+    assert re.search(
+        r'^ +run: NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" '
+        r"python tests/golden.py --check$",
+        tests_job,
+        re.M,
+    )
+
+
 @pytest.mark.parametrize("numpy_missing", [False, True])
 def test_the_check_names_a_perturbed_row_and_leaves_out_the_numpy_rows_without_numpy(
     monkeypatch, capsys, numpy_missing

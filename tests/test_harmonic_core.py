@@ -228,22 +228,23 @@ class TestHarmonicNumerators:
     @settings(max_examples=40, deadline=None)
     @given(
         st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(7, 3), Fraction(-49, 100)]),
-        st.integers(1, 12).flatmap(lambda order: st.tuples(st.just(order), st.integers(1, order))),
+        st.integers(1, 12),
         st.lists(st.integers(0, 70), min_size=1, max_size=3),
     )
-    def test_selected_orders_equal_the_same_orders_of_the_full_state(self, x, orders, runs):
-        order, lowest = orders
-        full = HarmonicNumerators(x, order)
-        part = HarmonicNumerators(x, order, lowest=lowest)
+    def test_harmonic_function_equals_the_order_of_the_full_state(self, x, alpha, runs):
+        # harmonic_function sums order alpha alone; the state carries orders 1..alpha
+        full, taken = HarmonicNumerators(x, alpha), 0
         for count in runs:
-            assert part.advance(count) == full.advance(count)
-            assert (part.L, part.numerators) == (full.L, full.numerators[lowest - 1 :])
-            assert part.values() == full.values()[lowest - 1 :]
+            full.advance(count)
+            taken += count  # the bases for n = 0..taken-1
+            if taken:
+                assert harmonic_function(taken - 1, x, alpha) == full.values()[alpha - 1]
 
-    @pytest.mark.parametrize("lowest", [0, 4])
-    def test_lowest_order_outside_one_to_order_rejected(self, lowest):
-        with pytest.raises(DomainError):
-            HarmonicNumerators(0, 3, lowest=lowest)
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_order_below_one_rejected_before_x(self, order):
+        message = f"^harmonic rows require order >= 1, got order={order}$"
+        with pytest.raises(DomainError, match=message):
+            HarmonicNumerators(-1, order)
 
 
 def _akiyama_tanigawa(n: int) -> list[Fraction]:

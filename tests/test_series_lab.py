@@ -51,6 +51,7 @@ from harmonic_beta.series_lab import (
     _log_weight_series,
     _pi_bounds,
     _raw_tail_bound,
+    _scaled,
 )
 
 from references import direct_harmonic_function, direct_harmonic_numbers, evaluate
@@ -288,13 +289,13 @@ class TestLemmaCPartial:
         # lemma-c r = 1 sums G_0 = 1: the closed form m/(m+1) against one
         # term at a time at every stop, which the published width takes its
         # envelope over
-        est = _log_weight_series("c", 0, Fraction(scale), N, None)
+        est = _scaled(_log_weight_series("c", 0, N, None), Fraction(scale))
         lattice = _checkpoint_lattice(N)
         stops = sorted(lattice | {N})
         refs = [scale * p for p in reference_partials(0, stops)]
-        d_coeffs = _log_moment_coefficients({(): 1}, Fraction(scale))
+        d_coeffs = _log_moment_coefficients({(): 1})
         envelope = min(
-            p + _raw_tail_bound(d_coeffs, n) for n, p in zip(stops, refs) if n in lattice
+            p + scale * _raw_tail_bound(d_coeffs, n) for n, p in zip(stops, refs) if n in lattice
         )
         assert (est.partial, est.tail_high) == (refs[-1], envelope - refs[-1])
         if scale == 1:
@@ -306,13 +307,13 @@ class TestLemmaCPartial:
         # the width formed over (b+1)(N+1) L_N**k against Fraction arithmetic on
         # the per-term partials at every lattice stop
         scale = Fraction(1, math.factorial(k))
-        est = _log_weight_series("c", k, scale, N, None)
+        est = _scaled(_log_weight_series("c", k, N, None), scale)
         lattice = _checkpoint_lattice(N)
         stops = sorted(lattice | {N})
         refs = [scale * p for p in reference_partials(k, stops)]
-        d_coeffs = _log_moment_coefficients(bell_expansion(k), scale)
+        d_coeffs = _log_moment_coefficients(bell_expansion(k))
         envelope = min(
-            p + _raw_tail_bound(d_coeffs, n) for n, p in zip(stops, refs) if n in lattice
+            p + scale * _raw_tail_bound(d_coeffs, n) for n, p in zip(stops, refs) if n in lattice
         )
         assert (est.partial, est.tail_low, est.tail_high) == (refs[-1], 0, envelope - refs[-1])
 
@@ -359,6 +360,43 @@ class TestLemmaCPartial:
         assert est.exact is False
         assert abs(est.partial - 2.0) < 0.01
         assert est.contains_claim()
+
+
+class TestScaled:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.booleans(),
+        st.fractions(),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.lists(st.fractions(), min_size=2, max_size=2).map(sorted),
+        st.one_of(
+            st.none(), st.fractions(), st.builds(PiPower, st.fractions(), st.integers(0, 6))
+        ),
+        st.sampled_from([1, -1]),
+        st.integers(0, 20),
+    )
+    def test_bounds_are_c_times_the_old_ones(self, exact, rational, binary64, tails, claim, sign, k):
+        # c = +-1/k!, which covers the scales of lemma-c (1/(r-1)!) and eq32 ((-1)**r)
+        c = Fraction(sign, math.factorial(k))
+        est = SeriesEstimate("t", 7, rational if exact else binary64, exact, *tails, claim)
+        scaled = _scaled(est, c)
+        low, high = (c * end for end in est.bounds())
+        assert scaled.bounds() == ((low, high) if c > 0 else (high, low))
+        if exact:
+            assert scaled.partial == c * rational
+        else:
+            assert type(scaled.partial) is float
+            assert scaled.partial == float(c * Fraction(binary64))
+        assert (scaled.target_id, scaled.N, scaled.exact) == ("t", 7, exact)
+        assert scaled.claimed_limit == claim
+
+    def test_a_wrong_scale_fails_the_lemma_c_verdict(self):
+        # lemma-c at r = 4 is T_3/3!; the claim 4 is the target's own, not scaled
+        unit = _log_weight_series("lemma-c(r=4)", 3, 1000, Fraction(4))
+        right = _scaled(unit, Fraction(1, math.factorial(3)))
+        assert right == lemma_c_partial(4, 1000)
+        assert right.contains_claim() is True
+        assert _scaled(unit, Fraction(1, math.factorial(4))).contains_claim() is False
 
 
 class TestClosedForm:
@@ -590,9 +628,9 @@ class TestFloatBall:
         scale = Fraction(1, 3)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(series_lab, "EXACT_N_MAX", 0)
-            est = _log_weight_series("t", k, scale, N, None, sign=sign)
+            est = _scaled(_log_weight_series("t", k, N, None), sign * scale)
         exact = sign * scale * block_partials(k, [N])[0]
-        tail = sign * _raw_tail_bound(_log_moment_coefficients(bell_expansion(k), scale), N)
+        tail = sign * scale * _raw_tail_bound(_log_moment_coefficients(bell_expansion(k)), N)
         low, high = est.bounds()
         assert low <= min(exact, exact + tail) and max(exact, exact + tail) <= high
 
@@ -1032,7 +1070,7 @@ class TestTailMachinery:
                     math.factorial(k) // math.factorial(j) * g[j] * L ** (k - j)
                     for j in range(k + 1)
                 )
-                bound = _raw_tail_bound(_log_moment_coefficients(bell_expansion(k), Fraction(1)), N)
+                bound = _raw_tail_bound(_log_moment_coefficients(bell_expansion(k)), N)
                 assert bound.numerator * (N + 1) * L**k >= R * bound.denominator, (N, k)
                 if N <= 32:  # the remainder formula against the per-term loop
                     remainder = Fraction(R, (N + 1) * L**k)
@@ -1043,19 +1081,17 @@ class TestTailMachinery:
     @pytest.mark.parametrize("k", [4, 8])
     def test_log_moment_coefficients_by_a_separate_loop(self, k):
         # G_4 has an h2**2 term and G_8 an h2**4 term: each cap enters once per power
-        scale = Fraction(1, 3)
         expected = {}
         for exponents, coeff in bell_expansion(k).items():
-            d = coeff * scale
+            d = Fraction(coeff)
             for alpha, power in enumerate(exponents[1:], start=2):
                 for _ in range(power):
                     d *= series_lab._zeta_cap(alpha)
             expected[exponents[0]] = expected.get(exponents[0], 0) + d
-        assert _log_moment_coefficients(bell_expansion(k), scale) == expected
+        assert _log_moment_coefficients(bell_expansion(k)) == expected
         if k == 4:  # G_4 = h1**4 + 6 h1**2 h2 + 8 h1 h3 + 3 h2**2 + 6 h4
             c2, c3, c4 = (series_lab._zeta_cap(alpha) for alpha in (2, 3, 4))
-            assert expected == {4: scale, 2: 6 * c2 * scale, 1: 8 * c3 * scale,
-                                0: (3 * c2**2 + 6 * c4) * scale}
+            assert expected == {4: 1, 2: 6 * c2, 1: 8 * c3, 0: 3 * c2**2 + 6 * c4}
 
 
 def _power_sum(x, s, N):
